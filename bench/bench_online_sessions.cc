@@ -15,6 +15,7 @@
 // gate. A SessionManager section measures multi-session throughput over
 // the shared worker pool.
 
+#include <mutex>
 #include <vector>
 
 #include "bench_util.h"
@@ -249,22 +250,26 @@ void PrintTables() {
     ids.push_back(manager.CreateSession(std::move(session_inst).value(),
                                         options));
   }
+  // Resolve latencies arrive through the completion callback, on the
+  // worker threads.
+  std::mutex latencies_mu;
+  std::vector<double> all_latencies;
+  const ApplyCallback collect = [&](const Status& status,
+                                    const CommandOutcome& outcome) {
+    if (!status.ok() || !outcome.resolved) return;
+    std::lock_guard<std::mutex> lock(latencies_mu);
+    all_latencies.push_back(outcome.report.total_seconds);
+  };
   int64_t submitted = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     for (const SessionEvent& event : logs[i]) {
-      if (manager.Submit(ids[i], event).ok()) ++submitted;
+      if (manager.Submit(ids[i], event, collect).ok()) ++submitted;
     }
   }
   manager.Drain();
   const double manager_seconds = manager_timer.ElapsedSeconds();
   if (!manager.FirstError().ok()) {
     std::cerr << "manager error: " << manager.FirstError() << "\n";
-  }
-  std::vector<double> all_latencies;
-  for (int id : ids) {
-    for (const ResolveReport& report : manager.reports(id)) {
-      all_latencies.push_back(report.total_seconds);
-    }
   }
   Table m({"sessions", "events", "resolves", "wall (s)", "events/s",
            "p99 resolve (ms)"});

@@ -67,8 +67,8 @@ struct DurabilityMetrics {
   Counter* recoveries = nullptr;
   Histogram* fsync_latency = nullptr;
   Histogram* recovery_latency = nullptr;
-  /// Commands applied since the owning session's last snapshot; the
-  /// changelog-lag health rule watches its windowed max.
+  /// The most commands any journal of the store has applied since its
+  /// last snapshot; the changelog-lag health rule watches its windowed max.
   Gauge* changelog_lag = nullptr;
 
   static DurabilityMetrics FromRegistry(MetricsRegistry* registry);

@@ -93,12 +93,13 @@ Status EnsureDirectory(const std::string& path) {
 }
 
 SessionJournal::SessionJournal(std::string session_dir, uint32_t session_id,
-                               const DurabilityOptions* options,
-                               const DurabilityMetrics* metrics)
+                               SessionStore* store, size_t index)
     : session_dir_(std::move(session_dir)),
       session_id_(session_id),
-      options_(options),
-      metrics_(metrics),
+      store_(store),
+      index_(index),
+      options_(&store->options_),
+      metrics_(&store->metrics_),
       last_snapshot_seconds_(MonotonicSeconds()) {}
 
 Status SessionJournal::OpenChangelog() {
@@ -127,12 +128,7 @@ Status SessionJournal::Append(const SessionCommand& command, bool resolved) {
   }
   ++seq_;
   ++commands_since_snapshot_;
-  if (metrics_ != nullptr && metrics_->changelog_lag != nullptr) {
-    // Worst-case replay length across sessions is what the health rule
-    // watches; per-session gauges would need dynamic metric names.
-    metrics_->changelog_lag->Set(
-        static_cast<double>(commands_since_snapshot_));
-  }
+  store_->PublishLag(index_, commands_since_snapshot_);
   return Status::OK();
 }
 
@@ -186,10 +182,8 @@ Status SessionJournal::TakeSnapshot(const Session& session) {
   failed_ = false;
   commands_since_snapshot_ = 0;
   last_snapshot_seconds_ = MonotonicSeconds();
-  if (metrics_ != nullptr) {
-    if (metrics_->snapshots != nullptr) metrics_->snapshots->Increment();
-    if (metrics_->changelog_lag != nullptr) metrics_->changelog_lag->Set(0.0);
-  }
+  if (metrics_->snapshots != nullptr) metrics_->snapshots->Increment();
+  store_->PublishLag(index_, 0);
   PruneOldEpochs();
   return Status::OK();
 }
@@ -229,6 +223,21 @@ SessionStore::SessionStore(DurabilityOptions options,
     : options_(std::move(options)),
       metrics_(DurabilityMetrics::FromRegistry(registry)) {}
 
+void SessionStore::PublishLag(size_t index, uint64_t lag) {
+  if (metrics_.changelog_lag == nullptr) return;
+  std::lock_guard<std::mutex> lock(lag_mu_);
+  const uint64_t previous = lags_[index];
+  lags_[index] = lag;
+  if (lag >= max_lag_) {
+    max_lag_ = lag;
+  } else if (previous == max_lag_) {
+    // The worst journal shrank (it snapshotted): rescan. Snapshots are
+    // rare next to appends, so the scan stays off the common path.
+    max_lag_ = *std::max_element(lags_.begin(), lags_.end());
+  }
+  metrics_.changelog_lag->Set(static_cast<int64_t>(max_lag_));
+}
+
 std::string SessionStore::SessionDir(uint32_t session_id) const {
   return options_.data_dir + "/session-" + std::to_string(session_id);
 }
@@ -257,7 +266,7 @@ Result<SessionJournal*> SessionStore::Attach(uint32_t session_id,
     }
   }
   auto journal = std::unique_ptr<SessionJournal>(
-      new SessionJournal(dir, session_id, &options_, &metrics_));
+      new SessionJournal(dir, session_id, this, journals_.size()));
   journal->epoch_ = epoch;
   journal->seq_ = applied_seq;
   // The attach snapshot anchors the epoch: recovery always finds a
@@ -267,6 +276,10 @@ Result<SessionJournal*> SessionStore::Attach(uint32_t session_id,
                         epoch, applied_seq, session.CaptureState()));
   SAVG_RETURN_NOT_OK(journal->OpenChangelog());
   journal->PruneOldEpochs();
+  {
+    std::lock_guard<std::mutex> lock(lag_mu_);
+    lags_.push_back(0);
+  }
   journals_.push_back(std::move(journal));
   return journals_.back().get();
 }

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@
 #include "online/session.h"
 
 namespace savg {
+
+class SessionStore;
 
 struct DurabilityOptions {
   /// Root directory for session-<id>/ subdirectories. Empty disables
@@ -95,14 +98,16 @@ class SessionJournal : public CommandJournal {
  private:
   friend class SessionStore;
   SessionJournal(std::string session_dir, uint32_t session_id,
-                 const DurabilityOptions* options,
-                 const DurabilityMetrics* metrics);
+                 SessionStore* store, size_t index);
 
   Status OpenChangelog();
   void PruneOldEpochs();
 
   std::string session_dir_;
   uint32_t session_id_ = 0;
+  SessionStore* store_ = nullptr;
+  /// This journal's slot in the store's per-journal lag table.
+  size_t index_ = 0;
   const DurabilityOptions* options_ = nullptr;
   const DurabilityMetrics* metrics_ = nullptr;
   std::unique_ptr<ChangelogWriter> writer_;
@@ -138,9 +143,19 @@ class SessionStore {
   std::string SessionDir(uint32_t session_id) const;
 
  private:
+  friend class SessionJournal;
+  /// Records journal `index`'s commands since its last snapshot and
+  /// publishes the maximum over every journal as durability.changelog_lag
+  /// (the worst-case replay length the health rule watches). Journals run
+  /// on different drain tasks, hence the lock.
+  void PublishLag(size_t index, uint64_t lag);
+
   DurabilityOptions options_;
   DurabilityMetrics metrics_;
   std::vector<std::unique_ptr<SessionJournal>> journals_;
+  std::mutex lag_mu_;
+  std::vector<uint64_t> lags_;  ///< per journal, guarded by lag_mu_
+  uint64_t max_lag_ = 0;        ///< guarded by lag_mu_
 };
 
 /// snapshot-%06u / changelog-%06u names (shared with RecoveryManager).

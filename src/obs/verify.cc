@@ -35,6 +35,7 @@ SolutionVerifier::SolutionVerifier(MetricsRegistry* metrics,
       fail_objective_(metrics->GetCounter("verify.fail.objective")),
       fail_kkt_(metrics->GetCounter("verify.fail.kkt")),
       fail_injected_(metrics->GetCounter("verify.fail.injected")),
+      kkt_audits_(metrics->GetCounter("verify.kkt_audits")),
       latency_(metrics->GetHistogram("verify.latency")) {
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -118,6 +119,7 @@ void SolutionVerifier::RunJob(const VerifyJob& job) {
   }
   KktReport kkt;
   if (failure.empty() && job.has_lp) {
+    kkt_audits_->Increment();
     kkt = CheckLpKkt(job.lp, job.x, job.duals);
     if (!kkt.Ok(options_.tolerance)) {
       failure = "kkt";

@@ -95,6 +95,7 @@ class SolutionVerifier {
   Counter* fail_objective_;
   Counter* fail_kkt_;
   Counter* fail_injected_;
+  Counter* kkt_audits_;
   Histogram* latency_;
 
   std::atomic<uint64_t> sample_seq_{0};

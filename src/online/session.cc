@@ -214,6 +214,10 @@ Result<CommandOutcome> Session::Apply(const SessionCommand& command) {
         "re-anchors durability");
   }
   auto outcome = ApplyImpl(command);
+  // Any applied mutation may change the next answer (see Resolve()).
+  if (outcome.ok() && command.type != CommandType::kResolve) {
+    served_answer_.reset();
+  }
   if (!outcome.ok() || journal_ == nullptr) return outcome;
   // Journal AFTER the mutation: a rejected command changed nothing (every
   // Apply* validates before mutating; a failed Resolve restores its entry
@@ -271,6 +275,10 @@ Status Session::ApplyEvent(const SessionEvent& event, ResolveReport* report) {
 }
 
 Result<ResolveReport> Session::Resolve(bool force_cold) {
+  if (served_answer_.has_value() && !force_cold && !PeriodicFullReround()) {
+    return ReuseServedAnswer();
+  }
+  served_answer_.reset();
   // A failed resolve must be a true no-op on served state: config_, basis_
   // and frac_ only commit at the success point of the resolve paths, dirty
   // flags are kept (ClearDirty runs on success only), and the rounding-seed
@@ -450,21 +458,40 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   report.rounding_seconds = rounding_timer.ElapsedSeconds();
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
 
-  if (options_.verifier != nullptr &&
-      options_.verifier->ShouldVerify(ForceVerifyRequested())) {
-    // Snapshot everything the background check needs; the just-built LP
-    // and the solution vectors are dead after this function, so they move
-    // into the job instead of copying.
+  // The just-built LP and the solution vectors are dead after this
+  // function, so the audit payload moves (into the verify job, or into the
+  // served answer a no-op resolve may audit later) instead of copying.
+  const bool verify = options_.verifier != nullptr &&
+                      options_.verifier->ShouldVerify(ForceVerifyRequested());
+  if (verify) {
     VerifyJob job;
-    job.session_id = options_.verifier_session_id;
-    job.instance = instance_;
-    job.config = config_;
     job.reported_scaled_total = report.scaled_total;
     job.has_lp = true;
     job.lp = std::move(*lp);
     job.x = std::move(sol->x);
     job.duals = std::move(sol->dual_values);
-    options_.verifier->Enqueue(std::move(job));
+    EnqueueVerify(std::move(job));
+  }
+  // A warm 0-pivot solve ended on the basis it started from, so the next
+  // resolve, if nothing changes meanwhile, re-factors that basis of the
+  // same LP and keeps every unit: record the answer it would produce. With
+  // the drift trigger on, the kept-unit share could still free every unit,
+  // and a subgroup size cap could refuse a kept unit the greedy completion
+  // placed past it.
+  if (report.path == ResolvePath::kIncremental && report.pivots == 0 &&
+      report.warm_started && options_.reround_utility_threshold <= 0.0 &&
+      options_.rounding.size_cap == CsfState::kNoSizeCap) {
+    ServedAnswer& answer = served_answer_.emplace();
+    answer.report.path = ResolvePath::kIncremental;
+    answer.report.warm_started = true;
+    answer.report.lp_objective = report.lp_objective;
+    answer.report.scaled_total = report.scaled_total;
+    answer.audited = verify || options_.verifier == nullptr;
+    if (!answer.audited) {
+      answer.lp = std::move(*lp);
+      answer.x = std::move(sol->x);
+      answer.duals = std::move(sol->dual_values);
+    }
   }
 
   frac_ = std::move(frac);
@@ -475,6 +502,49 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   ++num_resolves_;
   report.total_seconds = total_timer.ElapsedSeconds();
   return report;
+}
+
+ResolveReport Session::ReuseServedAnswer() {
+  Timer total_timer;
+  ServedAnswer& answer = *served_answer_;
+  if (TraceContext* trace = CurrentTrace()) {
+    const int span = trace->CurrentSpan();
+    trace->AddCounter(span, "pivots", 0);
+    trace->AddCounter(span, "phase1_pivots", 0);
+    trace->AddCounter(span, "dirty_users", 0);
+    trace->AddCounter(span, "eta_chain", 0);
+    trace->AddCounter(span, "reused", 1);
+    trace->AddLabel(span, "path", ResolvePathName(answer.report.path));
+  }
+  // One sampling decision per resolve, as on the full path. The audit
+  // inputs of a reused answer are byte-identical to its first audit's, so
+  // an answer is audited at most once.
+  if (options_.verifier != nullptr &&
+      options_.verifier->ShouldVerify(ForceVerifyRequested()) &&
+      !answer.audited) {
+    VerifyJob job;
+    job.reported_scaled_total = answer.report.scaled_total;
+    job.has_lp = true;
+    job.lp = std::move(answer.lp);
+    job.x = std::move(answer.x);
+    job.duals = std::move(answer.duals);
+    EnqueueVerify(std::move(job));
+    answer.audited = true;
+  }
+  // The draw the full path's rounding seed would have taken, and its
+  // resolve count: the session state stays what a full resolve leaves.
+  rng_.Next();
+  ++num_resolves_;
+  ResolveReport report = answer.report;
+  report.total_seconds = total_timer.ElapsedSeconds();
+  return report;
+}
+
+void Session::EnqueueVerify(VerifyJob job) {
+  job.session_id = options_.verifier_session_id;
+  job.instance = instance_;
+  job.config = config_;
+  options_.verifier->Enqueue(std::move(job));
 }
 
 Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
@@ -563,11 +633,8 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
     // No single LP exists on the sharded path; the audit covers
     // configuration validity and the recomputed objective only.
     VerifyJob job;
-    job.session_id = options_.verifier_session_id;
-    job.instance = instance_;
-    job.config = config_;
     job.reported_scaled_total = report.scaled_total;
-    options_.verifier->Enqueue(std::move(job));
+    EnqueueVerify(std::move(job));
   }
 
   ClearDirty();

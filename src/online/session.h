@@ -19,6 +19,9 @@
 // or the warm solve fails. Each Resolve() reports which path ran plus the
 // pivot counts, so serving telemetry can track warm-start effectiveness.
 //
+// A resolve that provably reproduces the previous answer skips all of the
+// above and answers from the served state (see Resolve()).
+//
 // Sessions are not thread-safe; the SessionManager serializes per-session
 // access while running many sessions concurrently.
 
@@ -26,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/avg.h"
@@ -43,6 +47,7 @@
 namespace savg {
 
 class SolutionVerifier;
+struct VerifyJob;
 
 struct SessionOptions {
   SimplexOptions simplex;
@@ -238,6 +243,7 @@ class Session {
   /// test drives that with a limit of 1.
   void set_max_lp_iterations(int max_iterations) {
     options_.simplex.max_iterations = max_iterations;
+    served_answer_.reset();  // the limit may fail the full path
   }
 
   const SvgicInstance& instance() const { return instance_; }
@@ -297,6 +303,21 @@ class Session {
   /// Re-optimizes: incremental warm-started LP + dirty-user re-rounding,
   /// or a cold solve (see class comment). With `force_cold` the cached
   /// basis and configuration are ignored (benchmark reference path).
+  ///
+  /// No-op resolves: when no command other than a resolve has succeeded
+  /// since the last successful resolve, that resolve ran the full
+  /// monolithic path as a warm kIncremental solve with 0 pivots, this one
+  /// is not `force_cold`, no periodic full re-round is due, and neither the
+  /// drift trigger nor a subgroup size cap is set, the full path would
+  /// factor the same basis of the same LP and keep every unit of the
+  /// served configuration — so its answer is
+  /// reused without building, solving or rounding anything. The reuse
+  /// still draws the rounding seed from the RNG and counts the resolve, so
+  /// CaptureState() and every replay stay bit-identical; it reports path
+  /// kIncremental, 0 pivots, the same LP objective and scaled total, and
+  /// zeroed LP statistics (no refactorization ran). The reusable answer is
+  /// not part of SessionState: the first resolve after FromState() runs
+  /// the full path.
   Result<ResolveReport> Resolve(bool force_cold = false);
 
  private:
@@ -335,6 +356,11 @@ class Session {
   double KeptUtilityShare(const FractionalSolution& frac,
                           const std::vector<char>& keep) const;
   Result<ResolveReport> ResolveMonolithic(bool force_cold);
+  /// Answers a no-op resolve from served_answer_ (see Resolve()).
+  ResolveReport ReuseServedAnswer();
+  /// Stamps the session id, instance and served configuration on `job`
+  /// and queues it on the verifier.
+  void EnqueueVerify(VerifyJob job);
   /// Sharded path: dirty users map to dirty shards; only those shards
   /// re-solve and re-round (see SessionOptions::use_sharding).
   Result<ResolveReport> ResolveSharded(bool force_cold);
@@ -353,6 +379,20 @@ class Session {
 
   std::vector<char> dirty_;  ///< per-user dirty flag, indexed by id
   bool all_dirty_ = false;
+
+  /// The last resolve's answer while a resolve would reproduce it (see
+  /// Resolve()); reset by every other applied command.
+  struct ServedAnswer {
+    ResolveReport report;
+    /// True once a verify job covered this answer, or without a verifier.
+    bool audited = false;
+    /// Audit payload of the unverified solve that produced the answer,
+    /// moved into the first sampled reuse's verify job.
+    LpModel lp;
+    std::vector<double> x;
+    std::vector<double> duals;
+  };
+  std::optional<ServedAnswer> served_answer_;
 
   /// Durability sink (not owned); see set_journal().
   CommandJournal* journal_ = nullptr;

@@ -215,7 +215,6 @@ void SessionManager::RunResolve(Entry* entry,
     entry->stats.commands_applied +=
         static_cast<int64_t>(waiters->size());
     if (status.ok()) {
-      entry->reports.push_back(result.report);
       entry->stats.resolves += 1;
       entry->stats.resolves_coalesced += result.coalesced;
       entry->stats.last_scaled_total = result.report.scaled_total;
@@ -360,16 +359,6 @@ const Session& SessionManager::session(int session_id) const {
   // at(): an unknown id throws instead of reading out of bounds (Submit
   // returns a Status for the same input; accessors have no error channel).
   return *entries_.at(session_id)->session;
-}
-
-std::vector<ResolveReport> SessionManager::reports(int session_id) const {
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entry = entries_.at(session_id).get();
-  }
-  std::lock_guard<std::mutex> lock(entry->mu);
-  return entry->reports;
 }
 
 Status SessionManager::FirstError() const {

@@ -24,8 +24,8 @@
 // folded resolves see the union of the mutations they would have seen
 // one-by-one.
 //
-// Resolve reports are collected per session in event order (the serving
-// telemetry the bench aggregates into p50/p99 latencies).
+// Resolve reports are not retained: callers that aggregate them (benches,
+// tests) collect them through the completion callback.
 
 #pragma once
 
@@ -149,8 +149,6 @@ class SessionManager {
 
   /// Read access; only safe after Drain() (or before any Submit).
   const Session& session(int session_id) const;
-  /// Resolve reports of the session, in event order.
-  std::vector<ResolveReport> reports(int session_id) const;
   /// First command-application error across all sessions, or OK.
   Status FirstError() const;
 
@@ -202,7 +200,6 @@ class SessionManager {
     std::unique_ptr<Session> session;
     std::deque<Pending> queue;
     bool running = false;  ///< a drain task owns this session right now
-    std::vector<ResolveReport> reports;
     SessionStats stats;
     /// Durability journal (owned by the store; null without one).
     SessionJournal* journal = nullptr;

@@ -644,6 +644,50 @@ TEST(SessionStoreTest, FailedRotationFailStopsSessionUntilRetrySucceeds) {
   EXPECT_EQ(Digest(*recovered->session), Digest(session));
 }
 
+TEST(SessionStoreTest, ChangelogLagGaugeIsTheMaximumAcrossSessions) {
+  const std::string dir = FreshDir("lag_gauge");
+  const SvgicInstance base = RandomInstance(8, 12, 2, 0.5, 73);
+
+  DurabilityOptions options;
+  options.data_dir = dir;
+  options.fsync.mode = FsyncPolicy::Mode::kNever;
+  options.snapshot_interval_seconds = 0;
+  options.snapshot_every_commands = 0;  // snapshots only when forced
+  MetricsRegistry metrics;
+  SessionStore store(options, &metrics);
+  const Gauge* lag = metrics.GetGauge("durability.changelog_lag");
+
+  Session lagging(base);
+  Session busy(base);
+  auto lagging_journal = store.Attach(0, lagging);
+  auto busy_journal = store.Attach(1, busy);
+  ASSERT_TRUE(lagging_journal.ok()) << lagging_journal.status();
+  ASSERT_TRUE(busy_journal.ok()) << busy_journal.status();
+  lagging.set_journal(*lagging_journal);
+  busy.set_journal(*busy_journal);
+
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(lagging.Apply(MakePref(i, 1, 0.5)).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(busy.Apply(MakePref(i, 2, 0.5)).ok());
+  }
+  EXPECT_EQ(lag->value(), 5);
+
+  // The other session's snapshot must not hide the lagging session's
+  // un-snapshotted commands.
+  ASSERT_TRUE((*busy_journal)->TakeSnapshot(busy).ok());
+  EXPECT_EQ(lag->value(), 5);
+  ASSERT_TRUE(busy.Apply(MakePref(0, 3, 0.5)).ok());
+  EXPECT_EQ(lag->value(), 5);
+
+  // Once the worst session snapshots, the gauge falls to the next worst.
+  ASSERT_TRUE((*lagging_journal)->TakeSnapshot(lagging).ok());
+  EXPECT_EQ(lag->value(), 1);
+  ASSERT_TRUE((*busy_journal)->TakeSnapshot(busy).ok());
+  EXPECT_EQ(lag->value(), 0);
+}
+
 /// CommandJournal with an injectable append failure (what a full disk does
 /// to SessionJournal::Append).
 class InjectedFailureJournal : public CommandJournal {

@@ -7,6 +7,9 @@
 #include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
+#include "durability/snapshot.h"
+#include "metrics/registry.h"
+#include "obs/verify.h"
 #include "online/basis_projection.h"
 #include "online/event_log.h"
 #include "online/session.h"
@@ -238,6 +241,172 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
   EXPECT_LT(report->rerounded_units, all_units);
 }
 
+/// A resolve answered from the served state runs no LP at all, so it is
+/// the only kind of resolve that reports zero refactorizations.
+bool Reused(const ResolveReport& report) {
+  return report.path == ResolvePath::kIncremental &&
+         report.refactorizations == 0;
+}
+
+Result<ResolveReport> ResolveOnce(Session* session) {
+  auto outcome = session->Apply(MakeResolve());
+  if (!outcome.ok()) return outcome.status();
+  return outcome->report;
+}
+
+TEST(OnlineSessionTest, NoopResolveReuseMatchesAFullResolveBitExactly) {
+  // At every resolve of seeded streams with extra back-to-back resolves,
+  // the live session must agree with a FromState copy, whose first resolve
+  // always runs the full path, on the report and the resulting state.
+  int reused = 0;
+  for (int period : {0, 4}) {
+    for (uint64_t seed : {3u, 5u}) {
+      const SvgicInstance base = RandomInstance(10, 16, 2, 0.5, 90 + seed);
+      EventStreamParams params;
+      params.num_mutations = 24;
+      params.resolve_every = 3;
+      params.seed = seed;
+      EventLog stream{MakeResolve()};
+      for (const SessionCommand& command : GenerateEventStream(base, params)) {
+        stream.push_back(command);
+        if (command.type != CommandType::kResolve) continue;
+        for (int extra = 0; extra < 1 + static_cast<int>(seed % 3); ++extra) {
+          stream.push_back(MakeResolve());
+        }
+      }
+      SessionOptions options;
+      options.seed = seed;
+      options.full_reround_period = period;
+      Session live(base, options);
+      for (const SessionCommand& command : stream) {
+        if (command.type != CommandType::kResolve) {
+          ASSERT_TRUE(live.Apply(command).ok());
+          continue;
+        }
+        auto copy = Session::FromState(live.CaptureState(), options);
+        auto got = ResolveOnce(&live);
+        auto want = ResolveOnce(copy.get());
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_TRUE(want.ok()) << want.status();
+        EXPECT_FALSE(Reused(*want));
+        if (Reused(*got)) ++reused;
+        EXPECT_EQ(got->path, want->path);
+        EXPECT_EQ(got->pivots, want->pivots);
+        EXPECT_EQ(got->lp_objective, want->lp_objective);
+        EXPECT_EQ(got->scaled_total, want->scaled_total);
+        EXPECT_EQ(got->rerounded_units, want->rerounded_units);
+        EXPECT_EQ(SessionStateDigest(live.CaptureState()),
+                  SessionStateDigest(copy->CaptureState()))
+            << "seed " << seed << " period " << period << " resolve "
+            << live.num_resolves();
+      }
+    }
+  }
+  EXPECT_GT(reused, 0);
+}
+
+TEST(OnlineSessionTest, NoopResolveReuseStopsWhenTheAnswerMayChange) {
+  const SvgicInstance base = RandomInstance(10, 16, 2, 0.5, 7);
+  // Cold first resolve, then a 0-pivot warm resolve whose answer the next
+  // resolve may reuse.
+  auto settle = [](Session* session) {
+    auto full = ResolveOnce(session);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_FALSE(Reused(*full));
+    ASSERT_EQ(full->path, ResolvePath::kIncremental);
+    ASSERT_EQ(full->pivots, 0);
+  };
+  Session session(base);
+  ASSERT_TRUE(ResolveOnce(&session).ok());
+  settle(&session);
+  auto reused = ResolveOnce(&session);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_TRUE(Reused(*reused));
+  EXPECT_EQ(reused->num_dirty_users, 0);
+  EXPECT_EQ(reused->rerounded_units, 0);
+  EXPECT_EQ(reused->lp_stats.primal_pivots, 0);
+
+  // A rejected command changes nothing, so the answer still stands.
+  ASSERT_FALSE(session.Apply(MakePref(500, 0, 0.5)).ok());
+  EXPECT_TRUE(Reused(*ResolveOnce(&session)));
+
+  // Structural and objective changes force the full path.
+  ASSERT_TRUE(session.Apply(MakeAddItem()).ok());
+  EXPECT_FALSE(Reused(*ResolveOnce(&session)));
+  ASSERT_TRUE(session.Apply(MakeLambda(0.6)).ok());
+  EXPECT_FALSE(Reused(*ResolveOnce(&session)));
+  // force_cold always solves.
+  settle(&session);
+  auto cold = session.Resolve(/*force_cold=*/true);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold->path, ResolvePath::kCold);
+
+  // A resolve that pivoted is followed by a full resolve.
+  bool pivoted = false;
+  for (int i = 0; i < 10 && !pivoted; ++i) {
+    ASSERT_TRUE(session.Apply(MakePref(i, (3 * i) % 16, 5.0)).ok());
+    auto report = ResolveOnce(&session);
+    ASSERT_TRUE(report.ok()) << report.status();
+    pivoted = report->pivots > 0;
+  }
+  ASSERT_TRUE(pivoted);
+  EXPECT_FALSE(Reused(*ResolveOnce(&session)));
+
+  // A periodic full re-round boundary runs the full path.
+  SessionOptions periodic;
+  periodic.full_reround_period = 3;
+  Session rerounding(base, periodic);
+  ASSERT_TRUE(ResolveOnce(&rerounding).ok());
+  settle(&rerounding);
+  auto boundary = ResolveOnce(&rerounding);  // resolve 3
+  ASSERT_TRUE(boundary.ok());
+  EXPECT_FALSE(Reused(*boundary));
+  EXPECT_TRUE(boundary->full_reround);
+  EXPECT_TRUE(Reused(*ResolveOnce(&rerounding)));  // resolve 4
+
+  // With the drift threshold on, every resolve measures the kept share.
+  SessionOptions drift;
+  drift.reround_utility_threshold = 1e-9;
+  Session drifting(base, drift);
+  ASSERT_TRUE(ResolveOnce(&drifting).ok());
+  settle(&drifting);
+  EXPECT_FALSE(Reused(*ResolveOnce(&drifting)));
+
+  // The reusable answer is not persisted: a restored session solves.
+  auto restored = Session::FromState(session.CaptureState(), {});
+  settle(restored.get());
+}
+
+TEST(OnlineSessionTest, ForcedVerifyOfAReusedAnswerAuditsItOnce) {
+  MetricsRegistry metrics;
+  VerifierOptions verify_options;
+  verify_options.sample_every = 0;  // forced requests only
+  SolutionVerifier verifier(&metrics, verify_options);
+  SessionOptions options;
+  options.verifier = &verifier;
+  Session session(RandomInstance(10, 16, 2, 0.5, 7), options);
+  ASSERT_TRUE(ResolveOnce(&session).ok());
+  auto full = ResolveOnce(&session);  // unverified 0-pivot warm solve
+  ASSERT_TRUE(full.ok());
+  ASSERT_FALSE(Reused(*full));
+  ASSERT_EQ(full->pivots, 0);
+  verifier.Flush();
+  ASSERT_EQ(metrics.GetCounter("verify.pass")->value(), 0);
+
+  for (int i = 0; i < 2; ++i) {
+    ScopedForceVerify force(true);
+    auto reused = ResolveOnce(&session);
+    ASSERT_TRUE(reused.ok());
+    EXPECT_TRUE(Reused(*reused));
+  }
+  verifier.Flush();
+  // The retained LP payload went into one audit; the second forced reuse
+  // of the same, already audited answer enqueued nothing.
+  EXPECT_EQ(metrics.GetCounter("verify.pass")->value(), 1);
+  EXPECT_EQ(metrics.GetCounter("verify.fail")->value(), 0);
+  EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
+}
+
 TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
   // Regression: the served configuration predates the added item, so the
   // retire path must not probe config slots for the new id.
@@ -400,17 +569,23 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
       options.seed = 1000 + i;
       ids.push_back(manager.CreateSession(bases[i], options));
     }
+    // Each session's callbacks run on one drain task at a time, so every
+    // session writes only its own slot.
+    std::vector<std::vector<ResolveReport>> reports(kSessions);
     for (int i = 0; i < kSessions; ++i) {
+      std::vector<ResolveReport>* into = &reports[i];
+      auto collect = [into](const Status& status, const CommandOutcome& out) {
+        if (status.ok() && out.resolved) into->push_back(out.report);
+      };
       for (const SessionEvent& event : logs[i]) {
-        ASSERT_TRUE(manager.Submit(ids[i], event).ok());
+        ASSERT_TRUE(manager.Submit(ids[i], event, collect).ok());
       }
     }
     manager.Drain();
     ASSERT_TRUE(manager.FirstError().ok()) << manager.FirstError();
     for (int i = 0; i < kSessions; ++i) {
-      const auto reports = manager.reports(ids[i]);
-      ASSERT_FALSE(reports.empty());
-      EXPECT_DOUBLE_EQ(reports.back().scaled_total, serial_totals[i])
+      ASSERT_FALSE(reports[i].empty());
+      EXPECT_DOUBLE_EQ(reports[i].back().scaled_total, serial_totals[i])
           << "session " << i << " workers " << workers;
       const Configuration& config = manager.session(ids[i]).config();
       ASSERT_EQ(config.num_users(), serial_configs[i].num_users());

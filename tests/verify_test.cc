@@ -125,6 +125,7 @@ TEST(SolutionVerifierTest, ConsistentJobPasses) {
   verifier.Flush();
   EXPECT_EQ(metrics.GetCounter("verify.pass")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("verify.fail")->value(), 0);
+  EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 0);  // no LP
   EXPECT_EQ(metrics.GetHistogram("verify.latency")->count(), 1);
 }
 
@@ -166,6 +167,7 @@ TEST(SolutionVerifierTest, BadDualsFailTheKktAudit) {
   verifier.Flush();
   EXPECT_EQ(metrics.GetCounter("verify.fail")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("verify.fail.kkt")->value(), 1);
+  EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
 }
 
 TEST(SolutionVerifierTest, InjectedFailureTripsTheFailCounter) {
