@@ -15,7 +15,7 @@ namespace savg {
 namespace {
 
 void PrintTables() {
-  RunnerConfig config;
+  SolverOptions config;
   config.relaxation.method = RelaxationMethod::kSubgradient;
   config.avg_repeats = 3;
   config.sdp.diversity_weight = 0.0;
@@ -28,8 +28,8 @@ void PrintTables() {
     params.num_items = 2000;
     params.num_slots = 20;
     params.seed = 11;
-    auto rows = RunComparisonNamed(params, /*samples=*/3, algos, config,
-                                   benchutil::WorkerOverride());
+    auto rows = RunComparison(params, /*samples=*/3, algos, config,
+                              benchutil::WorkerOverride());
     if (!rows.ok()) {
       std::cerr << rows.status() << "\n";
       continue;

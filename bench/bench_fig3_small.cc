@@ -24,8 +24,8 @@ DatasetParams Base() {
   return p;
 }
 
-RunnerConfig Config() {
-  RunnerConfig c;
+SolverOptions Config() {
+  SolverOptions c;
   c.avg_repeats = 5;
   c.ip.mip.max_nodes = 200000;
   c.ip.mip.time_limit_seconds = 20.0;
@@ -70,9 +70,9 @@ void BM_IpExactSmall(benchmark::State& state) {
   DatasetParams p = Base();
   p.num_users = static_cast<int>(state.range(0));
   auto inst = GenerateDataset(p);
-  RunnerConfig config = Config();
+  SolverOptions config = Config();
   for (auto _ : state) {
-    auto run = RunAlgorithm(*inst, Algo::kIp, config);
+    auto run = RunAlgorithm(*inst, "IP", config);
     benchmark::DoNotOptimize(run);
   }
 }
@@ -82,9 +82,9 @@ void BM_AvgDSmall(benchmark::State& state) {
   DatasetParams p = Base();
   p.num_users = static_cast<int>(state.range(0));
   auto inst = GenerateDataset(p);
-  RunnerConfig config = Config();
+  SolverOptions config = Config();
   for (auto _ : state) {
-    auto run = RunAlgorithm(*inst, Algo::kAvgD, config);
+    auto run = RunAlgorithm(*inst, "AVG-D", config);
     benchmark::DoNotOptimize(run);
   }
 }

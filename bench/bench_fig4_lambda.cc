@@ -24,13 +24,13 @@ void PrintTables() {
     params.num_slots = 3;
     params.lambda = lambda;
     params.seed = 99;
-    RunnerConfig config;
+    SolverOptions config;
     config.avg_repeats = 5;
     config.ip.mip.time_limit_seconds = 20.0;
     Timer point_timer;
-    auto rows = RunComparisonNamed(params, kSamples,
-                                   benchutil::AlgosOrDefault(true), config,
-                                   benchutil::WorkerOverride(), &warm);
+    auto rows = RunComparison(params, kSamples,
+                              benchutil::AlgosOrDefault(true), config,
+                              benchutil::WorkerOverride(), &warm);
     benchutil::RecordMetric("fig4 | lambda=" + FormatDouble(lambda, 2),
                             point_timer.ElapsedSeconds());
     if (!rows.ok()) {

@@ -10,8 +10,8 @@
 namespace savg {
 namespace {
 
-RunnerConfig LargeConfig() {
-  RunnerConfig c;
+SolverOptions LargeConfig() {
+  SolverOptions c;
   c.relaxation.method = RelaxationMethod::kSubgradient;
   c.avg_repeats = 3;
   c.sdp.diversity_weight = 0.0;  // O(m k^2 n) similarity pass is hopeless
@@ -29,7 +29,7 @@ void PrintTables() {
     p.seed = 5;
     points.push_back({std::to_string(n), p});
   }
-  std::vector<std::string> algos = AllAlgoNames(false);
+  std::vector<std::string> algos = PaperComparisonSolvers(false);
   algos.insert(algos.begin() + 2, "AVG+LS");  // AVG + local search
   benchutil::PrintSweep("Fig 5: large Timik (m=10000, k=50)", "n", points,
                         /*samples=*/2, benchutil::AlgosOrDefault(algos),

@@ -12,7 +12,7 @@ namespace savg {
 namespace {
 
 void PrintTables() {
-  RunnerConfig config;
+  SolverOptions config;
   config.relaxation.method = RelaxationMethod::kSubgradient;
   config.avg_repeats = 3;
   config.sdp.diversity_weight = 0.0;
@@ -24,10 +24,9 @@ void PrintTables() {
     params.num_items = 10000;
     params.num_slots = 50;
     params.seed = 6;
-    auto rows =
-        RunComparisonNamed(params, /*samples=*/2,
-                           benchutil::AlgosOrDefault(false), config,
-                           benchutil::WorkerOverride());
+    auto rows = RunComparison(params, /*samples=*/2,
+                              benchutil::AlgosOrDefault(false), config,
+                              benchutil::WorkerOverride());
     if (!rows.ok()) {
       std::cerr << rows.status() << "\n";
       continue;

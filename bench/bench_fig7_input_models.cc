@@ -11,7 +11,7 @@ namespace savg {
 namespace {
 
 void PrintTables() {
-  RunnerConfig config;
+  SolverOptions config;
   config.relaxation.method = RelaxationMethod::kSubgradient;
   config.avg_repeats = 3;
   config.sdp.diversity_weight = 0.0;
@@ -25,10 +25,9 @@ void PrintTables() {
     params.num_slots = 20;
     params.seed = 7;
     params.utility.kind = kind;
-    auto rows =
-        RunComparisonNamed(params, /*samples=*/3,
-                           benchutil::AlgosOrDefault(false), config,
-                           benchutil::WorkerOverride());
+    auto rows = RunComparison(params, /*samples=*/3,
+                              benchutil::AlgosOrDefault(false), config,
+                              benchutil::WorkerOverride());
     if (!rows.ok()) {
       std::cerr << rows.status() << "\n";
       continue;

@@ -49,11 +49,11 @@ void PrintTables() {
   for (const Variant& variant : variants) {
     t.NewRow().Add(variant.name);
     for (double budget : {200.0, 1000.0, 5000.0}) {
-      RunnerConfig config;
+      SolverOptions config;
       config.ip.mip.node_selection = variant.strategy;
       config.ip.mip.time_limit_seconds = budget * avg_d_seconds;
       config.ip.seed_with_avg_d = false;  // measure the tree search itself
-      auto run = RunAlgorithm(*inst, Algo::kIp, config);
+      auto run = RunAlgorithm(*inst, "IP", config);
       t.Add(run.ok() ? benchutil::Ratio(run->scaled_total, avg_d_value)
                      : "-");
     }
@@ -73,12 +73,12 @@ void BM_MipStrategies(benchmark::State& state) {
   params.num_slots = 3;
   params.seed = 9;
   auto inst = GenerateDataset(params);
-  RunnerConfig config;
+  SolverOptions config;
   config.ip.mip.node_selection =
       static_cast<NodeSelection>(state.range(0));
   config.ip.mip.time_limit_seconds = 10.0;
   for (auto _ : state) {
-    auto run = RunAlgorithm(*inst, Algo::kIp, config);
+    auto run = RunAlgorithm(*inst, "IP", config);
     benchmark::DoNotOptimize(run);
   }
 }

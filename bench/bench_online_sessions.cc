@@ -2,9 +2,11 @@
 // Session (src/online/) and reports re-solve latency percentiles plus the
 // incremental-vs-cold pivot ratio the warm-started serving path buys.
 //
-// Two replays of the identical event stream:
+// Three replays of the identical command stream:
 //  * incremental — Resolve() projects the cached basis across the mutation
 //    and re-rounds only the dirty users (the serving path),
+//  * incremental+drift-trigger — the same, with the kept-unit utility
+//    share threshold forcing a full re-round when drift appears,
 //  * cold        — Resolve(force_cold) re-solves and re-rounds everything
 //    (the reference a from-scratch server would pay per resolve).
 //
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "online/session_manager.h"
 #include "util/stats.h"
@@ -58,16 +59,9 @@ struct ReplayStats {
   int cold = 0;
   int cold_fallback = 0;
   int full_rerounds = 0;
-  int drift_rerounds = 0;
   /// Min kept-unit utility share observed (1.0 when the policy is off).
   double min_kept_share = 1.0;
   double last_total = 0.0;
-
-  double TotalSeconds() const {
-    double total = 0.0;
-    for (double s : resolve_seconds) total += s;
-    return total;
-  }
 };
 
 /// Mean relative utility shortfall vs a reference replay of the same
@@ -87,15 +81,12 @@ double MeanDrift(const ReplayStats& stats, const ReplayStats& reference) {
 }
 
 /// Replays `log` through one session; `force_cold` turns every resolve
-/// into the from-scratch reference. The two re-round policies
-/// (fixed-period and drift-threshold) are both exposed so the drift table
-/// can compare them on the identical stream.
-ReplayStats Replay(const SvgicInstance& base, const EventLog& log,
-                   bool force_cold, int full_reround_period = 0,
-                   double reround_utility_threshold = 0.0) {
+/// into the from-scratch reference, and `reround_utility_threshold` turns
+/// on the drift-triggered full re-round.
+ReplayStats Replay(const SvgicInstance& base, const CommandLog& log,
+                   bool force_cold, double reround_utility_threshold = 0.0) {
   SessionOptions options;
   options.seed = 7;
-  options.full_reround_period = full_reround_period;
   options.reround_utility_threshold = reround_utility_threshold;
   Session session(base, options);
   ReplayStats stats;
@@ -117,7 +108,6 @@ ReplayStats Replay(const SvgicInstance& base, const EventLog& log,
     stats.pivots += report->pivots;
     stats.phase1_pivots += report->phase1_pivots;
     if (report->full_reround) ++stats.full_rerounds;
-    if (report->drift_reround) ++stats.drift_rerounds;
     stats.min_kept_share =
         std::min(stats.min_kept_share, report->kept_utility_share);
     switch (report->path) {
@@ -155,7 +145,7 @@ void PrintTables() {
     std::cerr << inst.status() << "\n";
     return;
   }
-  const EventLog log = GenerateEventStream(*inst, ServingStream(5));
+  const CommandLog log = GenerateEventStream(*inst, ServingStream(5));
 
   Timer incr_timer;
   const ReplayStats incr = Replay(*inst, log, /*force_cold=*/false);
@@ -163,39 +153,32 @@ void PrintTables() {
   Timer cold_timer;
   const ReplayStats cold = Replay(*inst, log, /*force_cold=*/true);
   const double cold_seconds = cold_timer.ElapsedSeconds();
-  // Periodic full re-round (every 4 resolves): bounds the rounding drift
-  // the incremental path accumulates while keeping the warm LP.
-  const ReplayStats reround =
-      Replay(*inst, log, /*force_cold=*/false, /*full_reround_period=*/4);
   // Drift-triggered full re-round: fires exactly when the fresh LP stops
-  // backing the kept units, instead of on a fixed clock.
+  // backing the kept units, bounding the rounding drift the incremental
+  // path accumulates while keeping the warm LP.
   constexpr double kShareThreshold = 0.97;
   const ReplayStats drift_trig =
-      Replay(*inst, log, /*force_cold=*/false, /*full_reround_period=*/0,
+      Replay(*inst, log, /*force_cold=*/false,
              /*reround_utility_threshold=*/kShareThreshold);
 
   Table t({"path", "resolves", "pivots", "p50 (ms)", "p99 (ms)",
            "incremental", "cold", "final utility"});
   PrintReplayRow(&t, "incremental", incr);
-  PrintReplayRow(&t, "incremental+reround", reround);
   PrintReplayRow(&t, "incremental+drift-trigger", drift_trig);
   PrintReplayRow(&t, "cold", cold);
   t.Print("Online sessions: " + std::to_string(log.size()) +
-          "-event stream (n=20, m=40, k=3)");
+          "-command stream (n=20, m=40, k=3)");
   std::cout << "incremental/cold pivot ratio: "
             << benchutil::Ratio(static_cast<double>(incr.pivots),
                                 static_cast<double>(cold.pivots))
             << " (phase-1 " << incr.phase1_pivots << " vs "
             << cold.phase1_pivots << ")\n";
   const double drift_plain = MeanDrift(incr, cold);
-  const double drift_reround = MeanDrift(reround, cold);
   const double drift_threshold = MeanDrift(drift_trig, cold);
   std::cout << "rounding drift vs cold replay: "
             << FormatPercent(drift_plain) << " without full re-round, "
-            << FormatPercent(drift_reround) << " with period 4 ("
-            << reround.full_rerounds << " full re-rounds), "
             << FormatPercent(drift_threshold) << " with share threshold "
-            << kShareThreshold << " (" << drift_trig.drift_rerounds
+            << kShareThreshold << " (" << drift_trig.full_rerounds
             << " drift-triggered re-rounds, min share "
             << FormatDouble(drift_trig.min_kept_share, 2) << ")\n\n";
 
@@ -226,12 +209,10 @@ void PrintTables() {
                           static_cast<double>(incr.cold));
   benchutil::RecordMetric("online sessions | drift without reround",
                           drift_plain);
-  benchutil::RecordMetric("online sessions | drift with reround period 4",
-                          drift_reround);
   benchutil::RecordMetric("online sessions | drift with share threshold",
                           drift_threshold);
   benchutil::RecordMetric("online sessions | drift-triggered rerounds",
-                          static_cast<double>(drift_trig.drift_rerounds));
+                          static_cast<double>(drift_trig.full_rerounds));
 
   // Multi-session throughput: distinct sessions replay concurrently over
   // the shared pool; per-session serialization keeps each replay
@@ -240,7 +221,7 @@ void PrintTables() {
   Timer manager_timer;
   SessionManager manager(benchutil::WorkerOverride());
   std::vector<int> ids;
-  std::vector<EventLog> logs;
+  std::vector<CommandLog> logs;
   for (int i = 0; i < kSessions; ++i) {
     auto session_inst = GenerateDataset(ServingParams(40 + i));
     if (!session_inst.ok()) continue;
@@ -262,7 +243,7 @@ void PrintTables() {
   };
   int64_t submitted = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    for (const SessionEvent& event : logs[i]) {
+    for (const SessionCommand& event : logs[i]) {
       if (manager.Submit(ids[i], event, collect).ok()) ++submitted;
     }
   }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_solve.h"
@@ -42,8 +41,8 @@ DatasetParams ScaleParams(int n, int m, int k, uint64_t seed) {
   return params;
 }
 
-RunnerConfig ShardConfig() {
-  RunnerConfig config;
+SolverOptions ShardConfig() {
+  SolverOptions config;
   benchutil::ApplyShardOverrides(&config.shard);
   return config;
 }
@@ -52,7 +51,7 @@ RunnerConfig ShardConfig() {
 /// or {-1, -1} on failure.
 std::pair<double, double> RunOne(const SvgicInstance& instance,
                                  const std::string& name,
-                                 const RunnerConfig& config) {
+                                 const SolverOptions& config) {
   auto solver = SolverRegistry::Global().Find(name);
   if (!solver.ok()) return {-1.0, -1.0};
   SolverContext context;
@@ -97,7 +96,7 @@ void PrintPlanQuality() {
 }
 
 void PrintScaleSweep() {
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   Table t({"n x m", "AVG", "AVG-SHARD", "AVG (s)", "AVG-SHARD (s)",
            "obj ratio"});
   struct Point {
@@ -207,7 +206,7 @@ struct OnlineReplay {
   double final_total = 0.0;
 };
 
-OnlineReplay ReplayOnline(const SvgicInstance& base, const EventLog& log,
+OnlineReplay ReplayOnline(const SvgicInstance& base, const CommandLog& log,
                           bool sharded) {
   SessionOptions options;
   options.seed = 7;
@@ -254,7 +253,7 @@ void PrintOnlineSharded() {
   stream.num_mutations = 120;
   stream.resolve_every = 4;
   stream.seed = 5;
-  const EventLog log = GenerateEventStream(*inst, stream);
+  const CommandLog log = GenerateEventStream(*inst, stream);
 
   const OnlineReplay sharded = ReplayOnline(*inst, log, /*sharded=*/true);
   const OnlineReplay mono = ReplayOnline(*inst, log, /*sharded=*/false);
@@ -305,7 +304,7 @@ void PrintTables() {
 void BM_ShardedSolve(benchmark::State& state) {
   auto inst = GenerateDataset(
       ScaleParams(static_cast<int>(state.range(0)), 400, 5, 8));
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   auto solver = SolverRegistry::Global().Find("AVG-SHARD");
   SolverContext context;
   context.options = &config;
@@ -320,7 +319,7 @@ BENCHMARK(BM_ShardedSolve)->Arg(80)->Arg(160)->Unit(benchmark::kMillisecond);
 void BM_MonolithicSolve(benchmark::State& state) {
   auto inst = GenerateDataset(
       ScaleParams(static_cast<int>(state.range(0)), 400, 5, 8));
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   auto solver = SolverRegistry::Global().Find("AVG");
   SolverContext context;
   context.options = &config;

@@ -195,7 +195,7 @@ inline std::vector<std::string> AlgosOrDefault(
   return AlgoOverride().empty() ? std::move(defaults) : AlgoOverride();
 }
 inline std::vector<std::string> AlgosOrDefault(bool include_ip) {
-  return AlgosOrDefault(AllAlgoNames(include_ip));
+  return AlgosOrDefault(PaperComparisonSolvers(include_ip));
 }
 
 /// Runs `algos` over the sweep (averaging `samples` instances per point,
@@ -210,7 +210,7 @@ inline std::vector<std::string> AlgosOrDefault(bool include_ip) {
 inline std::vector<std::vector<AggregateRow>> PrintSweep(
     const std::string& title, const std::string& x_name,
     const std::vector<SweepPoint>& points, int samples,
-    const std::vector<std::string>& algos, const RunnerConfig& config) {
+    const std::vector<std::string>& algos, const SolverOptions& config) {
   std::vector<std::string> header = {x_name};
   for (const std::string& algo : algos) header.push_back(algo);
   Table utility(header);
@@ -222,8 +222,8 @@ inline std::vector<std::vector<AggregateRow>> PrintSweep(
   SweepWarmStart warm;
   for (const SweepPoint& point : points) {
     Timer point_timer;
-    auto rows = RunComparisonNamed(point.params, samples, algos, config,
-                                   WorkerOverride(), &warm);
+    auto rows = RunComparison(point.params, samples, algos, config,
+                              WorkerOverride(), &warm);
     RecordMetric(title + " | " + x_name + "=" + point.label,
                  point_timer.ElapsedSeconds());
     if (!rows.ok()) {

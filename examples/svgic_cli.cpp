@@ -5,8 +5,6 @@
 //   svgic_cli eval <instance.tsv> <config.tsv>            score a config
 //   svgic_cli genevents <instance.tsv> <mutations> <resolve_every> <seed>
 //                       <out.cmds>                       make a command log
-//   svgic_cli convertevents <in> <out>                    legacy TSV event
-//                                                         log -> binary
 //   svgic_cli serve <instance.tsv> <commands>             replay a live
 //                                                         serving session
 //   svgic_cli trace <host> <port> [last] [--json]         fetch recent
@@ -26,9 +24,7 @@
 // subsystem (src/online/) through Session::Apply(SessionCommand): each
 // resolve command re-optimizes incrementally from the cached simplex basis
 // and prints which path ran plus the pivot counts. Command logs are the
-// binary format of serve/session_command.h; `serve` also accepts legacy
-// TSV event logs via the import shim, and `convertevents` rewrites one as
-// binary.
+// binary format of serve/session_command.h, as `genevents` writes them.
 //
 // Global flags (anywhere on the command line):
 //   --shards=N      shard count for the sharded paths: the AVG-SHARD
@@ -53,7 +49,6 @@
 #include "datagen/datasets.h"
 #include "experiments/runner.h"
 #include "metrics/metrics.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "shard/shard_solve.h"
 #include "solvers/solver_registry.h"
@@ -122,7 +117,6 @@ int Usage() {
                "  svgic_cli eval <instance> <config>\n"
                "  svgic_cli genevents <instance> <mutations> <resolve_every>"
                " <seed> <out>\n"
-               "  svgic_cli convertevents <in_events> <out_commands>\n"
                "  svgic_cli serve <instance> <commands>\n"
                "  svgic_cli trace <host> <port> [last] [--json]\n"
                "  svgic_cli top <host> <port> [--iters=N] [--interval-ms=M]\n"
@@ -190,39 +184,23 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const std::string algo = argv[2];
-  RunnerConfig config;
+  SolverOptions config;
   ApplyShardFlags(&config.shard);
-  Configuration result;
+  config.ip.mip.time_limit_seconds = 60.0;  // read by the IP solver only
   Timer timer;
+  auto run = RunAlgorithm(*inst, algo == "local" ? "AVG-D" : algo, config);
+  if (!run.ok()) {
+    std::cerr << run.status() << "\n";
+    return run.status().code() == StatusCode::kNotFound ? Usage() : 1;
+  }
+  Configuration result = std::move(run->config);
   if (algo == "local") {
-    auto base = RunAlgorithm(*inst, Algo::kAvgD, config);
-    if (!base.ok()) {
-      std::cerr << base.status() << "\n";
-      return 1;
-    }
-    auto polished = ImproveByLocalSearch(*inst, base->config);
+    auto polished = ImproveByLocalSearch(*inst, result);
     if (!polished.ok()) {
       std::cerr << polished.status() << "\n";
       return 1;
     }
     result = std::move(polished->config);
-  } else {
-    auto solver = SolverRegistry::Global().Find(algo);
-    if (!solver.ok()) {
-      std::cerr << solver.status() << "\n";
-      return Usage();
-    }
-    if ((*solver)->Name() == "IP") {
-      config.ip.mip.time_limit_seconds = 60.0;
-    }
-    SolverContext context;
-    context.options = &config;
-    auto run = (*solver)->Solve(*inst, context);
-    if (!run.ok()) {
-      std::cerr << run.status() << "\n";
-      return 1;
-    }
-    result = std::move(run->config);
   }
   const double seconds = timer.ElapsedSeconds();
   PrintReport(*inst, result, seconds);
@@ -275,25 +253,6 @@ int GenerateEvents(int argc, char** argv) {
     return 1;
   }
   std::cout << "wrote " << log.size() << " commands to " << argv[6] << "\n";
-  return 0;
-}
-
-int ConvertEvents(int argc, char** argv) {
-  if (argc != 4) return Usage();
-  // ReadCommandLogFromFile sniffs the magic, so this also re-canonicalizes
-  // a binary log; the common use is TSV -> binary migration.
-  auto log = ReadCommandLogFromFile(argv[2]);
-  if (!log.ok()) {
-    std::cerr << log.status() << "\n";
-    return 1;
-  }
-  Status st = WriteCommandLogToFile(*log, argv[3]);
-  if (!st.ok()) {
-    std::cerr << st << "\n";
-    return 1;
-  }
-  std::cout << "converted " << log->size() << " commands to binary at "
-            << argv[3] << "\n";
   return 0;
 }
 
@@ -363,7 +322,7 @@ int Serve(int argc, char** argv) {
     PrintReport(session.instance(), session.config(), -1.0);
   } else {
     std::cout << "final configuration is stale (no resolve after the last "
-                 "mutation); append a 'resolve' event to score it\n";
+                 "mutation); append a 'resolve' command to score it\n";
   }
   return 0;
 }
@@ -599,9 +558,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "run") == 0) return Run(argc, argv);
   if (std::strcmp(argv[1], "eval") == 0) return Eval(argc, argv);
   if (std::strcmp(argv[1], "genevents") == 0) return GenerateEvents(argc, argv);
-  if (std::strcmp(argv[1], "convertevents") == 0) {
-    return ConvertEvents(argc, argv);
-  }
   if (std::strcmp(argv[1], "serve") == 0) return Serve(argc, argv);
   if (std::strcmp(argv[1], "trace") == 0) return FetchTrace(argc, argv);
   if (std::strcmp(argv[1], "top") == 0) return Top(argc, argv);

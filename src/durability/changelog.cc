@@ -137,6 +137,7 @@ DurabilityMetrics DurabilityMetrics::FromRegistry(MetricsRegistry* registry) {
   metrics.recovery_latency =
       registry->GetHistogram("durability.recovery_latency");
   metrics.changelog_lag = registry->GetGauge("durability.changelog_lag");
+  metrics.journal_failed = registry->GetGauge("durability.journal_failed");
   return metrics;
 }
 

@@ -70,6 +70,9 @@ struct DurabilityMetrics {
   /// The most commands any journal of the store has applied since its
   /// last snapshot; the changelog-lag health rule watches its windowed max.
   Gauge* changelog_lag = nullptr;
+  /// Journals currently fail-stopped (refusing commands until a snapshot
+  /// re-anchors them); the journal_failed health rule watches it.
+  Gauge* journal_failed = nullptr;
 
   static DurabilityMetrics FromRegistry(MetricsRegistry* registry);
 };

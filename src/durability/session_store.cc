@@ -123,7 +123,7 @@ Status SessionJournal::Append(const SessionCommand& command, bool resolved) {
     // Poison the journal — Session::Apply refuses further commands and
     // ShouldSnapshot() demands the re-anchoring snapshot — instead of
     // appending past a silent gap.
-    failed_ = true;
+    SetFailed(true);
     return appended;
   }
   ++seq_;
@@ -173,19 +173,27 @@ Status SessionJournal::TakeSnapshot(const Session& session) {
     // Snapshot next_epoch is durable but has no changelog to extend it.
     // Poison the journal so Append refuses instead of hitting a closed
     // writer forever, and ShouldSnapshot() keeps retrying the rotation.
-    failed_ = true;
+    SetFailed(true);
     SAVG_LOG(Error) << "durability: changelog rotation to epoch "
                     << next_epoch << " failed (" << opened.message()
                     << "); journal fail-stopped until a retry succeeds";
     return opened;
   }
-  failed_ = false;
+  SetFailed(false);
   commands_since_snapshot_ = 0;
   last_snapshot_seconds_ = MonotonicSeconds();
   if (metrics_->snapshots != nullptr) metrics_->snapshots->Increment();
   store_->PublishLag(index_, 0);
   PruneOldEpochs();
   return Status::OK();
+}
+
+void SessionJournal::SetFailed(bool failed) {
+  if (failed == failed_) return;
+  failed_ = failed;
+  if (metrics_->journal_failed != nullptr) {
+    metrics_->journal_failed->Increment(failed ? 1 : -1);
+  }
 }
 
 void SessionJournal::PruneOldEpochs() {

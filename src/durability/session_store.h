@@ -102,6 +102,8 @@ class SessionJournal : public CommandJournal {
 
   Status OpenChangelog();
   void PruneOldEpochs();
+  /// Sets failed_ and keeps the durability.journal_failed gauge in step.
+  void SetFailed(bool failed);
 
   std::string session_dir_;
   uint32_t session_id_ = 0;

@@ -8,63 +8,27 @@
 
 namespace savg {
 
-const char* AlgoName(Algo algo) {
-  switch (algo) {
-    case Algo::kAvg:
-      return "AVG";
-    case Algo::kAvgD:
-      return "AVG-D";
-    case Algo::kAvgLs:
-      return "AVG+LS";
-    case Algo::kPer:
-      return "PER";
-    case Algo::kFmg:
-      return "FMG";
-    case Algo::kSdp:
-      return "SDP";
-    case Algo::kGrf:
-      return "GRF";
-    case Algo::kIp:
-      return "IP";
-  }
-  return "?";
-}
-
-std::vector<Algo> AllAlgos(bool include_ip) {
-  std::vector<Algo> algos = {Algo::kAvg, Algo::kAvgD, Algo::kPer,
-                             Algo::kFmg, Algo::kSdp,  Algo::kGrf};
-  if (include_ip) algos.push_back(Algo::kIp);
-  return algos;
-}
-
-std::vector<std::string> AllAlgoNames(bool include_ip) {
-  std::vector<std::string> names;
-  for (Algo algo : AllAlgos(include_ip)) names.push_back(AlgoName(algo));
+std::vector<std::string> PaperComparisonSolvers(bool include_ip) {
+  std::vector<std::string> names{"AVG", "AVG-D", "PER", "FMG", "SDP", "GRF"};
+  if (include_ip) names.push_back("IP");
   return names;
 }
 
-Result<AlgoRun> RunAlgorithm(const SvgicInstance& instance, Algo algo,
-                             const RunnerConfig& config,
-                             const FractionalSolution* shared_frac) {
-  SAVG_ASSIGN_OR_RETURN(const Solver* solver,
-                        SolverRegistry::Global().Find(AlgoName(algo)));
+Result<SolverRun> RunAlgorithm(const SvgicInstance& instance,
+                               const std::string& solver,
+                               const SolverOptions& options,
+                               const FractionalSolution* shared_frac) {
+  SAVG_ASSIGN_OR_RETURN(const Solver* found,
+                        SolverRegistry::Global().Find(solver));
   SolverContext context;
-  context.options = &config;
+  context.options = &options;
   context.shared_relaxation = shared_frac;
-  SAVG_ASSIGN_OR_RETURN(SolverRun sr, solver->Solve(instance, context));
-  AlgoRun run;
-  run.algo = algo;
-  run.config = std::move(sr.config);
-  run.breakdown = sr.breakdown;
-  run.scaled_total = sr.scaled_total;
-  run.seconds = sr.seconds;
-  run.ip_proven_optimal = sr.proven_optimal;
-  return run;
+  return found->Solve(instance, context);
 }
 
-Result<std::vector<AggregateRow>> RunComparisonNamed(
+Result<std::vector<AggregateRow>> RunComparison(
     const DatasetParams& base_params, int samples,
-    const std::vector<std::string>& solvers, const RunnerConfig& config,
+    const std::vector<std::string>& solvers, const SolverOptions& options,
     int num_workers, SweepWarmStart* warm_start) {
   if (samples < 1) return Status::InvalidArgument("samples must be >= 1");
   std::vector<AggregateRow> rows(solvers.size());
@@ -95,7 +59,7 @@ Result<std::vector<AggregateRow>> RunComparisonNamed(
   batch.num_workers = num_workers;
   batch.repeats = 1;
   batch.base_seed = base_params.seed;
-  batch.solver = config;
+  batch.solver = options;
   if (warm_start != nullptr && !warm_start->bases.empty()) {
     batch.relaxation_warm_starts = &warm_start->bases;
   }
@@ -154,19 +118,6 @@ Result<std::vector<AggregateRow>> RunComparisonNamed(
     row.mean_subgroup.alone_rate *= inv;
     row.mean_regret *= inv;
   }
-  return rows;
-}
-
-Result<std::vector<AggregateRow>> RunComparison(
-    const DatasetParams& base_params, int samples,
-    const std::vector<Algo>& algos, const RunnerConfig& config) {
-  std::vector<std::string> names;
-  names.reserve(algos.size());
-  for (Algo algo : algos) names.push_back(AlgoName(algo));
-  SAVG_ASSIGN_OR_RETURN(
-      std::vector<AggregateRow> rows,
-      RunComparisonNamed(base_params, samples, names, config));
-  for (size_t s = 0; s < algos.size(); ++s) rows[s].algo = algos[s];
   return rows;
 }
 

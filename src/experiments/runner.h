@@ -1,13 +1,11 @@
 // Shared experiment harness used by every bench binary.
 //
-// This is now a thin compatibility shim over the solver registry and the
-// batch execution engine (solvers/solver_registry.h,
-// experiments/batch_runner.h): the Algo enum maps 1:1 onto registry names,
-// RunAlgorithm() resolves through the registry, and RunComparison() fans
-// its samples x algorithms matrix out through the BatchRunner (sharing one
-// LP relaxation per instance across the AVG family). New call sites should
-// address solvers by name; the enum survives for the existing figure
-// reproductions.
+// A thin front-end over the solver registry and the batch execution engine
+// (solvers/solver_registry.h, experiments/batch_runner.h): solvers are
+// addressed by registry name, RunAlgorithm() resolves one through the
+// registry, and RunComparison() fans its samples x solvers matrix out
+// through the BatchRunner (sharing one LP relaxation per instance across
+// the AVG family).
 
 #pragma once
 
@@ -22,50 +20,21 @@
 
 namespace savg {
 
-enum class Algo {
-  kAvg,
-  kAvgD,
-  kAvgLs,  ///< AVG followed by local-search polish
-  kPer,
-  kFmg,
-  kSdp,
-  kGrf,
-  kIp,
-};
+/// Registry names of the paper's default comparison, in its order
+/// (AVG, AVG-D, PER, FMG, SDP, GRF, then IP when requested).
+std::vector<std::string> PaperComparisonSolvers(bool include_ip);
 
-/// Canonical display name — identical to the registry name, so
-/// `SolverRegistry::Global().Find(AlgoName(a))` always resolves.
-const char* AlgoName(Algo algo);
-
-/// All algorithms in the paper's default comparison order.
-std::vector<Algo> AllAlgos(bool include_ip);
-
-/// Same, as registry names (usable with BatchRunner / --algos flags).
-std::vector<std::string> AllAlgoNames(bool include_ip);
-
-/// Aggregated tuning knobs; see solvers/solver_options.h.
-using RunnerConfig = SolverOptions;
-
-/// One algorithm run on one instance.
-struct AlgoRun {
-  Algo algo = Algo::kAvg;
-  Configuration config;
-  ObjectiveBreakdown breakdown;
-  double scaled_total = 0.0;
-  double seconds = 0.0;
-  bool ip_proven_optimal = false;
-};
-
-/// Runs one algorithm end-to-end (relaxation included for AVG/AVG-D).
-/// `shared_frac` (optional) reuses a relaxation solved once per instance.
-Result<AlgoRun> RunAlgorithm(const SvgicInstance& instance, Algo algo,
-                             const RunnerConfig& config,
-                             const FractionalSolution* shared_frac = nullptr);
+/// Runs the registry solver `solver` end-to-end on one instance (relaxation
+/// included for AVG/AVG-D). `shared_frac` (optional) reuses a relaxation
+/// solved once per instance.
+Result<SolverRun> RunAlgorithm(
+    const SvgicInstance& instance, const std::string& solver,
+    const SolverOptions& options,
+    const FractionalSolution* shared_frac = nullptr);
 
 /// Aggregated comparison over `samples` generated instances (seed varies).
 struct AggregateRow {
-  Algo algo = Algo::kAvg;  ///< set when the solver has an enum value
-  std::string name;        ///< registry name (always set)
+  std::string name;  ///< canonical registry name
   double mean_scaled_total = 0.0;
   double mean_seconds = 0.0;
   double mean_preference = 0.0;  ///< scaled preference part
@@ -76,7 +45,7 @@ struct AggregateRow {
 };
 
 /// Cross-point warm-start state for sweeps. Holds the final compact-LP
-/// basis of every sampled instance after a RunComparisonNamed call; the
+/// basis of every sampled instance after a RunComparison call; the
 /// next call with the same `samples` (e.g. the next lambda of a sweep,
 /// which keeps the constraint matrix fixed) seeds its simplex solves from
 /// them. Also accumulates the relaxation pivot counters, so benches and
@@ -89,16 +58,12 @@ struct SweepWarmStart {
   LpStats lp_stats;
 };
 
-/// Registry-name front-end: runs `solvers` over `samples` instances
-/// through the parallel BatchRunner. `num_workers` <= 0 uses all cores.
-/// `warm_start` (optional) carries relaxation bases across calls.
-Result<std::vector<AggregateRow>> RunComparisonNamed(
-    const DatasetParams& base_params, int samples,
-    const std::vector<std::string>& solvers, const RunnerConfig& config,
-    int num_workers = 0, SweepWarmStart* warm_start = nullptr);
-
+/// Runs `solvers` (registry names) over `samples` instances through the
+/// parallel BatchRunner. `num_workers` <= 0 uses all cores. `warm_start`
+/// (optional) carries relaxation bases across calls.
 Result<std::vector<AggregateRow>> RunComparison(
     const DatasetParams& base_params, int samples,
-    const std::vector<Algo>& algos, const RunnerConfig& config);
+    const std::vector<std::string>& solvers, const SolverOptions& options,
+    int num_workers = 0, SweepWarmStart* warm_start = nullptr);
 
 }  // namespace savg

@@ -33,6 +33,10 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
     active.push_back("verify_failure");
     unhealthy_now = true;
   }
+  if (window.GaugeLast("durability.journal_failed") > 0) {
+    active.push_back("journal_failed");
+    unhealthy_now = true;
+  }
   if (window.CounterRate("serve.shed") > options_.shed_rate_threshold) {
     active.push_back("shed_rate");
   }
@@ -48,7 +52,7 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
   if (window.GaugeLast("lp.eta_chain") > options_.eta_chain_limit) {
     active.push_back("eta_chain_growth");
   }
-  if (window.CounterRate("session.drift_rerounds") >
+  if (window.CounterRate("session.full_rerounds") >
       options_.drift_reround_rate_threshold) {
     active.push_back("drift_budget");
   }
@@ -88,8 +92,9 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
 
   const HealthLevel before = level_;
   if (unhealthy_now) {
-    // A verification failure means a served answer was wrong — trip
-    // immediately, no hysteresis on the way down.
+    // A verification failure means a served answer was wrong, and a
+    // fail-stopped journal refuses every command — trip immediately, no
+    // hysteresis on the way down.
     level_ = HealthLevel::kUnhealthy;
     reasons_ = active;
   } else if (level_ == HealthLevel::kOk) {

@@ -9,10 +9,12 @@
 //
 // Hysteresis: leaving `ok` takes `degrade_after` consecutive bad windows
 // and returning takes `recover_after` consecutive clean ones, so one
-// noisy window cannot flap the verdict. The exception is a
-// self-verification failure (verify.fail incremented), which trips
-// `unhealthy` immediately — a served infeasible answer is never noise —
-// though recovery still follows the normal clean-window path.
+// noisy window cannot flap the verdict. The exceptions are a
+// self-verification failure (verify.fail incremented) and a fail-stopped
+// journal (durability.journal_failed > 0), which trip `unhealthy`
+// immediately — a served infeasible answer or a session refusing every
+// command is never noise — though recovery still follows the normal
+// clean-window path.
 //
 // Verdict transitions are logged as structured `health.transition`
 // events for log-based alerting.
@@ -45,8 +47,8 @@ struct HealthOptions {
   /// Eta-file chain length (lp.eta_chain gauge) above which the adaptive
   /// refactorization policy is considered to have lost control.
   int64_t eta_chain_limit = 1024;
-  /// Drift-triggered full re-rounds per second; sustained firing means
-  /// incremental serving is thrashing above its drift budget.
+  /// Full re-rounds per second (all drift-triggered); sustained firing
+  /// means incremental serving is thrashing above its drift budget.
   double drift_reround_rate_threshold = 0.5;
   /// Resolve-latency regression: window mean vs a cross-window EWMA
   /// baseline. Windows with fewer than `latency_min_count` resolves are

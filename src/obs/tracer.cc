@@ -66,7 +66,6 @@ Tracer::Tracer(MetricsRegistry* metrics, TracerOptions options)
       traces_slow_(metrics->GetCounter("trace.slow")),
       stage_admission_(metrics->GetHistogram("serve.stage.admission")),
       stage_coalesce_(metrics->GetHistogram("serve.stage.coalesce")),
-      stage_presolve_(metrics->GetHistogram("serve.stage.presolve")),
       stage_solve_(metrics->GetHistogram("serve.stage.solve")),
       stage_round_(metrics->GetHistogram("serve.stage.round")) {}
 
@@ -96,8 +95,6 @@ void Tracer::FoldStageHistograms(const Trace& trace) {
       hist = stage_admission_;
     } else if (span.name == "coalesce.defer") {
       hist = stage_coalesce_;
-    } else if (span.name == "lp.presolve") {
-      hist = stage_presolve_;
     } else if (span.name == "lp.solve" || span.name == "shard.solve") {
       hist = stage_solve_;
     } else if (span.name == "csf.round") {

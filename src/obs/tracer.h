@@ -12,7 +12,7 @@
 //      (FinishUntraced writes a span-less line), so "every slow request
 //      leaves a record" holds at any sample rate,
 //   3. per-stage latency histograms folded into the MetricsRegistry
-//      (serve.stage.{admission,coalesce,presolve,solve,round}), so
+//      (serve.stage.{admission,coalesce,solve,round}), so
 //      /metrics gains stage-level p50/p99 without full traces.
 //
 // Slow-log lines and the structured server log (obs/structured_log.h) are
@@ -97,7 +97,6 @@ class Tracer {
   Counter* traces_slow_;
   Histogram* stage_admission_;
   Histogram* stage_coalesce_;
-  Histogram* stage_presolve_;
   Histogram* stage_solve_;
   Histogram* stage_round_;
 

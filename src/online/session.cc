@@ -267,15 +267,8 @@ Result<CommandOutcome> Session::ApplyImpl(const SessionCommand& command) {
   return Status::InvalidArgument("unknown command type");
 }
 
-Status Session::ApplyEvent(const SessionEvent& event, ResolveReport* report) {
-  auto outcome = Apply(event);
-  if (!outcome.ok()) return outcome.status();
-  if (outcome->resolved && report != nullptr) *report = outcome->report;
-  return Status::OK();
-}
-
 Result<ResolveReport> Session::Resolve(bool force_cold) {
-  if (served_answer_.has_value() && !force_cold && !PeriodicFullReround()) {
+  if (served_answer_ && !force_cold) {
     return ReuseServedAnswer();
   }
   served_answer_.reset();
@@ -409,26 +402,21 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
 
   // Re-round: keep the previous configuration's units for clean users (on
   // the incremental paths), leaving only dirty users' units eligible for
-  // the CSF sampling loop. A periodic full re-round frees every unit
-  // instead (the LP above still warm-started), bounding the drift stale
-  // clean units accumulate over long mutation streams.
+  // the CSF sampling loop.
   Timer rounding_timer;
   {
     TraceScope round_span("csf.round");
-    report.full_reround = PeriodicFullReround();
     std::vector<char> is_dirty(n, 0);
     for (UserId u : dirty) is_dirty[u] = 1;
-    bool keep_clean_units = !force_cold && !report.full_reround &&
-                            HasConfig() &&
-                            report.path != ResolvePath::kCold;
+    bool keep_clean_units =
+        !force_cold && HasConfig() && report.path != ResolvePath::kCold;
     // Drift trigger: when the fresh LP no longer backs the clean users'
-    // stale units, a full re-round now beats waiting for the periodic one.
+    // stale units, every unit re-rounds (the LP above still warm-started).
     if (keep_clean_units && options_.reround_utility_threshold > 0.0) {
       std::vector<char> keep(n, 1);
       for (UserId u : dirty) keep[u] = 0;
       report.kept_utility_share = KeptUtilityShare(frac, keep);
       if (report.kept_utility_share < options_.reround_utility_threshold) {
-        report.drift_reround = true;
         report.full_reround = true;
         keep_clean_units = false;
       }
@@ -555,7 +543,6 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
 
   ResolveReport report;
   report.num_dirty_users = static_cast<int>(dirty.size());
-  report.full_reround = PeriodicFullReround();
 
   const bool first_solve = coordinator_ == nullptr;
   if (first_solve) {
@@ -598,7 +585,7 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
   // Drift trigger (same policy as the monolithic path): clean shards'
   // users keep their units only while the fresh stitched relaxation still
   // backs them.
-  if (!force_cold && !report.full_reround && HasConfig() && !first_solve &&
+  if (!force_cold && HasConfig() && !first_solve &&
       options_.reround_utility_threshold > 0.0) {
     std::vector<char> keep(instance_.num_users(), 1);
     const std::vector<int>& shard_of = coordinator_->plan().shard_of;
@@ -611,7 +598,6 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
     }
     report.kept_utility_share = KeptUtilityShare(coordinator_->frac(), keep);
     if (report.kept_utility_share < options_.reround_utility_threshold) {
-      report.drift_reround = true;
       report.full_reround = true;
     }
   }

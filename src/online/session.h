@@ -3,8 +3,10 @@
 // The paper's scenario is inherently online: shoppers join a VR store,
 // browse, befriend each other and leave while the co-display configuration
 // must stay near-optimal. A Session owns a mutable SvgicInstance, the
-// currently served k-configuration and the last compact-LP basis. The
-// mutation API marks dirty regions; Resolve() re-optimizes incrementally:
+// currently served k-configuration and the last compact-LP basis. Every
+// caller drives it through one entry point, Apply(SessionCommand)
+// (serve/session_command.h): mutation commands mark dirty regions, and a
+// resolve command (or Resolve() directly) re-optimizes incrementally:
 //
 //   1. RefinalizePairs() updates only the pairs incident to dirty users,
 //   2. the cached simplex basis is projected onto the mutated LP
@@ -38,7 +40,7 @@
 #include "core/lp_formulation.h"
 #include "core/problem.h"
 #include "lp/simplex.h"
-#include "online/event_log.h"
+#include "serve/session_command.h"
 #include "shard/shard_solve.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -60,12 +62,6 @@ struct SessionOptions {
   /// fraction of the compact LP's columns changed identity since the
   /// cached basis (projection would mostly seed a cold basis anyway).
   double cold_fraction_threshold = 0.3;
-  /// Periodic full re-round: every this many resolves the whole
-  /// configuration is re-rounded (the LP still warm-starts), bounding the
-  /// rounding drift long mutation streams accumulate when clean users
-  /// keep stale units. 0 disables (ROADMAP open item; bench_online_sessions
-  /// reports the drift with and without).
-  int full_reround_period = 0;
   /// Drift-triggered full re-round: before re-rounding an incremental
   /// resolve, the kept (clean) units' utility share of the fresh LP is
   /// measured as mean_{kept (u,s,c)} x_u^c over the just-solved
@@ -73,10 +69,8 @@ struct SessionOptions {
   /// the items those stale units display. Stale units chasing old tau /
   /// preference values pull the share toward 0; when it drops below this
   /// threshold every unit is re-rounded on THIS resolve (the LP still
-  /// warm-starts), catching drift the moment it appears instead of on the
-  /// fixed full_reround_period (whose drift re-accumulates within 2-3
-  /// resolves — ROADMAP note). <= 0 disables; the two policies compose
-  /// (either trigger forces the full re-round).
+  /// warm-starts), bounding the rounding drift long mutation streams
+  /// accumulate when clean users keep stale units. <= 0 disables.
   double reround_utility_threshold = 0.0;
   /// Sharded serving (shard/shard_solve.h): the instance is partitioned by
   /// community, dirty users map to dirty shards, and Resolve() re-solves
@@ -115,13 +109,9 @@ struct ResolveReport {
   int num_dirty_users = 0;
   /// (user, slot) units freed for re-rounding (k per dirty user).
   int rerounded_units = 0;
-  /// True when this resolve re-rounded every unit — periodic
-  /// (SessionOptions::full_reround_period) or drift-triggered
-  /// (SessionOptions::reround_utility_threshold).
+  /// True when this resolve re-rounded every unit because the kept-unit
+  /// utility share dropped below SessionOptions::reround_utility_threshold.
   bool full_reround = false;
-  /// True when the full re-round was forced by the kept-unit utility
-  /// share dropping below reround_utility_threshold.
-  bool drift_reround = false;
   /// Mean fresh-LP fractional mass on the kept units' items (1.0 when
   /// nothing was kept / the threshold policy is off — see the option).
   double kept_utility_share = 1.0;
@@ -155,11 +145,11 @@ struct ResolveReport {
 /// durability snapshot persists (src/durability/snapshot.h) and recovery
 /// restores via Session::FromState(). Everything the next Resolve() reads
 /// is here: the mutated instance with its EVOLVED pair order, the served
-/// configuration, the cached basis + column keys, the resolve counter
-/// (periodic-reround phase), the rounding RNG, and the dirty flags. The
-/// last fractional solution is deliberately absent: every resolve rebuilds
-/// it from the fresh LP before any read. Sharded-mode coordinator state is
-/// also rebuilt (the first post-recovery sharded resolve re-partitions).
+/// configuration, the cached basis + column keys, the resolve counter,
+/// the rounding RNG, and the dirty flags. The last fractional solution is
+/// deliberately absent: every resolve rebuilds it from the fresh LP before
+/// any read. Sharded-mode coordinator state is also rebuilt (the first
+/// post-recovery sharded resolve re-partitions).
 struct SessionState {
   SvgicInstance instance;
   Configuration config;
@@ -255,50 +245,11 @@ class Session {
   // --- The unified command entry point -----------------------------------
 
   /// Applies one SessionCommand — THE mutation/resolve path every caller
-  /// (wire protocol, event-log replay, CLI, benches) goes through. A
+  /// (wire protocol, command-log replay, CLI, benches) goes through. A
   /// kResolve command runs Resolve() and returns the report in the
   /// outcome; kJoin/kAddItem return the allocated id. Mutations take
   /// effect at the next resolve.
   Result<CommandOutcome> Apply(const SessionCommand& command);
-
-  // --- Legacy per-mutation entry points -----------------------------------
-  // Thin wrappers over Apply(); kept for tests and call-site readability.
-
-  /// Sets p(u, c) = value (absolute, not additive).
-  Status PreferenceDelta(UserId u, ItemId c, double value) {
-    return Apply(MakePref(u, c, value)).status();
-  }
-  /// Sets tau(u, v, c) = value; befriends u and v when no edge exists.
-  Status TauDelta(UserId u, UserId v, ItemId c, double value) {
-    return Apply(MakeTau(u, v, c, value)).status();
-  }
-  /// Adds the friendship {u, v} with no social utility yet.
-  Status FriendAdded(UserId u, UserId v) {
-    return Apply(MakeFriend(u, v)).status();
-  }
-  /// A new user joins with zero preferences; returns the id.
-  Result<UserId> UserJoined() {
-    auto outcome = Apply(MakeJoin());
-    if (!outcome.ok()) return outcome.status();
-    return static_cast<UserId>(outcome->assigned_id);
-  }
-  /// User u leaves: utilities zeroed, id stays valid (dense ids).
-  Status UserLeft(UserId u) { return Apply(MakeLeave(u)).status(); }
-  /// Sets lambda (must stay in (0, 1]; every user is re-rounded).
-  Status SetLambda(double lambda) {
-    return Apply(MakeLambda(lambda)).status();
-  }
-  /// A new item appears with zero utilities; returns the id.
-  ItemId ItemAdded() {
-    auto outcome = Apply(MakeAddItem());
-    return outcome.ok() ? static_cast<ItemId>(outcome->assigned_id) : -1;
-  }
-  /// Item c retired: utilities zeroed, id stays valid.
-  Status ItemRetired(ItemId c) { return Apply(MakeRetireItem(c)).status(); }
-
-  /// Applies one replayed event (compat shim over Apply). A kResolve
-  /// event triggers Resolve() and stores the report in `report`.
-  Status ApplyEvent(const SessionEvent& event, ResolveReport* report);
 
   /// Re-optimizes: incremental warm-started LP + dirty-user re-rounding,
   /// or a cold solve (see class comment). With `force_cold` the cached
@@ -307,17 +258,16 @@ class Session {
   /// No-op resolves: when no command other than a resolve has succeeded
   /// since the last successful resolve, that resolve ran the full
   /// monolithic path as a warm kIncremental solve with 0 pivots, this one
-  /// is not `force_cold`, no periodic full re-round is due, and neither the
-  /// drift trigger nor a subgroup size cap is set, the full path would
-  /// factor the same basis of the same LP and keep every unit of the
-  /// served configuration — so its answer is
-  /// reused without building, solving or rounding anything. The reuse
-  /// still draws the rounding seed from the RNG and counts the resolve, so
-  /// CaptureState() and every replay stay bit-identical; it reports path
-  /// kIncremental, 0 pivots, the same LP objective and scaled total, and
-  /// zeroed LP statistics (no refactorization ran). The reusable answer is
-  /// not part of SessionState: the first resolve after FromState() runs
-  /// the full path.
+  /// is not `force_cold`, and neither the drift trigger nor a subgroup
+  /// size cap is set, the full path would factor the same basis of the
+  /// same LP and keep every unit of the served configuration — so its
+  /// answer is reused without building, solving or rounding anything. The
+  /// reuse still draws the rounding seed from the RNG and counts the
+  /// resolve, so CaptureState() and every replay stay bit-identical; it
+  /// reports path kIncremental, 0 pivots, the same LP objective and scaled
+  /// total, and zeroed LP statistics (no refactorization ran). The reusable
+  /// answer is not part of SessionState: the first resolve after
+  /// FromState() runs the full path.
   Result<ResolveReport> Resolve(bool force_cold = false);
 
  private:
@@ -344,12 +294,6 @@ class Session {
   /// re-solve must not lose which users' units are stale.
   std::vector<UserId> CollectDirtyUsers() const;
   void ClearDirty();
-  /// True when the upcoming resolve (num_resolves_ + 1) is a periodic
-  /// full re-round.
-  bool PeriodicFullReround() const {
-    return options_.full_reround_period > 0 &&
-           (num_resolves_ + 1) % options_.full_reround_period == 0;
-  }
   /// Mean fractional mass `frac` puts on the previously served units of
   /// users with keep[u] != 0 (the kept-unit utility share; 1.0 when no
   /// unit qualifies). See SessionOptions::reround_utility_threshold.

@@ -26,7 +26,6 @@ SessionManager::SessionManager(SessionManagerOptions options)
         m->GetCounter("resolve.cold_fallback");
     solver_metrics_.resolve_failures = m->GetCounter("resolve.failures");
     solver_metrics_.full_rerounds = m->GetCounter("session.full_rerounds");
-    solver_metrics_.drift_rerounds = m->GetCounter("session.drift_rerounds");
     solver_metrics_.shard_dual_rounds = m->GetCounter("shard.dual_rounds");
     solver_metrics_.eta_chain = m->GetGauge("lp.eta_chain");
     solver_metrics_.kept_share_ppm = m->GetGauge("session.kept_share_ppm");
@@ -262,7 +261,6 @@ void SessionManager::RecordResolveMetrics(const Status& status,
       break;
   }
   if (report.full_reround) m.full_rerounds->Increment();
-  if (report.drift_reround) m.drift_rerounds->Increment();
   if (report.num_shards > 0) {
     m.shard_dual_rounds->Increment(report.dual_rounds);
     m.shard_gap_ppm->Set(static_cast<int64_t>(report.shard_gap * 1e6));

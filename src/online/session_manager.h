@@ -37,7 +37,6 @@
 
 #include "metrics/registry.h"
 #include "obs/trace.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -188,7 +187,6 @@ class SessionManager {
     Counter* resolve_cold_fallback = nullptr;
     Counter* resolve_failures = nullptr;
     Counter* full_rerounds = nullptr;
-    Counter* drift_rerounds = nullptr;
     Counter* shard_dual_rounds = nullptr;
     Gauge* eta_chain = nullptr;
     Gauge* kept_share_ppm = nullptr;

@@ -213,9 +213,16 @@ void ServeServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(
-        [this, conn] { ServeConnection(conn); });
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (it->conn->done.load()) {
+        it->thread.join();
+        it = conns_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::thread thread([this, conn] { ServeConnection(conn); });
+    conns_.push_back({conn, std::move(thread)});
   }
 }
 
@@ -407,11 +414,13 @@ void ServeServer::ServeConnection(const std::shared_ptr<Connection>& conn) {
   }
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
+    std::lock_guard<std::mutex> close_lock(conn->close_mu);
     conn->open.store(false);
     ::close(conn->fd);
     conn->fd = -1;
   }
   metrics_.GetGauge("serve.connections")->Decrement();
+  conn->done.store(true);
 }
 
 void ServeServer::ServeHttp(const std::shared_ptr<Connection>& conn,
@@ -580,26 +589,26 @@ void ServeServer::Shutdown() {
     return;
   }
   // Break the accept loop, then every reader loop, then wait for all
-  // pending commands so completion callbacks fire before teardown.
+  // pending commands so completion callbacks fire before teardown. The
+  // listener closes only once the accept loop stopped reading it.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) {
-      if (conn->open.load() && conn->fd >= 0) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-      }
+    for (ConnectionThread& entry : conns_) {
+      std::lock_guard<std::mutex> close_lock(entry.conn->close_mu);
+      if (entry.conn->fd >= 0) ::shutdown(entry.conn->fd, SHUT_RDWR);
     }
   }
   for (;;) {
     std::thread t;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
-      if (conn_threads_.empty()) break;
-      t = std::move(conn_threads_.back());
-      conn_threads_.pop_back();
+      if (conns_.empty()) break;
+      t = std::move(conns_.back().thread);
+      conns_.pop_back();
     }
     if (t.joinable()) t.join();
   }

@@ -136,7 +136,19 @@ class ServeServer {
   struct Connection {
     int fd = -1;
     std::mutex write_mu;
+    /// Held while the reader thread closes `fd` and while Shutdown() reads
+    /// it; never across a blocking call, so Shutdown() cannot wait behind
+    /// a send stuck on a peer that stopped reading.
+    std::mutex close_mu;
     std::atomic<bool> open{true};
+    /// Set as the last act of ServeConnection: the reader thread is about
+    /// to return, so AcceptLoop may join it without blocking.
+    std::atomic<bool> done{false};
+  };
+  /// An accepted connection and the thread serving it.
+  struct ConnectionThread {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
   };
 
   void AcceptLoop();
@@ -181,9 +193,10 @@ class ServeServer {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
 
+  /// Open connections; AcceptLoop joins and erases finished ones, so a
+  /// long-running server holds one thread per open connection.
   std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<ConnectionThread> conns_;
 };
 
 }  // namespace savg

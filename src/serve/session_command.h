@@ -5,9 +5,8 @@
 //
 //   * the framed wire protocol (serve/wire.h carries one encoded command
 //     per apply frame),
-//   * the binary command log (replaces the TSV event log's per-event
-//     string parsing; a TSV import shim keeps old logs readable),
-//   * the replay stream generator (online/event_log.h),
+//   * the binary command log,
+//   * the replay stream generator (GenerateEventStream below),
 //   * `svgic_cli serve` / `svgic_cli genevents`, and
 //   * the in-process entry point Session::Apply(const SessionCommand&).
 //
@@ -33,9 +32,9 @@
 //
 //   "SVGB" magic | u32 version | u64 command count | encoded commands
 //
-// ReadCommandLog() sniffs the magic and falls back to the legacy TSV
-// parser (online/event_log.h) when it sees "svgicevents", so pre-existing
-// logs keep replaying without conversion.
+// The same log drives bench_online_sessions, `svgic_cli serve`, and the
+// incremental-vs-cold equivalence tests, so a serving trace captured once
+// replays bit-identically everywhere (all randomness is session-seeded).
 
 #pragma once
 
@@ -61,7 +60,7 @@ enum class CommandType : uint8_t {
   kResolve = 9,     ///< re-optimize the configuration
 };
 
-/// "pref", "tau", ... (the TSV tags; stable telemetry labels).
+/// "pref", "tau", ... (stable telemetry labels).
 const char* CommandTypeName(CommandType type);
 
 /// One mutation (or resolve trigger) of a live session.
@@ -112,9 +111,34 @@ size_t EncodedCommandSize(const SessionCommand& cmd);
 Status WriteCommandLog(const CommandLog& log, std::ostream* out);
 Status WriteCommandLogToFile(const CommandLog& log, const std::string& path);
 
-/// Reads a command log: binary ("SVGB") natively, legacy TSV
-/// ("svgicevents", online/event_log.h) through the import shim.
+/// Reads a binary command log; anything not starting with the "SVGB"
+/// magic is InvalidArgument.
 Result<CommandLog> ReadCommandLog(std::istream* in);
 Result<CommandLog> ReadCommandLogFromFile(const std::string& path);
+
+// --- Synthetic mutation streams --------------------------------------------
+
+/// Knobs of the synthetic mutation-stream generator used by the benches and
+/// the property tests. Probabilities are relative weights.
+struct EventStreamParams {
+  int num_mutations = 100;
+  /// A resolve command is inserted after every this many mutations (and
+  /// once at the end).
+  int resolve_every = 5;
+  uint64_t seed = 1;
+  double w_pref = 0.55;
+  double w_tau = 0.25;
+  double w_friend = 0.08;
+  double w_join = 0.04;
+  double w_leave = 0.03;
+  double w_lambda = 0.02;
+  double w_add_item = 0.02;
+  double w_retire_item = 0.01;
+};
+
+/// Generates a valid command stream against `instance` (tracking the user /
+/// item counts its own join/additem commands grow).
+CommandLog GenerateEventStream(const SvgicInstance& instance,
+                               const EventStreamParams& params);
 
 }  // namespace savg

@@ -3,7 +3,7 @@
 // One struct bundles the per-algorithm option structs so a caller can
 // configure a whole comparison run in one place and hand it to any solver
 // via SolverContext::options. Field defaults match the paper's default
-// experiment setup. runner.h's RunnerConfig is an alias of this struct.
+// experiment setup.
 
 #pragma once
 

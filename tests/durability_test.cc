@@ -688,6 +688,60 @@ TEST(SessionStoreTest, ChangelogLagGaugeIsTheMaximumAcrossSessions) {
   EXPECT_EQ(lag->value(), 0);
 }
 
+TEST(ServeDurabilityTest, FailStoppedJournalIsUnhealthyUntilReanchored) {
+  const std::string dir = FreshDir("serve_failstop_health");
+  ServerOptions options;
+  options.metrics_interval_seconds = 0;  // windows captured by hand
+  options.durability.data_dir = dir;
+  options.durability.fsync.mode = FsyncPolicy::Mode::kNever;
+  options.durability.snapshot_every_commands = 2;
+  options.durability.snapshot_interval_seconds = 0;
+  ServeServer server(options);
+  const int session = server.CreateSession(RandomInstance(8, 12, 2, 0.5, 43));
+  ASSERT_TRUE(server.Start().ok());
+  const Gauge* failed = server.metrics().GetGauge("durability.journal_failed");
+
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.Apply(session, MakePref(0, 1, 0.5)).ok());
+  // Injected rotation failure: a directory squats on the next epoch's
+  // changelog path, so the snapshot the second command triggers
+  // fail-stops the journal.
+  const std::string blocker = dir + "/session-" + std::to_string(session) +
+                              "/" + ChangelogFileName(1);
+  ASSERT_TRUE(EnsureDirectory(blocker).ok());
+  ASSERT_TRUE(client.Apply(session, MakePref(1, 2, 0.5)).ok());
+  server.manager().Drain();
+  EXPECT_EQ(failed->value(), 1);
+  server.CaptureMetricsWindow(1.0);
+  auto unhealthy = HttpGet("127.0.0.1", server.port(), "/health");
+  ASSERT_FALSE(unhealthy.ok());
+  EXPECT_NE(unhealthy.status().message().find("503"), std::string::npos)
+      << unhealthy.status();
+  const HealthVerdict verdict = server.health().verdict();
+  EXPECT_EQ(verdict.level, HealthLevel::kUnhealthy);
+  EXPECT_EQ(verdict.reasons, std::vector<std::string>{"journal_failed"});
+
+  // The next command is refused, and the snapshot retry after it
+  // re-anchors a clean epoch.
+  ::rmdir(blocker.c_str());
+  auto refused = client.Apply(session, MakePref(2, 3, 0.5));
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->kind, FrameKind::kError);
+  server.manager().Drain();
+  EXPECT_EQ(failed->value(), 0);
+  server.CaptureMetricsWindow(1.0);
+  server.CaptureMetricsWindow(1.0);
+  auto recovered = HttpGet("127.0.0.1", server.port(), "/health");
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_NE(recovered->find("\"status\": \"ok\""), std::string::npos)
+      << *recovered;
+  auto accepted = client.Apply(session, MakePref(2, 3, 0.5));
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_EQ(accepted->kind, FrameKind::kOk);
+  server.Shutdown();
+}
+
 /// CommandJournal with an injectable append failure (what a full disk does
 /// to SessionJournal::Append).
 class InjectedFailureJournal : public CommandJournal {

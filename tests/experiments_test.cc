@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include "experiments/runner.h"
+#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
 
-TEST(RunnerTest, AlgoNamesAreStable) {
-  EXPECT_STREQ(AlgoName(Algo::kAvg), "AVG");
-  EXPECT_STREQ(AlgoName(Algo::kAvgD), "AVG-D");
-  EXPECT_STREQ(AlgoName(Algo::kIp), "IP");
-  EXPECT_EQ(AllAlgos(false).size(), 6u);
-  EXPECT_EQ(AllAlgos(true).size(), 7u);
+TEST(RunnerTest, PaperComparisonSolversAreCanonicalRegistryNames) {
+  const std::vector<std::string> names = PaperComparisonSolvers(true);
+  ASSERT_EQ(names.size(), 7u);
+  EXPECT_EQ(PaperComparisonSolvers(false).size(), 6u);
+  EXPECT_EQ(names.front(), "AVG");
+  EXPECT_EQ(names.back(), "IP");
+  for (const std::string& name : names) {
+    auto solver = SolverRegistry::Global().Find(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    EXPECT_EQ((*solver)->Name(), name);
+  }
 }
 
 TEST(RunnerTest, RunAlgorithmAllKindsOnSmallInstance) {
@@ -22,13 +28,14 @@ TEST(RunnerTest, RunAlgorithmAllKindsOnSmallInstance) {
   params.seed = 3;
   auto inst = GenerateDataset(params);
   ASSERT_TRUE(inst.ok());
-  RunnerConfig config;
+  SolverOptions config;
   config.ip.mip.max_nodes = 2000;
-  for (Algo algo : AllAlgos(true)) {
+  for (const std::string& algo : PaperComparisonSolvers(true)) {
     auto run = RunAlgorithm(*inst, algo, config);
-    ASSERT_TRUE(run.ok()) << AlgoName(algo) << ": " << run.status();
-    EXPECT_TRUE(run->config.CheckValid().ok()) << AlgoName(algo);
-    EXPECT_GT(run->scaled_total, 0.0) << AlgoName(algo);
+    ASSERT_TRUE(run.ok()) << algo << ": " << run.status();
+    EXPECT_EQ(run->solver, algo);
+    EXPECT_TRUE(run->config.CheckValid().ok()) << algo;
+    EXPECT_GT(run->scaled_total, 0.0) << algo;
   }
 }
 
@@ -39,16 +46,17 @@ TEST(RunnerTest, ComparisonAggregatesAndOrders) {
   params.num_items = 40;
   params.num_slots = 4;
   params.seed = 11;
-  RunnerConfig config;
-  auto rows = RunComparison(params, /*samples=*/3, AllAlgos(false), config);
+  SolverOptions config;
+  const std::vector<std::string> solvers = PaperComparisonSolvers(false);
+  auto rows = RunComparison(params, /*samples=*/3, solvers, config);
   ASSERT_TRUE(rows.ok()) << rows.status();
   ASSERT_EQ(rows->size(), 6u);
   double avg_value = 0.0, best_baseline = 0.0;
   for (const AggregateRow& row : *rows) {
-    EXPECT_GT(row.mean_scaled_total, 0.0) << AlgoName(row.algo);
+    EXPECT_GT(row.mean_scaled_total, 0.0) << row.name;
     EXPECT_GE(row.mean_seconds, 0.0);
     EXPECT_FALSE(row.regret_samples.empty());
-    if (row.algo == Algo::kAvg || row.algo == Algo::kAvgD) {
+    if (row.name == "AVG" || row.name == "AVG-D") {
       avg_value = std::max(avg_value, row.mean_scaled_total);
     } else {
       best_baseline = std::max(best_baseline, row.mean_scaled_total);
@@ -68,9 +76,9 @@ TEST(RunnerTest, SharedFractionalSolutionReused) {
   ASSERT_TRUE(inst.ok());
   auto frac = SolveRelaxation(*inst);
   ASSERT_TRUE(frac.ok());
-  RunnerConfig config;
-  auto with_shared = RunAlgorithm(*inst, Algo::kAvgD, config, &*frac);
-  auto without = RunAlgorithm(*inst, Algo::kAvgD, config);
+  SolverOptions config;
+  auto with_shared = RunAlgorithm(*inst, "AVG-D", config, &*frac);
+  auto without = RunAlgorithm(*inst, "AVG-D", config);
   ASSERT_TRUE(with_shared.ok() && without.ok());
   // AVG-D is deterministic: same configuration either way.
   EXPECT_NEAR(with_shared->scaled_total, without->scaled_total, 1e-9);

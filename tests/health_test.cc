@@ -1,12 +1,14 @@
 // Tests of the windowed health rule engine (src/obs/health.h): every
 // rule firing in isolation on synthetic windows, the degrade/recover
 // hysteresis (one noisy window must not flap the verdict), the
-// immediate-unhealthy verification-failure path, and the EWMA latency
+// immediate-unhealthy verification-failure and journal fail-stop paths,
+// and the EWMA latency
 // baseline that refuses to absorb regressed windows.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/timeseries.h"
@@ -124,7 +126,7 @@ TEST(HealthMonitorTest, EtaChainGrowthRuleFires) {
 TEST(HealthMonitorTest, DriftBudgetRuleFires) {
   HealthMonitor monitor(Immediate());
   WindowedSnapshot window = CleanWindow();
-  AddCounter(&window, "session.drift_rerounds", 5);  // 5/s > 0.5/s
+  AddCounter(&window, "session.full_rerounds", 5);  // 5/s > 0.5/s
   const HealthVerdict verdict = monitor.Evaluate(window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "drift_budget"));
@@ -199,16 +201,22 @@ TEST(HealthMonitorTest, OneNoisyWindowDoesNotFlap) {
   EXPECT_TRUE(recovered.reasons.empty());
 }
 
-TEST(HealthMonitorTest, VerifyFailureTripsUnhealthyImmediately) {
-  HealthMonitor monitor;  // degrade_after = 2 must NOT apply here
-  WindowedSnapshot bad = CleanWindow();
-  AddCounter(&bad, "verify.fail", 1);
-  const HealthVerdict verdict = monitor.Evaluate(bad);
-  EXPECT_EQ(verdict.level, HealthLevel::kUnhealthy);
-  EXPECT_TRUE(HasReason(verdict, "verify_failure"));
-  // Recovery still takes the normal clean-window path.
-  EXPECT_EQ(monitor.Evaluate(CleanWindow()).level, HealthLevel::kUnhealthy);
-  EXPECT_EQ(monitor.Evaluate(CleanWindow()).level, HealthLevel::kOk);
+TEST(HealthMonitorTest, VerifyFailureAndJournalFailStopTripImmediately) {
+  WindowedSnapshot verify_failed = CleanWindow();
+  AddCounter(&verify_failed, "verify.fail", 1);
+  WindowedSnapshot journal_failed = CleanWindow();
+  AddGauge(&journal_failed, "durability.journal_failed", 1, 1);
+  const std::vector<std::pair<WindowedSnapshot, std::string>> cases = {
+      {verify_failed, "verify_failure"}, {journal_failed, "journal_failed"}};
+  for (const auto& [bad, reason] : cases) {
+    HealthMonitor monitor;  // degrade_after = 2 must NOT apply here
+    const HealthVerdict verdict = monitor.Evaluate(bad);
+    EXPECT_EQ(verdict.level, HealthLevel::kUnhealthy);
+    EXPECT_TRUE(HasReason(verdict, reason));
+    // Recovery still takes the normal clean-window path.
+    EXPECT_EQ(monitor.Evaluate(CleanWindow()).level, HealthLevel::kUnhealthy);
+    EXPECT_EQ(monitor.Evaluate(CleanWindow()).level, HealthLevel::kOk);
+  }
 }
 
 TEST(HealthMonitorTest, ReasonsTrackTheFreshestBadWindow) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/lp_formulation.h"
 #include "core/objective.h"
@@ -11,7 +10,6 @@
 #include "metrics/registry.h"
 #include "obs/verify.h"
 #include "online/basis_projection.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "online/session_manager.h"
 
@@ -78,8 +76,8 @@ TEST(OnlineSessionTest, SingleUserMutationPivotsAtLeast40PercentBelowCold) {
   Session session(base, SessionOptions{});
   ASSERT_TRUE(session.Resolve().ok());
 
-  ASSERT_TRUE(session.PreferenceDelta(3, 5, 0.9).ok());
-  ASSERT_TRUE(session.PreferenceDelta(3, 17, 0.05).ok());
+  ASSERT_TRUE(session.Apply(MakePref(3, 5, 0.9)).ok());
+  ASSERT_TRUE(session.Apply(MakePref(3, 17, 0.05)).ok());
   auto warm = session.Resolve();
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ(warm->path, ResolvePath::kIncremental);
@@ -108,14 +106,13 @@ TEST(OnlineSessionTest, ResolveMatchesColdSolveAfterAnyMutationSequence) {
     stream.num_mutations = 40;
     stream.resolve_every = 8;
     stream.seed = stream_seed;
-    const EventLog log = GenerateEventStream(base, stream);
+    const CommandLog log = GenerateEventStream(base, stream);
 
     Session session(std::move(base));
     ASSERT_TRUE(session.Resolve().ok());
-    for (const SessionEvent& event : log) {
-      if (event.type != EventType::kResolve) {
-        ASSERT_TRUE(session.ApplyEvent(event, nullptr).ok())
-            << "stream " << stream_seed;
+    for (const SessionCommand& command : log) {
+      if (command.type != CommandType::kResolve) {
+        ASSERT_TRUE(session.Apply(command).ok()) << "stream " << stream_seed;
         continue;
       }
       auto report = session.Resolve();
@@ -139,16 +136,19 @@ TEST(OnlineSessionTest, MutationsDriveStructuralChanges) {
   Session session(RandomInstance(10, 16, 3, 0.5, 21));
   ASSERT_TRUE(session.Resolve().ok());
 
-  auto joined = session.UserJoined();
+  auto joined = session.Apply(MakeJoin());
   ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(*joined, 10);
-  ASSERT_TRUE(session.PreferenceDelta(*joined, 2, 0.8).ok());
-  ASSERT_TRUE(session.TauDelta(*joined, 0, 2, 0.5).ok());
-  const ItemId item = session.ItemAdded();
+  const UserId user = static_cast<UserId>(joined->assigned_id);
+  EXPECT_EQ(user, 10);
+  ASSERT_TRUE(session.Apply(MakePref(user, 2, 0.8)).ok());
+  ASSERT_TRUE(session.Apply(MakeTau(user, 0, 2, 0.5)).ok());
+  auto added = session.Apply(MakeAddItem());
+  ASSERT_TRUE(added.ok());
+  const ItemId item = static_cast<ItemId>(added->assigned_id);
   EXPECT_EQ(item, 16);
-  ASSERT_TRUE(session.PreferenceDelta(1, item, 0.7).ok());
-  ASSERT_TRUE(session.ItemRetired(0).ok());
-  ASSERT_TRUE(session.UserLeft(4).ok());
+  ASSERT_TRUE(session.Apply(MakePref(1, item, 0.7)).ok());
+  ASSERT_TRUE(session.Apply(MakeRetireItem(0)).ok());
+  ASSERT_TRUE(session.Apply(MakeLeave(4)).ok());
 
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -167,7 +167,7 @@ TEST(OnlineSessionTest, MutationsDriveStructuralChanges) {
 TEST(OnlineSessionTest, LambdaChangeKeepsShapeAndWarmStarts) {
   Session session(RandomInstance(16, 24, 3, 0.5, 5));
   ASSERT_TRUE(session.Resolve().ok());
-  ASSERT_TRUE(session.SetLambda(0.7).ok());
+  ASSERT_TRUE(session.Apply(MakeLambda(0.7)).ok());
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->path, ResolvePath::kIncremental);
@@ -176,31 +176,6 @@ TEST(OnlineSessionTest, LambdaChangeKeepsShapeAndWarmStarts) {
   const double cold_obj = ColdLpObjective(session.instance());
   EXPECT_NEAR(report->lp_objective, cold_obj,
               1e-6 * std::max(1.0, std::abs(cold_obj)));
-}
-
-TEST(OnlineSessionTest, PeriodicFullReroundFreesEveryUnit) {
-  SessionOptions options;
-  options.full_reround_period = 3;
-  Session session(RandomInstance(14, 20, 3, 0.5, 11), options);
-  const int all_units =
-      session.instance().num_users() * session.instance().num_slots();
-  double value = 0.2;
-  for (int resolve = 1; resolve <= 6; ++resolve) {
-    ASSERT_TRUE(session.PreferenceDelta(resolve % 14, 2, value).ok());
-    value += 0.05;
-    auto report = session.Resolve();
-    ASSERT_TRUE(report.ok()) << report.status();
-    const bool periodic = resolve % 3 == 0;
-    EXPECT_EQ(report->full_reround, periodic) << "resolve " << resolve;
-    if (periodic) {
-      // Every unit re-rounds; the LP still warm-starts incrementally.
-      EXPECT_EQ(report->rerounded_units, all_units);
-      EXPECT_EQ(report->path, ResolvePath::kIncremental);
-    } else if (resolve > 1) {
-      EXPECT_LT(report->rerounded_units, all_units);
-    }
-    EXPECT_TRUE(session.config().IsComplete());
-  }
 }
 
 TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
@@ -214,15 +189,14 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
       session.instance().num_users() * session.instance().num_slots();
   auto first = session.Resolve();
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->drift_reround);  // cold resolves keep nothing anyway
+  EXPECT_FALSE(first->full_reround);  // cold resolves keep nothing anyway
   double value = 0.2;
   for (int resolve = 0; resolve < 4; ++resolve) {
-    ASSERT_TRUE(session.PreferenceDelta(resolve % 14, 2, value).ok());
+    ASSERT_TRUE(session.Apply(MakePref(resolve % 14, 2, value)).ok());
     value += 0.05;
     auto report = session.Resolve();
     ASSERT_TRUE(report.ok()) << report.status();
     ASSERT_EQ(report->path, ResolvePath::kIncremental);
-    EXPECT_TRUE(report->drift_reround);
     EXPECT_TRUE(report->full_reround);
     EXPECT_EQ(report->rerounded_units, all_units);
     EXPECT_GT(report->kept_utility_share, 0.0);
@@ -234,10 +208,10 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
   off.reround_utility_threshold = 1e-9;
   Session calm(RandomInstance(14, 20, 3, 0.5, 11), off);
   ASSERT_TRUE(calm.Resolve().ok());
-  ASSERT_TRUE(calm.PreferenceDelta(3, 2, 0.9).ok());
+  ASSERT_TRUE(calm.Apply(MakePref(3, 2, 0.9)).ok());
   auto report = calm.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_FALSE(report->drift_reround);
+  EXPECT_FALSE(report->full_reround);
   EXPECT_LT(report->rerounded_units, all_units);
 }
 
@@ -257,16 +231,17 @@ Result<ResolveReport> ResolveOnce(Session* session) {
 TEST(OnlineSessionTest, NoopResolveReuseMatchesAFullResolveBitExactly) {
   // At every resolve of seeded streams with extra back-to-back resolves,
   // the live session must agree with a FromState copy, whose first resolve
-  // always runs the full path, on the report and the resulting state.
+  // always runs the full path, on the report and the resulting state. The
+  // drift-threshold arm keeps the re-round policy's answers covered too.
   int reused = 0;
-  for (int period : {0, 4}) {
+  for (double threshold : {0.0, 0.97}) {
     for (uint64_t seed : {3u, 5u}) {
       const SvgicInstance base = RandomInstance(10, 16, 2, 0.5, 90 + seed);
       EventStreamParams params;
       params.num_mutations = 24;
       params.resolve_every = 3;
       params.seed = seed;
-      EventLog stream{MakeResolve()};
+      CommandLog stream{MakeResolve()};
       for (const SessionCommand& command : GenerateEventStream(base, params)) {
         stream.push_back(command);
         if (command.type != CommandType::kResolve) continue;
@@ -276,7 +251,7 @@ TEST(OnlineSessionTest, NoopResolveReuseMatchesAFullResolveBitExactly) {
       }
       SessionOptions options;
       options.seed = seed;
-      options.full_reround_period = period;
+      options.reround_utility_threshold = threshold;
       Session live(base, options);
       for (const SessionCommand& command : stream) {
         if (command.type != CommandType::kResolve) {
@@ -297,7 +272,7 @@ TEST(OnlineSessionTest, NoopResolveReuseMatchesAFullResolveBitExactly) {
         EXPECT_EQ(got->rerounded_units, want->rerounded_units);
         EXPECT_EQ(SessionStateDigest(live.CaptureState()),
                   SessionStateDigest(copy->CaptureState()))
-            << "seed " << seed << " period " << period << " resolve "
+            << "seed " << seed << " threshold " << threshold << " resolve "
             << live.num_resolves();
       }
     }
@@ -352,18 +327,6 @@ TEST(OnlineSessionTest, NoopResolveReuseStopsWhenTheAnswerMayChange) {
   ASSERT_TRUE(pivoted);
   EXPECT_FALSE(Reused(*ResolveOnce(&session)));
 
-  // A periodic full re-round boundary runs the full path.
-  SessionOptions periodic;
-  periodic.full_reround_period = 3;
-  Session rerounding(base, periodic);
-  ASSERT_TRUE(ResolveOnce(&rerounding).ok());
-  settle(&rerounding);
-  auto boundary = ResolveOnce(&rerounding);  // resolve 3
-  ASSERT_TRUE(boundary.ok());
-  EXPECT_FALSE(Reused(*boundary));
-  EXPECT_TRUE(boundary->full_reround);
-  EXPECT_TRUE(Reused(*ResolveOnce(&rerounding)));  // resolve 4
-
   // With the drift threshold on, every resolve measures the kept share.
   SessionOptions drift;
   drift.reround_utility_threshold = 1e-9;
@@ -412,8 +375,10 @@ TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
   // retire path must not probe config slots for the new id.
   Session session(RandomInstance(8, 12, 2, 0.5, 9));
   ASSERT_TRUE(session.Resolve().ok());
-  const ItemId item = session.ItemAdded();
-  ASSERT_TRUE(session.ItemRetired(item).ok());
+  auto added = session.Apply(MakeAddItem());
+  ASSERT_TRUE(added.ok());
+  const ItemId item = static_cast<ItemId>(added->assigned_id);
+  ASSERT_TRUE(session.Apply(MakeRetireItem(item)).ok());
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(session.config().num_items(), 13);
@@ -422,53 +387,14 @@ TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
 
 TEST(OnlineSessionTest, RejectsInvalidMutations) {
   Session session(RandomInstance(8, 12, 2, 0.5, 3));
-  EXPECT_FALSE(session.PreferenceDelta(99, 0, 0.5).ok());
-  EXPECT_FALSE(session.PreferenceDelta(0, 99, 0.5).ok());
-  EXPECT_FALSE(session.PreferenceDelta(0, 0, -0.5).ok());
-  EXPECT_FALSE(session.TauDelta(0, 0, 0, 0.5).ok());  // self pair
-  EXPECT_FALSE(session.SetLambda(0.0).ok());
-  EXPECT_FALSE(session.SetLambda(1.5).ok());
-  EXPECT_FALSE(session.UserLeft(-1).ok());
-  EXPECT_FALSE(session.ItemRetired(99).ok());
-}
-
-TEST(EventLogTest, RoundTripsThroughTsv) {
-  SvgicInstance base = RandomInstance(10, 15, 3, 0.5, 2);
-  EventStreamParams params;
-  params.num_mutations = 60;
-  params.resolve_every = 7;
-  params.seed = 9;
-  const EventLog log = GenerateEventStream(base, params);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().type, EventType::kResolve);
-
-  std::stringstream stream;
-  ASSERT_TRUE(WriteEventLog(log, &stream).ok());
-  auto parsed = ReadEventLog(&stream);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), log.size());
-  for (size_t i = 0; i < log.size(); ++i) {
-    EXPECT_TRUE((*parsed)[i] == log[i]) << "event " << i;
-  }
-}
-
-TEST(EventLogTest, RejectsMalformedInput) {
-  {
-    std::stringstream s("pref 0 1 0.5\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // missing header
-  }
-  {
-    std::stringstream s("svgicevents 1\npref 0\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // truncated args
-  }
-  {
-    std::stringstream s("svgicevents 1\nwarp 1 2\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // unknown event
-  }
-  {
-    std::stringstream s("svgicevents 1\nresolve\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // missing end
-  }
+  EXPECT_FALSE(session.Apply(MakePref(99, 0, 0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakePref(0, 99, 0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakePref(0, 0, -0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakeTau(0, 0, 0, 0.5)).ok());  // self pair
+  EXPECT_FALSE(session.Apply(MakeLambda(0.0)).ok());
+  EXPECT_FALSE(session.Apply(MakeLambda(1.5)).ok());
+  EXPECT_FALSE(session.Apply(MakeLeave(-1)).ok());
+  EXPECT_FALSE(session.Apply(MakeRetireItem(99)).ok());
 }
 
 TEST(BasisProjectionTest, IdentityProjectionIsExact) {
@@ -534,7 +460,7 @@ TEST(BasisProjectionTest, ProjectsAcrossAddedUser) {
 TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
   const int kSessions = 3;
   std::vector<SvgicInstance> bases;
-  std::vector<EventLog> logs;
+  std::vector<CommandLog> logs;
   for (int i = 0; i < kSessions; ++i) {
     bases.push_back(RandomInstance(10, 16, 2, 0.5, 300 + i));
     EventStreamParams stream;
@@ -552,8 +478,10 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
     options.seed = 1000 + i;
     Session session(bases[i], options);
     ResolveReport last;
-    for (const SessionEvent& event : logs[i]) {
-      ASSERT_TRUE(session.ApplyEvent(event, &last).ok());
+    for (const SessionCommand& command : logs[i]) {
+      auto outcome = session.Apply(command);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      if (outcome->resolved) last = outcome->report;
     }
     serial_totals.push_back(last.scaled_total);
     serial_configs.push_back(session.config());
@@ -577,8 +505,8 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
       auto collect = [into](const Status& status, const CommandOutcome& out) {
         if (status.ok() && out.resolved) into->push_back(out.report);
       };
-      for (const SessionEvent& event : logs[i]) {
-        ASSERT_TRUE(manager.Submit(ids[i], event, collect).ok());
+      for (const SessionCommand& command : logs[i]) {
+        ASSERT_TRUE(manager.Submit(ids[i], command, collect).ok());
       }
     }
     manager.Drain();

@@ -123,13 +123,13 @@ TEST(RobustnessTest, AvgLsRunnerVariantImprovesOnAvg) {
   params.seed = 77;
   auto inst = GenerateDataset(params);
   ASSERT_TRUE(inst.ok());
-  RunnerConfig config;
-  auto avg = RunAlgorithm(*inst, Algo::kAvg, config);
-  auto avg_ls = RunAlgorithm(*inst, Algo::kAvgLs, config);
+  SolverOptions config;
+  auto avg = RunAlgorithm(*inst, "AVG", config);
+  auto avg_ls = RunAlgorithm(*inst, "AVG+LS", config);
   ASSERT_TRUE(avg.ok() && avg_ls.ok());
   EXPECT_TRUE(avg_ls->config.CheckValid().ok());
   EXPECT_GE(avg_ls->scaled_total, avg->scaled_total - 1e-9);
-  EXPECT_STREQ(AlgoName(Algo::kAvgLs), "AVG+LS");
+  EXPECT_EQ(avg_ls->solver, "AVG+LS");
 }
 
 }  // namespace

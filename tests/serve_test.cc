@@ -11,12 +11,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/datasets.h"
@@ -1034,6 +1038,51 @@ TEST(ServeServerTest, SampledVerificationPassesOnACommandStream) {
   server.verifier().Flush();
   EXPECT_EQ(server.metrics().GetCounter("verify.fail")->value(), 0);
   EXPECT_GE(server.metrics().GetCounter("verify.pass")->value(), 4);
+  server.Shutdown();
+}
+
+/// Live threads of this process (entries of /proc/self/task).
+int ThreadCount() {
+  return static_cast<int>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"), {}));
+}
+
+/// Memory mappings of this process (lines of /proc/self/maps). A thread
+/// that returned but was never joined leaves its task list but keeps its
+/// stack mapped, so this is what grows when closed connections are not
+/// reaped.
+int MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  int count = 0;
+  while (std::getline(maps, line)) ++count;
+  return count;
+}
+
+TEST(ServeServerTest, ClosedConnectionsAreReaped) {
+  ServeServer server;
+  server.CreateSession(RandomInstance(8, 12, 2, 0.5, 41));
+  ASSERT_TRUE(server.Start().ok());
+  auto cycle = [&server](int times) {
+    for (int i = 0; i < times; ++i) {
+      RawConnection conn;
+      ASSERT_TRUE(conn.Connect(server.port()));
+      ASSERT_TRUE(conn.Send("GET /metrics HTTP/1.0\r\n\r\n"));
+      ASSERT_NE(conn.ReadAll().find("200 OK"), std::string::npos);
+    }
+  };
+  cycle(20);  // warm the allocator and thread-stack caches
+  const int threads_before = ThreadCount();
+  const int mappings_before = MappingCount();
+  ASSERT_GT(threads_before, 0);
+  cycle(200);
+  // The server closed every connection before the client saw EOF; give
+  // the last reader thread a moment to return.
+  for (int wait = 0; wait < 200 && ThreadCount() > threads_before; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(ThreadCount(), threads_before + 2);
+  EXPECT_LE(MappingCount(), mappings_before + 20);
   server.Shutdown();
 }
 

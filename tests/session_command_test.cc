@@ -1,8 +1,7 @@
 // Tests of the canonical SessionCommand binary codec and command log
 // (src/serve/session_command.h): randomized round trips must be
-// bit-exact, malformed input must be rejected without reading past the
-// buffer, and the TSV import shim must replay identically to the legacy
-// reader.
+// bit-exact, and malformed input (including anything that is not a binary
+// "SVGB" log) must be rejected without reading past the buffer.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,6 @@
 #include <string>
 
 #include "datagen/datasets.h"
-#include "online/event_log.h"
-#include "online/session.h"
 #include "serve/session_command.h"
 
 namespace savg {
@@ -122,8 +119,17 @@ TEST(SessionCommandTest, DecodeRejectsTruncatedAndUnknownTags) {
 }
 
 TEST(SessionCommandTest, CommandLogStreamRoundTrip) {
+  // A generated serving stream, which always ends in a resolve, followed
+  // by random commands covering every tag and id range.
+  EventStreamParams params;
+  params.num_mutations = 60;
+  params.resolve_every = 7;
+  params.seed = 9;
+  CommandLog log =
+      GenerateEventStream(RandomInstance(10, 15, 3, 0.5, 2), params);
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.back().type, CommandType::kResolve);
   std::mt19937_64 rng(13);
-  CommandLog log;
   for (int i = 0; i < 300; ++i) log.push_back(RandomCommand(&rng));
   std::stringstream stream;
   ASSERT_TRUE(WriteCommandLog(log, &stream).ok());
@@ -157,73 +163,26 @@ TEST(SessionCommandTest, CommandLogRejectsCorruptStreams) {
     std::stringstream in(bytes + "junk");
     EXPECT_FALSE(ReadCommandLog(&in).ok());
   }
-}
-
-TEST(SessionCommandTest, TsvImportShimMatchesLegacyReader) {
-  const SvgicInstance inst = RandomInstance(12, 20, 3, 0.5, 17);
-  EventStreamParams params;
-  params.num_mutations = 60;
-  params.resolve_every = 6;
-  params.seed = 3;
-  const CommandLog log = GenerateEventStream(inst, params);
-
-  // A TSV log read through ReadCommandLog must equal the legacy reader's
-  // result exactly.
-  std::stringstream tsv;
-  ASSERT_TRUE(WriteEventLog(log, &tsv).ok());
-  const std::string tsv_bytes = tsv.str();
-  std::stringstream legacy_in(tsv_bytes);
-  auto legacy = ReadEventLog(&legacy_in);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  std::stringstream shim_in(tsv_bytes);
-  auto shim = ReadCommandLog(&shim_in);
-  ASSERT_TRUE(shim.ok()) << shim.status();
-  EXPECT_EQ(*shim, *legacy);
-}
-
-TEST(SessionCommandTest, ConvertedLegacyLogReplaysToIdenticalConfiguration) {
-  // The acceptance check: replaying a converted legacy TSV log yields the
-  // exact same final configuration as replaying the TSV log directly
-  // (all randomness is session-seeded, so equal command streams give
-  // bit-identical serving states).
-  const SvgicInstance inst = RandomInstance(12, 20, 3, 0.5, 19);
-  EventStreamParams params;
-  params.num_mutations = 40;
-  params.resolve_every = 5;
-  params.seed = 5;
-  const CommandLog log = GenerateEventStream(inst, params);
-
-  std::stringstream tsv;
-  ASSERT_TRUE(WriteEventLog(log, &tsv).ok());
-  auto from_tsv = ReadCommandLog(&tsv);
-  ASSERT_TRUE(from_tsv.ok()) << from_tsv.status();
-
-  std::stringstream binary;
-  ASSERT_TRUE(WriteCommandLog(*from_tsv, &binary).ok());
-  auto from_binary = ReadCommandLog(&binary);
-  ASSERT_TRUE(from_binary.ok()) << from_binary.status();
-  // Note: TSV stores doubles with finite precision, so the equivalence is
-  // TSV-read == binary-round-trip of the TSV-read (bit-exact from there).
-  ASSERT_EQ(*from_binary, *from_tsv);
-
-  SessionOptions options;
-  options.seed = 7;
-  Session tsv_session(inst, options);
-  Session bin_session(inst, options);
-  for (size_t i = 0; i < from_tsv->size(); ++i) {
-    ASSERT_TRUE(tsv_session.Apply((*from_tsv)[i]).ok()) << i;
-    ASSERT_TRUE(bin_session.Apply((*from_binary)[i]).ok()) << i;
+  {  // A log in the retired text format is not a command log.
+    std::stringstream in("svgic" "events 1\npref\t1\t2\t0.5\nresolve\nend\n");
+    auto read = ReadCommandLog(&in);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   }
-  ASSERT_EQ(tsv_session.config().num_users(),
-            bin_session.config().num_users());
-  for (UserId u = 0; u < tsv_session.config().num_users(); ++u) {
-    EXPECT_EQ(tsv_session.config().ItemsOf(u),
-              bin_session.config().ItemsOf(u))
-        << "user " << u;
+  {  // Random bytes in place of the magic, followed by a valid body.
+    std::mt19937_64 rng(31);
+    std::string corrupt = bytes;
+    do {
+      for (int i = 0; i < 4; ++i) corrupt[i] = static_cast<char>(rng());
+    } while (corrupt.compare(0, 4, "SVGB") == 0);
+    std::stringstream in(corrupt);
+    auto read = ReadCommandLog(&in);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
-TEST(SessionCommandTest, FileRoundTripSniffsBothFormats) {
+TEST(SessionCommandTest, FileRoundTripIsBitExact) {
   std::mt19937_64 rng(23);
   CommandLog log;
   for (int i = 0; i < 50; ++i) log.push_back(RandomCommand(&rng));
@@ -234,15 +193,7 @@ TEST(SessionCommandTest, FileRoundTripSniffsBothFormats) {
   auto binary = ReadCommandLogFromFile(binary_path);
   ASSERT_TRUE(binary.ok()) << binary.status();
   EXPECT_EQ(*binary, log);
-
-  const std::string tsv_path = ::testing::TempDir() + "/commands_legacy.tsv";
-  ASSERT_TRUE(WriteEventLogToFile(log, tsv_path).ok());
-  auto tsv = ReadCommandLogFromFile(tsv_path);
-  ASSERT_TRUE(tsv.ok()) << tsv.status();
-  EXPECT_EQ(tsv->size(), log.size());
-
   std::remove(binary_path.c_str());
-  std::remove(tsv_path.c_str());
 }
 
 }  // namespace

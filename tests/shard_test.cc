@@ -273,7 +273,7 @@ TEST(ShardedSessionTest, OnlyDirtyShardsResolve) {
   EXPECT_TRUE(session.config().CheckValid().ok());
 
   // One user's preference change must touch exactly one shard.
-  ASSERT_TRUE(session.PreferenceDelta(3, 5, 0.9).ok());
+  ASSERT_TRUE(session.Apply(MakePref(3, 5, 0.9)).ok());
   auto second = session.Resolve();
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second->path, ResolvePath::kIncremental);
@@ -294,11 +294,11 @@ TEST(ShardedSessionTest, ReplayIsIdenticalAcrossWorkerCounts) {
     options.seed = 77;
     Session session(base, options);
     EXPECT_TRUE(session.Resolve().ok());
-    EXPECT_TRUE(session.PreferenceDelta(1, 2, 0.8).ok());
-    EXPECT_TRUE(session.TauDelta(0, 9, 3, 0.6).ok());
+    EXPECT_TRUE(session.Apply(MakePref(1, 2, 0.8)).ok());
+    EXPECT_TRUE(session.Apply(MakeTau(0, 9, 3, 0.6)).ok());
     EXPECT_TRUE(session.Resolve().ok());
-    EXPECT_TRUE(session.UserJoined().ok());
-    EXPECT_TRUE(session.PreferenceDelta(32, 1, 0.7).ok());
+    EXPECT_TRUE(session.Apply(MakeJoin()).ok());
+    EXPECT_TRUE(session.Apply(MakePref(32, 1, 0.7)).ok());
     EXPECT_TRUE(session.Resolve().ok());
     return session.config();
   };
@@ -316,17 +316,20 @@ TEST(ShardedSessionTest, StructuralMutationsStayConsistent) {
   ASSERT_TRUE(session.Resolve().ok());
   // Join, befriend across shards, retire an item, add one — each resolve
   // must stay complete and valid.
-  auto joined = session.UserJoined();
+  auto joined = session.Apply(MakeJoin());
   ASSERT_TRUE(joined.ok());
-  ASSERT_TRUE(session.PreferenceDelta(*joined, 0, 0.5).ok());
-  ASSERT_TRUE(session.TauDelta(*joined, 0, 1, 0.4).ok());
+  const UserId user = static_cast<UserId>(joined->assigned_id);
+  ASSERT_TRUE(session.Apply(MakePref(user, 0, 0.5)).ok());
+  ASSERT_TRUE(session.Apply(MakeTau(user, 0, 1, 0.4)).ok());
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(session.config().IsComplete());
 
-  ASSERT_TRUE(session.ItemRetired(2).ok());
-  const ItemId added = session.ItemAdded();
-  ASSERT_TRUE(session.PreferenceDelta(3, added, 0.9).ok());
+  ASSERT_TRUE(session.Apply(MakeRetireItem(2)).ok());
+  auto added = session.Apply(MakeAddItem());
+  ASSERT_TRUE(added.ok());
+  const ItemId item = static_cast<ItemId>(added->assigned_id);
+  ASSERT_TRUE(session.Apply(MakePref(3, item, 0.9)).ok());
   report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(session.config().IsComplete());

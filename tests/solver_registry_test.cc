@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datasets.h"
-#include "experiments/runner.h"
 #include "solvers/solver_options.h"
 
 namespace savg {
@@ -54,13 +53,6 @@ TEST(SolverRegistryTest, DuplicateRegistrationFails) {
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
   Status dup_alias = registry.Register("Y", factory, {"X-ALIAS"});
   EXPECT_EQ(dup_alias.code(), StatusCode::kAlreadyExists);
-}
-
-TEST(SolverRegistryTest, EnumNamesStayInSyncWithRegistry) {
-  for (Algo algo : AllAlgos(/*include_ip=*/true)) {
-    EXPECT_TRUE(SolverRegistry::Global().Contains(AlgoName(algo)))
-        << AlgoName(algo);
-  }
 }
 
 TEST(SolverRegistryTest, NamesListsCanonicalNames) {
