@@ -116,14 +116,19 @@ struct RelaxationOptions {
   SimplexOptions simplex;
   SubgradientOptions subgradient;
   /// kAuto switches to the subgradient solver above this many LP rows.
-  /// Re-tuned for the sparse revised simplex (the 600 crossover predates
-  /// it, when the dense-inverse cost grew cubically). Timik sweep at
-  /// m=40, k=3, Release: ~1k rows 0.02s, ~3k rows 0.3s, ~4.3k rows 0.8s,
-  /// ~5.6k rows 0.9s, ~6.8k rows 3.5s, vs <10ms subgradient that is
-  /// 1-4% below the exact optimum throughout. 4000 keeps the exact path
-  /// (and its warm-startable basis) wherever a cold solve stays under
-  /// about a second; beyond it the approximate path is covered by
-  /// Corollary 4.2 (beta-approximate LP -> 4*beta-approximate rounding).
+  /// Cold exact solves with the reach-only LU (Release, one core of a
+  /// 4-vCPU Xeon guest; Timik seeds 1-3, Yelp seed 1 unless given):
+  /// Timik m=40, k=3 takes 0.04s at 1.5k rows, 0.30-0.84s at 3.5-4.8k
+  /// rows and 0.75-1.10s at 5.0-5.1k rows. Yelp pivots far more per row:
+  /// 2.8k rows (20x200x5, seed 2) take 0.23s, but at k=10 3.1k rows take
+  /// 1.1s, 3.6k rows 3.4s, 3.9k rows 5.1s, 4.8k rows 13s and 6.3k rows
+  /// (40x2000x10) 10s, while 4.2k rows (40x3000x10) hit the iteration
+  /// limit. Row count alone does not predict the cost: Yelp shapes pass a
+  /// second below 4000 rows already, and a higher limit only admits
+  /// slower ones, so 4000 stays. The subgradient path (1-4% below the
+  /// exact optimum on the Timik sweep, 0.36s on Yelp 40x2000x10) is
+  /// covered by Corollary 4.2 (beta-approximate LP -> 4*beta-approximate
+  /// rounding).
   int auto_simplex_row_limit = 4000;
   /// Supporter pruning threshold.
   double prune_tolerance = 1e-9;

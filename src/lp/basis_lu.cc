@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "lp/dense_matrix.h"
@@ -21,13 +22,21 @@ constexpr double kThresholdPivoting = 0.1;
 // Sparse LU backend.
 // ---------------------------------------------------------------------------
 
-/// Left-looking (Gilbert-Peierls flavoured) LU of the basis matrix with
-/// threshold partial pivoting and a static ascending-nonzero column order.
+/// Left-looking LU of the basis matrix with threshold partial pivoting and
+/// a static ascending-nonzero column order. Each column folds in only the
+/// earlier pivots it reaches (Gilbert & Peierls's reach), taken from a
+/// min-heap in ascending pivot order rather than a DFS topological order,
+/// so the subtractions run in the natural k order. Factorization work is
+/// the arithmetic itself plus O(n) setup, up to the heap's log factor;
+/// no column probes the pivots it does not reach.
 /// L is kept as an ordered elimination eta file, U column-wise in pivot
 /// coordinates. Everything — L, U and the product-form eta file — lives in
 /// flat (index, value) arrays with ascending indices per segment, so the
 /// solve kernels stream contiguous memory instead of chasing a
-/// vector-of-vectors; Ftran/Btran cost O(nnz(L) + nnz(U) + nnz(etas)).
+/// vector-of-vectors. Ftran/Btran still make O(n) passes over every pivot
+/// and position on top of their O(nnz(L) + nnz(U) + nnz(etas)) arithmetic,
+/// and Update() scans all n entries of w, so a hypersparse solve is O(n),
+/// not O(its nonzeros).
 ///
 /// The Ftran-side kernels come in two flavors chosen by the input vector's
 /// nonzero density (LuKernelOptions::dense_switch_density): the sparse
@@ -49,6 +58,7 @@ class LuBasisFactorization : public BasisFactorization {
     ClearEtas();
     eta_ops_since_factor_ = 0;
     int64_t ops = 0;
+    int64_t pivot_visits = 0;
     pos_of_k_.assign(n, -1);
     pivot_row_of_k_.assign(n, -1);
     k_of_row_.assign(n, -1);
@@ -60,6 +70,8 @@ class LuBasisFactorization : public BasisFactorization {
     u_vals_.clear();
     diag_.assign(n, 0.0);
     work_.assign(n, 0.0);
+    queued_.assign(n, 0);
+    reached_.clear();
 
     // Static fill-reducing order: sparsest basis columns pivot first.
     std::vector<int> order(n);
@@ -79,14 +91,27 @@ class LuBasisFactorization : public BasisFactorization {
         work_[row] += value;
       }
       ops += static_cast<int64_t>(columns[basis[pos]].size());
-      // Left-looking pass: fold in the eliminations of earlier pivots.
-      for (int k2 = 0; k2 < k; ++k2) {
+      // Left-looking pass: fold in the eliminations of the earlier pivots
+      // this column reaches, in ascending k, so the subtractions happen in
+      // exactly the order a scan over every k2 < k would perform them. A
+      // pivot is reached when its row is nonzero in the column or written
+      // by an earlier elimination. L segment k2 only writes rows that
+      // pivot after k2, so the min-heap never receives a k2 below the one
+      // just popped.
+      for (const auto& entry : columns[basis[pos]]) Reach(entry.first);
+      while (!reached_.empty()) {
+        std::pop_heap(reached_.begin(), reached_.end(), std::greater<int>());
+        const int k2 = reached_.back();
+        reached_.pop_back();
+        queued_[k2] = 0;
+        ++pivot_visits;
         const double xk = work_[pivot_row_of_k_[k2]];
         if (xk == 0.0) continue;
         for (int64_t i = l_off_[k2]; i < l_off_[k2 + 1]; ++i) {
           const int row = l_rows_[i];
           if (work_[row] == 0.0) touched.push_back(row);
           work_[row] -= l_vals_[i] * xk;
+          Reach(row);
         }
         ops += l_off_[k2 + 1] - l_off_[k2];
       }
@@ -146,6 +171,7 @@ class LuBasisFactorization : public BasisFactorization {
       u_off_.push_back(static_cast<int64_t>(u_ks_.size()));
     }
     factor_ops_ = ops;
+    factor_pivot_visits_ = pivot_visits;
     return Status::OK();
   }
 
@@ -281,11 +307,21 @@ class LuBasisFactorization : public BasisFactorization {
            static_cast<int64_t>(u_ks_.size()) + n_;
   }
   int64_t factor_ops() const override { return factor_ops_; }
+  int64_t factor_pivot_visits() const override { return factor_pivot_visits_; }
   int64_t eta_ops_since_factor() const override {
     return eta_ops_since_factor_;
   }
 
  private:
+  /// Queues the pivot of `row` for the left-looking pass, once.
+  void Reach(int row) {
+    const int k = k_of_row_[row];
+    if (k < 0 || queued_[k]) return;
+    queued_[k] = 1;
+    reached_.push_back(k);
+    std::push_heap(reached_.begin(), reached_.end(), std::greater<int>());
+  }
+
   void ClearEtas() {
     eta_pos_.clear();
     eta_pivot_.clear();
@@ -324,9 +360,14 @@ class LuBasisFactorization : public BasisFactorization {
   std::vector<int> eta_rows_;
   std::vector<double> eta_vals_;
   std::vector<double> work_;
+  /// Left-looking pass state: min-heap of the reached pivots k, and a
+  /// per-pivot flag so each is queued at most once per column.
+  std::vector<int> reached_;
+  std::vector<char> queued_;
   mutable std::vector<double> scratch_;
   int factorizations_ = 0;
   int64_t factor_ops_ = 0;
+  int64_t factor_pivot_visits_ = 0;
   mutable int64_t eta_ops_since_factor_ = 0;
 };
 
@@ -413,6 +454,8 @@ class DenseBasisFactorization : public BasisFactorization {
   int64_t factor_ops() const override {
     return static_cast<int64_t>(n_) * n_ * n_;
   }
+  // Gauss-Jordan has no left-looking pass.
+  int64_t factor_pivot_visits() const override { return 0; }
   int64_t eta_ops_since_factor() const override {
     return eta_ops_since_factor_;
   }

@@ -8,16 +8,17 @@
 //
 // plus a product-form Update() applied after every pivot. Two backends:
 //
-//  * LuBasisFactorization — sparse left-looking LU (Gilbert-Peierls style)
-//    with threshold partial pivoting and a static fill-reducing column
-//    order (ascending nonzero count). Pivots append eta terms to a
-//    product-form eta file. All factors and the eta file are stored as
-//    flat contiguous (index, value) streams with sorted indices, so the
-//    Ftran/Btran kernels are single forward passes over cache-resident
-//    arrays; past LuKernelOptions::dense_switch_density the kernels drop
-//    the per-element zero tests and run the branch-lean dense-scatter
-//    flavor (same arithmetic on every nonzero, so both flavors return
-//    exactly equal results).
+//  * LuBasisFactorization — sparse left-looking LU that visits only the
+//    earlier pivots each column reaches, with threshold partial pivoting
+//    and a static fill-reducing column order (ascending nonzero count).
+//    Pivots append eta terms to a product-form eta file. All factors and
+//    the eta file are stored as flat contiguous (index, value) streams
+//    with sorted indices, so the Ftran/Btran kernels are single forward
+//    passes over cache-resident arrays (each pass is O(n) even on a
+//    hypersparse vector); past LuKernelOptions::dense_switch_density the
+//    kernels drop the per-element zero tests and run the branch-lean
+//    dense-scatter flavor (same arithmetic on every nonzero, so both
+//    flavors return exactly equal results).
 //  * DenseBasisFactorization — the legacy explicit dense inverse
 //    (Gauss-Jordan refactorization, dense eta row operations). O(n^2) per
 //    solve and O(n^3) per refactorization; kept as the reference path for
@@ -84,9 +85,19 @@ class BasisFactorization {
   /// against.
   virtual int64_t factor_nonzeros() const = 0;
 
-  /// Work (term visits) of the most recent Factorize() — what one
-  /// refactorization costs in the same unit as eta_ops_since_factor().
+  /// Arithmetic term visits of the most recent Factorize(): basis
+  /// nonzeros loaded, L terms folded in, and rows touched per column —
+  /// what one refactorization costs in the same unit as
+  /// eta_ops_since_factor(). It excludes the left-looking pass's pivot
+  /// visits (heap work) and the O(n) setup, and stays that way because the
+  /// adaptive refactor policy prices a refactorization with it.
   virtual int64_t factor_ops() const = 0;
+
+  /// Earlier pivots the most recent Factorize()'s left-looking pass
+  /// visited, summed over columns: the count that shows the pass is linear
+  /// in the nonzeros rather than quadratic in the dimension. Read-only;
+  /// no policy uses it.
+  virtual int64_t factor_pivot_visits() const = 0;
 
   /// Accumulated eta-file work performed by Ftran/Btran calls since the
   /// last Factorize(): the extra solve cost the eta chain has already

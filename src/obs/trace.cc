@@ -22,6 +22,10 @@ TraceContext::TraceContext(uint64_t trace_id, uint64_t request_id,
   trace_.session_id = session_id;
   trace_.name = std::move(name);
   trace_.start_unix_micros = UnixMicrosNow();
+  // A resolve's trace holds about a dozen spans (six are the bridged LP
+  // phases); growing the vector to that from empty would reallocate and
+  // move the spans four times on the request path.
+  trace_.spans.reserve(16);
 }
 
 int64_t TraceContext::NowNanos() const {

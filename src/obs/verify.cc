@@ -81,11 +81,16 @@ void SolutionVerifier::WorkerLoop() {
       if (stop_) return;
       continue;
     }
-    VerifyJob job = std::move(queue_.front());
-    queue_.pop_front();
-    running_ = true;
-    lock.unlock();
-    RunJob(job);
+    {
+      VerifyJob job = std::move(queue_.front());
+      queue_.pop_front();
+      running_ = true;
+      lock.unlock();
+      RunJob(job);
+      // The job's instance copy and LP are freed here, before mu_ is
+      // re-taken: that teardown costs about as much as the audit, and
+      // Enqueue() on a serving thread would otherwise wait it out.
+    }
     lock.lock();
     running_ = false;
     if (queue_.empty()) idle_cv_.notify_all();

@@ -447,8 +447,9 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
 
   // The just-built LP and the solution vectors are dead after this
-  // function, so the audit payload moves (into the verify job, or into the
-  // served answer a no-op resolve may audit later) instead of copying.
+  // function, so the audit payload moves instead of copying: into the
+  // verify job, or (the solution vectors only) into the served answer a
+  // no-op resolve may audit later.
   const bool verify = options_.verifier != nullptr &&
                       options_.verifier->ShouldVerify(ForceVerifyRequested());
   if (verify) {
@@ -476,7 +477,6 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     answer.report.scaled_total = report.scaled_total;
     answer.audited = verify || options_.verifier == nullptr;
     if (!answer.audited) {
-      answer.lp = std::move(*lp);
       answer.x = std::move(sol->x);
       answer.duals = std::move(sol->dual_values);
     }
@@ -512,8 +512,13 @@ ResolveReport Session::ReuseServedAnswer() {
       !answer.audited) {
     VerifyJob job;
     job.reported_scaled_total = answer.report.scaled_total;
-    job.has_lp = true;
-    job.lp = std::move(answer.lp);
+    // Nothing changed since the solve, so this rebuilds the solved LP.
+    // Keeping that LP instead would leave its teardown to the request
+    // that next mutates the session.
+    CompactLpMap map;
+    auto lp = BuildCompactLp(instance_, &map);
+    job.has_lp = lp.ok();
+    if (lp.ok()) job.lp = std::move(*lp);
     job.x = std::move(answer.x);
     job.duals = std::move(answer.duals);
     EnqueueVerify(std::move(job));

@@ -330,9 +330,9 @@ class Session {
     ResolveReport report;
     /// True once a verify job covered this answer, or without a verifier.
     bool audited = false;
-    /// Audit payload of the unverified solve that produced the answer,
-    /// moved into the first sampled reuse's verify job.
-    LpModel lp;
+    /// Solution vectors of the unverified solve that produced the answer,
+    /// moved into the first sampled reuse's verify job (which rebuilds
+    /// the LP they solve).
     std::vector<double> x;
     std::vector<double> duals;
   };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/lp_formulation.h"
@@ -1188,6 +1189,61 @@ TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
   }
   EXPECT_EQ(mismatches, 0);
   EXPECT_GT(updates, 400);
+}
+
+TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
+  // A slack-heavy basis of the shape a large compact LP starts from:
+  // 50k unit slack columns, with 300 of them replaced by structural
+  // columns. A left-looking pass that probed every earlier pivot for each
+  // column would make ~n^2/2 (over 10^9) visits; one that visits only the
+  // pivots a column reaches stays within a small multiple of the basis
+  // and factor nonzeros. The count is deterministic, unlike a timer.
+  Rng rng(4242);
+  const int n = 50000;
+  const int structurals = 300;
+  const int stride = n / structurals;
+  std::vector<SparseColumn> cols;
+  std::vector<int> basis(n);
+  for (int r = 0; r < n; ++r) {
+    basis[r] = static_cast<int>(cols.size());
+    cols.push_back({{r, 1.0}});
+  }
+  for (int j = 0; j < structurals; ++j) {
+    // The entry on its own row dominates the column: the basis is regular.
+    const int diag = j * stride;
+    SparseColumn col = {{diag, 8.0 + rng.Uniform(0, 1)}};
+    for (int t = 0; t < 6; ++t) {
+      // Even terms land on other structurals' rows, so L and U carry real
+      // fill; odd terms on any row.
+      const int64_t draw = t % 2 == 0 ? structurals : n;
+      int row = static_cast<int>(rng.UniformInt(draw));
+      if (t % 2 == 0) row *= stride;
+      bool dup = false;
+      for (const auto& entry : col) dup = dup || entry.first == row;
+      if (!dup) col.emplace_back(row, rng.Uniform(-1, 1));
+    }
+    basis[diag] = static_cast<int>(cols.size());
+    cols.push_back(std::move(col));
+  }
+  auto lu = MakeLuFactorization();
+  ASSERT_TRUE(lu->Factorize(cols, basis).ok());
+  int64_t basis_nonzeros = 0;
+  for (int col : basis) basis_nonzeros += cols[col].size();
+  const int64_t bound = 2 * (basis_nonzeros + lu->factor_nonzeros());
+  EXPECT_GT(lu->factor_pivot_visits(), 0);
+  EXPECT_LE(lu->factor_pivot_visits(), bound);
+  // The factors still solve B x = b.
+  std::vector<double> x(n), b(n, 0.0);
+  for (int pos = 0; pos < n; ++pos) {
+    x[pos] = rng.Uniform(-1, 1);
+    for (const auto& [row, value] : cols[basis[pos]]) b[row] += value * x[pos];
+  }
+  lu->Ftran(&b);
+  double max_err = 0.0;
+  for (int pos = 0; pos < n; ++pos) {
+    max_err = std::max(max_err, std::abs(b[pos] - x[pos]));
+  }
+  EXPECT_LT(max_err, 1e-9);
 }
 
 TEST(AdaptiveRefactorTest, BoundsEtaGrowthVersusFixedInterval) {

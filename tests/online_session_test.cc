@@ -363,8 +363,9 @@ TEST(OnlineSessionTest, ForcedVerifyOfAReusedAnswerAuditsItOnce) {
     EXPECT_TRUE(Reused(*reused));
   }
   verifier.Flush();
-  // The retained LP payload went into one audit; the second forced reuse
-  // of the same, already audited answer enqueued nothing.
+  // The retained solution, with the rebuilt LP, went into one audit (its
+  // KKT check passing shows the rebuild is the solved LP); the second
+  // forced reuse of the same, already audited answer enqueued nothing.
   EXPECT_EQ(metrics.GetCounter("verify.pass")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("verify.fail")->value(), 0);
   EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
