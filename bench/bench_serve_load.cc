@@ -2,7 +2,26 @@
 // (svgic_serverd / ServeServer), driving the framed binary protocol
 // through ServeClient.
 //
-// Three phases against one server:
+// Phases against one server, in this order:
+//  * untraced / traced — a closed-loop A/B over pairs of twin sessions
+//    (2p, 2p + 1; one client thread per pair, so an external server needs
+//    2 * ceil(clients / 2) sessions). Every command of one random stream
+//    goes to both twins back to back, with the wire trace flag set on one
+//    and clear on the other, so the traced arm (full span tree per
+//    request, src/obs/) and the untraced arm (zero tracing: the server
+//    runs with sampling and the slow log off) make the same solves on
+//    the same LP and sample identical machine conditions. Each arm's cost
+//    is its sum of closed-loop request latencies; a scheduler stall spans
+//    both arms and cancels out of the ratio. The phase repeats --ab-reps
+//    times (flipping parity each rep) and the reported pair is the rep
+//    with the MEDIAN traced/untraced ratio, so no single noisy rep can
+//    masquerade as tracing overhead.
+//  * unverified / verified — the same interleaved A/B over the wire
+//    verify flag (kFrameFlagVerify): the verified arm snapshots every
+//    resolve for the off-thread KKT + objective self-check
+//    (src/obs/verify.h) while the unverified arm runs with sampling
+//    off. The bench also asserts the verifier reported zero failures
+//    over the whole stream.
 //  * uncoalesced — each client owns one session and runs a strict closed
 //    loop (one resolve in flight at a time), so every resolve request
 //    pays its own Resolve(); the per-request reference cost.
@@ -12,23 +31,6 @@
 //  * flash crowd — open loop: every client blasts an interleaved
 //    mutation/resolve burst without reading responses, far past the
 //    admission bound, and counts the kOverloaded shed responses.
-//  * untraced / traced — a closed-loop phase in which every client
-//    alternates the wire trace flag REQUEST BY REQUEST, so the traced
-//    arm (full span tree per request, src/obs/) and the untraced arm
-//    (zero tracing: the server runs with sampling and the slow log off)
-//    interleave at millisecond granularity and sample identical machine
-//    conditions. Each arm's cost is its sum of closed-loop request
-//    latencies; a scheduler stall spans both arms and cancels out of
-//    the ratio. The phase repeats --ab-reps times (flipping parity each
-//    rep) and the reported pair is the rep with the MEDIAN
-//    traced/untraced ratio, so no single noisy rep can masquerade as
-//    tracing overhead.
-//  * unverified / verified — the same interleaved A/B over the wire
-//    verify flag (kFrameFlagVerify): the verified arm snapshots every
-//    resolve for the off-thread KKT + objective self-check
-//    (src/obs/verify.h) while the unverified arm runs with sampling
-//    off. The bench also asserts the verifier reported zero failures
-//    over the whole stream.
 //
 // The paired "(coalesced)" / "(uncoalesced)" --json metrics feed the
 // machine-speed-independent CI gate (tools/perf_compare.py
@@ -42,7 +44,8 @@
 // A separate in-process durability phase (skipped against an external
 // server; `--durability-only` runs just this phase) measures the closed-loop
 // cost of the changelog under fsync=never / on-resolve / every-command
-// against a no-durability baseline, then times snapshot-based recovery vs a
+// against a no-durability baseline (one session per arm, all applying one
+// stream in lockstep), then times snapshot-based recovery vs a
 // cold full replay of the same data_dir and cross-checks their state
 // digests. The paired "(fsync-resolve)" / "(no-durability)" metrics feed
 // the CI durability gate (fsync-on-resolve must stay within 15% of the
@@ -181,54 +184,75 @@ Status RunClient(const LoadConfig& config, int client_index, bool pipeline,
   return Status::OK();
 }
 
-/// One client's share of an overhead A/B: a closed loop in which one
-/// wire flag — trace (`verify_mode` false) or verify — alternates
-/// request by request, so both arms sample the same machine conditions.
-/// `parity` flips which arm goes first; the round index shifts the
-/// pattern too, so the expensive first resolve after each mutation burst
-/// alternates arms across rounds. Every resolve follows a mutation of its
-/// own arm, so each one solves: a resolve with nothing changed since a
-/// 0-pivot solve reuses the served answer, and timing those would bound
-/// almost nothing. Each request's latency is charged to the arm that
-/// issued it (`off_stats` = flag clear, `on_stats` = set).
-Status RunAbClient(const LoadConfig& config, int client_index, int parity,
+/// The overhead A/Bs serve this many times --rounds per rep, so each
+/// arm's latency sum stays well clear of the CI gates' 0.05 s floor at
+/// the current LP speed.
+constexpr int kAbRoundsPerRound = 3;
+
+/// Number of twin-session pairs the overhead A/Bs drive: one client
+/// thread per pair, sessions 2p and 2p + 1.
+int AbPairs(const LoadConfig& config) { return (config.clients + 1) / 2; }
+
+/// Sessions the bench drives: one per client, and both twins of every
+/// A/B pair.
+int NumSessions(const LoadConfig& config) {
+  return std::max(config.clients, 2 * AbPairs(config));
+}
+
+/// One client's share of an overhead A/B: a closed loop over the twin
+/// sessions 2 * `pair` and 2 * `pair` + 1 that sends every command of
+/// one random stream to both twins, once with a wire flag — trace
+/// (`verify_mode` false) or verify — set and once with it clear, back to
+/// back, so both arms sample the same machine conditions. The twins start
+/// from the same instance, take their first solves before any other phase
+/// and then receive identical streams, so they hold the same LP: the two
+/// arms make the same solves, and which arm gets an expensive repair is
+/// no longer chance. `parity` and a per-kind command count alternate
+/// which twin carries the flag and which of the two requests goes first,
+/// so each arm gets every combination equally often. Every
+/// resolve follows a mutation, so each one solves: a resolve with nothing
+/// changed since a 0-pivot solve reuses the served answer, and timing
+/// those would bound almost nothing. Each request's latency is charged to
+/// the arm that issued it (`off_stats` = flag clear, `on_stats` = set).
+Status RunAbClient(const LoadConfig& config, int pair, int parity,
                    bool verify_mode, ClientStats* off_stats,
                    ClientStats* on_stats) {
   ServeClient client;
   SAVG_RETURN_NOT_OK(client.Connect(config.host, config.port));
-  const uint32_t session = static_cast<uint32_t>(client_index);
-  std::mt19937_64 rng(config.seed + 9000 + client_index);
+  const uint32_t first_twin = static_cast<uint32_t>(2 * pair);
+  std::mt19937_64 rng(config.seed + 9000 + pair);
   std::unordered_map<uint64_t, Timer> sent;
-  for (int round = 0; round < config.rounds; ++round) {
-    for (int i = 0; i < config.mutations_per_round; ++i) {
-      const bool on = ((i + round + parity) & 1) != 0;
+  // Commands sent so far, per kind (mutation, resolve): each kind cycles
+  // through all four (flagged twin, first request) combinations.
+  int sent_of_kind[2] = {0, 0};
+  auto send_to_both = [&](const SessionCommand& command) -> Status {
+    const bool resolve = command.type == CommandType::kResolve;
+    const int k = sent_of_kind[resolve]++;
+    const int on_twin = (k + parity) & 1;
+    const bool on_first = ((k / 2 + parity) & 1) != 0;
+    for (int turn = 0; turn < 2; ++turn) {
+      const bool on = (turn == 0) == on_first;
       ClientStats* stats = on ? on_stats : off_stats;
-      auto id = client.SendApply(session, RandomMutation(config, &rng),
+      const uint32_t session = first_twin + (on ? on_twin : 1 - on_twin);
+      auto id = client.SendApply(session, command,
                                  /*trace=*/on && !verify_mode,
                                  /*verify=*/on && verify_mode);
       SAVG_RETURN_NOT_OK(id.status());
       sent.emplace(*id, Timer());
       ++stats->requests;
-      SAVG_RETURN_NOT_OK(
-          Receive(&client, &sent, &stats->mutation_latencies, stats));
+      std::vector<double>* latencies = resolve ? &stats->resolve_latencies
+                                               : &stats->mutation_latencies;
+      SAVG_RETURN_NOT_OK(Receive(&client, &sent, latencies, stats));
+    }
+    return Status::OK();
+  };
+  for (int round = 0; round < kAbRoundsPerRound * config.rounds; ++round) {
+    for (int i = 0; i < config.mutations_per_round; ++i) {
+      SAVG_RETURN_NOT_OK(send_to_both(RandomMutation(config, &rng)));
     }
     for (int i = 0; i < config.resolves_per_round; ++i) {
-      const bool on = ((i + round + parity) & 1) != 0;
-      ClientStats* stats = on ? on_stats : off_stats;
-      for (const SessionCommand& command :
-           {RandomMutation(config, &rng), MakeResolve()}) {
-        auto id = client.SendApply(session, command,
-                                   /*trace=*/on && !verify_mode,
-                                   /*verify=*/on && verify_mode);
-        SAVG_RETURN_NOT_OK(id.status());
-        sent.emplace(*id, Timer());
-        ++stats->requests;
-        std::vector<double>* latencies = &stats->mutation_latencies;
-        if (command.type == CommandType::kResolve) {
-          latencies = &stats->resolve_latencies;
-        }
-        SAVG_RETURN_NOT_OK(Receive(&client, &sent, latencies, stats));
-      }
+      SAVG_RETURN_NOT_OK(send_to_both(RandomMutation(config, &rng)));
+      SAVG_RETURN_NOT_OK(send_to_both(MakeResolve()));
     }
   }
   return Status::OK();
@@ -331,10 +355,11 @@ AbResult RunAbPhase(const LoadConfig& config, bool verify_mode,
   std::vector<double> off_wall(config.ab_reps);
   std::vector<double> on_wall(config.ab_reps);
   for (int rep = 0; rep < config.ab_reps; ++rep) {
-    std::vector<ClientStats> off(config.clients), on(config.clients);
+    const int pairs = AbPairs(config);
+    std::vector<ClientStats> off(pairs), on(pairs);
     std::vector<std::thread> threads;
-    threads.reserve(config.clients);
-    for (int i = 0; i < config.clients; ++i) {
+    threads.reserve(pairs);
+    for (int i = 0; i < pairs; ++i) {
       threads.emplace_back([&, i] {
         Status status =
             RunAbClient(config, i, rep & 1, verify_mode, &off[i], &on[i]);
@@ -344,7 +369,7 @@ AbResult RunAbPhase(const LoadConfig& config, bool verify_mode,
       });
     }
     for (auto& thread : threads) thread.join();
-    for (int i = 0; i < config.clients; ++i) {
+    for (int i = 0; i < pairs; ++i) {
       MergeStats(off[i], &rep_off[rep]);
       MergeStats(on[i], &rep_on[rep]);
     }
@@ -441,46 +466,61 @@ struct DurabilityArmResult {
   int64_t snapshots = 0;
 };
 
-/// One closed-loop durability arm: a direct in-process Session (no
-/// sockets/threads — the arms differ only in the journal's fsync policy,
-/// so the wire stack would just add shared noise) applying the shared
-/// stream. `durability` == nullptr is the no-journal baseline. The cold
-/// first solve is identical across arms and kept out of the timer, like
-/// the serving phases' warm-up. Snapshots run in-band exactly as the
+/// One rep of the durability arms: a direct in-process Session per arm
+/// (no sockets/threads — the arms differ only in the journal's fsync
+/// policy, so the wire stack would just add shared noise), all applying
+/// the shared stream in lockstep, command by command, with the arm order
+/// rotating per command. A slow stretch of machine then lands on every
+/// arm alike, and each arm's wall is the sum of its own commands' times.
+/// `durability[a]` == nullptr is the no-journal baseline. The cold first
+/// solve is identical across arms and kept out of the timers, like the
+/// serving phases' warm-up. Snapshots run in-band exactly as the
 /// SessionManager drives them.
-Result<DurabilityArmResult> RunDurabilityArm(const SvgicInstance& inst,
-                                             const CommandLog& log,
-                                             const DurabilityOptions* durability,
-                                             uint64_t seed) {
-  MetricsRegistry registry;
-  SessionOptions session_options;
-  session_options.seed = seed;
-  Session session(inst, session_options);
-  std::unique_ptr<SessionStore> store;
-  SessionJournal* journal = nullptr;
-  if (durability != nullptr) {
-    store = std::make_unique<SessionStore>(*durability, &registry);
-    auto attached = store->Attach(0, session);
-    SAVG_RETURN_NOT_OK(attached.status());
-    journal = *attached;
-    session.set_journal(journal);
+Result<std::vector<DurabilityArmResult>> RunDurabilityRep(
+    const SvgicInstance& inst, const CommandLog& log,
+    const std::vector<const DurabilityOptions*>& durability, uint64_t seed) {
+  const size_t arms = durability.size();
+  std::vector<std::unique_ptr<MetricsRegistry>> registries;
+  std::vector<std::unique_ptr<Session>> sessions;
+  std::vector<std::unique_ptr<SessionStore>> stores(arms);
+  std::vector<SessionJournal*> journals(arms, nullptr);
+  for (size_t a = 0; a < arms; ++a) {
+    registries.push_back(std::make_unique<MetricsRegistry>());
+    SessionOptions session_options;
+    session_options.seed = seed;
+    sessions.push_back(std::make_unique<Session>(inst, session_options));
+    if (durability[a] != nullptr) {
+      stores[a] = std::make_unique<SessionStore>(*durability[a],
+                                                 registries[a].get());
+      auto attached = stores[a]->Attach(0, *sessions[a]);
+      SAVG_RETURN_NOT_OK(attached.status());
+      journals[a] = *attached;
+      sessions[a]->set_journal(journals[a]);
+    }
+    SAVG_RETURN_NOT_OK(sessions[a]->Apply(MakeResolve()).status());
   }
-  SAVG_RETURN_NOT_OK(session.Apply(MakeResolve()).status());
-  Timer timer;
-  for (const SessionCommand& command : log) {
-    SAVG_RETURN_NOT_OK(session.Apply(command).status());
-    if (journal != nullptr && journal->ShouldSnapshot()) {
-      SAVG_RETURN_NOT_OK(journal->TakeSnapshot(session));
+  std::vector<DurabilityArmResult> results(arms);
+  for (size_t i = 0; i < log.size(); ++i) {
+    for (size_t turn = 0; turn < arms; ++turn) {
+      const size_t a = (i + turn) % arms;
+      Timer timer;
+      SAVG_RETURN_NOT_OK(sessions[a]->Apply(log[i]).status());
+      if (journals[a] != nullptr && journals[a]->ShouldSnapshot()) {
+        SAVG_RETURN_NOT_OK(journals[a]->TakeSnapshot(*sessions[a]));
+      }
+      results[a].wall += timer.ElapsedSeconds();
     }
   }
-  DurabilityArmResult result;
-  result.wall = timer.ElapsedSeconds();
-  result.appends = registry.GetCounter("durability.appends")->value();
-  result.fsyncs = registry.GetCounter("durability.fsyncs")->value();
-  result.snapshots = registry.GetCounter("durability.snapshots")->value();
-  // The arm ends crash-like: no Flush(), no final snapshot — the recovery
+  for (size_t a = 0; a < arms; ++a) {
+    MetricsRegistry& registry = *registries[a];
+    results[a].appends = registry.GetCounter("durability.appends")->value();
+    results[a].fsyncs = registry.GetCounter("durability.fsyncs")->value();
+    results[a].snapshots =
+        registry.GetCounter("durability.snapshots")->value();
+  }
+  // The arms end crash-like: no Flush(), no final snapshot — the recovery
   // rows below then measure a real post-kill replay, not an empty one.
-  return result;
+  return results;
 }
 
 struct RecoveryTiming {
@@ -540,11 +580,11 @@ int RunDurabilityPhase(const LoadConfig& config) {
       {"fsync-resolve", true, FsyncPolicy::Mode::kOnResolve},
       {"fsync-command", true, FsyncPolicy::Mode::kEveryN},
   };
-  // Every arm applies the identical deterministic stream, so run-to-run
-  // spread is pure machine noise (scheduler, CPU frequency, page cache) on
-  // ~0.3s walls — big enough to flip the 1.15x gate. Round-robin the arms
-  // across a few reps (a slow stretch of machine hits all arms, not one)
-  // and keep each arm's MIN wall, the least-noise estimate of its cost.
+  // Every arm applies the identical deterministic stream in lockstep
+  // (RunDurabilityRep), so shared machine noise lands on all arms; a
+  // stall still hits one arm's command. Repeat the lockstep loop a few
+  // times and keep each arm's MIN wall, the least-noise estimate of its
+  // cost.
   constexpr int kReps = 3;
   constexpr int kNumArms = static_cast<int>(sizeof(arms) / sizeof(arms[0]));
   double best_wall[kNumArms];
@@ -552,30 +592,32 @@ int RunDurabilityPhase(const LoadConfig& config) {
   std::fill(best_wall, best_wall + kNumArms, 1e300);
   std::string resolve_dir;
   for (int rep = 0; rep < kReps; ++rep) {
+    DurabilityOptions options[kNumArms];
+    std::vector<const DurabilityOptions*> durability(kNumArms, nullptr);
     for (int a = 0; a < kNumArms; ++a) {
       const Arm& arm = arms[a];
-      DurabilityOptions durability;
-      durability.data_dir = root + "/" + arm.label;
-      durability.fsync.mode = arm.mode;
-      durability.fsync.every_n = 1;
-      durability.snapshot_interval_seconds = 0.0;
-      durability.snapshot_every_commands = 64;
+      options[a].data_dir = root + "/" + arm.label;
+      options[a].fsync.mode = arm.mode;
+      options[a].fsync.every_n = 1;
+      options[a].snapshot_interval_seconds = 0.0;
+      options[a].snapshot_every_commands = 64;
       if (arm.mode == FsyncPolicy::Mode::kOnResolve) {
-        resolve_dir = durability.data_dir;
+        resolve_dir = options[a].data_dir;
       }
       // Fresh directory per rep; the last rep's files stay on disk for the
       // recovery rows below.
-      RemoveTreeRecursive(durability.data_dir);
-      auto result = RunDurabilityArm(*inst, log,
-                                     arm.durable ? &durability : nullptr,
-                                     config.seed);
-      if (!result.ok()) {
-        std::cerr << "durability arm " << arm.label << ": "
-                  << result.status() << "\n";
-        return 1;
-      }
-      best_wall[a] = std::min(best_wall[a], result->wall);
-      counters[a] = *result;
+      RemoveTreeRecursive(options[a].data_dir);
+      if (arm.durable) durability[a] = &options[a];
+    }
+    auto results = RunDurabilityRep(*inst, log, durability, config.seed);
+    if (!results.ok()) {
+      std::cerr << "durability rep " << rep << ": " << results.status()
+                << "\n";
+      return 1;
+    }
+    for (int a = 0; a < kNumArms; ++a) {
+      best_wall[a] = std::min(best_wall[a], (*results)[a].wall);
+      counters[a] = (*results)[a];
     }
   }
   Table t({"durability", "commands", "wall (s)", "cmd/s", "appends",
@@ -658,7 +700,7 @@ int RunLoad(LoadConfig config) {
     // so the unverified A/B arm is a clean baseline.
     options.verify.sample_every = 0;
     local = std::make_unique<ServeServer>(options);
-    for (int i = 0; i < config.clients; ++i) {
+    for (int i = 0; i < NumSessions(config); ++i) {
       SessionOptions session_options;
       session_options.seed = config.seed + i;
       local->CreateSession(*inst, session_options);
@@ -680,7 +722,7 @@ int RunLoad(LoadConfig config) {
       std::cerr << connected << "\n";
       return 1;
     }
-    for (int i = 0; i < config.clients; ++i) {
+    for (int i = 0; i < NumSessions(config); ++i) {
       auto response = client.Apply(static_cast<uint32_t>(i), MakeResolve());
       if (!response.ok()) {
         std::cerr << "warm-up resolve failed: " << response.status() << "\n";
@@ -689,6 +731,21 @@ int RunLoad(LoadConfig config) {
     }
   }
 
+  // Tracing-overhead A/B: closed-loop reps in which every command goes
+  // to both twin sessions of a pair, traced on one and untraced on the
+  // other, so the two arms make the same solves at millisecond
+  // granularity and a scheduler stall lands on both. The A/Bs run first:
+  // the twins must not yet have diverged under the per-client streams
+  // of the phases below.
+  const AbResult trace_ab =
+      RunAbPhase(config, /*verify_mode=*/false, "trace");
+  // Self-verification overhead A/B: the same twin interleaving over the
+  // wire verify flag. With sampling off (verify.sample_every = 0 above)
+  // the unverified arm is a true no-verification baseline; the verified
+  // arm pays the full per-request cost — snapshotting the instance +
+  // config on the hot path plus the off-thread KKT + objective audit.
+  const AbResult verify_ab =
+      RunAbPhase(config, /*verify_mode=*/true, "verify");
   ClientStats uncoalesced, coalesced, flash;
   const double uncoalesced_wall = RunPhase(
       config,
@@ -702,18 +759,6 @@ int RunLoad(LoadConfig config) {
         return RunClient(config, i, /*pipeline=*/true, /*trace=*/false, s);
       },
       &coalesced);
-  // Tracing-overhead A/B: closed-loop reps in which each client flips
-  // the wire trace flag request by request, so the two arms interleave
-  // at millisecond granularity and a scheduler stall lands on both.
-  const AbResult trace_ab =
-      RunAbPhase(config, /*verify_mode=*/false, "trace");
-  // Self-verification overhead A/B: the same interleaving over the wire
-  // verify flag. With sampling off (verify.sample_every = 0 below) the
-  // unverified arm is a true no-verification baseline; the verified arm
-  // pays the full per-request cost — snapshotting the instance + config
-  // on the hot path plus the off-thread KKT + objective audit.
-  const AbResult verify_ab =
-      RunAbPhase(config, /*verify_mode=*/true, "verify");
   double flash_wall = 0.0;
   if (config.burst > 0) {
     flash_wall = RunPhase(

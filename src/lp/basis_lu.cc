@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <utility>
 
 #include "lp/dense_matrix.h"
 #include "util/logging.h"
@@ -50,7 +51,7 @@ class LuBasisFactorization : public BasisFactorization {
   explicit LuBasisFactorization(const LuKernelOptions& kernel)
       : kernel_(kernel) {}
 
-  Status Factorize(const std::vector<SparseColumn>& columns,
+  Status Factorize(const ColumnMatrix& columns,
                    const std::vector<int>& basis) override {
     const int n = static_cast<int>(basis.size());
     n_ = n;
@@ -90,7 +91,7 @@ class LuBasisFactorization : public BasisFactorization {
         if (work_[row] == 0.0 && value != 0.0) touched.push_back(row);
         work_[row] += value;
       }
-      ops += static_cast<int64_t>(columns[basis[pos]].size());
+      ops += columns[basis[pos]].size();
       // Left-looking pass: fold in the eliminations of the earlier pivots
       // this column reaches, in ascending k, so the subtractions happen in
       // exactly the order a scan over every k2 < k would perform them. A
@@ -98,7 +99,7 @@ class LuBasisFactorization : public BasisFactorization {
       // by an earlier elimination. L segment k2 only writes rows that
       // pivot after k2, so the min-heap never receives a k2 below the one
       // just popped.
-      for (const auto& entry : columns[basis[pos]]) Reach(entry.first);
+      for (const ColumnEntry& entry : columns[basis[pos]]) Reach(entry.row);
       while (!reached_.empty()) {
         std::pop_heap(reached_.begin(), reached_.end(), std::greater<int>());
         const int k2 = reached_.back();
@@ -377,7 +378,7 @@ class LuBasisFactorization : public BasisFactorization {
 
 class DenseBasisFactorization : public BasisFactorization {
  public:
-  Status Factorize(const std::vector<SparseColumn>& columns,
+  Status Factorize(const ColumnMatrix& columns,
                    const std::vector<int>& basis) override {
     const int n = static_cast<int>(basis.size());
     n_ = n;

@@ -11,9 +11,11 @@
 //  * LuBasisFactorization — sparse left-looking LU that visits only the
 //    earlier pivots each column reaches, with threshold partial pivoting
 //    and a static fill-reducing column order (ascending nonzero count).
-//    Pivots append eta terms to a product-form eta file. All factors and
-//    the eta file are stored as flat contiguous (index, value) streams
-//    with sorted indices, so the Ftran/Btran kernels are single forward
+//    Pivots append eta terms to a product-form eta file. The basis
+//    columns arrive in one flat column-major array (ColumnMatrix, the
+//    simplex's own constraint storage), and all factors and the eta file
+//    are stored as flat contiguous (index, value) streams with sorted
+//    indices, so the Ftran/Btran kernels are single forward
 //    passes over cache-resident arrays (each pass is O(n) even on a
 //    hypersparse vector); past LuKernelOptions::dense_switch_density the
 //    kernels drop the per-element zero tests and run the branch-lean
@@ -35,15 +37,51 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
 
 namespace savg {
 
-/// One sparse column: (row, coefficient) pairs, unordered, no duplicates.
-using SparseColumn = std::vector<std::pair<int, double>>;
+/// One stored coefficient of a sparse column.
+struct ColumnEntry {
+  int row = 0;
+  double coef = 0.0;
+};
+
+/// The contiguous entries of one column of a ColumnMatrix.
+class ColumnView {
+ public:
+  ColumnView(const ColumnEntry* first, const ColumnEntry* last)
+      : first_(first), last_(last) {}
+  const ColumnEntry* begin() const { return first_; }
+  const ColumnEntry* end() const { return last_; }
+  int64_t size() const { return last_ - first_; }
+
+ private:
+  const ColumnEntry* first_;
+  const ColumnEntry* last_;
+};
+
+/// Column-major sparse matrix in one flat entry array (compressed sparse
+/// column): column j's (row, coef) entries are
+/// entries[start[j], start[j + 1]), with no duplicate rows. Both the
+/// simplex's constraint matrix and every basis handed to Factorize() use
+/// it, so a column scan streams one array instead of chasing a heap node
+/// per column.
+struct ColumnMatrix {
+  std::vector<int64_t> start = {0};  ///< num_cols() + 1 offsets
+  std::vector<ColumnEntry> entries;
+
+  int num_cols() const { return static_cast<int>(start.size()) - 1; }
+  ColumnView operator[](int j) const {
+    return {entries.data() + start[j], entries.data() + start[j + 1]};
+  }
+  /// Incremental building: Push() appends to the open (last) column,
+  /// EndColumn() closes it.
+  void Push(int row, double coef) { entries.push_back({row, coef}); }
+  void EndColumn() { start.push_back(static_cast<int64_t>(entries.size())); }
+};
 
 class BasisFactorization {
  public:
@@ -52,7 +90,7 @@ class BasisFactorization {
   /// Factorizes the basis matrix whose position-i column is
   /// columns[basis[i]]. Clears any pending eta updates. Returns
   /// kNumericalError if the basis is (near-)singular.
-  virtual Status Factorize(const std::vector<SparseColumn>& columns,
+  virtual Status Factorize(const ColumnMatrix& columns,
                            const std::vector<int>& basis) = 0;
 
   /// v := B^-1 v (entering-column transform). Size num_rows.

@@ -6,12 +6,10 @@
 
 namespace savg {
 
-int LpModel::AddVariable(double lower, double upper, double obj,
-                         std::string name) {
+int LpModel::AddVariable(double lower, double upper, double obj) {
   obj_.push_back(obj);
   lower_.push_back(lower);
   upper_.push_back(upper);
-  names_.push_back(std::move(name));
   return static_cast<int>(obj_.size()) - 1;
 }
 

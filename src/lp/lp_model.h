@@ -41,8 +41,7 @@ class LpModel {
  public:
   /// Adds a variable with bounds [lower, upper] and objective coefficient
   /// `obj`; returns its index.
-  int AddVariable(double lower, double upper, double obj,
-                  std::string name = "");
+  int AddVariable(double lower, double upper, double obj);
 
   /// Adds a constraint row; returns its index. Terms with duplicate `var`
   /// are allowed and summed by the solver.
@@ -62,7 +61,6 @@ class LpModel {
   double objective(int var) const { return obj_[var]; }
   double lower(int var) const { return lower_[var]; }
   double upper(int var) const { return upper_[var]; }
-  const std::string& name(int var) const { return names_[var]; }
   const LpRow& row(int i) const { return rows_[i]; }
   const std::vector<LpRow>& rows() const { return rows_; }
 
@@ -79,7 +77,6 @@ class LpModel {
   std::vector<double> obj_;
   std::vector<double> lower_;
   std::vector<double> upper_;
-  std::vector<std::string> names_;
   std::vector<LpRow> rows_;
 };
 
@@ -118,6 +115,9 @@ struct LpStats {
   double btran_seconds = 0.0;       ///< B^-T solves (pricing y, Devex rho)
   double factor_seconds = 0.0;      ///< (re)factorizations + eta updates
   double presolve_seconds = 0.0;    ///< presolve + postsolve passes
+  /// Build (row-to-column transpose), basis seeding and solution export:
+  /// the solve's work outside the timed phases above.
+  double setup_seconds = 0.0;
   // Pivot mix: how the solve's iterations were produced.
   int64_t primal_pivots = 0;    ///< primal pivots + bound flips (phases 1+2)
   int64_t dual_pivots = 0;      ///< dual-simplex pivots
@@ -143,6 +143,7 @@ struct LpStats {
     btran_seconds += o.btran_seconds;
     factor_seconds += o.factor_seconds;
     presolve_seconds += o.presolve_seconds;
+    setup_seconds += o.setup_seconds;
     primal_pivots += o.primal_pivots;
     dual_pivots += o.dual_pivots;
     dual_bound_flips += o.dual_bound_flips;

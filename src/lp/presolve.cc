@@ -336,7 +336,7 @@ Result<PresolvedLp> PresolveLp(const LpModel& model,
     const double s = pre.col_scale_[pre.col_map_[j]];
     // x~ = x / s, so bounds divide by s and the objective multiplies.
     pre.reduced_.AddVariable(lower[j] / s, upper[j] / s,
-                             model.objective(j) * s, model.name(j));
+                             model.objective(j) * s);
   }
   for (int ri = 0; ri < rm; ++ri) {
     const WorkRow* r = kept_rows[ri];

@@ -39,16 +39,20 @@ class RevisedSimplex {
       : model_(model), opt_(options), warm_(warm_start) {}
 
   Result<LpSolution> Run() {
+    Timer setup;
     Status built = Build();
     if (!built.ok()) return built;
     Timer timer;
     if (!TryWarmBasis()) ColdBasis();
+    stats_.setup_seconds = setup.ElapsedSeconds();
     Status factored = Refactorize();
     if (!factored.ok()) {
       if (!warm_used_) return factored;
       // A singular warm basis falls back to the cold start.
       warm_used_ = false;
+      setup.Reset();
       ColdBasis();
+      stats_.setup_seconds += setup.ElapsedSeconds();
       factored = Refactorize();
       if (!factored.ok()) return factored;
     }
@@ -85,6 +89,7 @@ class RevisedSimplex {
     Status p2 = Iterate(&timer, /*phase1=*/false);
     if (!p2.ok()) return p2;
 
+    setup.Reset();
     LpSolution sol;
     sol.x.resize(model_.num_vars());
     for (int j = 0; j < model_.num_vars(); ++j) sol.x[j] = Value(j);
@@ -100,6 +105,7 @@ class RevisedSimplex {
     sol.dual_simplex_used = dual_optimal;
     sol.basis = ExportBasis();
     sol.solve_seconds = timer.ElapsedSeconds();
+    stats_.setup_seconds += setup.ElapsedSeconds();
     sol.stats = stats_;
     return sol;
   }
@@ -125,20 +131,47 @@ class RevisedSimplex {
       }
     }
 
-    cols_.assign(num_cols_, {});
+    // Transpose the rows into cols_: count each column's entries, prefix-sum
+    // the counts into offsets, then fill row by row, so every column lists
+    // its rows in ascending order. A row's repeated terms for one variable
+    // merge into one entry (an explicit 0.0 when they cancel); zero
+    // coefficients are skipped. `next` holds each column's last counted
+    // row while counting, then its fill cursor.
+    std::vector<int64_t>& start = cols_.start;
+    start.assign(num_cols_ + 1, 0);
+    std::vector<int64_t> next(num_cols_, -1);
+    for (int i = 0; i < num_rows_; ++i) {
+      for (const LpTerm& t : model_.row(i).terms) {
+        if (t.var < 0 || t.var >= n_struct_) {
+          return Status::InvalidArgument("row references unknown variable");
+        }
+        if (t.coef == 0.0 || next[t.var] == i) continue;
+        next[t.var] = i;
+        ++start[t.var + 1];
+      }
+      start[n_struct_ + i + 1] = 1;
+    }
+    for (int j = 0; j < num_cols_; ++j) start[j + 1] += start[j];
+    std::copy(start.begin(), start.end() - 1, next.begin());
+    cols_.entries.resize(start[num_cols_]);
+    ColumnEntry* entries = cols_.entries.data();
     rhs_.assign(num_rows_, 0.0);
     for (int i = 0; i < num_rows_; ++i) {
       const LpRow& row = model_.row(i);
       const double sign = row.type == RowType::kGreaterEqual ? -1.0 : 1.0;
       rhs_[i] = sign * row.rhs;
       for (const LpTerm& t : row.terms) {
-        if (t.var < 0 || t.var >= n_struct_) {
-          return Status::InvalidArgument("row references unknown variable");
+        const double coef = sign * t.coef;
+        if (coef == 0.0) continue;
+        int64_t& at = next[t.var];
+        if (at > start[t.var] && entries[at - 1].row == i) {
+          entries[at - 1].coef += coef;
+        } else {
+          entries[at++] = {i, coef};
         }
-        AddCoef(t.var, i, sign * t.coef);
       }
       const int logical = n_struct_ + i;
-      cols_[logical].emplace_back(i, 1.0);
+      entries[next[logical]++] = {i, 1.0};
       lower_[logical] = 0.0;
       upper_[logical] = row.type == RowType::kEqual ? 0.0 : kLpInfinity;
     }
@@ -158,18 +191,6 @@ class RevisedSimplex {
     factor_ = opt_.basis == SimplexBasisType::kDense ? MakeDenseFactorization()
                                                      : MakeLuFactorization();
     return Status::OK();
-  }
-
-  void AddCoef(int col, int row, double coef) {
-    if (coef == 0.0) return;
-    auto& c = cols_[col];
-    for (auto& [r, a] : c) {
-      if (r == row) {
-        a += coef;
-        return;
-      }
-    }
-    c.emplace_back(row, coef);
   }
 
   /// All logicals basic: the identity basis, always factorizable.
@@ -1138,8 +1159,9 @@ class RevisedSimplex {
   int num_rows_ = 0;
   int num_cols_ = 0;
 
-  /// Column-wise sparse storage: (row, coef) pairs per column.
-  std::vector<SparseColumn> cols_;
+  /// The constraint matrix A (logicals included) in one flat column-major
+  /// array: column j's (row, coef) entries in ascending row order.
+  ColumnMatrix cols_;
   std::vector<double> lower_, upper_, cost_, rhs_;
 
   std::vector<VarStatus> status_;
@@ -1168,7 +1190,7 @@ namespace {
 
 /// Bridges the solve's LpStats onto the active "lp.solve" trace span:
 /// deterministic pivot counters plus one stat-bridged child per phase.
-/// Always the same six children (zero-duration included) so the span
+/// Always the same seven children (zero-duration included) so the span
 /// structure stays bit-stable across runs.
 void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   if (!span->active()) return;
@@ -1178,6 +1200,7 @@ void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   span->Counter("dual_simplex", sol.dual_simplex_used ? 1 : 0);
   span->Counter("eta_count", sol.stats.eta_count);
   span->Counter("refactorizations", sol.stats.refactorizations);
+  span->BridgeChild("lp.setup", sol.stats.setup_seconds);
   span->BridgeChild("lp.presolve", sol.stats.presolve_seconds);
   span->BridgeChild("lp.pricing", sol.stats.pricing_seconds);
   span->BridgeChild("lp.ratio_test", sol.stats.ratio_test_seconds);

@@ -5,8 +5,9 @@
 // CPLEX) the paper uses to obtain the optimal fractional solution X* of the
 // SVGIC relaxation (Section 4.1). It implements:
 //
-//  * bounded-variable primal simplex over column-wise sparse storage, with
-//    a logical (slack) variable per row — no artificial variables,
+//  * bounded-variable primal simplex over flat column-major sparse
+//    storage (lp/basis_lu.h ColumnMatrix), with a logical (slack)
+//    variable per row — no artificial variables,
 //  * a pluggable basis factorization (lp/basis_lu.h): sparse LU with
 //    product-form eta updates per pivot and periodic refactorization by
 //    default; the legacy explicit dense inverse as a reference backend,

@@ -1,8 +1,72 @@
 #include "online/basis_projection.h"
 
-#include <unordered_map>
+#include <cstddef>
+#include <vector>
 
 namespace savg {
+
+namespace {
+
+/// Flat open-addressing (linear probing) table from a key to the position
+/// of its first occurrence, sized to at most half full. Claim() matches a
+/// key at most once, like erasing it from a map: later lookups of a
+/// claimed key miss.
+class KeyIndex {
+ public:
+  explicit KeyIndex(const std::vector<uint64_t>& keys) {
+    size_t capacity = 16;
+    while (capacity < 2 * keys.size()) capacity *= 2;
+    mask_ = capacity - 1;
+    slots_.assign(capacity, Slot{});
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Slot& slot = Find(keys[i]);
+      if (slot.index >= 0) continue;  // the first occurrence wins
+      slot = {keys[i], static_cast<int>(i), false};
+      ++distinct_;
+    }
+  }
+
+  /// Position of `key`'s first occurrence, or -1 when it is absent or
+  /// already claimed.
+  int Claim(uint64_t key) {
+    Slot& slot = Find(key);
+    if (slot.index < 0 || slot.claimed) return -1;
+    slot.claimed = true;
+    ++claimed_;
+    return slot.index;
+  }
+
+  /// Distinct keys never claimed.
+  int unclaimed() const { return distinct_ - claimed_; }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    int index = -1;  ///< -1: empty
+    bool claimed = false;
+  };
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  Slot& Find(uint64_t key) {
+    // The splitmix64 finalizer: the packed keys vary mostly in their low
+    // and middle bits, so they are mixed before masking.
+    uint64_t h = key;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    for (size_t at = h & mask_;; at = (at + 1) & mask_) {
+      Slot& slot = slots_[at];
+      if (slot.index < 0 || slot.key == key) return slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int distinct_ = 0;
+  int claimed_ = 0;
+};
+
+}  // namespace
 
 LpBasis ProjectCompactBasis(const LpBasis& old_basis,
                             const CompactLpKeys& old_keys,
@@ -14,38 +78,28 @@ LpBasis ProjectCompactBasis(const LpBasis& old_basis,
                               VarBasisStatus::kNonbasicLower);
   projected.logical.assign(new_keys.rows.size(), VarBasisStatus::kBasic);
 
-  std::unordered_map<uint64_t, VarBasisStatus> old_cols;
-  old_cols.reserve(old_keys.cols.size());
-  for (size_t j = 0; j < old_keys.cols.size(); ++j) {
-    old_cols.emplace(old_keys.cols[j], old_basis.structural[j]);
-  }
+  KeyIndex old_cols(old_keys.cols);
   for (size_t j = 0; j < new_keys.cols.size(); ++j) {
-    auto it = old_cols.find(new_keys.cols[j]);
-    if (it == old_cols.end()) {
+    const int old = old_cols.Claim(new_keys.cols[j]);
+    if (old < 0) {
       ++d.new_cols;
       continue;
     }
-    projected.structural[j] = it->second;
+    projected.structural[j] = old_basis.structural[old];
     ++d.surviving_cols;
-    old_cols.erase(it);
   }
-  d.dropped_cols = static_cast<int>(old_cols.size());
+  d.dropped_cols = old_cols.unclaimed();
 
-  std::unordered_map<uint64_t, VarBasisStatus> old_rows;
-  old_rows.reserve(old_keys.rows.size());
-  for (size_t i = 0; i < old_keys.rows.size(); ++i) {
-    old_rows.emplace(old_keys.rows[i], old_basis.logical[i]);
-  }
+  KeyIndex old_rows(old_keys.rows);
   for (size_t i = 0; i < new_keys.rows.size(); ++i) {
-    auto it = old_rows.find(new_keys.rows[i]);
-    if (it == old_rows.end()) {
+    const int old = old_rows.Claim(new_keys.rows[i]);
+    if (old < 0) {
       ++d.new_rows;
       continue;
     }
-    projected.logical[i] = it->second;
-    old_rows.erase(it);
+    projected.logical[i] = old_basis.logical[old];
   }
-  d.dropped_rows = static_cast<int>(old_rows.size());
+  d.dropped_rows = old_rows.unclaimed();
 
   if (delta != nullptr) *delta = d;
   return projected;

@@ -11,6 +11,11 @@
 // part, so the composite phase 1 of lp/simplex.h only has to repair the
 // (small) perturbed region instead of re-crashing the whole basis.
 //
+// Each key space (columns, rows) is matched through one flat
+// open-addressing table built per call (two allocations, no per-key heap
+// node): the first old occurrence of a key wins, and each old key matches
+// at most one new entity.
+//
 // The projected basis may have the wrong number of basic columns when
 // basic entities vanished; SolveLp's warm-basis repair handles that.
 
@@ -22,6 +27,7 @@
 namespace savg {
 
 /// Difference summary between two key sets (cold-fallback heuristic).
+/// Dropped counts are distinct old keys left unmatched.
 struct BasisProjectionDelta {
   int surviving_cols = 0;  ///< columns present in both LPs
   int new_cols = 0;        ///< columns only in the new LP

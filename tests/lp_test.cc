@@ -72,6 +72,52 @@ TEST(SimplexTest, TwoVariableTextbook) {
   EXPECT_NEAR(sol->x[y], 0.0, 1e-8);
 }
 
+TEST(SimplexTest, DuplicateTermsAreSummed) {
+  // max 3x0 + 2x1 - x2, x0 <= 5, x1 <= 4, x2 <= 2, written twice: once
+  // with repeated terms per row (x2 cancelling to an explicit 0.0 in the
+  // <= row, x0 in the >= row, plus a zero coefficient), once pre-merged:
+  //   1.5 x0 + 3 x1 <= 6,  2 x1 + x2 >= 1,  x0 + x1 + x2 <= 6.
+  // The optimum (4, 0, 1), objective 11, is unique and nondegenerate.
+  auto model = [](bool merged) {
+    LpModel m;
+    m.AddVariable(0, 5, 3);
+    m.AddVariable(0, 4, 2);
+    m.AddVariable(0, 2, -1);
+    if (merged) {
+      m.AddRow(RowType::kLessEqual, 6, {{0, 1.5}, {1, 3.0}});
+      m.AddRow(RowType::kGreaterEqual, 1, {{1, 2.0}, {2, 1.0}});
+    } else {
+      m.AddRow(RowType::kLessEqual, 6,
+               {{0, 1.0}, {1, 1.0}, {0, 0.5}, {2, 1.0}, {1, 2.0}, {2, -1.0},
+                {1, 0.0}});
+      m.AddRow(RowType::kGreaterEqual, 1,
+               {{1, 1.0}, {0, 0.25}, {2, 1.0}, {1, 1.0}, {0, -0.25}});
+    }
+    m.AddRow(RowType::kLessEqual, 6, {{0, 1.0}, {1, 1.0}, {2, 1.0}});
+    return m;
+  };
+  auto split = SolveLp(model(false));
+  auto merged = SolveLp(model(true));
+  ASSERT_TRUE(split.ok()) << split.status();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_NEAR(merged->objective, 11.0, 1e-9);
+  EXPECT_NEAR(merged->x[0], 4.0, 1e-9);
+  EXPECT_NEAR(merged->x[2], 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(split->objective, merged->objective);
+  for (int j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(split->x[j], merged->x[j]);
+  EXPECT_TRUE(split->basis.structural == merged->basis.structural);
+  EXPECT_TRUE(split->basis.logical == merged->basis.logical);
+
+  // A term naming an unknown variable is still rejected.
+  for (int bad : {3, -1}) {
+    LpModel m = model(false);
+    m.AddRow(RowType::kLessEqual, 1, {{0, 1.0}, {bad, 1.0}});
+    auto sol = SolveLp(m);
+    ASSERT_FALSE(sol.ok());
+    EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(SimplexTest, EqualityConstraint) {
   // max x + 2y s.t. x + y = 3, y <= 2 -> (1,2), obj 5.
   LpModel m;
@@ -1128,15 +1174,16 @@ TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
   Rng rng(9090);
   const int n = 24;
   const int pool = 3 * n;
-  std::vector<SparseColumn> cols(pool);
+  ColumnMatrix cols;
   for (int c = 0; c < pool; ++c) {
     const int diag = c % n;
-    cols[c].emplace_back(diag, 3.0 + rng.Uniform(0, 1));
+    cols.Push(diag, 3.0 + rng.Uniform(0, 1));
     for (int r = 0; r < n; ++r) {
       if (r != diag && rng.Bernoulli(0.2)) {
-        cols[c].emplace_back(r, rng.Uniform(-1, 1));
+        cols.Push(r, rng.Uniform(-1, 1));
       }
     }
+    cols.EndColumn();
   }
   LuKernelOptions always_dense;
   always_dense.dense_switch_density = 0.0;
@@ -1202,16 +1249,18 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
   const int n = 50000;
   const int structurals = 300;
   const int stride = n / structurals;
-  std::vector<SparseColumn> cols;
+  ColumnMatrix cols;
   std::vector<int> basis(n);
   for (int r = 0; r < n; ++r) {
-    basis[r] = static_cast<int>(cols.size());
-    cols.push_back({{r, 1.0}});
+    basis[r] = cols.num_cols();
+    cols.Push(r, 1.0);
+    cols.EndColumn();
   }
   for (int j = 0; j < structurals; ++j) {
     // The entry on its own row dominates the column: the basis is regular.
     const int diag = j * stride;
-    SparseColumn col = {{diag, 8.0 + rng.Uniform(0, 1)}};
+    const int64_t first = cols.start.back();
+    cols.Push(diag, 8.0 + rng.Uniform(0, 1));
     for (int t = 0; t < 6; ++t) {
       // Even terms land on other structurals' rows, so L and U carry real
       // fill; odd terms on any row.
@@ -1219,11 +1268,13 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
       int row = static_cast<int>(rng.UniformInt(draw));
       if (t % 2 == 0) row *= stride;
       bool dup = false;
-      for (const auto& entry : col) dup = dup || entry.first == row;
-      if (!dup) col.emplace_back(row, rng.Uniform(-1, 1));
+      for (size_t e = first; e < cols.entries.size(); ++e) {
+        dup = dup || cols.entries[e].row == row;
+      }
+      if (!dup) cols.Push(row, rng.Uniform(-1, 1));
     }
-    basis[diag] = static_cast<int>(cols.size());
-    cols.push_back(std::move(col));
+    basis[diag] = cols.num_cols();
+    cols.EndColumn();
   }
   auto lu = MakeLuFactorization();
   ASSERT_TRUE(lu->Factorize(cols, basis).ok());

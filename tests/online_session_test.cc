@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "core/lp_formulation.h"
 #include "core/objective.h"
@@ -456,6 +457,129 @@ TEST(BasisProjectionTest, ProjectsAcrossAddedUser) {
   EXPECT_TRUE(warm->warm_started);
   EXPECT_NEAR(warm->objective, cold->objective, 1e-7);
   EXPECT_LT(warm->iterations, cold->iterations);
+}
+
+/// Reference projection over an ordered map: the first old occurrence of a
+/// key wins, a match erases the key, and what is left over is dropped.
+LpBasis ReferenceProjection(const LpBasis& old_basis,
+                            const CompactLpKeys& old_keys,
+                            const CompactLpKeys& new_keys,
+                            BasisProjectionDelta* delta) {
+  LpBasis projected;
+  projected.structural.assign(new_keys.cols.size(),
+                              VarBasisStatus::kNonbasicLower);
+  projected.logical.assign(new_keys.rows.size(), VarBasisStatus::kBasic);
+  *delta = BasisProjectionDelta{};
+  std::map<uint64_t, VarBasisStatus> cols, rows;
+  for (size_t j = 0; j < old_keys.cols.size(); ++j) {
+    cols.emplace(old_keys.cols[j], old_basis.structural[j]);
+  }
+  for (size_t i = 0; i < old_keys.rows.size(); ++i) {
+    rows.emplace(old_keys.rows[i], old_basis.logical[i]);
+  }
+  for (size_t j = 0; j < new_keys.cols.size(); ++j) {
+    auto it = cols.find(new_keys.cols[j]);
+    if (it == cols.end()) {
+      ++delta->new_cols;
+      continue;
+    }
+    projected.structural[j] = it->second;
+    ++delta->surviving_cols;
+    cols.erase(it);
+  }
+  for (size_t i = 0; i < new_keys.rows.size(); ++i) {
+    auto it = rows.find(new_keys.rows[i]);
+    if (it == rows.end()) {
+      ++delta->new_rows;
+      continue;
+    }
+    projected.logical[i] = it->second;
+    rows.erase(it);
+  }
+  delta->dropped_cols = static_cast<int>(cols.size());
+  delta->dropped_rows = static_cast<int>(rows.size());
+  return projected;
+}
+
+TEST(BasisProjectionTest, MatchesMapReferenceAcrossShapeChanges) {
+  SvgicInstance inst = RandomInstance(14, 20, 3, 0.5, 23);
+  // The previous LP's keys and optimal basis, refreshed after each step.
+  CompactLpKeys keys;
+  LpBasis basis;
+  auto solve = [&](CompactLpKeys* out_keys, LpBasis* out_basis) {
+    CompactLpMap map;
+    auto lp = BuildCompactLp(inst, &map);
+    ASSERT_TRUE(lp.ok());
+    auto sol = SolveLp(*lp);
+    ASSERT_TRUE(sol.ok());
+    *out_keys = BuildCompactLpKeys(inst, map, *lp);
+    *out_basis = sol->basis;
+  };
+  auto check = [&](const char* step) {
+    CompactLpKeys new_keys;
+    LpBasis new_basis;
+    solve(&new_keys, &new_basis);
+    BasisProjectionDelta got, want;
+    const LpBasis projected = ProjectCompactBasis(basis, keys, new_keys, &got);
+    const LpBasis reference =
+        ReferenceProjection(basis, keys, new_keys, &want);
+    EXPECT_TRUE(projected.structural == reference.structural) << step;
+    EXPECT_TRUE(projected.logical == reference.logical) << step;
+    EXPECT_EQ(got.surviving_cols, want.surviving_cols) << step;
+    EXPECT_EQ(got.new_cols, want.new_cols) << step;
+    EXPECT_EQ(got.dropped_cols, want.dropped_cols) << step;
+    EXPECT_EQ(got.new_rows, want.new_rows) << step;
+    EXPECT_EQ(got.dropped_rows, want.dropped_rows) << step;
+    keys = new_keys;
+    basis = new_basis;
+    return got;
+  };
+  solve(&keys, &basis);
+
+  // A join with a friend and tau: new x, y columns and new cap rows.
+  const UserId nu = inst.AddUser();
+  ASSERT_TRUE(inst.AddFriendship(nu, 0).ok());
+  inst.set_p(nu, 1, 0.9);
+  inst.set_p(nu, 2, 0.4);
+  inst.SetTauValue(inst.graph().FindEdge(nu, 0), 1, 0.6);
+  inst.RefinalizePairs({nu, 0});
+  const BasisProjectionDelta join = check("join");
+  EXPECT_GT(join.new_cols, 0);
+  EXPECT_GT(join.new_rows, 0);
+
+  // A leave of a user with weighted pairs: its x and y columns and the
+  // pairs' cap rows drop out.
+  UserId leaver = -1;
+  for (const FriendPair& pair : inst.pairs()) {
+    if (!pair.weights.empty() && pair.u != nu && pair.v != nu) {
+      leaver = pair.u;
+      break;
+    }
+  }
+  ASSERT_GE(leaver, 0);
+  std::vector<UserId> dirty = {leaver};
+  for (UserId v : inst.graph().OutNeighbors(leaver)) dirty.push_back(v);
+  for (UserId v : inst.graph().InNeighbors(leaver)) dirty.push_back(v);
+  inst.DeactivateUser(leaver);
+  inst.RefinalizePairs(dirty);
+  const BasisProjectionDelta leave = check("leave");
+  EXPECT_GT(leave.dropped_cols, 0);
+  EXPECT_GT(leave.dropped_rows, 0);
+
+  // A retire of an item with LP columns: its x columns drop out.
+  ItemId retired = -1;
+  for (ItemId c = 0; c < inst.num_items() && retired < 0; ++c) {
+    for (UserId u = 0; u < inst.num_users(); ++u) {
+      if (inst.p(u, c) > 0.0) {
+        retired = c;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(retired, 0);
+  inst.RefinalizePairs(inst.RetireItem(retired));
+  const BasisProjectionDelta retire = check("retire");
+  EXPECT_GT(retire.dropped_cols, 0);
 }
 
 TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {

@@ -749,8 +749,8 @@ TEST(ServeTraceTest, ForcedResolveCollectsNestedSpans) {
   EXPECT_TRUE(trace.spans[presolve].bridged);
   EXPECT_EQ(trace.spans[round].parent, apply);
   // Every LP phase child is present even when a phase did no work.
-  for (const char* phase : {"lp.pricing", "lp.ratio_test", "lp.ftran",
-                            "lp.btran", "lp.factor"}) {
+  for (const char* phase : {"lp.setup", "lp.pricing", "lp.ratio_test",
+                            "lp.ftran", "lp.btran", "lp.factor"}) {
     EXPECT_GE(FindSpan(trace, phase), 0) << phase;
   }
 
