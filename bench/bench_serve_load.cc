@@ -44,8 +44,7 @@
 // A separate in-process durability phase (skipped against an external
 // server; `--durability-only` runs just this phase) measures the closed-loop
 // cost of the changelog under fsync=never / on-resolve / every-command
-// against a no-durability baseline (one session per arm, all applying one
-// stream in lockstep), then times snapshot-based recovery vs a
+// against a no-durability baseline, then times snapshot-based recovery vs a
 // cold full replay of the same data_dir and cross-checks their state
 // digests. The paired "(fsync-resolve)" / "(no-durability)" metrics feed
 // the CI durability gate (fsync-on-resolve must stay within 15% of the
@@ -207,7 +206,9 @@ int NumSessions(const LoadConfig& config) {
 /// from the same instance, take their first solves before any other phase
 /// and then receive identical streams, so they hold the same LP: the two
 /// arms make the same solves, and which arm gets an expensive repair is
-/// no longer chance. `parity` and a per-kind command count alternate
+/// no longer chance. The in-process server also gives both twins one
+/// seed, so their roundings match too; an external server seeds its
+/// sessions itself, and there only the LP solves match. `parity` and a per-kind command count alternate
 /// which twin carries the flag and which of the two requests goes first,
 /// so each arm gets every combination equally often. Every
 /// resolve follows a mutation, so each one solves: a resolve with nothing
@@ -466,61 +467,46 @@ struct DurabilityArmResult {
   int64_t snapshots = 0;
 };
 
-/// One rep of the durability arms: a direct in-process Session per arm
-/// (no sockets/threads — the arms differ only in the journal's fsync
-/// policy, so the wire stack would just add shared noise), all applying
-/// the shared stream in lockstep, command by command, with the arm order
-/// rotating per command. A slow stretch of machine then lands on every
-/// arm alike, and each arm's wall is the sum of its own commands' times.
-/// `durability[a]` == nullptr is the no-journal baseline. The cold first
-/// solve is identical across arms and kept out of the timers, like the
-/// serving phases' warm-up. Snapshots run in-band exactly as the
+/// One closed-loop durability arm: a direct in-process Session (no
+/// sockets/threads — the arms differ only in the journal's fsync policy,
+/// so the wire stack would just add shared noise) applying the shared
+/// stream. `durability` == nullptr is the no-journal baseline. The cold
+/// first solve is identical across arms and kept out of the timer, like
+/// the serving phases' warm-up. Snapshots run in-band exactly as the
 /// SessionManager drives them.
-Result<std::vector<DurabilityArmResult>> RunDurabilityRep(
-    const SvgicInstance& inst, const CommandLog& log,
-    const std::vector<const DurabilityOptions*>& durability, uint64_t seed) {
-  const size_t arms = durability.size();
-  std::vector<std::unique_ptr<MetricsRegistry>> registries;
-  std::vector<std::unique_ptr<Session>> sessions;
-  std::vector<std::unique_ptr<SessionStore>> stores(arms);
-  std::vector<SessionJournal*> journals(arms, nullptr);
-  for (size_t a = 0; a < arms; ++a) {
-    registries.push_back(std::make_unique<MetricsRegistry>());
-    SessionOptions session_options;
-    session_options.seed = seed;
-    sessions.push_back(std::make_unique<Session>(inst, session_options));
-    if (durability[a] != nullptr) {
-      stores[a] = std::make_unique<SessionStore>(*durability[a],
-                                                 registries[a].get());
-      auto attached = stores[a]->Attach(0, *sessions[a]);
-      SAVG_RETURN_NOT_OK(attached.status());
-      journals[a] = *attached;
-      sessions[a]->set_journal(journals[a]);
-    }
-    SAVG_RETURN_NOT_OK(sessions[a]->Apply(MakeResolve()).status());
+Result<DurabilityArmResult> RunDurabilityArm(const SvgicInstance& inst,
+                                             const CommandLog& log,
+                                             const DurabilityOptions* durability,
+                                             uint64_t seed) {
+  MetricsRegistry registry;
+  SessionOptions session_options;
+  session_options.seed = seed;
+  Session session(inst, session_options);
+  std::unique_ptr<SessionStore> store;
+  SessionJournal* journal = nullptr;
+  if (durability != nullptr) {
+    store = std::make_unique<SessionStore>(*durability, &registry);
+    auto attached = store->Attach(0, session);
+    SAVG_RETURN_NOT_OK(attached.status());
+    journal = *attached;
+    session.set_journal(journal);
   }
-  std::vector<DurabilityArmResult> results(arms);
-  for (size_t i = 0; i < log.size(); ++i) {
-    for (size_t turn = 0; turn < arms; ++turn) {
-      const size_t a = (i + turn) % arms;
-      Timer timer;
-      SAVG_RETURN_NOT_OK(sessions[a]->Apply(log[i]).status());
-      if (journals[a] != nullptr && journals[a]->ShouldSnapshot()) {
-        SAVG_RETURN_NOT_OK(journals[a]->TakeSnapshot(*sessions[a]));
-      }
-      results[a].wall += timer.ElapsedSeconds();
+  SAVG_RETURN_NOT_OK(session.Apply(MakeResolve()).status());
+  Timer timer;
+  for (const SessionCommand& command : log) {
+    SAVG_RETURN_NOT_OK(session.Apply(command).status());
+    if (journal != nullptr && journal->ShouldSnapshot()) {
+      SAVG_RETURN_NOT_OK(journal->TakeSnapshot(session));
     }
   }
-  for (size_t a = 0; a < arms; ++a) {
-    MetricsRegistry& registry = *registries[a];
-    results[a].appends = registry.GetCounter("durability.appends")->value();
-    results[a].fsyncs = registry.GetCounter("durability.fsyncs")->value();
-    results[a].snapshots =
-        registry.GetCounter("durability.snapshots")->value();
-  }
-  // The arms end crash-like: no Flush(), no final snapshot — the recovery
+  DurabilityArmResult result;
+  result.wall = timer.ElapsedSeconds();
+  result.appends = registry.GetCounter("durability.appends")->value();
+  result.fsyncs = registry.GetCounter("durability.fsyncs")->value();
+  result.snapshots = registry.GetCounter("durability.snapshots")->value();
+  // The arm ends crash-like: no Flush(), no final snapshot — the recovery
   // rows below then measure a real post-kill replay, not an empty one.
-  return results;
+  return result;
 }
 
 struct RecoveryTiming {
@@ -580,11 +566,11 @@ int RunDurabilityPhase(const LoadConfig& config) {
       {"fsync-resolve", true, FsyncPolicy::Mode::kOnResolve},
       {"fsync-command", true, FsyncPolicy::Mode::kEveryN},
   };
-  // Every arm applies the identical deterministic stream in lockstep
-  // (RunDurabilityRep), so shared machine noise lands on all arms; a
-  // stall still hits one arm's command. Repeat the lockstep loop a few
-  // times and keep each arm's MIN wall, the least-noise estimate of its
-  // cost.
+  // Every arm applies the identical deterministic stream, so run-to-run
+  // spread is pure machine noise (scheduler, CPU frequency, page cache) on
+  // ~0.3s walls — big enough to flip the 1.15x gate. Round-robin the arms
+  // across a few reps (a slow stretch of machine hits all arms, not one)
+  // and keep each arm's MIN wall, the least-noise estimate of its cost.
   constexpr int kReps = 3;
   constexpr int kNumArms = static_cast<int>(sizeof(arms) / sizeof(arms[0]));
   double best_wall[kNumArms];
@@ -592,32 +578,30 @@ int RunDurabilityPhase(const LoadConfig& config) {
   std::fill(best_wall, best_wall + kNumArms, 1e300);
   std::string resolve_dir;
   for (int rep = 0; rep < kReps; ++rep) {
-    DurabilityOptions options[kNumArms];
-    std::vector<const DurabilityOptions*> durability(kNumArms, nullptr);
     for (int a = 0; a < kNumArms; ++a) {
       const Arm& arm = arms[a];
-      options[a].data_dir = root + "/" + arm.label;
-      options[a].fsync.mode = arm.mode;
-      options[a].fsync.every_n = 1;
-      options[a].snapshot_interval_seconds = 0.0;
-      options[a].snapshot_every_commands = 64;
+      DurabilityOptions durability;
+      durability.data_dir = root + "/" + arm.label;
+      durability.fsync.mode = arm.mode;
+      durability.fsync.every_n = 1;
+      durability.snapshot_interval_seconds = 0.0;
+      durability.snapshot_every_commands = 64;
       if (arm.mode == FsyncPolicy::Mode::kOnResolve) {
-        resolve_dir = options[a].data_dir;
+        resolve_dir = durability.data_dir;
       }
       // Fresh directory per rep; the last rep's files stay on disk for the
       // recovery rows below.
-      RemoveTreeRecursive(options[a].data_dir);
-      if (arm.durable) durability[a] = &options[a];
-    }
-    auto results = RunDurabilityRep(*inst, log, durability, config.seed);
-    if (!results.ok()) {
-      std::cerr << "durability rep " << rep << ": " << results.status()
-                << "\n";
-      return 1;
-    }
-    for (int a = 0; a < kNumArms; ++a) {
-      best_wall[a] = std::min(best_wall[a], (*results)[a].wall);
-      counters[a] = (*results)[a];
+      RemoveTreeRecursive(durability.data_dir);
+      auto result = RunDurabilityArm(*inst, log,
+                                     arm.durable ? &durability : nullptr,
+                                     config.seed);
+      if (!result.ok()) {
+        std::cerr << "durability arm " << arm.label << ": "
+                  << result.status() << "\n";
+        return 1;
+      }
+      best_wall[a] = std::min(best_wall[a], result->wall);
+      counters[a] = *result;
     }
   }
   Table t({"durability", "commands", "wall (s)", "cmd/s", "appends",
@@ -702,7 +686,8 @@ int RunLoad(LoadConfig config) {
     local = std::make_unique<ServeServer>(options);
     for (int i = 0; i < NumSessions(config); ++i) {
       SessionOptions session_options;
-      session_options.seed = config.seed + i;
+      // Both twins of an A/B pair share a seed (see RunAbClient).
+      session_options.seed = config.seed + i / 2;
       local->CreateSession(*inst, session_options);
     }
     Status started = local->Start();

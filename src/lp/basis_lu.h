@@ -77,10 +77,6 @@ struct ColumnMatrix {
   ColumnView operator[](int j) const {
     return {entries.data() + start[j], entries.data() + start[j + 1]};
   }
-  /// Incremental building: Push() appends to the open (last) column,
-  /// EndColumn() closes it.
-  void Push(int row, double coef) { entries.push_back({row, coef}); }
-  void EndColumn() { start.push_back(static_cast<int64_t>(entries.size())); }
 };
 
 class BasisFactorization {

@@ -1165,6 +1165,12 @@ TEST(DualDevexTest, MatchesMaxViolationObjectiveWithFewerPivots) {
 
 // --- Eta kernels and adaptive refactorization ------------------------------
 
+// Closes the open column of `cols`: the entries appended since the last
+// close become column cols->num_cols().
+void EndColumn(ColumnMatrix* cols) {
+  cols->start.push_back(static_cast<int64_t>(cols->entries.size()));
+}
+
 TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
   // The dense-scatter and zero-skipping kernel flavors perform the same
   // arithmetic on every nonzero, so over a long factorize/ftran/btran/
@@ -1177,13 +1183,13 @@ TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
   ColumnMatrix cols;
   for (int c = 0; c < pool; ++c) {
     const int diag = c % n;
-    cols.Push(diag, 3.0 + rng.Uniform(0, 1));
+    cols.entries.push_back({diag, 3.0 + rng.Uniform(0, 1)});
     for (int r = 0; r < n; ++r) {
       if (r != diag && rng.Bernoulli(0.2)) {
-        cols.Push(r, rng.Uniform(-1, 1));
+        cols.entries.push_back({r, rng.Uniform(-1, 1)});
       }
     }
-    cols.EndColumn();
+    EndColumn(&cols);
   }
   LuKernelOptions always_dense;
   always_dense.dense_switch_density = 0.0;
@@ -1253,14 +1259,14 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
   std::vector<int> basis(n);
   for (int r = 0; r < n; ++r) {
     basis[r] = cols.num_cols();
-    cols.Push(r, 1.0);
-    cols.EndColumn();
+    cols.entries.push_back({r, 1.0});
+    EndColumn(&cols);
   }
   for (int j = 0; j < structurals; ++j) {
     // The entry on its own row dominates the column: the basis is regular.
     const int diag = j * stride;
     const int64_t first = cols.start.back();
-    cols.Push(diag, 8.0 + rng.Uniform(0, 1));
+    cols.entries.push_back({diag, 8.0 + rng.Uniform(0, 1)});
     for (int t = 0; t < 6; ++t) {
       // Even terms land on other structurals' rows, so L and U carry real
       // fill; odd terms on any row.
@@ -1271,10 +1277,10 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
       for (size_t e = first; e < cols.entries.size(); ++e) {
         dup = dup || cols.entries[e].row == row;
       }
-      if (!dup) cols.Push(row, rng.Uniform(-1, 1));
+      if (!dup) cols.entries.push_back({row, rng.Uniform(-1, 1)});
     }
     basis[diag] = cols.num_cols();
-    cols.EndColumn();
+    EndColumn(&cols);
   }
   auto lu = MakeLuFactorization();
   ASSERT_TRUE(lu->Factorize(cols, basis).ok());
