@@ -7,36 +7,26 @@
 //     "pricing share" column is LpStats::pricing_seconds over the whole
 //     solve: the quantity the ROADMAP said should decide the partial-
 //     pricing question, reported per mode in the --json= artifact.
-//  2. Presolve — the same cold solves with lp/presolve.h on vs off. The
-//     compact LP's per-user social-free columns form large parallel
-//     groups, so the parallel-column reduction removes most of them
-//     (over half the columns at m=10000); the postsolve re-derives the
-//     exact primal/dual/basis, so the objective is cross-checked
-//     bit-tight against the unreduced solve.
-//  3. Warm repair — branch-and-bound-child one-bound changes and
-//     serving-style item bans re-solved from the parent-optimal basis
-//     with warm_start_mode kDual vs kPrimal. Both states are
-//     dual-feasible, so the dual simplex repairs them in a handful of
-//     pivots where composite phase 1 re-walks the feasibility staircase.
-//     The paired "(dual-warm)" / "(primal-warm)" pivot metrics feed the
-//     machine-independent CI gate (tools/perf_compare.py --suffixes,
-//     dual <= 0.75x primal), pivot counts being machine-speed-free.
-//  4. Dual row pricing — the same dual repairs under ban *waves* (eight
-//     items pulled at once, the storefront-refresh shape) with the
-//     leaving row picked by dual Devex vs plain max-violation. Devex
-//     weighs each violation by the steepness of the dual edge removing
-//     it, so multi-bound repairs take fewer pivots; the paired
-//     "(devex-rows)" / "(maxviol-rows)" metrics feed a second pivot-count
-//     CI gate (devex <= 0.85x max-violation).
-//  5. Eta-file management — a long serving-style mutation stream
+//  2. Warm repair — branch-and-bound-child one-bound changes and
+//     serving-style item bans re-solved from the parent-optimal basis.
+//     Both leave that basis dual-feasible, so SolveLp repairs its primal
+//     infeasibility with the dual simplex (dual Devex rows). The
+//     "(dual-warm)" pivot totals feed a fixed CI pivot ceiling, pivot
+//     counts being machine-speed-free.
+//  3. Ban waves — the same dual repairs with eight items pulled at once
+//     (the storefront-refresh shape), the many-violation state where the
+//     dual Devex row rule matters; the "(devex-rows)" pivot total feeds a
+//     second CI pivot ceiling.
+//  4. Eta-file management — a long serving-style mutation stream
 //     (>= 2000 warm resolves with periodic cold re-solves) under the
 //     adaptive refactorization policy vs a fixed interval vs no
 //     refactorization at all. The adaptive policy's work counters keep
 //     the eta chain — and with it the ftran/btran cost per pivot —
 //     bounded, where the unmanaged chain grows with the solve length.
 //
-// Objectives are cross-checked between every pair of paths; a mismatch
-// prints loudly (the equivalence tests in lp_test.cc enforce it).
+// Cold objectives are cross-checked between the pricing modes and every
+// warm repair is KKT-audited (lp/kkt.h); a failure prints loudly (the
+// tests in lp_test.cc enforce both).
 
 #include <cmath>
 #include <deque>
@@ -45,7 +35,7 @@
 
 #include "bench_util.h"
 #include "core/lp_formulation.h"
-#include "lp/presolve.h"
+#include "lp/kkt.h"
 #include "util/random.h"
 
 namespace savg {
@@ -101,8 +91,8 @@ bool ObjectivesMatch(double a, double b) {
 }
 
 /// Section 1: cold full-Devex vs partial pricing per compact-LP size.
-/// Returns the per-m partial-pricing solutions (reused by the other
-/// sections as the no-presolve reference and the warm-repair parent).
+/// Returns the per-m partial-pricing solutions (reused as the warm-repair
+/// parent).
 std::map<int, ColdRun> PrintPricingComparison(
     const std::map<int, LpModel>& lps) {
   Table t({"m", "mode", "pivots", "solve (s)", "pricing (s)",
@@ -149,60 +139,6 @@ std::map<int, ColdRun> PrintPricingComparison(
   return partial_runs;
 }
 
-/// Section 2: cold solves with the presolve pipeline on vs off. The "off"
-/// rows reuse section 1's partial-pricing solves; the "on" rows run
-/// SolveLp with SimplexOptions::presolve, whose postsolve maps the reduced
-/// optimum back exactly (objective cross-checked).
-void PrintPresolve(const std::map<int, LpModel>& lps,
-                   const std::map<int, ColdRun>& cold_runs) {
-  Table t({"m", "presolve", "cols", "cols removed", "presolve (s)", "pivots",
-           "solve (s)"});
-  for (const auto& [m, lp] : lps) {
-    auto cold_it = cold_runs.find(m);
-    if (cold_it == cold_runs.end() || !cold_it->second.ok) continue;
-    const LpSolution& off = cold_it->second.sol;
-    SimplexOptions options;
-    options.presolve = true;
-    auto on = SolveLp(lp, options);
-    if (!on.ok()) {
-      std::cerr << "presolved cold solve failed at m=" << m << ": "
-                << on.status() << "\n";
-      continue;
-    }
-    t.NewRow()
-        .Add(static_cast<int64_t>(m))
-        .Add("off")
-        .Add(static_cast<int64_t>(lp.num_vars()))
-        .Add(static_cast<int64_t>(0))
-        .Add("-")
-        .Add(static_cast<int64_t>(off.iterations))
-        .Add(FormatDouble(off.solve_seconds, 3));
-    t.NewRow()
-        .Add(static_cast<int64_t>(m))
-        .Add("on")
-        .Add(static_cast<int64_t>(lp.num_vars() -
-                                  on->stats.presolve_cols_removed))
-        .Add(on->stats.presolve_cols_removed)
-        .Add(FormatDouble(on->stats.presolve_seconds, 4))
-        .Add(static_cast<int64_t>(on->iterations))
-        .Add(FormatDouble(on->solve_seconds, 3));
-    if (!ObjectivesMatch(off.objective, on->objective)) {
-      std::cerr << "OBJECTIVE MISMATCH at m=" << m << ": no presolve "
-                << off.objective << " vs presolve " << on->objective << "\n";
-    }
-    const std::string prefix = "lp engine | m=" + std::to_string(m) + " ";
-    benchutil::RecordMetric(prefix + "presolve cold solve seconds",
-                            on->solve_seconds);
-    benchutil::RecordMetric(prefix + "presolve seconds",
-                            on->stats.presolve_seconds);
-    benchutil::RecordMetric(
-        prefix + "presolve cols removed",
-        static_cast<double>(on->stats.presolve_cols_removed));
-  }
-  t.Print("LP engine: presolve pipeline on cold compact-LP solves "
-          "(parallel social-free columns dominate the reduction)");
-}
-
 struct RepairTotals {
   int64_t pivots = 0;
   int64_t dual_pivots = 0;
@@ -210,27 +146,31 @@ struct RepairTotals {
   int resolves = 0;
 };
 
-/// Re-solves `child` from `parent_basis` under the given warm-start mode,
-/// accumulating into `totals`. Returns the objective (NaN on failure).
-double RepairChild(const LpModel& child, const LpBasis& parent_basis,
-                   WarmStartMode mode, RepairTotals* totals,
-                   DualRowPricing row_pricing = DualRowPricing::kDevex) {
-  SimplexOptions options;
-  options.warm_start_mode = mode;
-  options.dual_row_pricing = row_pricing;
-  auto sol = SolveLp(child, options, &parent_basis);
-  if (!sol.ok()) return std::nan("");
+/// Re-solves `child` from `parent_basis`, accumulating into `totals`, and
+/// KKT-audits the repaired optimum. `what` labels a failure.
+void RepairChild(const LpModel& child, const LpBasis& parent_basis,
+                 RepairTotals* totals, const std::string& what) {
+  auto sol = SolveLp(child, SimplexOptions{}, &parent_basis);
+  if (!sol.ok()) {
+    std::cerr << "warm repair failed on " << what << ": " << sol.status()
+              << "\n";
+    return;
+  }
   totals->pivots += sol->iterations;
   totals->dual_pivots += sol->stats.dual_pivots;
   totals->seconds += sol->solve_seconds;
   ++totals->resolves;
-  return sol->objective;
+  const KktReport kkt = CheckLpKkt(child, sol->x, sol->dual_values);
+  if (!kkt.Ok(1e-6)) {
+    std::cerr << "KKT VIOLATION on " << what << ": " << kkt.MaxViolation()
+              << "\n";
+  }
 }
 
-/// Section 3: dual vs primal repair of one-bound-change children. The
-/// children come in two flavors: branch-and-bound branches (x_u^c <= 0 or
-/// >= 1 on a fractional variable) and serving-style bans (every x column
-/// of one user's displayed-ish items forced to 0).
+/// Section 2: dual repair of one-bound-change children. The children come
+/// in two flavors: branch-and-bound branches (x_u^c <= 0 or >= 1 on a
+/// fractional variable) and serving-style bans (every x column of one
+/// user's displayed-ish items forced to 0).
 void PrintWarmRepair(const ColdRun& parent, const LpModel& lp) {
   if (!parent.ok) return;
   // Fractional variables of the parent optimum: the B&B branching set.
@@ -242,7 +182,7 @@ void PrintWarmRepair(const ColdRun& parent, const LpModel& lp) {
       fractional.push_back(j);
     }
   }
-  Table t({"children", "mode", "resolves", "pivots", "dual pivots",
+  Table t({"children", "resolves", "pivots", "dual pivots",
            "pivots/resolve"});
   struct Flavor {
     const char* label;
@@ -253,7 +193,7 @@ void PrintWarmRepair(const ColdRun& parent, const LpModel& lp) {
         Flavor{"serving ban (user's columns to 0)",
                "serving ban resolve pivots"}}) {
     const bool bans = flavor.metric[0] == 's';
-    RepairTotals dual_totals, primal_totals;
+    RepairTotals totals;
     LpModel child = lp;
     for (size_t i = 0; i < fractional.size(); ++i) {
       // Build the child: one tightened bound (B&B) or one user's columns
@@ -272,50 +212,32 @@ void PrintWarmRepair(const ColdRun& parent, const LpModel& lp) {
       } else {
         child.SetBounds(fractional[i], 1.0, lp.upper(fractional[i]));
       }
-      const double dual_obj =
-          RepairChild(child, parent.sol.basis, WarmStartMode::kDual,
-                      &dual_totals);
-      const double primal_obj =
-          RepairChild(child, parent.sol.basis, WarmStartMode::kPrimal,
-                      &primal_totals);
-      if (std::isfinite(dual_obj) != std::isfinite(primal_obj) ||
-          (std::isfinite(dual_obj) &&
-           !ObjectivesMatch(dual_obj, primal_obj))) {
-        std::cerr << "OBJECTIVE MISMATCH on child " << i << " ("
-                  << flavor.label << "): dual " << dual_obj << " vs primal "
-                  << primal_obj << "\n";
-      }
+      RepairChild(child, parent.sol.basis, &totals,
+                  std::string(flavor.label) + " child " + std::to_string(i));
     }
-    for (const bool is_dual : {true, false}) {
-      const RepairTotals& totals = is_dual ? dual_totals : primal_totals;
-      t.NewRow()
-          .Add(flavor.label)
-          .Add(is_dual ? "dual-warm" : "primal-warm")
-          .Add(static_cast<int64_t>(totals.resolves))
-          .Add(totals.pivots)
-          .Add(totals.dual_pivots)
-          .Add(totals.resolves > 0 ? FormatDouble(static_cast<double>(
-                                                      totals.pivots) /
-                                                      totals.resolves,
-                                                  1)
-                                   : std::string("-"));
-      benchutil::RecordMetric(
-          std::string("lp engine | ") + flavor.metric +
-              (is_dual ? " (dual-warm)" : " (primal-warm)"),
-          static_cast<double>(totals.pivots));
-    }
+    t.NewRow()
+        .Add(flavor.label)
+        .Add(static_cast<int64_t>(totals.resolves))
+        .Add(totals.pivots)
+        .Add(totals.dual_pivots)
+        .Add(totals.resolves > 0
+                 ? FormatDouble(
+                       static_cast<double>(totals.pivots) / totals.resolves, 1)
+                 : std::string("-"));
+    benchutil::RecordMetric(
+        std::string("lp engine | ") + flavor.metric + " (dual-warm)",
+        static_cast<double>(totals.pivots));
   }
-  t.Print("LP engine: warm-basis repair after a bound change, dual vs "
-          "composite-phase-1 primal (m=2000 compact LP)");
+  t.Print("LP engine: dual-simplex warm-basis repair after a bound change "
+          "(m=2000 compact LP)");
 }
 
-/// Section 4: dual-simplex leaving-row rule under ban waves. Each wave
-/// pulls eight well-displayed items at once (x columns with parent value
-/// > 0.5 forced to 0) and the dual simplex repairs the parent basis —
-/// the many-violation state where the row rule matters. Dual Devex and
-/// max-violation must reach the same optimum; Devex should get there in
-/// fewer pivots (the "(devex-rows)" / "(maxviol-rows)" CI gate).
-void PrintDualRowPricing(const ColdRun& parent, const LpModel& lp) {
+/// Section 3: dual repair under ban waves. Each wave pulls eight
+/// well-displayed items at once (x columns with parent value > 0.5 forced
+/// to 0) and the dual simplex repairs the parent basis — the
+/// many-violation state where the dual Devex row rule matters (the
+/// "(devex-rows)" CI pivot ceiling).
+void PrintBanWaves(const ColdRun& parent, const LpModel& lp) {
   if (!parent.ok) return;
   constexpr int kWaves = 12;
   constexpr int kBansPerWave = 8;
@@ -326,11 +248,7 @@ void PrintDualRowPricing(const ColdRun& parent, const LpModel& lp) {
       served.push_back(j);
     }
   }
-  struct ModeTotals {
-    RepairTotals totals;
-    std::vector<double> objectives;
-  };
-  ModeTotals devex, maxviol;
+  RepairTotals totals;
   Rng rng(99);
   for (int wave = 0; wave < kWaves; ++wave) {
     rng.Shuffle(&served);
@@ -339,56 +257,31 @@ void PrintDualRowPricing(const ColdRun& parent, const LpModel& lp) {
          ++b) {
       child.SetBounds(served[b], 0.0, 0.0);
     }
-    devex.objectives.push_back(RepairChild(child, parent.sol.basis,
-                                           WarmStartMode::kDual,
-                                           &devex.totals,
-                                           DualRowPricing::kDevex));
-    maxviol.objectives.push_back(RepairChild(child, parent.sol.basis,
-                                             WarmStartMode::kDual,
-                                             &maxviol.totals,
-                                             DualRowPricing::kMaxViolation));
-    const double a = devex.objectives.back();
-    const double b = maxviol.objectives.back();
-    if (std::isfinite(a) != std::isfinite(b) ||
-        (std::isfinite(a) && !ObjectivesMatch(a, b))) {
-      std::cerr << "OBJECTIVE MISMATCH on ban wave " << wave
-                << ": devex rows " << a << " vs max violation " << b << "\n";
-    }
+    RepairChild(child, parent.sol.basis, &totals,
+                "ban wave " + std::to_string(wave));
   }
-  Table t({"row rule", "waves", "bans/wave", "repaired", "pivots",
-           "dual pivots", "pivots/wave", "seconds"});
-  struct Row {
-    const char* label;
-    const char* suffix;
-    const ModeTotals* mode;
-  };
-  for (const Row& row : {Row{"dual devex", " (devex-rows)", &devex},
-                         Row{"max violation", " (maxviol-rows)", &maxviol}}) {
-    const RepairTotals& totals = row.mode->totals;
-    t.NewRow()
-        .Add(row.label)
-        .Add(static_cast<int64_t>(kWaves))
-        .Add(static_cast<int64_t>(kBansPerWave))
-        .Add(static_cast<int64_t>(totals.resolves))
-        .Add(totals.pivots)
-        .Add(totals.dual_pivots)
-        .Add(totals.resolves > 0
-                 ? FormatDouble(
-                       static_cast<double>(totals.pivots) / totals.resolves, 1)
-                 : std::string("-"))
-        .Add(FormatDouble(totals.seconds, 3));
-    benchutil::RecordMetric(
-        std::string("lp engine | ban-wave repair pivots") + row.suffix,
-        static_cast<double>(totals.pivots));
-    benchutil::RecordMetric(
-        std::string("lp engine | ban-wave repair seconds") + row.suffix,
-        totals.seconds);
-  }
-  t.Print("LP engine: dual-simplex row pricing under 8-item ban waves, "
-          "dual Devex vs max violation (m=2000 compact LP)");
+  Table t({"waves", "bans/wave", "repaired", "pivots", "dual pivots",
+           "pivots/wave", "seconds"});
+  t.NewRow()
+      .Add(static_cast<int64_t>(kWaves))
+      .Add(static_cast<int64_t>(kBansPerWave))
+      .Add(static_cast<int64_t>(totals.resolves))
+      .Add(totals.pivots)
+      .Add(totals.dual_pivots)
+      .Add(totals.resolves > 0
+               ? FormatDouble(
+                     static_cast<double>(totals.pivots) / totals.resolves, 1)
+               : std::string("-"))
+      .Add(FormatDouble(totals.seconds, 3));
+  benchutil::RecordMetric("lp engine | ban-wave repair pivots (devex-rows)",
+                          static_cast<double>(totals.pivots));
+  benchutil::RecordMetric("lp engine | ban-wave repair seconds (devex-rows)",
+                          totals.seconds);
+  t.Print("LP engine: dual-simplex repair under 8-item ban waves, dual "
+          "Devex rows (m=2000 compact LP)");
 }
 
-/// Section 5: eta-file management over a serving-style stream. The stream
+/// Section 4: eta-file management over a serving-style stream. The stream
 /// bans a random served item per step (restoring the oldest ban past a
 /// window, so the LP keeps its shape) and warm-resolves from the previous
 /// basis; every 250th resolve is forced cold, the serving fallback where
@@ -505,11 +398,10 @@ void PrintTables() {
     lps.emplace(m, std::move(lp).value());
   }
   std::map<int, ColdRun> partial_runs = PrintPricingComparison(lps);
-  PrintPresolve(lps, partial_runs);
   const auto small = partial_runs.find(kSmallM);
   if (small != partial_runs.end() && lps.count(kSmallM) > 0) {
     PrintWarmRepair(small->second, lps.at(kSmallM));
-    PrintDualRowPricing(small->second, lps.at(kSmallM));
+    PrintBanWaves(small->second, lps.at(kSmallM));
   }
   if (lps.count(kLargeM) > 0) PrintServingStream(lps.at(kLargeM));
 }
@@ -531,22 +423,6 @@ BENCHMARK(BM_ColdCompactSolve)
     ->Args({2000, 1})
     ->Unit(benchmark::kMillisecond);
 
-void BM_PresolvedColdSolve(benchmark::State& state) {
-  auto inst = GenerateDataset(EngineParams(10000));
-  CompactLpMap map;
-  auto lp = BuildCompactLp(*inst, &map);
-  SimplexOptions options;
-  options.presolve = state.range(0) != 0;
-  for (auto _ : state) {
-    auto sol = SolveLp(*lp, options);
-    benchmark::DoNotOptimize(sol);
-  }
-}
-BENCHMARK(BM_PresolvedColdSolve)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_DualChildResolve(benchmark::State& state) {
   auto inst = GenerateDataset(EngineParams(2000));
   CompactLpMap map;
@@ -561,20 +437,12 @@ void BM_DualChildResolve(benchmark::State& state) {
   }
   LpModel child = *lp;
   child.SetBounds(branch, lp->lower(branch), 0.0);
-  SimplexOptions options;
-  options.warm_start_mode = WarmStartMode::kDual;
-  options.dual_row_pricing = state.range(0) != 0
-                                 ? DualRowPricing::kDevex
-                                 : DualRowPricing::kMaxViolation;
   for (auto _ : state) {
-    auto sol = SolveLp(child, options, &parent->basis);
+    auto sol = SolveLp(child, SimplexOptions{}, &parent->basis);
     benchmark::DoNotOptimize(sol);
   }
 }
-BENCHMARK(BM_DualChildResolve)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DualChildResolve)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace savg

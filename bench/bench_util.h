@@ -260,13 +260,8 @@ inline std::vector<std::vector<AggregateRow>> PrintSweep(
                static_cast<double>(warm.lp_stats.full_pricing_scans));
   RecordMetric(title + " | lp_dual_pivots",
                static_cast<double>(warm.lp_stats.dual_pivots));
-  // Engine-speed counters (PR 6): presolve reductions, eta-file state and
-  // refactorization cadence — the observables of the adaptive
-  // refactorization policy and the presolve pipeline.
-  RecordMetric(title + " | lp_presolve_seconds",
-               warm.lp_stats.presolve_seconds);
-  RecordMetric(title + " | lp_presolve_cols_removed",
-               static_cast<double>(warm.lp_stats.presolve_cols_removed));
+  // Engine-speed counters (PR 6): eta-file state and refactorization
+  // cadence — the observables of the adaptive refactorization policy.
   RecordMetric(title + " | lp_eta_count",
                static_cast<double>(warm.lp_stats.eta_count));
   RecordMetric(title + " | lp_eta_nonzeros",

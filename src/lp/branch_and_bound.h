@@ -45,10 +45,9 @@ struct MipOptions {
   NodeSelection node_selection = NodeSelection::kHybrid;
   /// Warm-start each node's LP from the parent's optimal basis. The child
   /// differs only in one variable bound, which keeps the parent basis
-  /// dual-feasible, so lp_options.warm_start_mode = kAuto repairs it with
-  /// the dual simplex in a handful of pivots instead of composite phase 1
-  /// (LpStats::dual_pivots in `lp_stats` counts them). Disable to force
-  /// cold starts.
+  /// dual-feasible, so SolveLp repairs it with the dual simplex in a
+  /// handful of pivots instead of composite phase 1 (LpStats::dual_pivots
+  /// in `lp_stats` counts them). Disable to force cold starts.
   bool warm_start_nodes = true;
   /// Optional warm start for the ROOT LP (not owned, must outlive the
   /// solve): typically MipSolution::root_basis of a previous SolveMip on a

@@ -114,7 +114,9 @@ struct LpStats {
   double ftran_seconds = 0.0;       ///< B^-1 a_q solves (+ basic values)
   double btran_seconds = 0.0;       ///< B^-T solves (pricing y, Devex rho)
   double factor_seconds = 0.0;      ///< (re)factorizations + eta updates
-  double presolve_seconds = 0.0;    ///< presolve + postsolve passes
+  /// Always 0 (the engine has no presolve); kept because perfbench's
+  /// replay reads it for its lp.presolve_ms metric.
+  double presolve_seconds = 0.0;
   /// Build (row-to-column transpose), basis seeding and solution export:
   /// the solve's work outside the timed phases above.
   double setup_seconds = 0.0;
@@ -126,9 +128,6 @@ struct LpStats {
   // Candidate-list pricing effectiveness (PricingMode::kPartial).
   int64_t candidate_hits = 0;       ///< pivots priced from the list alone
   int64_t full_pricing_scans = 0;   ///< full scans (rebuilds + optimality)
-  // Presolve reductions (zero unless SimplexOptions::presolve enabled).
-  int64_t presolve_cols_removed = 0;  ///< fixed + dominated + parallel
-  int64_t presolve_rows_removed = 0;  ///< empty + singleton/redundant
   // Eta-file state at solve end, the observable the adaptive
   // refactorization policy acts on (ROADMAP: eta chains in long serving
   // sessions). Summing across solves gives totals; divide by solves for
@@ -150,8 +149,6 @@ struct LpStats {
     bland_pivots += o.bland_pivots;
     candidate_hits += o.candidate_hits;
     full_pricing_scans += o.full_pricing_scans;
-    presolve_cols_removed += o.presolve_cols_removed;
-    presolve_rows_removed += o.presolve_rows_removed;
     eta_count += o.eta_count;
     eta_nonzeros += o.eta_nonzeros;
     refactorizations += o.refactorizations;
@@ -165,8 +162,7 @@ struct LpSolution {
   /// Row duals, signed so that c_j - sum_i dual_values[i] a_ij is the
   /// reduced cost of structural j in the model's own objective sense. At
   /// optimality: 0 for basic variables, <= 0 at lower / >= 0 at upper for
-  /// a maximization (reversed for minimization). Presolve reconstructs
-  /// these exactly for removed rows (lp/presolve.h postsolve).
+  /// a maximization (reversed for minimization).
   std::vector<double> dual_values;
   double objective = 0.0;
   /// Total simplex pivots/bound-flips (phase 1 + phase 2).

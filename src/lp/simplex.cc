@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lp/basis_lu.h"
-#include "lp/presolve.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -30,8 +29,7 @@ constexpr double kDualPivotTol = 1e-9;
 /// for inequalities, fixed [0, 0] for equalities. Columns 0..n_struct-1
 /// are structural, then the logicals — no artificial variables; primal
 /// feasibility from any basis is restored by the composite phase 1, or by
-/// the dual simplex when the basis prices dual-feasible
-/// (SimplexOptions::warm_start_mode).
+/// the dual simplex when a warm basis prices dual-feasible.
 class RevisedSimplex {
  public:
   RevisedSimplex(const LpModel& model, const SimplexOptions& options,
@@ -57,19 +55,16 @@ class RevisedSimplex {
       if (!factored.ok()) return factored;
     }
 
-    // Dual simplex: when the start basis prices dual-feasible under the
-    // real objective, repairing primal feasibility dually costs far fewer
-    // pivots than composite phase 1 (warm_start_mode picks the policy).
-    // The primal phases below then merely verify — phase 1 no-ops on the
-    // feasible basis and phase 2's full pricing scan certifies
-    // optimality, so the final objective is identical to the primal path
-    // by construction.
+    // Dual simplex: when a warm basis is primal-infeasible but prices
+    // dual-feasible under the real objective (a branch-and-bound child, a
+    // bound or rhs perturbation), repairing primal feasibility dually
+    // costs far fewer pivots than composite phase 1. The primal phases
+    // below then merely verify — phase 1 no-ops on the feasible basis and
+    // phase 2's full pricing scan certifies optimality, so the final
+    // objective is identical to the primal path by construction. Cold
+    // starts always take composite phase 1.
     bool dual_optimal = false;
-    const bool try_dual =
-        opt_.warm_start_mode == WarmStartMode::kDual ||
-        (opt_.warm_start_mode == WarmStartMode::kAuto && warm_used_ &&
-         !PrimalFeasible());
-    if (try_dual) {
+    if (warm_used_ && !PrimalFeasible()) {
       SetPhase2Cost();
       if (DualFeasible()) {
         Status dual = SolveDual(&timer, &dual_optimal);
@@ -464,7 +459,6 @@ class RevisedSimplex {
   Status SolveDual(Timer* timer, bool* optimal) {
     *optimal = false;
     const bool timed = opt_.time_limit_seconds < kNoTimeLimit;
-    const bool devex_rows = opt_.dual_row_pricing == DualRowPricing::kDevex;
     // Dual Devex reference weights, one per basis position. Like the
     // primal framework they start the reference frame at 1 and only ever
     // grow until a reset.
@@ -484,11 +478,10 @@ class RevisedSimplex {
     std::vector<int> flips;
 
     for (;;) {
-      // Leaving row. kMaxViolation takes the basic variable with the
-      // largest bound violation; kDevex weighs each violation by its
-      // reference weight (score viol^2 / gamma_r) so rows whose dual edge
-      // is steep — large true infeasibility per unit of |B^-T e_r| — win,
-      // mirroring primal Devex's d^2 / gamma column rule.
+      // Leaving row by dual Devex: weigh each violation by its reference
+      // weight (score viol^2 / gamma_r) so rows whose dual edge is steep —
+      // large true infeasibility per unit of |B^-T e_r| — win, mirroring
+      // primal Devex's d^2 / gamma column rule.
       int r = -1;
       double viol = 0.0;
       bool below = false;
@@ -505,8 +498,7 @@ class RevisedSimplex {
         const bool is_below = under > over;
         const double infeas = is_below ? under : over;
         if (infeas <= kFeasTolerance) continue;
-        const double score =
-            devex_rows ? infeas * infeas / dual_gamma_[pos] : infeas;
+        const double score = infeas * infeas / dual_gamma_[pos];
         if (score > best_score) {
           best_score = score;
           viol = infeas;
@@ -665,20 +657,18 @@ class RevisedSimplex {
       // gamma_r) for i != r, and the position r weight restarts at
       // max(gamma_r / alpha_rq^2, 1) for its new basic variable. Reset
       // the reference framework when weights blow up, as in the primal.
-      if (devex_rows) {
-        const double gamma_r = dual_gamma_[r];
-        const double inv_rq2 = 1.0 / (alpha_rq * alpha_rq);
-        double max_gamma = 1.0;
-        for (int pos = 0; pos < num_rows_; ++pos) {
-          if (pos == r || w[pos] == 0.0) continue;
-          const double cand = w[pos] * w[pos] * inv_rq2 * gamma_r;
-          if (cand > dual_gamma_[pos]) dual_gamma_[pos] = cand;
-          if (dual_gamma_[pos] > max_gamma) max_gamma = dual_gamma_[pos];
-        }
-        dual_gamma_[r] = std::max(gamma_r * inv_rq2, 1.0);
-        if (std::max(max_gamma, dual_gamma_[r]) > 1e10) {
-          dual_gamma_.assign(num_rows_, 1.0);
-        }
+      const double gamma_r = dual_gamma_[r];
+      const double inv_rq2 = 1.0 / (alpha_rq * alpha_rq);
+      double max_gamma = 1.0;
+      for (int pos = 0; pos < num_rows_; ++pos) {
+        if (pos == r || w[pos] == 0.0) continue;
+        const double cand = w[pos] * w[pos] * inv_rq2 * gamma_r;
+        if (cand > dual_gamma_[pos]) dual_gamma_[pos] = cand;
+        if (dual_gamma_[pos] > max_gamma) max_gamma = dual_gamma_[pos];
+      }
+      dual_gamma_[r] = std::max(gamma_r * inv_rq2, 1.0);
+      if (std::max(max_gamma, dual_gamma_[r]) > 1e10) {
+        dual_gamma_.assign(num_rows_, 1.0);
       }
 
       // Pivot: entering becomes basic in row r; leaving lands on the bound
@@ -1190,7 +1180,7 @@ namespace {
 
 /// Bridges the solve's LpStats onto the active "lp.solve" trace span:
 /// deterministic pivot counters plus one stat-bridged child per phase.
-/// Always the same seven children (zero-duration included) so the span
+/// Always the same six children (zero-duration included) so the span
 /// structure stays bit-stable across runs.
 void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   if (!span->active()) return;
@@ -1201,7 +1191,6 @@ void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   span->Counter("eta_count", sol.stats.eta_count);
   span->Counter("refactorizations", sol.stats.refactorizations);
   span->BridgeChild("lp.setup", sol.stats.setup_seconds);
-  span->BridgeChild("lp.presolve", sol.stats.presolve_seconds);
   span->BridgeChild("lp.pricing", sol.stats.pricing_seconds);
   span->BridgeChild("lp.ratio_test", sol.stats.ratio_test_seconds);
   span->BridgeChild("lp.ftran", sol.stats.ftran_seconds);
@@ -1214,38 +1203,6 @@ void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
 Result<LpSolution> SolveLp(const LpModel& model, const SimplexOptions& options,
                            const LpBasis* warm_start) {
   TraceScope lp_span("lp.solve");
-  if (options.presolve) {
-    // Presolve -> solve the reduced model -> postsolve back. The warm
-    // basis (if any) is mapped through the reduction; the postsolved
-    // solution carries an exact basis/dual/primal of the original model.
-    Timer pre_timer;
-    PresolveOptions popt;
-    popt.tolerance = options.tolerance;
-    Result<PresolvedLp> pre = PresolveLp(model, popt);
-    if (!pre.ok()) return pre.status();
-    const double presolve_seconds = pre_timer.ElapsedSeconds();
-
-    SimplexOptions inner = options;
-    inner.presolve = false;
-    LpBasis mapped;
-    const LpBasis* inner_warm = nullptr;
-    if (warm_start != nullptr && !warm_start->Empty()) {
-      mapped = pre->MapBasis(*warm_start);
-      if (!mapped.Empty()) inner_warm = &mapped;
-    }
-    RevisedSimplex worker(pre->reduced(), inner, inner_warm);
-    Result<LpSolution> reduced_sol = worker.Run();
-    if (!reduced_sol.ok()) return reduced_sol.status();
-
-    pre_timer.Reset();
-    LpSolution full = pre->Postsolve(*reduced_sol);
-    full.stats.presolve_seconds =
-        presolve_seconds + pre_timer.ElapsedSeconds();
-    full.stats.presolve_cols_removed = pre->stats().cols_removed();
-    full.stats.presolve_rows_removed = pre->stats().rows_removed();
-    AttachLpTrace(&lp_span, full);
-    return full;
-  }
   RevisedSimplex worker(model, options, warm_start);
   Result<LpSolution> sol = worker.Run();
   if (sol.ok()) AttachLpTrace(&lp_span, *sol);

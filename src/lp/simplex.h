@@ -23,12 +23,12 @@
 //    the list runs dry — optimality is still only ever declared after a
 //    full scan, so the final objective is the full-Devex one; the full
 //    scan-every-column path stays selectable via SimplexOptions::pricing,
-//  * a dual simplex (SolveDual inside the engine) with a bound-flipping
-//    ratio test, used when a warm basis is dual-feasible but
-//    primal-infeasible — the exact state after a one-bound change in a
-//    branch-and-bound child or a rhs-side perturbation — repairing such a
-//    basis in far fewer pivots than the composite primal phase 1
-//    (SimplexOptions::warm_start_mode picks auto/primal/dual),
+//  * a dual simplex (SolveDual inside the engine) with dual Devex row
+//    pricing and a bound-flipping ratio test, used whenever a warm basis
+//    is dual-feasible but primal-infeasible — the exact state after a
+//    one-bound change in a branch-and-bound child or a rhs-side
+//    perturbation — repairing such a basis in far fewer pivots than the
+//    composite primal phase 1; cold starts always take phase 1,
 //  * Devex (steepest-edge-flavoured) pricing with the existing Bland's-rule
 //    fallback for anti-cycling.
 //
@@ -65,20 +65,6 @@ enum class PricingMode {
   kPartial,
 };
 
-/// How the dual simplex (SolveDual) picks its leaving row.
-enum class DualRowPricing {
-  /// Dual Devex: pick the row maximizing violation^2 / gamma_r over a
-  /// reference framework of row weights, updated incrementally from the
-  /// entering column's Ftran image (no extra Btran per pivot). The dual
-  /// mirror of primal Devex: it weighs each violation by the steepness of
-  /// the dual edge that removes it, which is what cuts the pivot count on
-  /// warm-basis repair (the CI gate holds it at <= 0.85x max-violation).
-  kDevex,
-  /// Pick the row with the largest bound violation (the PR 5 reference
-  /// path — textbook, but blind to edge steepness).
-  kMaxViolation,
-};
-
 /// When the engine folds the product-form eta file back into a fresh LU
 /// factorization.
 enum class RefactorPolicy {
@@ -92,21 +78,6 @@ enum class RefactorPolicy {
   kAdaptive,
   /// Refactorize every refactor_interval updates (the PR 2-5 behavior).
   kFixedInterval,
-};
-
-/// Which method repairs the starting basis. kAuto and kPrimal leave cold
-/// solves unchanged (composite phase 1 + primal phase 2); kDual attempts
-/// the dual method from ANY dual-feasible start basis, warm or cold.
-enum class WarmStartMode {
-  /// Dual simplex when the warm basis prices dual-feasible but is primal
-  /// infeasible (the branch-and-bound child / bound-perturbation state);
-  /// composite primal phase 1 otherwise.
-  kAuto,
-  /// Always composite phase 1 + primal phase 2 (the PR 2/3 behavior).
-  kPrimal,
-  /// Dual simplex whenever the start basis is dual-feasible, regardless
-  /// of primal state; falls back to the primal path when it is not.
-  kDual,
 };
 
 struct SimplexOptions {
@@ -146,15 +117,6 @@ struct SimplexOptions {
   /// Candidate-list capacity for PricingMode::kPartial; <= 0 picks
   /// clamp(2 * sqrt(num_cols), 64, 1024).
   int candidate_list_size = 0;
-  /// Warm-basis repair method (see WarmStartMode).
-  WarmStartMode warm_start_mode = WarmStartMode::kAuto;
-  /// Dual-simplex leaving-row rule (see DualRowPricing).
-  DualRowPricing dual_row_pricing = DualRowPricing::kDevex;
-  /// Run lp/presolve.h before the simplex and postsolve the result back
-  /// to the original space (primal, duals, basis — exactly). Off by
-  /// default: callers opt in per solve; warm bases are mapped through the
-  /// reduction automatically.
-  bool presolve = false;
 };
 
 /// Solves `model` to optimality. Returns kInfeasible / kUnbounded /

@@ -17,8 +17,6 @@ SessionManager::SessionManager(SessionManagerOptions options)
     solver_metrics_.bland_pivots = m->GetCounter("lp.bland_pivots");
     solver_metrics_.dual_pivots = m->GetCounter("lp.dual_pivots");
     solver_metrics_.refactorizations = m->GetCounter("lp.refactorizations");
-    solver_metrics_.presolve_cols_removed =
-        m->GetCounter("lp.presolve_cols_removed");
     solver_metrics_.resolve_cold = m->GetCounter("resolve.cold");
     solver_metrics_.resolve_incremental =
         m->GetCounter("resolve.incremental");
@@ -248,7 +246,6 @@ void SessionManager::RecordResolveMetrics(const Status& status,
   m.bland_pivots->Increment(report.lp_stats.bland_pivots);
   m.dual_pivots->Increment(report.lp_stats.dual_pivots);
   m.refactorizations->Increment(report.refactorizations);
-  m.presolve_cols_removed->Increment(report.lp_stats.presolve_cols_removed);
   switch (report.path) {
     case ResolvePath::kCold:
       m.resolve_cold->Increment();

@@ -181,7 +181,6 @@ class SessionManager {
     Counter* bland_pivots = nullptr;
     Counter* dual_pivots = nullptr;
     Counter* refactorizations = nullptr;
-    Counter* presolve_cols_removed = nullptr;
     Counter* resolve_cold = nullptr;
     Counter* resolve_incremental = nullptr;
     Counter* resolve_cold_fallback = nullptr;

@@ -11,7 +11,6 @@
 #include "lp/dense_matrix.h"
 #include "lp/kkt.h"
 #include "lp/lp_model.h"
-#include "lp/presolve.h"
 #include "lp/simplex.h"
 #include "lp/subgradient.h"
 #include "paper_example.h"
@@ -289,6 +288,19 @@ LpModel RandomLp(Rng* rng, int num_vars, int num_rows) {
   return m;
 }
 
+/// KKT check of LpSolution::dual_values against the model, delegated to
+/// the shared audit behind the serving self-verifier (lp/kkt.h) so the
+/// tests and the production checker enforce the same conditions.
+void CheckDualKkt(const LpModel& m, const LpSolution& sol, double tol) {
+  ASSERT_EQ(static_cast<int>(sol.dual_values.size()), m.num_rows());
+  const KktReport report = CheckLpKkt(m, sol.x, sol.dual_values);
+  EXPECT_LE(report.max_dual_sign_violation, tol);
+  EXPECT_LE(report.max_complementary_slackness, tol);
+  EXPECT_LE(report.max_reduced_cost_violation, tol);
+  EXPECT_TRUE(report.Ok(std::max(tol, 1e-6)))
+      << "max violation " << report.MaxViolation();
+}
+
 TEST(SimplexEquivalenceTest, SparseLuMatchesDenseOnRandomLps) {
   Rng rng(1234);
   int solved = 0;
@@ -312,6 +324,10 @@ TEST(SimplexEquivalenceTest, SparseLuMatchesDenseOnRandomLps) {
         << "trial " << trial;
     EXPECT_NEAR(m.MaxViolation(sparse->x), 0.0, 1e-6);
     EXPECT_NEAR(m.MaxViolation(dense->x), 0.0, 1e-6);
+    // The generator mixes <=, >= and = rows under both objective senses,
+    // so this covers every dual sign convention of LpSolution.
+    CheckDualKkt(m, *sparse, 1e-6);
+    CheckDualKkt(m, *dense, 1e-6);
   }
   EXPECT_GE(solved, 20);  // the generator must produce enough solvable LPs
 }
@@ -375,26 +391,28 @@ TEST(SimplexPricingTest, PartialMatchesFullDevexOnPaperExample) {
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     EXPECT_NEAR(a->objective, b->objective, 1e-8) << "lambda " << lambda;
+    CheckDualKkt(*lp, *a, 1e-6);
+    CheckDualKkt(*lp, *b, 1e-6);
   }
 }
 
 // --- Dual simplex ---------------------------------------------------------
 
-TEST(DualSimplexTest, BoundChangeRepairMatchesPrimalWithFewerPivots) {
+TEST(DualSimplexTest, BoundChangeRepairMatchesColdSolve) {
   // The branch-and-bound child state: the parent-optimal basis is dual
-  // feasible, one bound change makes it primal infeasible. The dual
-  // repair must reach the same optimum as the composite primal phase 1,
-  // in strictly fewer pivots in aggregate.
+  // feasible, one bound change can make it primal infeasible. The warm
+  // solve must repair it dually where it is, and land on the cold optimum
+  // with KKT-valid duals.
   Rng rng(555);
-  int64_t dual_total = 0, primal_total = 0;
+  int64_t warm_total = 0;
   int dual_ran = 0;
   for (int trial = 0; trial < 60; ++trial) {
     LpModel m = RandomLp(&rng, 10, 8);
     auto parent = SolveLp(m);
     if (!parent.ok()) continue;
-    // Tighten the bound of a variable sitting strictly inside its range
-    // (necessarily basic), so the parent basis is primal infeasible for
-    // the child and a real repair must run.
+    // Tighten the bound of a variable sitting above its lower bound, so
+    // the parent basis is primal infeasible for the child whenever that
+    // variable is basic and a real repair must run.
     int branch = -1;
     for (int j = 0; j < m.num_vars(); ++j) {
       if (parent->x[j] > m.lower(j) + 0.25) {
@@ -404,28 +422,26 @@ TEST(DualSimplexTest, BoundChangeRepairMatchesPrimalWithFewerPivots) {
     }
     if (branch < 0) continue;
     m.SetBounds(branch, m.lower(branch), parent->x[branch] - 0.2);
-    SimplexOptions dual_opt;
-    dual_opt.warm_start_mode = WarmStartMode::kDual;
-    SimplexOptions primal_opt;
-    primal_opt.warm_start_mode = WarmStartMode::kPrimal;
-    auto dual = SolveLp(m, dual_opt, &parent->basis);
-    auto primal = SolveLp(m, primal_opt, &parent->basis);
-    ASSERT_EQ(dual.ok(), primal.ok())
-        << "trial " << trial << ": dual " << dual.status() << " primal "
-        << primal.status();
-    if (!dual.ok()) continue;
-    EXPECT_TRUE(dual->warm_started);
-    EXPECT_NEAR(dual->objective, primal->objective, 1e-6)
-        << "trial " << trial;
-    dual_total += dual->iterations;
-    primal_total += primal->iterations;
-    if (dual->dual_simplex_used) ++dual_ran;
+    auto warm = SolveLp(m, {}, &parent->basis);
+    auto cold = SolveLp(m);
+    ASSERT_EQ(warm.ok(), cold.ok())
+        << "trial " << trial << ": warm " << warm.status() << " cold "
+        << cold.status();
+    if (!warm.ok()) continue;
+    EXPECT_TRUE(warm->warm_started);
+    EXPECT_NEAR(warm->objective, cold->objective, 1e-6) << "trial " << trial;
+    CheckDualKkt(m, *warm, 1e-6);
+    warm_total += warm->iterations;
+    if (warm->dual_simplex_used) ++dual_ran;
   }
   EXPECT_GT(dual_ran, 5);  // the dual path must actually engage
-  EXPECT_LT(dual_total, primal_total);
+  // Exact pin (the fixtures draw only Rng::Uniform and Bernoulli, so no
+  // libm call can move it). The composite-primal repair this path
+  // replaced took 11 pivots over the same trials.
+  EXPECT_EQ(warm_total, 6);
 }
 
-TEST(DualSimplexTest, AutoModePicksDualOnBoundChange) {
+TEST(DualSimplexTest, WarmStartPicksDualOnBoundChange) {
   Rng rng(2718);
   int dual_used = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -445,7 +461,7 @@ TEST(DualSimplexTest, AutoModePicksDualOnBoundChange) {
     if (branch < 0) continue;
     m.SetBounds(branch, m.lower(branch),
                 std::max(m.lower(branch), parent->x[branch] - 0.2));
-    auto warm = SolveLp(m, {}, &parent->basis);  // default kAuto
+    auto warm = SolveLp(m, {}, &parent->basis);
     auto cold = SolveLp(m);
     ASSERT_EQ(warm.ok(), cold.ok());
     if (!warm.ok()) continue;
@@ -456,9 +472,9 @@ TEST(DualSimplexTest, AutoModePicksDualOnBoundChange) {
 }
 
 TEST(DualSimplexTest, FallsBackCleanlyWhenStartBasisDualInfeasible) {
-  // Flipping objective signs makes the parent basis dual infeasible;
-  // kDual must detect that, skip the dual method and still land on the
-  // cold optimum through the primal phases.
+  // Flipping objective signs makes the parent basis dual infeasible; the
+  // warm solve must detect that, skip the dual method and still land on
+  // the cold optimum through the primal phases.
   Rng rng(777);
   int checked = 0;
   for (int trial = 0; trial < 50; ++trial) {
@@ -472,9 +488,7 @@ TEST(DualSimplexTest, FallsBackCleanlyWhenStartBasisDualInfeasible) {
     m.SetBounds(0, m.lower(0),
                 std::max(m.lower(0), std::floor(parent->x[0])));
     auto cold = SolveLp(m);
-    SimplexOptions opt;
-    opt.warm_start_mode = WarmStartMode::kDual;
-    auto warm = SolveLp(m, opt, &parent->basis);
+    auto warm = SolveLp(m, {}, &parent->basis);
     ASSERT_EQ(cold.ok(), warm.ok())
         << "trial " << trial << ": cold " << cold.status() << " warm "
         << warm.status();
@@ -924,197 +938,14 @@ TEST(BranchAndBoundTest, NodeLimitReturnsIncumbentUnproven) {
 }
 
 
-// --- Presolve / postsolve --------------------------------------------------
-
-/// KKT check of LpSolution::dual_values against the model, delegated to
-/// the shared audit behind the serving self-verifier (lp/kkt.h) so the
-/// tests and the production checker enforce the same conditions.
-void CheckDualKkt(const LpModel& m, const LpSolution& sol, double tol) {
-  ASSERT_EQ(static_cast<int>(sol.dual_values.size()), m.num_rows());
-  const KktReport report = CheckLpKkt(m, sol.x, sol.dual_values);
-  EXPECT_LE(report.max_dual_sign_violation, tol);
-  EXPECT_LE(report.max_complementary_slackness, tol);
-  EXPECT_LE(report.max_reduced_cost_violation, tol);
-  EXPECT_TRUE(report.Ok(std::max(tol, 1e-6)))
-      << "max violation " << report.MaxViolation();
-}
-
-TEST(PresolveTest, PostsolveEquivalenceOnRandomLps) {
-  // Presolve on vs off: same objective, feasible primal point, KKT-valid
-  // duals, and the postsolved basis re-solves the ORIGINAL model in zero
-  // pivots (the warm-start-chain invariant B&B and serving depend on).
-  Rng rng(4242);
-  int solved = 0, zero_pivot = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    LpModel m = RandomLp(&rng, 6 + trial % 12, 4 + trial % 8);
-    SimplexOptions plain;
-    SimplexOptions with_pre;
-    with_pre.presolve = true;
-    auto a = SolveLp(m, plain);
-    auto b = SolveLp(m, with_pre);
-    ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial << ": plain "
-                              << a.status() << " presolve " << b.status();
-    if (!a.ok()) continue;
-    ++solved;
-    const double scale = std::max(1.0, std::abs(a->objective));
-    EXPECT_NEAR(a->objective, b->objective, 1e-7 * scale)
-        << "trial " << trial;
-    EXPECT_NEAR(m.MaxViolation(b->x), 0.0, 1e-6) << "trial " << trial;
-    CheckDualKkt(m, *b, 1e-6);
-    // The exact-postsolve guarantee: restored basis is optimal as-is.
-    auto re = SolveLp(m, plain, &b->basis);
-    ASSERT_TRUE(re.ok()) << "trial " << trial;
-    EXPECT_TRUE(re->warm_started) << "trial " << trial;
-    EXPECT_NEAR(re->objective, a->objective, 1e-7 * scale);
-    if (re->iterations == 0) ++zero_pivot;
-  }
-  EXPECT_GE(solved, 15);
-  // Zero pivots on the vast majority; the rest may take a couple of
-  // degenerate pivots on alternate-optimum ties.
-  EXPECT_GE(zero_pivot, solved * 9 / 10);
-}
-
-TEST(PresolveTest, ReducesAndPostsolvesPaperExampleCompactLp) {
-  for (double lambda : {0.3, 0.5, 0.7}) {
-    SvgicInstance inst = MakePaperExample(lambda);
-    inst.FinalizePairs();
-    CompactLpMap map;
-    auto lp = BuildCompactLp(inst, &map);
-    ASSERT_TRUE(lp.ok()) << lp.status();
-    SimplexOptions plain;
-    SimplexOptions with_pre;
-    with_pre.presolve = true;
-    auto a = SolveLp(*lp, plain);
-    auto b = SolveLp(*lp, with_pre);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_NEAR(a->objective, b->objective, 1e-8) << "lambda " << lambda;
-    EXPECT_NEAR(lp->MaxViolation(b->x), 0.0, 1e-7);
-    CheckDualKkt(*lp, *b, 1e-6);
-    // The paper example is tiny and socially dense - every column sits in
-    // some interest pair - so nothing is removable and presolve must be an
-    // exact no-op (the generated-dataset test below covers real shrink).
-    auto re = SolveLp(*lp, plain, &b->basis);
-    ASSERT_TRUE(re.ok());
-    EXPECT_EQ(re->iterations, 0) << "lambda " << lambda;
-    EXPECT_NEAR(re->objective, a->objective, 1e-8);
-  }
-}
-
-TEST(PresolveTest, ShrinksGeneratedCompactLpExactly) {
-  // A generated Yelp-style instance: most items are social-free, so each
-  // user's x_u^c block is a big parallel-column group and presolve keeps
-  // only the columns that can appear in some optimum. Objective, duals
-  // and the 0-pivot re-solve must survive the reduction exactly.
-  DatasetParams params;
-  params.kind = DatasetKind::kYelp;
-  params.num_users = 10;
-  params.num_items = 500;
-  params.num_slots = 5;
-  params.seed = 8;
-  auto inst = GenerateDataset(params);
-  ASSERT_TRUE(inst.ok()) << inst.status();
-  CompactLpMap map;
-  auto lp = BuildCompactLp(*inst, &map);
-  ASSERT_TRUE(lp.ok()) << lp.status();
-
-  auto pre = PresolveLp(*lp);
-  ASSERT_TRUE(pre.ok()) << pre.status();
-  EXPECT_GT(pre->stats().parallel_cols, 0);
-  EXPECT_LT(pre->reduced().num_vars(), lp->num_vars());
-
-  SimplexOptions plain;
-  SimplexOptions with_pre;
-  with_pre.presolve = true;
-  auto a = SolveLp(*lp, plain);
-  auto b = SolveLp(*lp, with_pre);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  const double scale = std::max(1.0, std::abs(a->objective));
-  EXPECT_NEAR(a->objective, b->objective, 1e-9 * scale);
-  EXPECT_GT(b->stats.presolve_cols_removed, 0);
-  EXPECT_NEAR(lp->MaxViolation(b->x), 0.0, 1e-7);
-  CheckDualKkt(*lp, *b, 1e-6);
-  auto re = SolveLp(*lp, plain, &b->basis);
-  ASSERT_TRUE(re.ok());
-  EXPECT_EQ(re->iterations, 0);
-  EXPECT_NEAR(re->objective, a->objective, 1e-9 * scale);
-}
-
-TEST(PresolveTest, SingletonRowBecomesBoundWithExactDual) {
-  // max 3x + 2y  s.t.  x <= 2 (singleton), x + y <= 5, x,y in [0, 10].
-  // Presolve folds the singleton row into x's bound; postsolve must
-  // restore its dual (3 - y_row2 = 3 - 2 = 1) and a basis that
-  // re-solves in zero pivots.
-  LpModel m;
-  int x = m.AddVariable(0, 10, 3);
-  int y = m.AddVariable(0, 10, 2);
-  int r_single = m.AddRow(RowType::kLessEqual, 2, {{x, 1.0}});
-  m.AddRow(RowType::kLessEqual, 5, {{x, 1.0}, {y, 1.0}});
-
-  auto pre = PresolveLp(m);
-  ASSERT_TRUE(pre.ok()) << pre.status();
-  EXPECT_EQ(pre->stats().singleton_rows, 1);
-  EXPECT_EQ(pre->reduced().num_rows(), m.num_rows() - 1);
-
-  SimplexOptions with_pre;
-  with_pre.presolve = true;
-  auto sol = SolveLp(m, with_pre);
-  ASSERT_TRUE(sol.ok()) << sol.status();
-  EXPECT_NEAR(sol->objective, 12.0, 1e-9);  // x=2, y=3
-  EXPECT_NEAR(sol->x[x], 2.0, 1e-9);
-  EXPECT_NEAR(sol->x[y], 3.0, 1e-9);
-  ASSERT_EQ(static_cast<int>(sol->dual_values.size()), 2);
-  EXPECT_NEAR(sol->dual_values[r_single], 1.0, 1e-9);
-  EXPECT_NEAR(sol->dual_values[1], 2.0, 1e-9);
-  auto re = SolveLp(m, {}, &sol->basis);
-  ASSERT_TRUE(re.ok());
-  EXPECT_EQ(re->iterations, 0);
-}
-
-TEST(PresolveTest, ProvesInfeasibilityFromFixedColumns) {
-  // x fixed at 2 makes the row 2 <= 1 empty and impossible.
-  LpModel m;
-  int x = m.AddVariable(2, 2, 1);
-  m.AddRow(RowType::kLessEqual, 1, {{x, 1.0}});
-  auto pre = PresolveLp(m);
-  EXPECT_FALSE(pre.ok());
-  EXPECT_EQ(pre.status().code(), StatusCode::kInfeasible);
-  SimplexOptions with_pre;
-  with_pre.presolve = true;
-  auto sol = SolveLp(m, with_pre);
-  EXPECT_FALSE(sol.ok());
-  EXPECT_EQ(sol.status().code(), StatusCode::kInfeasible);
-}
-
-TEST(PresolveTest, MapBasisRoundTripsThroughWarmStart) {
-  // A parent solve's basis, mapped through presolve, must still warm
-  // start the reduced model (shape compatibility).
-  Rng rng(1717);
-  LpModel m = RandomLp(&rng, 12, 8);
-  auto parent = SolveLp(m);
-  if (!parent.ok()) GTEST_SKIP() << "random instance unsolvable";
-  auto pre = PresolveLp(m);
-  ASSERT_TRUE(pre.ok()) << pre.status();
-  LpBasis mapped = pre->MapBasis(parent->basis);
-  EXPECT_TRUE(
-      mapped.Compatible(pre->reduced().num_vars(), pre->reduced().num_rows()));
-  SimplexOptions with_pre;
-  with_pre.presolve = true;
-  auto warm = SolveLp(m, with_pre, &parent->basis);
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_NEAR(warm->objective, parent->objective, 1e-7);
-}
-
 // --- Dual Devex row pricing ------------------------------------------------
 
-TEST(DualDevexTest, MatchesMaxViolationObjectiveWithFewerPivots) {
+TEST(DualDevexTest, MultiBoundRepairMatchesColdSolve) {
   // Heavier B&B-child-style repairs (several tightened bounds at once) on
-  // always-feasible packing LPs: both leaving-row rules must land on the
-  // same objective, and dual Devex must not pivot more in aggregate (the
-  // bench workload's CI gate holds the ratio at <= 0.85).
+  // always-feasible packing LPs: the dual Devex repair must land on the
+  // cold optimum with KKT-valid duals.
   Rng rng(555);
-  int64_t devex_total = 0, maxviol_total = 0;
+  int64_t devex_total = 0;
   int repaired = 0;
   for (int trial = 0; trial < 30; ++trial) {
     LpModel m;
@@ -1141,26 +972,24 @@ TEST(DualDevexTest, MatchesMaxViolationObjectiveWithFewerPivots) {
       }
     }
     if (changed == 0) continue;
-    SimplexOptions devex_opt;
-    devex_opt.warm_start_mode = WarmStartMode::kDual;
-    devex_opt.dual_row_pricing = DualRowPricing::kDevex;
-    SimplexOptions maxviol_opt;
-    maxviol_opt.warm_start_mode = WarmStartMode::kDual;
-    maxviol_opt.dual_row_pricing = DualRowPricing::kMaxViolation;
-    auto a = SolveLp(m, devex_opt, &parent->basis);
-    auto b = SolveLp(m, maxviol_opt, &parent->basis);
-    ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial << ": devex "
-                              << a.status() << " maxviol " << b.status();
-    if (!a.ok()) continue;
-    EXPECT_NEAR(a->objective, b->objective, 1e-6) << "trial " << trial;
-    if (a->dual_simplex_used && b->dual_simplex_used) {
+    auto warm = SolveLp(m, {}, &parent->basis);
+    auto cold = SolveLp(m);
+    ASSERT_EQ(warm.ok(), cold.ok()) << "trial " << trial << ": warm "
+                                    << warm.status() << " cold "
+                                    << cold.status();
+    if (!warm.ok()) continue;
+    EXPECT_NEAR(warm->objective, cold->objective, 1e-6) << "trial " << trial;
+    CheckDualKkt(m, *warm, 1e-6);
+    if (warm->dual_simplex_used) {
       ++repaired;
-      devex_total += a->stats.dual_pivots;
-      maxviol_total += b->stats.dual_pivots;
+      devex_total += warm->stats.dual_pivots;
     }
   }
   EXPECT_GT(repaired, 20);
-  EXPECT_LE(devex_total, maxviol_total);
+  // Exact pin (the fixtures draw only Rng::Uniform and Bernoulli, so no
+  // libm call can move it). The max-violation row rule this replaced took
+  // 195 dual pivots over the same repairs.
+  EXPECT_EQ(devex_total, 189);
 }
 
 // --- Eta kernels and adaptive refactorization ------------------------------

@@ -733,20 +733,20 @@ TEST(ServeTraceTest, ForcedResolveCollectsNestedSpans) {
   const int apply = FindSpan(trace, "session.apply");
   const int build = FindSpan(trace, "lp.build");
   const int solve = FindSpan(trace, "lp.solve");
-  const int presolve = FindSpan(trace, "lp.presolve");
+  const int setup = FindSpan(trace, "lp.setup");
   const int round = FindSpan(trace, "csf.round");
   ASSERT_GE(wait, 0);
   ASSERT_GE(apply, 0);
   ASSERT_GE(build, 0);
   ASSERT_GE(solve, 0);
-  ASSERT_GE(presolve, 0);
+  ASSERT_GE(setup, 0);
   ASSERT_GE(round, 0);
   EXPECT_EQ(trace.spans[wait].parent, -1);
   EXPECT_EQ(trace.spans[apply].parent, -1);
   EXPECT_EQ(trace.spans[build].parent, apply);
   EXPECT_EQ(trace.spans[solve].parent, apply);
-  EXPECT_EQ(trace.spans[presolve].parent, solve);
-  EXPECT_TRUE(trace.spans[presolve].bridged);
+  EXPECT_EQ(trace.spans[setup].parent, solve);
+  EXPECT_TRUE(trace.spans[setup].bridged);
   EXPECT_EQ(trace.spans[round].parent, apply);
   // Every LP phase child is present even when a phase did no work.
   for (const char* phase : {"lp.setup", "lp.pricing", "lp.ratio_test",

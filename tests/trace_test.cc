@@ -166,17 +166,17 @@ TEST(TracerTest, FinishFoldsStageHistograms) {
   auto ctx = tracer.Sample(false, 1, 0, "resolve");
   ASSERT_NE(ctx, nullptr);
   ctx->AddSpan("admission.wait", -1, 0, 1000000);
-  ctx->AddSpan("lp.presolve", -1, 0, 2000000);  // no stage histogram
+  ctx->AddSpan("lp.setup", -1, 0, 2000000);  // no stage histogram
   ctx->AddSpan("lp.solve", -1, 0, 3000000);
   ctx->AddSpan("shard.solve", -1, 0, 4000000);
   ctx->AddSpan("csf.round", -1, 0, 5000000);
   ctx->AddSpan("coalesce.defer", -1, 0, 6000000);
   ctx->AddSpan("session.apply", -1, 0, 7000000);  // no stage histogram
   tracer.Finish(ctx, "ok");
-  // Serving runs without presolve, so no stage histogram takes that span
-  // (the exact counts below show no other stage absorbed it either).
+  // An LP phase child such as lp.setup gets no stage histogram of its
+  // own (the exact counts below show no other stage absorbed it either).
   for (const auto& [name, hist] : metrics.Histograms()) {
-    EXPECT_NE(name, "serve.stage.presolve");
+    EXPECT_NE(name, "serve.stage.setup");
   }
   EXPECT_EQ(metrics.GetHistogram("serve.stage.admission")->count(), 1);
   EXPECT_EQ(metrics.GetHistogram("serve.stage.solve")->count(), 2);
