@@ -19,10 +19,8 @@
 //     second CI pivot ceiling.
 //  4. Eta-file management — a long serving-style mutation stream
 //     (>= 2000 warm resolves with periodic cold re-solves) under the
-//     adaptive refactorization policy vs a fixed interval vs no
-//     refactorization at all. The adaptive policy's work counters keep
-//     the eta chain — and with it the ftran/btran cost per pivot —
-//     bounded, where the unmanaged chain grows with the solve length.
+//     adaptive refactorization rule, whose work counters keep the eta
+//     chain — and with it the ftran/btran cost per pivot — bounded.
 //
 // Cold objectives are cross-checked between the pricing modes and every
 // warm repair is KKT-audited (lp/kkt.h); a failure prints loudly (the
@@ -286,10 +284,8 @@ void PrintBanWaves(const ColdRun& parent, const LpModel& lp) {
 /// window, so the LP keeps its shape) and warm-resolves from the previous
 /// basis; every 250th resolve is forced cold, the serving fallback where
 /// a solve runs thousands of pivots and an unmanaged eta chain hurts.
-/// Policies compared: adaptive (the default triggers), fixed interval 256
-/// (the PR 2-5 behavior), and unmanaged (interval 2^30: the eta chain only
-/// dies at the start-of-solve factorization). Kernel us/pivot is the
-/// bounded-vs-growing observable.
+/// The adaptive refactorization rule is the only one the engine has;
+/// kernel us/pivot and the max eta chain show it stays bounded.
 void PrintServingStream(const LpModel& lp) {
   constexpr int kResolves = 2000;
   constexpr int kColdEvery = 250;
@@ -298,92 +294,63 @@ void PrintServingStream(const LpModel& lp) {
   for (int j = 0; j < lp.num_vars(); ++j) {
     if (lp.lower(j) == 0.0 && lp.upper(j) == 1.0) bannable.push_back(j);
   }
-  struct Policy {
-    const char* label;
-    RefactorPolicy policy;
-    int interval;
-  };
-  const Policy policies[] = {
-      {"adaptive", RefactorPolicy::kAdaptive, 256},
-      {"fixed-256", RefactorPolicy::kFixedInterval, 256},
-      {"unmanaged", RefactorPolicy::kFixedInterval, 1 << 30},
-  };
+  Rng rng(7);
+  LpModel work = lp;
+  std::deque<int> banned;
+  LpBasis basis;
+  bool have_basis = false;
+  int64_t pivots = 0, refactors = 0, max_eta = 0;
+  int resolves = 0;
+  double kernel_seconds = 0.0;
+  Timer stream_timer;
+  for (int step = 0; step < kResolves; ++step) {
+    const int j = bannable[rng.UniformInt(
+        static_cast<uint64_t>(bannable.size()))];
+    work.SetBounds(j, 0.0, 0.0);
+    banned.push_back(j);
+    if (static_cast<int>(banned.size()) > kBanWindow) {
+      work.SetBounds(banned.front(), 0.0, 1.0);
+      banned.pop_front();
+    }
+    const bool cold = step % kColdEvery == 0;
+    auto sol = SolveLp(work, SimplexOptions{},
+                       have_basis && !cold ? &basis : nullptr);
+    if (!sol.ok()) {
+      have_basis = false;
+      continue;
+    }
+    basis = sol->basis;
+    have_basis = true;
+    pivots += sol->iterations;
+    refactors += sol->stats.refactorizations;
+    max_eta = std::max(max_eta, sol->stats.eta_count);
+    kernel_seconds += sol->stats.ftran_seconds + sol->stats.btran_seconds;
+    ++resolves;
+  }
+  const double total_seconds = stream_timer.ElapsedSeconds();
   Table t({"policy", "resolves", "pivots", "refactors", "max eta chain",
            "kernel (s)", "kernel us/pivot", "total (s)"});
-  std::vector<double> reference_objectives;
-  for (const Policy& policy : policies) {
-    SimplexOptions options;
-    options.refactor_policy = policy.policy;
-    options.refactor_interval = policy.interval;
-    Rng rng(7);  // same seed per policy: identical mutation streams
-    LpModel work = lp;
-    std::deque<int> banned;
-    LpBasis basis;
-    bool have_basis = false;
-    int64_t pivots = 0, refactors = 0, max_eta = 0;
-    int resolves = 0, mismatches = 0;
-    double kernel_seconds = 0.0;
-    Timer stream_timer;
-    for (int step = 0; step < kResolves; ++step) {
-      const int j = bannable[rng.UniformInt(
-          static_cast<uint64_t>(bannable.size()))];
-      work.SetBounds(j, 0.0, 0.0);
-      banned.push_back(j);
-      if (static_cast<int>(banned.size()) > kBanWindow) {
-        work.SetBounds(banned.front(), 0.0, 1.0);
-        banned.pop_front();
-      }
-      const bool cold = step % kColdEvery == 0;
-      auto sol = SolveLp(work, options,
-                         have_basis && !cold ? &basis : nullptr);
-      if (!sol.ok()) {
-        have_basis = false;
-        continue;
-      }
-      basis = sol->basis;
-      have_basis = true;
-      pivots += sol->iterations;
-      refactors += sol->stats.refactorizations;
-      max_eta = std::max(max_eta, sol->stats.eta_count);
-      kernel_seconds += sol->stats.ftran_seconds + sol->stats.btran_seconds;
-      ++resolves;
-      if (&policy == &policies[0]) {
-        reference_objectives.push_back(sol->objective);
-      } else if (step < static_cast<int>(reference_objectives.size()) &&
-                 !ObjectivesMatch(reference_objectives[step],
-                                  sol->objective)) {
-        ++mismatches;
-      }
-    }
-    if (mismatches > 0) {
-      std::cerr << "OBJECTIVE MISMATCH on serving stream (" << policy.label
-                << "): " << mismatches << " steps differ from adaptive\n";
-    }
-    const double total_seconds = stream_timer.ElapsedSeconds();
-    t.NewRow()
-        .Add(policy.label)
-        .Add(static_cast<int64_t>(resolves))
-        .Add(pivots)
-        .Add(refactors)
-        .Add(max_eta)
-        .Add(FormatDouble(kernel_seconds, 3))
-        .Add(pivots > 0
-                 ? FormatDouble(1e6 * kernel_seconds / pivots, 2)
-                 : std::string("-"))
-        .Add(FormatDouble(total_seconds, 3));
-    const std::string prefix =
-        std::string("lp engine | serving stream ");
-    benchutil::RecordMetric(prefix + "kernel seconds - " + policy.label,
-                            kernel_seconds);
-    benchutil::RecordMetric(prefix + "max eta chain - " + policy.label,
-                            static_cast<double>(max_eta));
-    benchutil::RecordMetric(prefix + "refactorizations - " + policy.label,
-                            static_cast<double>(refactors));
-    benchutil::RecordMetric(prefix + "total seconds - " + policy.label,
-                            total_seconds);
-  }
+  t.NewRow()
+      .Add("adaptive")
+      .Add(static_cast<int64_t>(resolves))
+      .Add(pivots)
+      .Add(refactors)
+      .Add(max_eta)
+      .Add(FormatDouble(kernel_seconds, 3))
+      .Add(pivots > 0 ? FormatDouble(1e6 * kernel_seconds / pivots, 2)
+                      : std::string("-"))
+      .Add(FormatDouble(total_seconds, 3));
+  const std::string prefix = "lp engine | serving stream ";
+  benchutil::RecordMetric(prefix + "kernel seconds - adaptive",
+                          kernel_seconds);
+  benchutil::RecordMetric(prefix + "max eta chain - adaptive",
+                          static_cast<double>(max_eta));
+  benchutil::RecordMetric(prefix + "refactorizations - adaptive",
+                          static_cast<double>(refactors));
+  benchutil::RecordMetric(prefix + "total seconds - adaptive",
+                          total_seconds);
   t.Print("LP engine: eta-file management over a 2000-resolve serving "
-          "stream, adaptive vs fixed vs unmanaged refactorization "
+          "stream, adaptive refactorization "
           "(m=10000 compact LP, cold resolve every 250)");
 }
 

@@ -152,50 +152,41 @@ void PrintScaleSweep() {
   t.Print("Batch scale: AVG-SHARD vs monolithic AVG (Yelp, lambda=0.5)");
 }
 
-/// Polyak vs fixed-diminishing dual steps: identical instance and plan,
-/// only the step schedule differs. Rounds-to-gap (and the reached gap)
-/// land in the JSON artifact — the ROADMAP PR 4 follow-up asked for this
-/// measured before/after.
+/// Rounds-to-gap of the Polyak dual steps; rounds and the reached gap
+/// land in the JSON artifact.
 void PrintDualSchedule() {
   auto inst = GenerateDataset(ScaleParams(120, 400, 5, 31));
   if (!inst.ok()) {
     std::cerr << inst.status() << "\n";
     return;
   }
+  ShardSolveOptions options;
+  benchutil::ApplyShardOverrides(&options);
+  options.max_dual_rounds = 24;
+  // This instance's intrinsic Lagrangian gap is ~4.5% (the bound cannot
+  // meet the stitched primal no matter the duals), so rounds-to-gap is
+  // measured against a reachable 7.5%.
+  options.gap_tolerance = 0.075;
+  auto result = SolveSharded(*inst, options);
+  if (!result.ok()) {
+    std::cerr << "sharded solve failed: " << result.status() << "\n";
+    return;
+  }
+  const ShardSolveStats& stats = result->stats;
   Table t({"schedule", "dual rounds", "gap", "dual bound", "primal",
            "LP (s)"});
-  for (const bool polyak : {true, false}) {
-    ShardSolveOptions options;
-    benchutil::ApplyShardOverrides(&options);
-    options.polyak_dual_steps = polyak;
-    options.max_dual_rounds = 24;
-    // This instance's intrinsic Lagrangian gap is ~4.5% (the bound cannot
-    // meet the stitched primal no matter the duals), so rounds-to-gap is
-    // measured against a reachable 7.5%: Polyak reaches it in ~2 rounds,
-    // the fixed schedule needs ~6.
-    options.gap_tolerance = 0.075;
-    auto result = SolveSharded(*inst, options);
-    if (!result.ok()) {
-      std::cerr << "sharded solve failed: " << result.status() << "\n";
-      continue;
-    }
-    const ShardSolveStats& stats = result->stats;
-    const std::string name = polyak ? "polyak" : "fixed 1/sqrt(round)";
-    t.NewRow()
-        .Add(name)
-        .Add(static_cast<int64_t>(stats.dual_rounds))
-        .Add(FormatPercent(stats.gap))
-        .Add(stats.dual_bound, 1)
-        .Add(stats.primal_objective, 1)
-        .Add(FormatDouble(stats.lp_seconds, 3));
-    benchutil::RecordMetric(
-        "shard scale | dual rounds to gap (" + name + ")",
-        static_cast<double>(stats.dual_rounds));
-    benchutil::RecordMetric("shard scale | dual gap reached (" + name + ")",
-                            stats.gap);
-  }
-  t.Print("Dual coordination: Polyak vs fixed step schedule "
-          "(n=120, m=400, gap tol 7.5%)");
+  t.NewRow()
+      .Add("polyak")
+      .Add(static_cast<int64_t>(stats.dual_rounds))
+      .Add(FormatPercent(stats.gap))
+      .Add(stats.dual_bound, 1)
+      .Add(stats.primal_objective, 1)
+      .Add(FormatDouble(stats.lp_seconds, 3));
+  benchutil::RecordMetric("shard scale | dual rounds to gap (polyak)",
+                          static_cast<double>(stats.dual_rounds));
+  benchutil::RecordMetric("shard scale | dual gap reached (polyak)",
+                          stats.gap);
+  t.Print("Dual coordination: Polyak steps (n=120, m=400, gap tol 7.5%)");
 }
 
 struct OnlineReplay {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 
 namespace savg {
@@ -22,36 +23,6 @@ constexpr size_t kHeaderBytes = 4 + 4 + 4 + 4 + 8;
 /// A single encoded command is ~25 bytes; anything near this is a corrupt
 /// length field, not a record.
 constexpr uint32_t kMaxRecordBytes = 1 << 20;
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint32_t ReadU32(const char* data) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* data) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 Status WriteAll(int fd, const char* data, size_t size,
                 const std::string& path) {
@@ -159,10 +130,10 @@ Result<std::unique_ptr<ChangelogWriter>> ChangelogWriter::Create(
   }
   std::string header;
   header.append(kChangelogMagic, sizeof(kChangelogMagic));
-  AppendU32(kChangelogVersion, &header);
-  AppendU32(session_id, &header);
-  AppendU32(epoch, &header);
-  AppendU64(first_seq, &header);
+  PutU32(kChangelogVersion, &header);
+  PutU32(session_id, &header);
+  PutU32(epoch, &header);
+  PutU64(first_seq, &header);
   Status written = WriteAll(fd, header.data(), header.size(), path);
   // The header fsync makes the epoch file itself durable, so a later torn
   // HEADER is (nearly) impossible — only record tails can tear.
@@ -186,8 +157,8 @@ Status ChangelogWriter::Append(const SessionCommand& command, bool resolved) {
   EncodeCommand(command, &payload);
   std::string record;
   record.reserve(8 + payload.size());
-  AppendU32(static_cast<uint32_t>(payload.size()), &record);
-  AppendU32(Crc32(payload.data(), payload.size()), &record);
+  PutU32(static_cast<uint32_t>(payload.size()), &record);
+  PutU32(Crc32(payload.data(), payload.size()), &record);
   record += payload;
   SAVG_RETURN_NOT_OK(WriteAll(fd_, record.data(), record.size(), path_));
   ++appended_;
@@ -258,36 +229,36 @@ Result<ChangelogContents> ReadChangelogFile(const std::string& path) {
     contents.tail_error = "truncated header";
     return contents;
   }
-  contents.version = ReadU32(data.data() + 4);
-  contents.session_id = ReadU32(data.data() + 8);
-  contents.epoch = ReadU32(data.data() + 12);
-  contents.first_seq = ReadU64(data.data() + 16);
+  ByteReader bytes(data.data() + sizeof(kChangelogMagic),
+                   data.size() - sizeof(kChangelogMagic));
+  bytes.ReadU32(&contents.version);
+  bytes.ReadU32(&contents.session_id);
+  bytes.ReadU32(&contents.epoch);
+  bytes.ReadU64(&contents.first_seq);
   if (contents.version != kChangelogVersion) {
     return Status::InvalidArgument(
         path + ": unsupported changelog version " +
         std::to_string(contents.version));
   }
-  size_t offset = kHeaderBytes;
-  contents.valid_bytes = offset;
-  while (offset < data.size()) {
-    if (data.size() - offset < 8) {
+  contents.valid_bytes = kHeaderBytes;
+  while (bytes.remaining() > 0) {
+    uint32_t len = 0, crc = 0;
+    if (!bytes.ReadU32(&len) || !bytes.ReadU32(&crc)) {
       contents.torn_tail = true;
       contents.tail_error = "truncated record header";
       break;
     }
-    const uint32_t len = ReadU32(data.data() + offset);
-    const uint32_t crc = ReadU32(data.data() + offset + 4);
     if (len == 0 || len > kMaxRecordBytes) {
       contents.torn_tail = true;
       contents.tail_error = "corrupt record length";
       break;
     }
-    if (data.size() - offset - 8 < len) {
+    const char* payload = nullptr;
+    if (!bytes.ReadBytes(len, &payload)) {
       contents.torn_tail = true;
       contents.tail_error = "truncated record payload";
       break;
     }
-    const char* payload = data.data() + offset + 8;
     if (Crc32(payload, len) != crc) {
       contents.torn_tail = true;
       contents.tail_error = "record CRC mismatch";
@@ -302,8 +273,7 @@ Result<ChangelogContents> ReadChangelogFile(const std::string& path) {
       break;
     }
     contents.commands.push_back(*command);
-    offset += 8 + len;
-    contents.valid_bytes = offset;
+    contents.valid_bytes = data.size() - bytes.remaining();
   }
   return contents;
 }

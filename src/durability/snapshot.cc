@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 
 namespace savg {
@@ -20,161 +22,54 @@ constexpr uint32_t kStateVersion = 1;
 /// magic + version + session_id + epoch + applied_seq + payload_len
 /// + payload_crc + header_crc.
 constexpr size_t kSnapshotHeaderBytes = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4;
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint32_t FloatBits(float f) {
-  uint32_t bits = 0;
-  std::memcpy(&bits, &f, sizeof(bits));
-  return bits;
-}
-
-float FloatFromBits(uint32_t bits) {
-  float f = 0.0f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double DoubleFromBits(uint64_t bits) {
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-/// Bounds-checked little-endian cursor over an encoded payload.
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU8(uint8_t* out) {
-    if (size_ - pos_ < 1) return Fail();
-    *out = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool ReadU32(uint32_t* out) {
-    if (size_ - pos_ < 4) return Fail();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* out) {
-    if (size_ - pos_ < 8) return Fail();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool ReadBytes(char* out, size_t count) {
-    if (size_ - pos_ < count) return Fail();
-    std::memcpy(out, data_ + pos_, count);
-    pos_ += count;
-    return true;
-  }
-
-  /// A u32 count with a remaining-bytes plausibility bound: each counted
-  /// element occupies at least `min_bytes_each`, so a corrupt huge count
-  /// fails here instead of in a giant allocation.
-  bool ReadCount(uint32_t* out, size_t min_bytes_each) {
-    if (!ReadU32(out)) return false;
-    if (min_bytes_each > 0 &&
-        static_cast<uint64_t>(*out) >
-            static_cast<uint64_t>(size_ - pos_) / min_bytes_each) {
-      return Fail();
-    }
-    return true;
-  }
-
-  bool failed() const { return failed_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+/// Decoded dimensions become ints (UserId, ItemId, SlotId).
+constexpr uint32_t kMaxDim = std::numeric_limits<int>::max();
 
 void EncodeItemValues(const std::vector<ItemValue>& entries,
                       std::string* out) {
-  AppendU32(static_cast<uint32_t>(entries.size()), out);
+  PutU32(static_cast<uint32_t>(entries.size()), out);
   for (const ItemValue& e : entries) {
-    AppendU32(static_cast<uint32_t>(e.item), out);
-    AppendU32(FloatBits(e.value), out);
+    PutU32(static_cast<uint32_t>(e.item), out);
+    PutF32(e.value, out);
   }
 }
 
-bool DecodeItemValues(Reader* in, std::vector<ItemValue>* out) {
+bool DecodeItemValues(ByteReader* in, std::vector<ItemValue>* out) {
   uint32_t count = 0;
   if (!in->ReadCount(&count, 8)) return false;
   out->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t item = 0, bits = 0;
-    if (!in->ReadU32(&item) || !in->ReadU32(&bits)) return false;
+    uint32_t item = 0;
+    if (!in->ReadU32(&item) || !in->ReadF32(&(*out)[i].value)) return false;
     (*out)[i].item = static_cast<ItemId>(item);
-    (*out)[i].value = FloatFromBits(bits);
   }
   return true;
 }
 
 void EncodeFloats(const std::vector<float>& values, std::string* out) {
-  AppendU32(static_cast<uint32_t>(values.size()), out);
-  for (float f : values) AppendU32(FloatBits(f), out);
+  PutU32(static_cast<uint32_t>(values.size()), out);
+  for (float f : values) PutF32(f, out);
 }
 
-bool DecodeFloats(Reader* in, std::vector<float>* out) {
+bool DecodeFloats(ByteReader* in, std::vector<float>* out) {
   uint32_t count = 0;
   if (!in->ReadCount(&count, 4)) return false;
   out->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t bits = 0;
-    if (!in->ReadU32(&bits)) return false;
-    (*out)[i] = FloatFromBits(bits);
+    if (!in->ReadF32(&(*out)[i])) return false;
   }
   return true;
 }
 
 void EncodeBasisSide(const std::vector<VarBasisStatus>& side,
                      std::string* out) {
-  AppendU32(static_cast<uint32_t>(side.size()), out);
+  PutU32(static_cast<uint32_t>(side.size()), out);
   for (VarBasisStatus s : side) {
-    out->push_back(static_cast<char>(static_cast<uint8_t>(s)));
+    PutU8(static_cast<uint8_t>(s), out);
   }
 }
 
-bool DecodeBasisSide(Reader* in, std::vector<VarBasisStatus>* out) {
+bool DecodeBasisSide(ByteReader* in, std::vector<VarBasisStatus>* out) {
   uint32_t count = 0;
   if (!in->ReadCount(&count, 1)) return false;
   out->resize(count);
@@ -210,26 +105,26 @@ Status SyncDirectory(const std::string& dir) {
 }  // namespace
 
 void EncodeSessionState(const SessionState& state, std::string* out) {
-  AppendU32(kStateVersion, out);
+  PutU32(kStateVersion, out);
 
   // --- instance -----------------------------------------------------------
   const SvgicInstance& inst = state.instance;
   const SocialGraph& graph = inst.graph();
   const int n = inst.num_users();
   const int m = inst.num_items();
-  AppendU32(static_cast<uint32_t>(n), out);
-  AppendU32(static_cast<uint32_t>(m), out);
-  AppendU32(static_cast<uint32_t>(inst.num_slots()), out);
-  AppendU64(DoubleBits(inst.lambda()), out);
-  AppendU32(static_cast<uint32_t>(graph.num_edges()), out);
+  PutU32(static_cast<uint32_t>(n), out);
+  PutU32(static_cast<uint32_t>(m), out);
+  PutU32(static_cast<uint32_t>(inst.num_slots()), out);
+  PutF64(inst.lambda(), out);
+  PutU32(static_cast<uint32_t>(graph.num_edges()), out);
   for (const Edge& e : graph.edges()) {
-    AppendU32(static_cast<uint32_t>(e.u), out);
-    AppendU32(static_cast<uint32_t>(e.v), out);
+    PutU32(static_cast<uint32_t>(e.u), out);
+    PutU32(static_cast<uint32_t>(e.v), out);
   }
   for (UserId u = 0; u < n; ++u) {
     for (ItemId c = 0; c < m; ++c) {
       // p() widens the stored float; the narrowing cast recovers it exactly.
-      AppendU32(FloatBits(static_cast<float>(inst.p(u, c))), out);
+      PutF32(static_cast<float>(inst.p(u, c)), out);
     }
   }
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
@@ -237,50 +132,50 @@ void EncodeSessionState(const SessionState& state, std::string* out) {
   }
   EncodeFloats(inst.commodity_values(), out);
   EncodeFloats(inst.slot_weights(), out);
-  AppendU32(static_cast<uint32_t>(inst.finalized_edge_count()), out);
-  AppendU32(static_cast<uint32_t>(inst.pairs().size()), out);
+  PutU32(static_cast<uint32_t>(inst.finalized_edge_count()), out);
+  PutU32(static_cast<uint32_t>(inst.pairs().size()), out);
   for (const FriendPair& pair : inst.pairs()) {
-    AppendU32(static_cast<uint32_t>(pair.u), out);
-    AppendU32(static_cast<uint32_t>(pair.v), out);
-    AppendU32(static_cast<uint32_t>(pair.uv), out);
-    AppendU32(static_cast<uint32_t>(pair.vu), out);
+    PutU32(static_cast<uint32_t>(pair.u), out);
+    PutU32(static_cast<uint32_t>(pair.v), out);
+    PutU32(static_cast<uint32_t>(pair.uv), out);
+    PutU32(static_cast<uint32_t>(pair.vu), out);
     EncodeItemValues(pair.weights, out);
   }
 
   // --- served configuration ----------------------------------------------
   const Configuration& config = state.config;
-  AppendU32(static_cast<uint32_t>(config.num_users()), out);
-  AppendU32(static_cast<uint32_t>(config.num_slots()), out);
-  AppendU32(static_cast<uint32_t>(config.num_items()), out);
+  PutU32(static_cast<uint32_t>(config.num_users()), out);
+  PutU32(static_cast<uint32_t>(config.num_slots()), out);
+  PutU32(static_cast<uint32_t>(config.num_items()), out);
   for (UserId u = 0; u < config.num_users(); ++u) {
     for (SlotId s = 0; s < config.num_slots(); ++s) {
-      AppendU32(static_cast<uint32_t>(config.At(u, s)), out);
+      PutU32(static_cast<uint32_t>(config.At(u, s)), out);
     }
   }
 
   // --- cached basis + keys ------------------------------------------------
   EncodeBasisSide(state.basis.structural, out);
   EncodeBasisSide(state.basis.logical, out);
-  AppendU32(static_cast<uint32_t>(state.keys.cols.size()), out);
-  for (uint64_t key : state.keys.cols) AppendU64(key, out);
-  AppendU32(static_cast<uint32_t>(state.keys.rows.size()), out);
-  for (uint64_t key : state.keys.rows) AppendU64(key, out);
-  out->push_back(state.valid_basis ? 1 : 0);
-  AppendU32(static_cast<uint32_t>(state.num_resolves), out);
+  PutU32(static_cast<uint32_t>(state.keys.cols.size()), out);
+  for (uint64_t key : state.keys.cols) PutU64(key, out);
+  PutU32(static_cast<uint32_t>(state.keys.rows.size()), out);
+  for (uint64_t key : state.keys.rows) PutU64(key, out);
+  PutU8(state.valid_basis ? 1 : 0, out);
+  PutU32(static_cast<uint32_t>(state.num_resolves), out);
 
   // --- rounding RNG -------------------------------------------------------
-  for (int i = 0; i < 4; ++i) AppendU64(state.rng.s[i], out);
-  out->push_back(state.rng.has_cached_normal ? 1 : 0);
-  AppendU64(DoubleBits(state.rng.cached_normal), out);
+  for (int i = 0; i < 4; ++i) PutU64(state.rng.s[i], out);
+  PutU8(state.rng.has_cached_normal ? 1 : 0, out);
+  PutF64(state.rng.cached_normal, out);
 
   // --- dirty flags --------------------------------------------------------
-  AppendU32(static_cast<uint32_t>(state.dirty.size()), out);
+  PutU32(static_cast<uint32_t>(state.dirty.size()), out);
   out->append(state.dirty.data(), state.dirty.size());
-  out->push_back(state.all_dirty ? 1 : 0);
+  PutU8(state.all_dirty ? 1 : 0, out);
 }
 
 Result<SessionState> DecodeSessionState(const char* data, size_t size) {
-  Reader in(data, size);
+  ByteReader in(data, size);
   const auto corrupt = [](const char* what) {
     return Status::InvalidArgument(std::string("corrupt session state: ") +
                                    what);
@@ -295,10 +190,20 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
 
   // --- instance -----------------------------------------------------------
   uint32_t n = 0, m = 0, k = 0, num_edges = 0;
-  uint64_t lambda_bits = 0;
+  double lambda = 0.0;
   if (!in.ReadU32(&n) || !in.ReadU32(&m) || !in.ReadU32(&k) ||
-      !in.ReadU64(&lambda_bits) || !in.ReadCount(&num_edges, 8)) {
+      !in.ReadF64(&lambda) || !in.ReadCount(&num_edges, 8)) {
     return corrupt("instance dims");
+  }
+  // Bound every dimension before anything is sized by it: each must fit
+  // an int, every user owns a dirty flag at the end of the payload, and
+  // the preference matrix after the edge list holds 4 bytes per (u, c).
+  if (n > kMaxDim || m > kMaxDim || k > kMaxDim) {
+    return corrupt("instance dims");
+  }
+  if (n > in.remaining()) return corrupt("user count");
+  if (static_cast<uint64_t>(n) * m * 4 > in.remaining() - 8ull * num_edges) {
+    return corrupt("preference matrix");
   }
   SocialGraph graph(static_cast<int>(n));
   for (uint32_t e = 0; e < num_edges; ++e) {
@@ -309,16 +214,12 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
     if (!id.ok() || *id != static_cast<EdgeId>(e)) return corrupt("edge ids");
   }
   SvgicInstance instance(std::move(graph), static_cast<int>(m),
-                         static_cast<int>(k), DoubleFromBits(lambda_bits));
-  if (static_cast<uint64_t>(n) * m * 4 > in.remaining()) {
-    return corrupt("preference matrix");
-  }
+                         static_cast<int>(k), lambda);
   for (uint32_t u = 0; u < n; ++u) {
     for (uint32_t c = 0; c < m; ++c) {
-      uint32_t bits = 0;
-      if (!in.ReadU32(&bits)) return corrupt("preference matrix");
-      instance.set_p(static_cast<UserId>(u), static_cast<ItemId>(c),
-                     FloatFromBits(bits));
+      float p = 0.0f;
+      if (!in.ReadF32(&p)) return corrupt("preference matrix");
+      instance.set_p(static_cast<UserId>(u), static_cast<ItemId>(c), p);
     }
   }
   for (uint32_t e = 0; e < num_edges; ++e) {
@@ -363,6 +264,9 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   if (!in.ReadU32(&cu) || !in.ReadU32(&cs) || !in.ReadU32(&ci)) {
     return corrupt("config dims");
   }
+  // Ids are never reused, so the served configuration never has more
+  // users or items than the instance it was rounded from.
+  if (cu > n || ci > m || cs > kMaxDim) return corrupt("config dims");
   if (static_cast<uint64_t>(cu) * cs * 4 > in.remaining()) {
     return corrupt("config assignments");
   }
@@ -411,20 +315,18 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
     if (!in.ReadU64(&state.rng.s[i])) return corrupt("rng");
   }
   uint8_t has_normal = 0;
-  uint64_t normal_bits = 0;
-  if (!in.ReadU8(&has_normal) || !in.ReadU64(&normal_bits)) {
+  if (!in.ReadU8(&has_normal) || !in.ReadF64(&state.rng.cached_normal)) {
     return corrupt("rng");
   }
   state.rng.has_cached_normal = has_normal != 0;
-  state.rng.cached_normal = DoubleFromBits(normal_bits);
 
   // --- dirty flags --------------------------------------------------------
   uint32_t dirty_size = 0;
-  if (!in.ReadCount(&dirty_size, 1)) return corrupt("dirty flags");
-  state.dirty.resize(dirty_size);
-  if (dirty_size > 0 && !in.ReadBytes(state.dirty.data(), dirty_size)) {
+  const char* dirty = nullptr;
+  if (!in.ReadCount(&dirty_size, 1) || !in.ReadBytes(dirty_size, &dirty)) {
     return corrupt("dirty flags");
   }
+  state.dirty.assign(dirty, dirty + dirty_size);
   uint8_t all_dirty = 0;
   if (!in.ReadU8(&all_dirty)) return corrupt("dirty flags");
   state.all_dirty = all_dirty != 0;
@@ -453,13 +355,13 @@ Status WriteSnapshotFile(const std::string& path, uint32_t session_id,
   std::string file;
   file.reserve(kSnapshotHeaderBytes + payload.size());
   file.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendU32(kSnapshotVersion, &file);
-  AppendU32(session_id, &file);
-  AppendU32(epoch, &file);
-  AppendU64(applied_seq, &file);
-  AppendU64(payload.size(), &file);
-  AppendU32(Crc32(payload.data(), payload.size()), &file);
-  AppendU32(Crc32(file.data(), file.size()), &file);  // header CRC
+  PutU32(kSnapshotVersion, &file);
+  PutU32(session_id, &file);
+  PutU32(epoch, &file);
+  PutU64(applied_seq, &file);
+  PutU64(payload.size(), &file);
+  PutU32(Crc32(payload.data(), payload.size()), &file);
+  PutU32(Crc32(file.data(), file.size()), &file);  // header CRC
   file += payload;
 
   const std::string tmp = path + ".tmp";
@@ -511,7 +413,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
   if (std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     return Status::InvalidArgument(path + " is not an SVGS snapshot");
   }
-  Reader header(data.data() + 4, kSnapshotHeaderBytes - 4);
+  ByteReader header(data.data() + 4, kSnapshotHeaderBytes - 4);
   SnapshotData snapshot;
   uint64_t payload_len = 0;
   uint32_t payload_crc = 0, header_crc = 0;

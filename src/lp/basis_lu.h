@@ -29,8 +29,8 @@
 // When to refactorize is the caller's policy decision; the backend exports
 // the deterministic work counters that policy needs (eta_nonzeros,
 // factor_nonzeros, factor_ops, eta_ops_since_factor). The simplex's
-// adaptive policy (SimplexOptions::refactor_policy) is built on these
-// counters rather than wall-clock measurements so that solve paths stay
+// adaptive refactorization rule (lp/simplex.h) is built on these counters
+// rather than wall-clock measurements so that solve paths stay
 // bit-reproducible across machines and thread counts.
 
 #pragma once

@@ -22,6 +22,13 @@ constexpr double kInfeasAccept = 1e-6;
 constexpr double kNoTimeLimit = 1e17;
 /// Minimum |pivot element| the dual ratio test accepts.
 constexpr double kDualPivotTol = 1e-9;
+/// Refactorize once eta_nonzeros exceeds this multiple of the LU factor
+/// nonzeros (every solve then pays more for the eta file than for a fresh
+/// factorization's triangles).
+constexpr double kEtaDensityLimit = 1.0;
+/// Refactorize once the eta work spent since the last factorization
+/// exceeds this multiple of one factorization's cost (rent-or-buy).
+constexpr double kEtaOpsMultiplier = 1.0;
 
 /// Internal working form:
 ///   maximize c'x  s.t.  A x = b,  l <= x <= u
@@ -342,25 +349,22 @@ class RevisedSimplex {
     return Status::OK();
   }
 
-  /// Adaptive refactorization trigger (RefactorPolicy::kAdaptive): fold
-  /// the eta file back into a fresh LU when it outgrew the factors
-  /// (density) or has already charged more Ftran/Btran work than a
-  /// refactorization costs (rent-or-buy). refactor_interval stays as the
-  /// hard cap under both policies. Every input is a deterministic work
-  /// counter — no wall clock — so the decision replays identically across
-  /// machines and worker counts.
+  /// Adaptive refactorization trigger: fold the eta file back into a
+  /// fresh LU when it outgrew the factors (density) or has already charged
+  /// more Ftran/Btran work than a refactorization costs (rent-or-buy), with
+  /// refactor_interval as the hard cap. Every input is a deterministic
+  /// work counter — no wall clock — so the decision replays identically
+  /// across machines and worker counts.
   bool ShouldRefactor() const {
     const int etas = factor_->eta_count();
     if (etas == 0) return false;
     if (etas >= opt_.refactor_interval) return true;
-    if (opt_.refactor_policy != RefactorPolicy::kAdaptive) return false;
     if (static_cast<double>(factor_->eta_nonzeros()) >
-        opt_.eta_density_limit *
-            static_cast<double>(factor_->factor_nonzeros())) {
+        kEtaDensityLimit * static_cast<double>(factor_->factor_nonzeros())) {
       return true;
     }
     return static_cast<double>(factor_->eta_ops_since_factor()) >
-           opt_.eta_ops_multiplier * static_cast<double>(factor_->factor_ops());
+           kEtaOpsMultiplier * static_cast<double>(factor_->factor_ops());
   }
 
   void ComputeBasicValues() {

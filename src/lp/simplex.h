@@ -65,21 +65,6 @@ enum class PricingMode {
   kPartial,
 };
 
-/// When the engine folds the product-form eta file back into a fresh LU
-/// factorization.
-enum class RefactorPolicy {
-  /// Adaptive (default): refactorize when the eta file outgrows the
-  /// factors (eta_nonzeros > eta_density_limit * factor_nonzeros) or when
-  /// the accumulated eta work since the last factorization exceeds what a
-  /// refactorization costs (eta_ops > eta_ops_multiplier * factor_ops —
-  /// the rent-or-buy rule), with refactor_interval as a hard cap. All
-  /// triggers are deterministic work counters (lp/basis_lu.h), never
-  /// wall-clock, so solves stay bit-reproducible across machines.
-  kAdaptive,
-  /// Refactorize every refactor_interval updates (the PR 2-5 behavior).
-  kFixedInterval,
-};
-
 struct SimplexOptions {
   int max_iterations = 200000;
   /// Wall-clock budget, checked on every pivot when finite.
@@ -87,18 +72,13 @@ struct SimplexOptions {
   /// Feasibility / reduced-cost tolerance.
   double tolerance = 1e-9;
   /// Hard cap on eta updates between refactorizations (numerical
-  /// hygiene); the adaptive policy usually refactorizes earlier.
+  /// hygiene). The engine usually refactorizes earlier: once the eta file
+  /// holds more nonzeros than the LU factors, or once the eta work
+  /// Ftran/Btran spent since the last factorization exceeds what one
+  /// factorization costs (the rent-or-buy rule). Every trigger is a
+  /// deterministic work counter (lp/basis_lu.h), never wall-clock, so
+  /// solves stay bit-reproducible across machines.
   int refactor_interval = 256;
-  /// Refactorization trigger policy (see RefactorPolicy).
-  RefactorPolicy refactor_policy = RefactorPolicy::kAdaptive;
-  /// kAdaptive: refactorize once eta_nonzeros exceeds this multiple of
-  /// the LU factor nonzeros (every solve then pays more for the eta file
-  /// than for a fresh factorization's triangles).
-  double eta_density_limit = 1.0;
-  /// kAdaptive: refactorize once the eta work Ftran/Btran already spent
-  /// since the last factorization exceeds this multiple of one
-  /// factorization's cost (rent-or-buy amortization).
-  double eta_ops_multiplier = 1.0;
   /// Switch to Bland's rule after this many non-improving iterations.
   /// Deliberately high: the compact SVGIC LPs walk degenerate plateaus
   /// thousands of pivots long that Devex crosses fine but Bland crawls

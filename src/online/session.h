@@ -123,13 +123,10 @@ struct ResolveReport {
   double total_seconds = 0.0;
   /// Product-form etas left pending when this resolve's LP finished —
   /// the eta-chain length the next warm resolve would inherit if the
-  /// basis were kept hot. The adaptive refactorization policy
-  /// (SessionOptions::simplex.refactor_policy, on by default) keeps this
-  /// bounded over long mutation streams; under
-  /// RefactorPolicy::kFixedInterval with a large refactor_interval it
-  /// grows with the per-resolve pivot count (bench_online_sessions shows
-  /// the divergence). Monolithic path only (zero on the sharded path,
-  /// whose per-shard solves refactorize independently).
+  /// basis were kept hot. The simplex's adaptive refactorization rule
+  /// keeps this bounded over long mutation streams. Monolithic path only
+  /// (zero on the sharded path, whose per-shard solves refactorize
+  /// independently).
   int64_t eta_chain_length = 0;
   /// Basis (re)factorizations this resolve's LP performed.
   int64_t refactorizations = 0;

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <ostream>
 
+#include "util/byte_codec.h"
 #include "util/random.h"
 
 namespace savg {
@@ -18,58 +19,6 @@ constexpr uint32_t kLogVersion = 1;
 // A count limit keeps a corrupt header from driving a multi-gigabyte
 // reserve; real logs are a few thousand commands.
 constexpr uint64_t kMaxLogCommands = 1ull << 32;
-
-void AppendU8(uint8_t x, std::string* out) {
-  out->push_back(static_cast<char>(x));
-}
-
-void AppendU32(uint32_t x, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(uint64_t x, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI32(int32_t x, std::string* out) {
-  AppendU32(static_cast<uint32_t>(x), out);
-}
-
-void AppendDouble(double x, std::string* out) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(x), "double must be 64-bit");
-  std::memcpy(&bits, &x, sizeof(bits));
-  AppendU64(bits, out);
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) {
-    x |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return x;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) {
-    x |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return x;
-}
-
-int32_t ReadI32(const char* p) { return static_cast<int32_t>(ReadU32(p)); }
-
-double ReadDouble(const char* p) {
-  const uint64_t bits = ReadU64(p);
-  double x = 0.0;
-  std::memcpy(&x, &bits, sizeof(x));
-  return x;
-}
 
 /// Payload bytes following the tag, or -1 for an unknown tag.
 int PayloadSize(uint8_t tag) {
@@ -182,31 +131,31 @@ SessionCommand MakeRetireItem(ItemId c) {
 SessionCommand MakeResolve() { return SessionCommand{}; }
 
 void EncodeCommand(const SessionCommand& cmd, std::string* out) {
-  AppendU8(static_cast<uint8_t>(cmd.type), out);
+  PutU8(static_cast<uint8_t>(cmd.type), out);
   switch (cmd.type) {
     case CommandType::kPref:
-      AppendI32(cmd.u, out);
-      AppendI32(cmd.c, out);
-      AppendDouble(cmd.value, out);
+      PutI32(cmd.u, out);
+      PutI32(cmd.c, out);
+      PutF64(cmd.value, out);
       break;
     case CommandType::kTau:
-      AppendI32(cmd.u, out);
-      AppendI32(cmd.v, out);
-      AppendI32(cmd.c, out);
-      AppendDouble(cmd.value, out);
+      PutI32(cmd.u, out);
+      PutI32(cmd.v, out);
+      PutI32(cmd.c, out);
+      PutF64(cmd.value, out);
       break;
     case CommandType::kLambda:
-      AppendDouble(cmd.value, out);
+      PutF64(cmd.value, out);
       break;
     case CommandType::kFriend:
-      AppendI32(cmd.u, out);
-      AppendI32(cmd.v, out);
+      PutI32(cmd.u, out);
+      PutI32(cmd.v, out);
       break;
     case CommandType::kLeave:
-      AppendI32(cmd.u, out);
+      PutI32(cmd.u, out);
       break;
     case CommandType::kRetireItem:
-      AppendI32(cmd.c, out);
+      PutI32(cmd.c, out);
       break;
     case CommandType::kJoin:
     case CommandType::kAddItem:
@@ -221,47 +170,50 @@ size_t EncodedCommandSize(const SessionCommand& cmd) {
 
 Result<SessionCommand> DecodeCommand(const char* data, size_t size,
                                      size_t* consumed) {
-  if (size < 1) return Status::InvalidArgument("empty command buffer");
-  const uint8_t tag = static_cast<uint8_t>(data[0]);
+  ByteReader in(data, size);
+  uint8_t tag = 0;
+  if (!in.ReadU8(&tag)) {
+    return Status::InvalidArgument("empty command buffer");
+  }
   const int payload = PayloadSize(tag);
   if (payload < 0) {
     return Status::InvalidArgument("unknown command tag " +
                                    std::to_string(tag));
   }
-  if (size < 1 + static_cast<size_t>(payload)) {
+  if (in.remaining() < static_cast<size_t>(payload)) {
     return Status::InvalidArgument(
         "truncated command: tag " + std::string(CommandTypeName(
                                         static_cast<CommandType>(tag))) +
         " needs " + std::to_string(payload) + " payload bytes, have " +
-        std::to_string(size - 1));
+        std::to_string(in.remaining()));
   }
+  // Past the payload check every read below succeeds.
   SessionCommand cmd;
   cmd.type = static_cast<CommandType>(tag);
-  const char* p = data + 1;
   switch (cmd.type) {
     case CommandType::kPref:
-      cmd.u = ReadI32(p);
-      cmd.c = ReadI32(p + 4);
-      cmd.value = ReadDouble(p + 8);
+      in.ReadI32(&cmd.u);
+      in.ReadI32(&cmd.c);
+      in.ReadF64(&cmd.value);
       break;
     case CommandType::kTau:
-      cmd.u = ReadI32(p);
-      cmd.v = ReadI32(p + 4);
-      cmd.c = ReadI32(p + 8);
-      cmd.value = ReadDouble(p + 12);
+      in.ReadI32(&cmd.u);
+      in.ReadI32(&cmd.v);
+      in.ReadI32(&cmd.c);
+      in.ReadF64(&cmd.value);
       break;
     case CommandType::kLambda:
-      cmd.value = ReadDouble(p);
+      in.ReadF64(&cmd.value);
       break;
     case CommandType::kFriend:
-      cmd.u = ReadI32(p);
-      cmd.v = ReadI32(p + 4);
+      in.ReadI32(&cmd.u);
+      in.ReadI32(&cmd.v);
       break;
     case CommandType::kLeave:
-      cmd.u = ReadI32(p);
+      in.ReadI32(&cmd.u);
       break;
     case CommandType::kRetireItem:
-      cmd.c = ReadI32(p);
+      in.ReadI32(&cmd.c);
       break;
     case CommandType::kJoin:
     case CommandType::kAddItem:
@@ -275,8 +227,8 @@ Result<SessionCommand> DecodeCommand(const char* data, size_t size,
 Status WriteCommandLog(const CommandLog& log, std::ostream* out) {
   std::string buffer;
   buffer.append(kLogMagic, sizeof(kLogMagic));
-  AppendU32(kLogVersion, &buffer);
-  AppendU64(static_cast<uint64_t>(log.size()), &buffer);
+  PutU32(kLogVersion, &buffer);
+  PutU64(static_cast<uint64_t>(log.size()), &buffer);
   for (const SessionCommand& cmd : log) EncodeCommand(cmd, &buffer);
   out->write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   if (!*out) return Status::Unknown("command log write failed");
@@ -300,15 +252,16 @@ Result<CommandLog> ReadCommandLog(std::istream* in) {
   }
   std::string rest((std::istreambuf_iterator<char>(*in)),
                    std::istreambuf_iterator<char>());
-  if (rest.size() < 4 + 8) {
+  ByteReader header(rest.data(), rest.size());
+  uint32_t version = 0;
+  uint64_t count = 0;
+  if (!header.ReadU32(&version) || !header.ReadU64(&count)) {
     return Status::InvalidArgument("binary command log header truncated");
   }
-  const uint32_t version = ReadU32(rest.data());
   if (version != kLogVersion) {
     return Status::InvalidArgument("unsupported binary command log version " +
                                    std::to_string(version));
   }
-  const uint64_t count = ReadU64(rest.data() + 4);
   if (count > kMaxLogCommands) {
     return Status::InvalidArgument("implausible command count " +
                                    std::to_string(count));
@@ -316,7 +269,7 @@ Result<CommandLog> ReadCommandLog(std::istream* in) {
   CommandLog log;
   log.reserve(static_cast<size_t>(
       std::min<uint64_t>(count, 1 << 20)));  // cap pre-reserve
-  size_t offset = 4 + 8;
+  size_t offset = rest.size() - header.remaining();
   for (uint64_t i = 0; i < count; ++i) {
     size_t consumed = 0;
     auto cmd = DecodeCommand(rest.data() + offset, rest.size() - offset,

@@ -2,54 +2,11 @@
 
 #include <cstring>
 
+#include "util/byte_codec.h"
+
 namespace savg {
 
 namespace {
-
-void AppendU8(uint8_t x, std::string* out) {
-  out->push_back(static_cast<char>(x));
-}
-
-void AppendU32(uint32_t x, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(uint64_t x, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendDouble(double x, std::string* out) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &x, sizeof(bits));
-  AppendU64(bits, out);
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) {
-    x |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return x;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) {
-    x |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return x;
-}
-
-double ReadDouble(const char* p) {
-  const uint64_t bits = ReadU64(p);
-  double x = 0.0;
-  std::memcpy(&x, &bits, sizeof(x));
-  return x;
-}
 
 bool KnownFrameKind(uint8_t kind) {
   switch (static_cast<FrameKind>(kind)) {
@@ -94,13 +51,13 @@ void AppendFrame(FrameKind kind, uint64_t request_id, uint32_t session_id,
                  const std::string& payload, std::string* out,
                  uint8_t flags) {
   out->append(kFrameMagic, sizeof(kFrameMagic));
-  AppendU8(kWireVersion, out);
-  AppendU8(static_cast<uint8_t>(kind), out);
-  AppendU8(flags, out);
-  AppendU8(0, out);  // reserved
-  AppendU64(request_id, out);
-  AppendU32(session_id, out);
-  AppendU32(static_cast<uint32_t>(payload.size()), out);
+  PutU8(kWireVersion, out);
+  PutU8(static_cast<uint8_t>(kind), out);
+  PutU8(flags, out);
+  PutU8(0, out);  // reserved
+  PutU64(request_id, out);
+  PutU32(session_id, out);
+  PutU32(static_cast<uint32_t>(payload.size()), out);
   out->append(payload);
 }
 
@@ -110,31 +67,38 @@ Result<FrameHeader> ParseFrameHeader(const char* data, size_t size) {
                                    std::to_string(kFrameHeaderBytes) +
                                    " bytes, have " + std::to_string(size));
   }
-  if (std::memcmp(data, kFrameMagic, sizeof(kFrameMagic)) != 0) {
+  // The size check above makes every read below succeed.
+  ByteReader in(data, size);
+  const char* magic = nullptr;
+  in.ReadBytes(sizeof(kFrameMagic), &magic);
+  if (std::memcmp(magic, kFrameMagic, sizeof(kFrameMagic)) != 0) {
     return Status::InvalidArgument("bad frame magic");
   }
   FrameHeader header;
-  header.version = static_cast<uint8_t>(data[4]);
+  in.ReadU8(&header.version);
   if (header.version != kWireVersion) {
     return Status::InvalidArgument("unsupported protocol version " +
                                    std::to_string(header.version));
   }
-  const uint8_t kind = static_cast<uint8_t>(data[5]);
+  uint8_t kind = 0;
+  in.ReadU8(&kind);
   if (!KnownFrameKind(kind)) {
     return Status::InvalidArgument("unknown frame kind " +
                                    std::to_string(kind));
   }
   header.kind = static_cast<FrameKind>(kind);
-  header.flags = static_cast<uint8_t>(data[6]);
+  in.ReadU8(&header.flags);
   if ((header.flags & ~kKnownFrameFlags) != 0) {
     return Status::InvalidArgument("unknown frame flag bits");
   }
-  if (data[7] != 0) {
+  uint8_t reserved = 0;
+  in.ReadU8(&reserved);
+  if (reserved != 0) {
     return Status::InvalidArgument("nonzero reserved frame bytes");
   }
-  header.request_id = ReadU64(data + 8);
-  header.session_id = ReadU32(data + 16);
-  header.payload_size = ReadU32(data + 20);
+  in.ReadU64(&header.request_id);
+  in.ReadU32(&header.session_id);
+  in.ReadU32(&header.payload_size);
   if (header.payload_size > kMaxPayloadBytes) {
     return Status::InvalidArgument(
         "frame payload length " + std::to_string(header.payload_size) +
@@ -167,16 +131,16 @@ Result<bool> FrameReader::Next(FrameHeader* header, std::string* payload) {
 }
 
 void EncodeApplyResult(const ApplyResult& result, std::string* out) {
-  AppendU8(static_cast<uint8_t>(result.code), out);
-  AppendU32(static_cast<uint32_t>(result.message.size()), out);
+  PutU8(static_cast<uint8_t>(result.code), out);
+  PutU32(static_cast<uint32_t>(result.message.size()), out);
   out->append(result.message);
-  AppendU64(static_cast<uint64_t>(result.assigned_id), out);
-  AppendU8(result.resolved ? 1 : 0, out);
-  AppendU32(result.coalesced, out);
-  AppendDouble(result.lp_objective, out);
-  AppendDouble(result.scaled_total, out);
-  AppendDouble(result.resolve_seconds, out);
-  AppendU32(static_cast<uint32_t>(result.pivots), out);
+  PutU64(static_cast<uint64_t>(result.assigned_id), out);
+  PutU8(result.resolved ? 1 : 0, out);
+  PutU32(result.coalesced, out);
+  PutF64(result.lp_objective, out);
+  PutF64(result.scaled_total, out);
+  PutF64(result.resolve_seconds, out);
+  PutI32(result.pivots, out);
 }
 
 Result<ApplyResult> DecodeApplyResult(const char* data, size_t size) {
@@ -186,21 +150,31 @@ Result<ApplyResult> DecodeApplyResult(const char* data, size_t size) {
   if (size < kPrefix + kSuffix) {
     return Status::InvalidArgument("apply-result payload truncated");
   }
-  ApplyResult result;
-  result.code = static_cast<StatusCode>(static_cast<uint8_t>(data[0]));
-  const uint32_t msg_len = ReadU32(data + 1);
+  // Past the two size checks every read below succeeds.
+  ByteReader in(data, size);
+  uint8_t code = 0;
+  uint32_t msg_len = 0;
+  in.ReadU8(&code);
+  in.ReadU32(&msg_len);
   if (size != kPrefix + msg_len + kSuffix) {
     return Status::InvalidArgument("apply-result length mismatch");
   }
-  result.message.assign(data + kPrefix, msg_len);
-  const char* p = data + kPrefix + msg_len;
-  result.assigned_id = static_cast<int64_t>(ReadU64(p));
-  result.resolved = static_cast<uint8_t>(p[8]) != 0;
-  result.coalesced = ReadU32(p + 9);
-  result.lp_objective = ReadDouble(p + 13);
-  result.scaled_total = ReadDouble(p + 21);
-  result.resolve_seconds = ReadDouble(p + 29);
-  result.pivots = static_cast<int32_t>(ReadU32(p + 37));
+  ApplyResult result;
+  result.code = static_cast<StatusCode>(code);
+  const char* message = nullptr;
+  in.ReadBytes(msg_len, &message);
+  result.message.assign(message, msg_len);
+  uint64_t assigned_id = 0;
+  uint8_t resolved = 0;
+  in.ReadU64(&assigned_id);
+  in.ReadU8(&resolved);
+  in.ReadU32(&result.coalesced);
+  in.ReadF64(&result.lp_objective);
+  in.ReadF64(&result.scaled_total);
+  in.ReadF64(&result.resolve_seconds);
+  in.ReadI32(&result.pivots);
+  result.assigned_id = static_cast<int64_t>(assigned_id);
+  result.resolved = resolved != 0;
   return result;
 }
 

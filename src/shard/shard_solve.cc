@@ -16,6 +16,12 @@ namespace {
 /// LP keeps its shape across dual rounds and the cached basis stays a
 /// perfect warm start.
 constexpr double kThetaMin = 1e-4;
+/// Initial scale of the Polyak dual step (halved every round that fails to
+/// improve the dual bound).
+constexpr double kDualStepScale = 0.5;
+/// Inner subgradient iterations for warm (non-first) rounds of subgradient
+/// shards; the warm point makes long ascents unnecessary.
+constexpr int kWarmSubgradientIterations = 16;
 
 /// Deterministic per-shard seed derivation (splitmix64 finalizer): seeds
 /// depend only on the caller seed and the shard index, never on worker
@@ -305,8 +311,7 @@ Result<FractionalSolution> ShardCoordinator::SolveShardRelaxation(
                        s.sub.num_items()) {
       rel.subgradient.initial_x = &s.frac.x;
       rel.subgradient.max_iterations =
-          std::min(rel.subgradient.max_iterations,
-                   options_.warm_subgradient_iterations);
+          std::min(rel.subgradient.max_iterations, kWarmSubgradientIterations);
     }
   }
   return SolveRelaxation(s.sub, rel, warm_basis);
@@ -384,7 +389,7 @@ Status ShardCoordinator::SolveFractional(ThreadPool* pool,
   // adaptively halved scale.
   double best_primal = -kLpInfinity;
   double best_dual = kLpInfinity;
-  double polyak_scale = options_.dual_step_scale;
+  double polyak_scale = kDualStepScale;
   std::vector<Result<FractionalSolution>> slots(
       plan_.num_shards(),
       Result<FractionalSolution>(Status::Unknown("shard not solved")));
@@ -446,39 +451,34 @@ Status ShardCoordinator::SolveFractional(ThreadPool* pool,
       active_cuts = collect_active_cuts();
       if (active_cuts.empty()) break;
     }
-    double step;
-    if (options_.polyak_dual_steps) {
-      // Polyak step toward the running primal bound: the remaining gap
-      // D - P_best over the squared subgradient norm sizes the move by how
-      // far the duals still are from closing it, instead of a blind
-      // 1/sqrt(round) decay. Because part of that gap can be intrinsic
-      // (the Lagrangian bound does not always meet the stitched primal),
-      // the scale is adapted Held-Karp style: every round that fails to
-      // improve the dual bound halves it, so an unreachable target decays
-      // the steps geometrically instead of oscillating forever.
-      best_primal = std::max(best_primal, primal);
-      if (dual_bound < best_dual - 1e-9 * std::max(1.0, std::abs(best_dual))) {
-        best_dual = dual_bound;
-      } else {
-        polyak_scale *= 0.5;
-      }
-      double gnorm2 = 0.0;
-      for (int pi : active_cuts) {
-        const FriendPair& pair = instance_->pairs()[pi];
-        const size_t bu = static_cast<size_t>(pair.u) * m;
-        const size_t bv = static_cast<size_t>(pair.v) * m;
-        for (const ItemValue& iv : pair.weights) {
-          const double g = frac_.x[bu + iv.item] - frac_.x[bv + iv.item];
-          gnorm2 += g * g;
-        }
-      }
-      if (gnorm2 < 1e-12) break;  // zero subgradient: duals cannot move
-      step = polyak_scale * std::max(0.0, dual_bound - best_primal) / gnorm2;
-      if (step <= 0.0) break;  // bound already met: further rounds are no-ops
+    // Polyak step toward the running primal bound: the remaining gap
+    // D - P_best over the squared subgradient norm sizes the move by how
+    // far the duals still are from closing it, instead of a blind
+    // 1/sqrt(round) decay. Because part of that gap can be intrinsic (the
+    // Lagrangian bound does not always meet the stitched primal), the
+    // scale is adapted Held-Karp style: every round that fails to improve
+    // the dual bound halves it, so an unreachable target decays the steps
+    // geometrically instead of oscillating forever.
+    best_primal = std::max(best_primal, primal);
+    if (dual_bound < best_dual - 1e-9 * std::max(1.0, std::abs(best_dual))) {
+      best_dual = dual_bound;
     } else {
-      step = options_.dual_step_scale /
-             std::sqrt(static_cast<double>(round) + 1.0);
+      polyak_scale *= 0.5;
     }
+    double gnorm2 = 0.0;
+    for (int pi : active_cuts) {
+      const FriendPair& pair = instance_->pairs()[pi];
+      const size_t bu = static_cast<size_t>(pair.u) * m;
+      const size_t bv = static_cast<size_t>(pair.v) * m;
+      for (const ItemValue& iv : pair.weights) {
+        const double g = frac_.x[bu + iv.item] - frac_.x[bv + iv.item];
+        gnorm2 += g * g;
+      }
+    }
+    if (gnorm2 < 1e-12) break;  // zero subgradient: duals cannot move
+    const double step =
+        polyak_scale * std::max(0.0, dual_bound - best_primal) / gnorm2;
+    if (step <= 0.0) break;  // bound already met: further rounds are no-ops
     for (int pi : active_cuts) {
       const FriendPair& pair = instance_->pairs()[pi];
       const size_t bu = static_cast<size_t>(pair.u) * m;
@@ -559,10 +559,7 @@ Result<Configuration> ShardCoordinator::Round(
   const bool all_reround =
       std::all_of(reround_shard.begin(), reround_shard.end(),
                   [](char flag) { return flag != 0; });
-  const bool global_mode =
-      options_.rounding_mode == ShardRoundingMode::kGlobal ||
-      (options_.rounding_mode == ShardRoundingMode::kAuto && all_reround);
-  if (global_mode) {
+  if (all_reround) {
     // Everything re-rounds: one global CSF pass over the stitched
     // relaxation aligns co-display slots across shards exactly like
     // monolithic AVG — phased rounding's independently chosen shard slots
@@ -606,13 +603,11 @@ Result<Configuration> ShardCoordinator::Round(
       free_user[u] = 1;
     }
   }
-  if (options_.reround_halo) {
-    for (const FriendPair& pair : instance_->pairs()) {
-      if (pair.weights.empty()) continue;
-      if (!plan_.boundary[pair.u] && !plan_.boundary[pair.v]) continue;
-      if (reround_shard[plan_.shard_of[pair.u]]) free_user[pair.u] = 1;
-      if (reround_shard[plan_.shard_of[pair.v]]) free_user[pair.v] = 1;
-    }
+  for (const FriendPair& pair : instance_->pairs()) {
+    if (pair.weights.empty()) continue;
+    if (!plan_.boundary[pair.u] && !plan_.boundary[pair.v]) continue;
+    if (reround_shard[plan_.shard_of[pair.u]]) free_user[pair.u] = 1;
+    if (reround_shard[plan_.shard_of[pair.v]]) free_user[pair.v] = 1;
   }
 
   // Assemble the global rounding state: phase-A units for re-rounded

@@ -27,11 +27,17 @@
 //      feasible) and rounded. When only some shards re-round (the online
 //      serving case) the rounding is phased: per-shard CSF in parallel,
 //      then one global CSF re-round of the boundary halo so cross-shard
-//      co-display is recovered where the duals made x agree. When every
-//      shard re-rounds anyway, one global CSF pass over the stitched
-//      relaxation is used instead (ShardRoundingMode::kAuto): it aligns
-//      group slots across shards like monolithic AVG, and decision
-//      dilution keeps it cheap at any n x m reached so far.
+//      co-display is recovered where the duals made x agree. The halo is
+//      the boundary users plus their direct weighted intra-shard
+//      partners: per-shard roundings pick group slots independently, so a
+//      boundary user's interior partners must be re-roundable for the
+//      global pass to align cross- and intra-shard groups on common slots,
+//      and the halo stays small exactly when the partition is good (its
+//      size tracks the cut). When every shard re-rounds anyway (batch
+//      solves, periodic full re-rounds), one global CSF pass over the
+//      stitched relaxation is used instead: it aligns group slots across
+//      shards like monolithic AVG, and decision dilution keeps it cheap at
+//      any n x m reached so far.
 //
 // The coordinator keeps all per-shard state (sub-instances, bases, warm
 // points, duals) across calls, which is what the online serving layer
@@ -67,20 +73,6 @@
 
 namespace savg {
 
-enum class ShardRoundingMode {
-  /// Global CSF over the stitched relaxation when every shard re-rounds
-  /// (batch solves, periodic full re-rounds) — the sampling loop then
-  /// aligns co-display slots across shards exactly like monolithic AVG,
-  /// and decision dilution keeps one global pass cheap even at large n x m.
-  /// Phased rounding otherwise (online dirty-shard re-solves), where its
-  /// locality is the point.
-  kAuto,
-  /// Always per-shard CSF + global boundary-halo re-round.
-  kPhased,
-  /// Always one global CSF pass over the stitched relaxation.
-  kGlobal,
-};
-
 struct ShardSolveOptions {
   ShardPlanOptions plan;
   /// Per-shard relaxation knobs; kAuto picks simplex vs subgradient per
@@ -91,17 +83,6 @@ struct ShardSolveOptions {
   /// Best-of-k rounding repeats for the batch entry point (Corollary 4.1,
   /// matching AVG's avg_repeats). Online serving keeps 1 for latency.
   int rounding_repeats = 3;
-  /// Extends the global boundary re-round to the boundary halo: boundary
-  /// users plus their direct (weighted) intra-shard partners. Per-shard
-  /// roundings pick group slots independently, so a boundary user's
-  /// interior partners must be re-roundable for the global pass to align
-  /// cross- and intra-shard groups on common slots. The halo is small
-  /// exactly when the partition is good (its size tracks the cut), so this
-  /// trades little parallel work for most of the monolithic rounding
-  /// quality; disable to re-round the bare boundary only.
-  bool reround_halo = true;
-  /// See ShardRoundingMode.
-  ShardRoundingMode rounding_mode = ShardRoundingMode::kAuto;
   /// Maximum dual coordination rounds per solve.
   int max_dual_rounds = 12;
   /// Stop once (D - P) / max(|D|, 1) drops below this. With exact
@@ -109,20 +90,6 @@ struct ShardSolveOptions {
   /// suboptimality; with subgradient shards it is the same heuristic
   /// certificate the monolithic approximate path provides.
   double gap_tolerance = 0.01;
-  /// Step scale of the dual subgradient update (multiplies the Polyak
-  /// step, or the diminishing schedule when polyak_dual_steps is off).
-  double dual_step_scale = 0.5;
-  /// Polyak dual steps (default): step = scale * (D - P_best) / ||g||^2,
-  /// where D is the current dual bound, P_best the best stitched primal
-  /// seen this solve (the running primal bound) and g the subgradient over
-  /// the active cut entries. Sized by the actual remaining gap, it closes
-  /// in fewer coordination rounds than the fixed 1/sqrt(round) schedule
-  /// (bench_shard_scale logs rounds-to-gap for both; ROADMAP PR 4
-  /// follow-up (a)). Off = the PR 4 diminishing schedule.
-  bool polyak_dual_steps = true;
-  /// Inner subgradient iterations for warm (non-first) rounds of
-  /// subgradient shards; the warm point makes long ascents unnecessary.
-  int warm_subgradient_iterations = 16;
   /// Worker threads for the per-shard fan-out (<= 0 = all cores).
   int num_workers = 0;
   uint64_t seed = 1;

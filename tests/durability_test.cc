@@ -25,6 +25,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session_command.h"
+#include "util/byte_codec.h"
 
 namespace savg {
 namespace {
@@ -346,6 +347,60 @@ TEST(SnapshotTest, AnySingleByteCorruptionIsDetected) {
     if (len >= good.size()) continue;
     WriteFileBytes(path, good.substr(0, len));
     EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "len " << len;
+  }
+}
+
+/// The encoded instance dimensions: n, m, k, lambda and an edge count of 0,
+/// after the state version.
+std::string StateHeader(uint32_t n, uint32_t m, uint32_t k) {
+  std::string bytes;
+  PutU32(1, &bytes);  // state version
+  PutU32(n, &bytes);
+  PutU32(m, &bytes);
+  PutU32(k, &bytes);
+  PutF64(0.5, &bytes);
+  PutU32(0, &bytes);  // edges
+  return bytes;
+}
+
+TEST(SnapshotTest, OversizedDimensionsAreRejectedBeforeAnyAllocation) {
+  // Each payload would size a container past what any machine holds:
+  // n = 2^31 overflows int, n = m = 2^20 asks for a 4 TiB preference
+  // matrix, and ci = 2^31 sizes the configuration's item index past int.
+  // The decoder must answer InvalidArgument, never throw or abort.
+  std::string config_items = StateHeader(1, 1, 1);
+  PutF32(0.25f, &config_items);     // p(0, 0)
+  PutU32(0, &config_items);         // commodity values
+  PutU32(0, &config_items);         // slot weights
+  PutU32(0, &config_items);         // finalized edges
+  PutU32(0, &config_items);         // pairs
+  PutU32(1, &config_items);         // config users
+  PutU32(1, &config_items);         // config slots
+  PutU32(1u << 31, &config_items);  // config items
+  PutU32(0, &config_items);         // the one assignment
+  const std::string payloads[] = {
+      StateHeader(1u << 31, 1, 1),
+      StateHeader(1u << 20, 1u << 20, 3),
+      config_items,
+  };
+  for (const std::string& payload : payloads) {
+    auto decoded = DecodeSessionState(payload.data(), payload.size());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << decoded.status();
+  }
+
+  // Every strict prefix of a real state is rejected the same way.
+  Session session(RandomInstance(4, 5, 2, 0.5, 11));
+  ApplyAll(&session, BuildStream(4, 5, 6, 13));
+  std::string encoded;
+  EncodeSessionState(session.CaptureState(), &encoded);
+  ASSERT_TRUE(DecodeSessionState(encoded.data(), encoded.size()).ok());
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    auto decoded = DecodeSessionState(encoded.data(), len);
+    ASSERT_FALSE(decoded.ok()) << "prefix " << len;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "prefix " << len << ": " << decoded.status();
   }
 }
 

@@ -1132,10 +1132,11 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
   EXPECT_LT(max_err, 1e-9);
 }
 
-TEST(AdaptiveRefactorTest, BoundsEtaGrowthVersusFixedInterval) {
-  // With the hard cap effectively disabled, the fixed-interval policy
-  // lets the eta file grow with the pivot count while the adaptive
-  // density/rent-or-buy triggers keep folding it back into the LU.
+TEST(AdaptiveRefactorTest, BoundsEtaGrowthWithoutTheHardCap) {
+  // With the refactor_interval cap lifted, only the density and
+  // rent-or-buy triggers fold the eta file back into the LU. The deleted
+  // fixed-interval rule, uncapped the same way, solved this LP in 90
+  // pivots with 1 refactorization and left 88 etas pending.
   Rng rng(31337);
   LpModel m;
   const int num_vars = 120, num_rows = 60;
@@ -1151,24 +1152,17 @@ TEST(AdaptiveRefactorTest, BoundsEtaGrowthVersusFixedInterval) {
     m.AddRow(RowType::kLessEqual, rng.Uniform(2.0, 0.3 * num_vars),
              std::move(terms));
   }
-  SimplexOptions fixed;
-  fixed.refactor_policy = RefactorPolicy::kFixedInterval;
-  fixed.refactor_interval = 1 << 30;
-  SimplexOptions adaptive;
-  adaptive.refactor_policy = RefactorPolicy::kAdaptive;
-  adaptive.refactor_interval = 1 << 30;
-  auto a = SolveLp(m, fixed);
-  auto b = SolveLp(m, adaptive);
+  SimplexOptions uncapped;
+  uncapped.refactor_interval = 1 << 30;
+  auto a = SolveLp(m);
+  auto b = SolveLp(m, uncapped);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_NEAR(a->objective, b->objective, 1e-6);
-  ASSERT_GT(b->iterations, 20);  // enough pivots for the policy to matter
-  EXPECT_GT(b->stats.refactorizations, a->stats.refactorizations);
-  // LpStats must surface the eta-file state (the small-fix satellite):
-  // the unmanaged chain keeps every pivot's eta, the adaptive one stays
-  // below the density bound.
-  EXPECT_GT(a->stats.eta_count, 0);
-  EXPECT_LT(b->stats.eta_count, a->stats.eta_count);
+  EXPECT_EQ(b->iterations, 108);
+  EXPECT_EQ(b->stats.refactorizations, 23);
+  // LpStats surfaces the eta-file state: the chain stays short.
+  EXPECT_EQ(b->stats.eta_count, 3);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
+#include "util/byte_codec.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -215,6 +219,58 @@ TEST(TableTest, CsvOutput) {
 TEST(TableTest, FormatHelpers) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatPercent(0.312, 1), "31.2%");
+}
+
+TEST(ByteCodecTest, RoundTripsEveryWidthBitExactly) {
+  std::string bytes;
+  PutU8(0xAB, &bytes);
+  PutU32(0x01020304u, &bytes);
+  PutU64(0x0102030405060708ull, &bytes);
+  PutI32(-2, &bytes);
+  PutF32(-0.0f, &bytes);
+  PutF64(std::numeric_limits<double>::quiet_NaN(), &bytes);
+  ASSERT_EQ(bytes.size(), 1u + 4 + 8 + 4 + 4 + 8);
+  EXPECT_EQ(bytes.substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+
+  ByteReader in(bytes.data(), bytes.size());
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int32_t i32 = 0;
+  float f32 = 1.0f;
+  double f64 = 0.0;
+  ASSERT_TRUE(in.ReadU8(&u8) && in.ReadU32(&u32) && in.ReadU64(&u64) &&
+              in.ReadI32(&i32) && in.ReadF32(&f32) && in.ReadF64(&f64));
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_EQ(u32, 0x01020304u);
+  EXPECT_EQ(u64, 0x0102030405060708ull);
+  EXPECT_EQ(i32, -2);
+  EXPECT_TRUE(std::signbit(f32));
+  EXPECT_TRUE(std::isnan(f64));
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_FALSE(in.failed());
+}
+
+TEST(ByteCodecTest, ShortReadsFailWithoutConsuming) {
+  std::string bytes;
+  PutU32(3, &bytes);  // a count of 3 four-byte elements...
+  PutU32(7, &bytes);  // ...but only one follows
+  ByteReader in(bytes.data(), bytes.size());
+  uint32_t count = 0;
+  EXPECT_FALSE(in.ReadCount(&count, 4));
+  EXPECT_TRUE(in.failed());
+
+  ByteReader tail(bytes.data(), 6);
+  uint64_t u64 = 0;
+  uint32_t u32 = 0;
+  const char* view = nullptr;
+  EXPECT_FALSE(tail.ReadU64(&u64));
+  EXPECT_EQ(tail.remaining(), 6u);
+  ASSERT_TRUE(tail.ReadU32(&u32));
+  EXPECT_FALSE(tail.ReadBytes(3, &view));
+  ASSERT_TRUE(tail.ReadBytes(2, &view));
+  EXPECT_EQ(view, bytes.data() + 4);
+  EXPECT_EQ(tail.remaining(), 0u);
 }
 
 }  // namespace
