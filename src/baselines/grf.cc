@@ -8,6 +8,11 @@
 #include "util/random.h"
 
 namespace savg {
+namespace {
+
+constexpr int kMaxKmeansRounds = 30;
+
+}  // namespace
 
 Result<Configuration> RunGrf(const SvgicInstance& instance,
                              const GrfOptions& options,
@@ -41,7 +46,7 @@ Result<Configuration> RunGrf(const SvgicInstance& instance,
   std::vector<std::vector<double>> centroid(g);
   for (int i = 0; i < g; ++i) centroid[i] = vec[seeds[i]];
   std::vector<int> assign(n, 0);
-  for (int round = 0; round < options.max_kmeans_rounds; ++round) {
+  for (int round = 0; round < kMaxKmeansRounds; ++round) {
     bool changed = false;
     for (UserId u = 0; u < n; ++u) {
       int best = assign[u];

@@ -20,7 +20,6 @@ namespace savg {
 struct GrfOptions {
   /// Number of preference clusters; 0 = heuristic default max(2, n/5).
   int num_clusters = 0;
-  int max_kmeans_rounds = 30;
   uint64_t seed = 7;
 };
 

@@ -36,8 +36,7 @@ Result<Configuration> RunSdp(const SvgicInstance& instance,
   const int k = instance.num_slots();
   const bool social = instance.lambda() > 0.0;
 
-  Partition partition =
-      GreedyModularity(instance.graph(), options.min_communities);
+  Partition partition = GreedyModularity(instance.graph());
   const auto groups = partition.Groups();
 
   Configuration config(n, k, m);

@@ -22,8 +22,6 @@ struct SdpOptions {
   /// Diversity penalty: an item's score is reduced by this factor times its
   /// preference-profile similarity to already selected items.
   double diversity_weight = 0.2;
-  /// Lower bound on the number of communities (1 = let modularity decide).
-  int min_communities = 1;
 };
 
 /// Runs the socially-tight-subgroup baseline. `partition_out` (optional)

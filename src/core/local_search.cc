@@ -9,6 +9,9 @@ namespace savg {
 
 namespace {
 
+/// Minimum scaled-utility gain for a move to be taken.
+constexpr double kMinGain = 1e-9;
+
 class LocalSearcher {
  public:
   LocalSearcher(const SvgicInstance& instance, Configuration config,
@@ -112,7 +115,7 @@ class LocalSearcher {
     const ItemId cur = config_.At(u, s);
     const double cur_value = ScaledPref(u, cur) + SocialAt(u, cur, s);
     ItemId best = kNoItem;
-    double best_gain = opt_.min_gain;
+    double best_gain = kMinGain;
     for (ItemId cand : pool_[u]) {
       if (cand == cur || config_.Displays(u, cand)) continue;
       if (!CapAllows(cand, s)) continue;
@@ -134,7 +137,7 @@ class LocalSearcher {
     // Preference is slot-invariant; only the social alignment changes.
     const double before = SocialAt(u, cs, s) + SocialAt(u, ct, t);
     const double after = SocialAt(u, ct, s) + SocialAt(u, cs, t);
-    if (after - before <= opt_.min_gain) return 0;
+    if (after - before <= kMinGain) return 0;
     // Swapping keeps the multiset of items per slot-group shifted by this
     // user only; cap counts change by +-1 per (item, slot).
     if (!CapAllows(ct, s) || !CapAllows(cs, t)) return 0;

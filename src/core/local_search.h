@@ -28,8 +28,6 @@ struct LocalSearchOptions {
   int max_sweeps = 8;
   /// Subgroup size cap to respect (kNoSizeCap = plain SVGIC).
   int size_cap = CsfState::kNoSizeCap;
-  /// Minimum scaled-utility gain for a move to be taken.
-  double min_gain = 1e-9;
 };
 
 struct LocalSearchResult {

@@ -34,13 +34,19 @@ void EncodeItemValues(const std::vector<ItemValue>& entries,
   }
 }
 
-bool DecodeItemValues(ByteReader* in, std::vector<ItemValue>* out) {
+/// Rejects an item id >= `num_items`: the LP and the objective index
+/// per-item arrays by it.
+bool DecodeItemValues(ByteReader* in, uint32_t num_items,
+                      std::vector<ItemValue>* out) {
   uint32_t count = 0;
   if (!in->ReadCount(&count, 8)) return false;
   out->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t item = 0;
-    if (!in->ReadU32(&item) || !in->ReadF32(&(*out)[i].value)) return false;
+    if (!in->ReadU32(&item) || !in->ReadF32(&(*out)[i].value) ||
+        item >= num_items) {
+      return false;
+    }
     (*out)[i].item = static_cast<ItemId>(item);
   }
   return true;
@@ -224,7 +230,7 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   }
   for (uint32_t e = 0; e < num_edges; ++e) {
     std::vector<ItemValue> entries;
-    if (!DecodeItemValues(&in, &entries)) return corrupt("tau entries");
+    if (!DecodeItemValues(&in, m, &entries)) return corrupt("tau entries");
     for (const ItemValue& entry : entries) {
       // Entries arrive sorted, so the sorted-insert path appends.
       instance.SetTauValue(static_cast<EdgeId>(e), entry.item, entry.value);
@@ -234,6 +240,11 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   if (!DecodeFloats(&in, &commodity) || !DecodeFloats(&in, &slots)) {
     return corrupt("commodity/slot weights");
   }
+  // Either vector is absent or holds one value per item / slot.
+  if ((!commodity.empty() && commodity.size() != m) ||
+      (!slots.empty() && slots.size() != k)) {
+    return corrupt("commodity/slot weights");
+  }
   if (!commodity.empty()) instance.set_commodity_values(std::move(commodity));
   if (!slots.empty()) instance.set_slot_weights(std::move(slots));
   uint32_t finalized_edges = 0, num_pairs = 0;
@@ -241,12 +252,20 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
     return corrupt("pair header");
   }
   if (finalized_edges > num_edges) return corrupt("finalized edge count");
+  // A pair's edge ids are -1 (that direction is absent) or an edge of
+  // the graph.
+  const auto valid_edge = [num_edges](uint32_t e) {
+    return e < num_edges || static_cast<EdgeId>(e) == -1;
+  };
   std::vector<FriendPair> pairs(num_pairs);
   for (uint32_t i = 0; i < num_pairs; ++i) {
     uint32_t u = 0, v = 0, uv = 0, vu = 0;
     if (!in.ReadU32(&u) || !in.ReadU32(&v) || !in.ReadU32(&uv) ||
-        !in.ReadU32(&vu) || !DecodeItemValues(&in, &pairs[i].weights)) {
+        !in.ReadU32(&vu) || !DecodeItemValues(&in, m, &pairs[i].weights)) {
       return corrupt("pair list");
+    }
+    if (u >= n || v >= n || !valid_edge(uv) || !valid_edge(vu)) {
+      return corrupt("pair ids");
     }
     pairs[i].u = static_cast<UserId>(u);
     pairs[i].v = static_cast<UserId>(v);
@@ -301,6 +320,11 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   state.keys.rows.resize(num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     if (!in.ReadU64(&state.keys.rows[i])) return corrupt("row keys");
+  }
+  // Basis projection reads the basis at each key's position.
+  if (num_cols != state.basis.structural.size() ||
+      num_rows != state.basis.logical.size()) {
+    return corrupt("key counts");
   }
   uint8_t valid_basis = 0;
   uint32_t num_resolves = 0;

@@ -179,8 +179,7 @@ Result<BatchReport> BatchRunner::Run(
             context.options = &options_.solver;
             context.seed =
                 BatchTaskSeed(options_.base_seed, i, solver->Name(), r);
-            if (options_.share_relaxation &&
-                solver->NeedsRelaxation(context)) {
+            if (solver->NeedsRelaxation(context)) {
               auto frac = cache.Get(i, *instance);
               if (!frac.ok()) {
                 out->status = frac.status();

@@ -90,8 +90,6 @@ struct BatchOptions {
   uint64_t base_seed = 1;
   /// Tuning knobs forwarded to every solver.
   SolverOptions solver;
-  /// Serve the AVG family from the shared per-instance LP cache.
-  bool share_relaxation = true;
   /// Per-instance warm-start bases for the relaxation cache (not owned,
   /// must outlive Run). Typically BatchReport::relaxation_bases of the
   /// previous point of a lambda sweep, whose LPs share the constraint

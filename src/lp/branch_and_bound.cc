@@ -10,6 +10,9 @@ namespace savg {
 
 namespace {
 
+/// |x - round(x)| at or below this counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 struct Node {
   /// Bound overrides for integer variables, parallel to `integer_vars`.
   std::vector<double> lb;
@@ -30,8 +33,8 @@ struct NodeOrder {
   }
 };
 
-bool IsIntegral(double v, double tol) {
-  return std::abs(v - std::round(v)) <= tol;
+bool IsIntegral(double v) {
+  return std::abs(v - std::round(v)) <= kIntegralityTolerance;
 }
 
 }  // namespace
@@ -54,7 +57,7 @@ Result<MipSolution> SolveMip(const LpModel& model,
   auto try_incumbent = [&](const std::vector<double>& x, double obj) {
     if (model.MaxViolation(x) > 1e-6) return;
     for (int iv : integer_vars) {
-      if (!IsIntegral(x[iv], options.integrality_tolerance)) return;
+      if (!IsIntegral(x[iv])) return;
     }
     if (sense * obj > sense * incumbent_obj + 1e-12) {
       incumbent_obj = obj;
@@ -189,7 +192,7 @@ Result<MipSolution> SolveMip(const LpModel& model,
     double branch_frac = -1.0;
     for (size_t i = 0; i < integer_vars.size(); ++i) {
       const double v = lp->x[integer_vars[i]];
-      if (!IsIntegral(v, options.integrality_tolerance)) {
+      if (!IsIntegral(v)) {
         const double frac = std::abs(v - std::round(v));
         const double dist_half = std::abs(frac - 0.5);
         if (branch_var < 0 || dist_half < branch_frac) {

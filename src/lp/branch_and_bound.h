@@ -39,9 +39,6 @@ struct MipOptions {
   SimplexOptions lp_options;
   int64_t max_nodes = 1000000;
   double time_limit_seconds = 1e18;
-  double integrality_tolerance = 1e-6;
-  /// Stop when (best_bound - incumbent) / max(1, |incumbent|) < gap.
-  double relative_gap = 1e-9;
   NodeSelection node_selection = NodeSelection::kHybrid;
   /// Warm-start each node's LP from the parent's optimal basis. The child
   /// differs only in one variable bound, which keeps the parent basis

@@ -169,8 +169,6 @@ struct LpSolution {
   int iterations = 0;
   /// Pivots spent restoring primal feasibility (phase 1 only).
   int phase1_iterations = 0;
-  /// Basis (re)factorizations performed.
-  int factorizations = 0;
   /// True when a caller-supplied starting basis was actually used.
   bool warm_started = false;
   /// True when the dual simplex repaired the warm basis all the way to

@@ -102,7 +102,6 @@ class RevisedSimplex {
     stats_.refactorizations = factor_->factorizations();
     sol.iterations = total_iterations_;
     sol.phase1_iterations = phase1_iterations_;
-    sol.factorizations = factor_->factorizations();
     sol.warm_started = warm_used_;
     sol.dual_simplex_used = dual_optimal;
     sol.basis = ExportBasis();

@@ -29,6 +29,9 @@ namespace {
 /// agents can ratchet up to a common kink over repeated sweeps.
 constexpr double kBreakpointRatchet = 0.02;
 
+/// Subgradient step length: kStepScale * radius / (|g| * sqrt(iter + 1)).
+constexpr double kStepScale = 0.5;
+
 std::vector<std::vector<int>> BuildPairsOfAgent(
     const PairwiseConcaveProblem& problem) {
   std::vector<std::vector<int>> pairs_of_agent(problem.num_agents);
@@ -245,7 +248,7 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
     for (double v : g) gnorm += v * v;
     gnorm = std::sqrt(gnorm);
     if (gnorm < 1e-14) break;
-    const double step = options.step_scale * radius /
+    const double step = kStepScale * radius /
                         (gnorm * std::sqrt(static_cast<double>(iter) + 1.0));
     for (size_t i = 0; i < total; ++i) x[i] += step * g[i];
     // Project every agent block onto D(k).

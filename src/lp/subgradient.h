@@ -55,7 +55,6 @@ struct SubgradientOptions {
   /// Exact per-agent block-coordinate maximization sweeps after the
   /// subgradient phase (0 disables polishing).
   int polish_sweeps = 8;
-  double step_scale = 0.5;
   double time_limit_seconds = 1e18;
   /// Optional warm-start point (row-major num_agents x num_items; blocks
   /// are re-projected onto D(k), so a stale-but-close point is fine).

@@ -74,10 +74,9 @@ std::string WindowedSnapshot::JsonDump() const {
   return out.str();
 }
 
-MetricsTimeSeries::MetricsTimeSeries(MetricsRegistry* registry,
-                                     TimeSeriesOptions options)
+MetricsTimeSeries::MetricsTimeSeries(MetricsRegistry* registry, int windows)
     : registry_(registry),
-      options_(options),
+      windows_(windows),
       last_capture_(std::chrono::steady_clock::now()) {}
 
 void MetricsTimeSeries::CaptureNow(double interval_seconds) {
@@ -123,7 +122,7 @@ void MetricsTimeSeries::CaptureNow(double interval_seconds) {
   }
 
   ring_.push_back(std::move(window));
-  while (ring_.size() > static_cast<size_t>(std::max(options_.windows, 1))) {
+  while (ring_.size() > static_cast<size_t>(std::max(windows_, 1))) {
     ring_.pop_front();
   }
   ++captures_;

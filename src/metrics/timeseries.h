@@ -28,11 +28,6 @@
 
 namespace savg {
 
-struct TimeSeriesOptions {
-  /// Ring capacity: how many capture windows are retained.
-  int windows = 256;
-};
-
 /// Aggregate of the last N capture windows (see MetricsTimeSeries).
 struct WindowedSnapshot {
   struct CounterRow {
@@ -73,8 +68,9 @@ struct WindowedSnapshot {
 
 class MetricsTimeSeries {
  public:
-  explicit MetricsTimeSeries(MetricsRegistry* registry,
-                             TimeSeriesOptions options = TimeSeriesOptions());
+  /// `windows` is the ring capacity: how many capture windows are
+  /// retained.
+  explicit MetricsTimeSeries(MetricsRegistry* registry, int windows = 256);
 
   /// Captures one window of deltas since the previous capture (or since
   /// construction for the first). `interval_seconds` overrides the
@@ -108,7 +104,7 @@ class MetricsTimeSeries {
   };
 
   MetricsRegistry* registry_;
-  TimeSeriesOptions options_;
+  const int windows_;
 
   mutable std::mutex mu_;
   std::deque<Window> ring_;

@@ -6,6 +6,38 @@
 #include "obs/structured_log.h"
 
 namespace savg {
+namespace {
+
+/// Shed requests per second before the shed rule fires.
+constexpr double kShedRateThreshold = 5.0;
+/// The saturation rule fires when the windowed max queue depth exceeds
+/// this fraction of the queue capacity.
+constexpr double kQueueSaturationFraction = 0.9;
+/// Slow-trace records (obs/tracer.h threshold) per second.
+constexpr double kSlowRateThreshold = 1.0;
+/// Eta-file chain length (lp.eta_chain gauge) above which the adaptive
+/// refactorization rule is considered to have lost control.
+constexpr int64_t kEtaChainLimit = 1024;
+/// Full re-rounds per second (all drift-triggered); sustained firing
+/// means incremental serving is thrashing above its drift budget.
+constexpr double kDriftReroundRateThreshold = 0.5;
+/// Resolve-latency regression: window mean vs a cross-window EWMA
+/// baseline. Windows with fewer than kLatencyMinCount resolves are
+/// ignored; the EWMA only absorbs non-regressed windows so a sustained
+/// regression stays visible.
+constexpr double kLatencyRegressionFactor = 3.0;
+constexpr double kLatencyEwmaAlpha = 0.2;
+constexpr int64_t kLatencyMinCount = 5;
+/// Un-snapshotted commands (durability.changelog_lag gauge, windowed max)
+/// above which recovery replay time is out of budget: the snapshot
+/// scheduler is falling behind the command stream. Without durability
+/// the gauge is absent and reads 0.
+constexpr int64_t kChangelogLagLimit = 4096;
+/// Consecutive bad windows to leave ok / clean windows to return to it.
+constexpr int kDegradeAfter = 2;
+constexpr int kRecoverAfter = 2;
+
+}  // namespace
 
 const char* HealthLevelName(HealthLevel level) {
   switch (level) {
@@ -19,8 +51,8 @@ const char* HealthLevelName(HealthLevel level) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(options) {}
+HealthMonitor::HealthMonitor(int64_t queue_capacity)
+    : queue_capacity_(queue_capacity) {}
 
 HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -37,36 +69,33 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
     active.push_back("journal_failed");
     unhealthy_now = true;
   }
-  if (window.CounterRate("serve.shed") > options_.shed_rate_threshold) {
+  if (window.CounterRate("serve.shed") > kShedRateThreshold) {
     active.push_back("shed_rate");
   }
-  if (options_.queue_capacity > 0 &&
+  if (queue_capacity_ > 0 &&
       static_cast<double>(window.GaugeMax("serve.queue_depth")) >
-          options_.queue_saturation_fraction *
-              static_cast<double>(options_.queue_capacity)) {
+          kQueueSaturationFraction * static_cast<double>(queue_capacity_)) {
     active.push_back("queue_saturation");
   }
-  if (window.CounterRate("trace.slow") > options_.slow_rate_threshold) {
+  if (window.CounterRate("trace.slow") > kSlowRateThreshold) {
     active.push_back("slow_request_rate");
   }
-  if (window.GaugeLast("lp.eta_chain") > options_.eta_chain_limit) {
+  if (window.GaugeLast("lp.eta_chain") > kEtaChainLimit) {
     active.push_back("eta_chain_growth");
   }
   if (window.CounterRate("session.full_rerounds") >
-      options_.drift_reround_rate_threshold) {
+      kDriftReroundRateThreshold) {
     active.push_back("drift_budget");
   }
-  if (options_.changelog_lag_limit > 0 &&
-      window.GaugeMax("durability.changelog_lag") >
-          options_.changelog_lag_limit) {
+  if (window.GaugeMax("durability.changelog_lag") > kChangelogLagLimit) {
     active.push_back("changelog_lag");
   }
   const WindowedSnapshot::HistogramRow* resolve =
       window.FindHistogram("serve.latency.resolve");
-  if (resolve != nullptr && resolve->count >= options_.latency_min_count) {
+  if (resolve != nullptr && resolve->count >= kLatencyMinCount) {
     bool regressed = false;
     if (latency_ewma_ready_ &&
-        resolve->mean > options_.latency_regression_factor * latency_ewma_) {
+        resolve->mean > kLatencyRegressionFactor * latency_ewma_) {
       active.push_back("resolve_latency_regression");
       regressed = true;
     }
@@ -75,8 +104,8 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
       // regression cannot normalize itself away.
       latency_ewma_ =
           latency_ewma_ready_
-              ? options_.latency_ewma_alpha * resolve->mean +
-                    (1.0 - options_.latency_ewma_alpha) * latency_ewma_
+              ? kLatencyEwmaAlpha * resolve->mean +
+                    (1.0 - kLatencyEwmaAlpha) * latency_ewma_
               : resolve->mean;
       latency_ewma_ready_ = true;
     }
@@ -98,12 +127,12 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
     level_ = HealthLevel::kUnhealthy;
     reasons_ = active;
   } else if (level_ == HealthLevel::kOk) {
-    if (bad_streak_ >= options_.degrade_after) {
+    if (bad_streak_ >= kDegradeAfter) {
       level_ = HealthLevel::kDegraded;
       reasons_ = active;
     }
   } else {
-    if (clean_streak_ >= options_.recover_after) {
+    if (clean_streak_ >= kRecoverAfter) {
       level_ = HealthLevel::kOk;
       reasons_.clear();
     } else if (!active.empty()) {

@@ -7,14 +7,16 @@
 // and per-window quantiles), never lifetime counters, so a server that
 // shed requests an hour ago reads healthy now.
 //
-// Hysteresis: leaving `ok` takes `degrade_after` consecutive bad windows
-// and returning takes `recover_after` consecutive clean ones, so one
-// noisy window cannot flap the verdict. The exceptions are a
-// self-verification failure (verify.fail incremented) and a fail-stopped
-// journal (durability.journal_failed > 0), which trip `unhealthy`
-// immediately — a served infeasible answer or a session refusing every
-// command is never noise — though recovery still follows the normal
-// clean-window path.
+// Hysteresis: leaving `ok` takes two consecutive bad windows and
+// returning takes two consecutive clean ones, so one noisy window cannot
+// flap the verdict. The exceptions are a self-verification failure
+// (verify.fail incremented) and a fail-stopped journal
+// (durability.journal_failed > 0), which trip `unhealthy` immediately —
+// a served infeasible answer or a session refusing every command is never
+// noise — though recovery still follows the normal clean-window path.
+//
+// The rule thresholds are fixed (README "Monitoring" documents them); the
+// only input is the admission queue capacity.
 //
 // Verdict transitions are logged as structured `health.transition`
 // events for log-based alerting.
@@ -34,40 +36,6 @@ enum class HealthLevel { kOk, kDegraded, kUnhealthy };
 
 const char* HealthLevelName(HealthLevel level);
 
-struct HealthOptions {
-  /// Shed requests per second before the shed rule fires.
-  double shed_rate_threshold = 5.0;
-  /// Admission queue capacity; 0 disables the saturation rule. The rule
-  /// fires when the windowed max queue depth exceeds
-  /// `queue_saturation_fraction` of this.
-  int64_t queue_capacity = 0;
-  double queue_saturation_fraction = 0.9;
-  /// Slow-trace records (obs/tracer.h threshold) per second.
-  double slow_rate_threshold = 1.0;
-  /// Eta-file chain length (lp.eta_chain gauge) above which the adaptive
-  /// refactorization policy is considered to have lost control.
-  int64_t eta_chain_limit = 1024;
-  /// Full re-rounds per second (all drift-triggered); sustained firing
-  /// means incremental serving is thrashing above its drift budget.
-  double drift_reround_rate_threshold = 0.5;
-  /// Resolve-latency regression: window mean vs a cross-window EWMA
-  /// baseline. Windows with fewer than `latency_min_count` resolves are
-  /// ignored; the EWMA only absorbs non-regressed windows so a sustained
-  /// regression stays visible.
-  double latency_regression_factor = 3.0;
-  double latency_ewma_alpha = 0.2;
-  int64_t latency_min_count = 5;
-  /// Un-snapshotted commands (durability.changelog_lag gauge, windowed
-  /// max) above which recovery replay time is considered out of budget —
-  /// the snapshot scheduler is falling behind the command stream. 0
-  /// disables (also the right setting when durability is off).
-  int64_t changelog_lag_limit = 4096;
-  /// Hysteresis: consecutive bad windows to leave ok / clean windows to
-  /// return to it.
-  int degrade_after = 2;
-  int recover_after = 2;
-};
-
 struct HealthVerdict {
   HealthLevel level = HealthLevel::kOk;
   /// Rule names active when the verdict left ok (sticky until recovery).
@@ -77,7 +45,10 @@ struct HealthVerdict {
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthOptions options = HealthOptions());
+  /// `queue_capacity` is the admission queue bound the queue_saturation
+  /// rule compares the windowed max queue depth against; 0 disables the
+  /// rule.
+  explicit HealthMonitor(int64_t queue_capacity = 0);
 
   /// Feeds one capture window; returns the post-evaluation verdict.
   HealthVerdict Evaluate(const WindowedSnapshot& window);
@@ -88,7 +59,7 @@ class HealthMonitor {
   std::string JsonDump() const;
 
  private:
-  HealthOptions options_;
+  const int64_t queue_capacity_;
 
   mutable std::mutex mu_;
   HealthLevel level_ = HealthLevel::kOk;

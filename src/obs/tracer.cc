@@ -58,9 +58,7 @@ std::string MicrosString(int64_t nanos) {
 Tracer::Tracer(MetricsRegistry* metrics, TracerOptions options)
     : options_(std::move(options)),
       metrics_(metrics),
-      sink_(TraceSinkOptions{options_.slow_log_path,
-                             options_.slow_log_max_bytes,
-                             options_.slow_log_max_files}),
+      sink_(TraceSinkOptions{options_.slow_log_path}),
       traces_sampled_(metrics->GetCounter("trace.sampled")),
       traces_forced_(metrics->GetCounter("trace.forced")),
       traces_slow_(metrics->GetCounter("trace.slow")),

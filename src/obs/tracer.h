@@ -46,10 +46,9 @@ struct TracerOptions {
   double slow_seconds = 0.25;
   /// Finished traces kept in the in-memory ring for GET /trace.
   size_t buffer_traces = 256;
-  /// Slow-query JSONL path ("" = no slow-query log file).
+  /// Slow-query JSONL path ("" = no slow-query log file). The file
+  /// rotates at TraceSinkOptions' defaults: 8 MiB, 3 generations.
   std::string slow_log_path;
-  size_t slow_log_max_bytes = 8 * 1024 * 1024;
-  int slow_log_max_files = 3;
 };
 
 class Tracer {

@@ -12,6 +12,9 @@ namespace savg {
 
 namespace {
 
+/// KKT / objective tolerance (relative for the objective audit).
+constexpr double kTolerance = 1e-5;
+
 thread_local bool t_force_verify = false;
 
 }  // namespace
@@ -117,7 +120,7 @@ void SolutionVerifier::RunJob(const VerifyJob& job) {
     recomputed = Evaluate(job.instance, job.config).ScaledTotal();
     const double scale = std::max(1.0, std::abs(job.reported_scaled_total));
     if (std::abs(recomputed - job.reported_scaled_total) >
-        options_.tolerance * scale) {
+        kTolerance * scale) {
       failure = "objective";
       fail_objective_->Increment();
     }
@@ -126,7 +129,7 @@ void SolutionVerifier::RunJob(const VerifyJob& job) {
   if (failure.empty() && job.has_lp) {
     kkt_audits_->Increment();
     kkt = CheckLpKkt(job.lp, job.x, job.duals);
-    if (!kkt.Ok(options_.tolerance)) {
+    if (!kkt.Ok(kTolerance)) {
       failure = "kkt";
       fail_kkt_->Increment();
     }

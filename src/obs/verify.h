@@ -58,8 +58,6 @@ struct VerifierOptions {
   int sample_every = 16;
   /// Queue bound; overflow drops the job (verify.dropped).
   size_t max_pending = 16;
-  /// KKT / objective tolerance (relative for the objective audit).
-  double tolerance = 1e-5;
 };
 
 class SolutionVerifier {

@@ -29,6 +29,13 @@ Status SendAll(int fd, const char* data, size_t size) {
   return Status::OK();
 }
 
+/// Retry backoff: doubles per attempt, then scaled by a factor uniform in
+/// [1 - kJitterFraction, 1 + kJitterFraction] drawn from a splitmix64
+/// stream seeded with kJitterSeed.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.2;
+constexpr uint64_t kJitterSeed = 1;
+
 /// splitmix64 step: a cheap deterministic jitter stream (no <random>
 /// state to carry; identical runs produce identical backoff schedules).
 uint64_t NextJitter(uint64_t* state) {
@@ -41,7 +48,7 @@ uint64_t NextJitter(uint64_t* state) {
 }  // namespace
 
 ServeClient::ServeClient(ClientRetryOptions retry, MetricsRegistry* registry)
-    : retry_(retry), jitter_state_(retry.jitter_seed) {
+    : retry_(retry), jitter_state_(kJitterSeed) {
   if (registry != nullptr) {
     retries_counter_ = registry->GetCounter("serve.client.retries");
   }
@@ -161,13 +168,11 @@ Result<ServeResponse> ServeClient::ReadResponse() {
 bool ServeClient::PrepareRetry(int attempt, bool reconnect) {
   if (attempt >= retry_.max_retries) return false;
   double backoff_ms = retry_.initial_backoff_ms;
-  for (int i = 0; i < attempt; ++i) backoff_ms *= retry_.backoff_multiplier;
+  for (int i = 0; i < attempt; ++i) backoff_ms *= kBackoffMultiplier;
   if (backoff_ms > retry_.max_backoff_ms) backoff_ms = retry_.max_backoff_ms;
-  if (retry_.jitter_fraction > 0.0) {
-    const double unit = static_cast<double>(NextJitter(&jitter_state_) >> 11)
-                        * (1.0 / 9007199254740992.0);  // [0, 1)
-    backoff_ms *= 1.0 + retry_.jitter_fraction * (2.0 * unit - 1.0);
-  }
+  const double unit = static_cast<double>(NextJitter(&jitter_state_) >> 11) *
+                      (1.0 / 9007199254740992.0);  // [0, 1)
+  backoff_ms *= 1.0 + kJitterFraction * (2.0 * unit - 1.0);
   if (backoff_ms > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));

@@ -39,14 +39,10 @@ struct ClientRetryOptions {
   /// Retries per Apply() call beyond the first attempt.
   int max_retries = 0;
   double initial_backoff_ms = 5.0;
+  /// The backoff doubles per retry up to this cap; each one is then
+  /// scaled by a factor uniform in [0.8, 1.2] from a deterministic stream,
+  /// so benches reproduce.
   double max_backoff_ms = 200.0;
-  double backoff_multiplier = 2.0;
-  /// Each backoff is scaled by a factor uniform in [1-j, 1+j], from a
-  /// deterministic per-client stream (reproducible benches; still
-  /// decorrelates concurrent clients via the seed).
-  double jitter_fraction = 0.2;
-  /// Seed of the jitter stream (vary per client to spread herds).
-  uint64_t jitter_seed = 1;
 };
 
 /// One response frame, with the apply payload decoded when present.

@@ -56,22 +56,10 @@ void AppendJsonEscaped(const std::string& text, std::ostream* out) {
 
 }  // namespace
 
-namespace {
-
-HealthOptions ResolveHealthOptions(const ServerOptions& options) {
-  HealthOptions health = options.health;
-  if (health.queue_capacity == 0) {
-    health.queue_capacity = options.admission.max_queue_depth;
-  }
-  return health;
-}
-
-}  // namespace
-
 ServeServer::ServeServer(ServerOptions options)
     : options_(options),
-      timeseries_(&metrics_, TimeSeriesOptions{options.metrics_windows}),
-      health_(ResolveHealthOptions(options)),
+      timeseries_(&metrics_, options.metrics_windows),
+      health_(options.admission.max_queue_depth),
       verifier_(&metrics_, options.verify),
       store_(options.durability.data_dir.empty()
                  ? nullptr

@@ -72,9 +72,6 @@ struct ServerOptions {
   double metrics_interval_seconds = 1.0;
   /// Capture ring size (windows retained for GET /metrics?window=N).
   int metrics_windows = 256;
-  /// Health rule thresholds; queue_capacity is wired from
-  /// admission.max_queue_depth automatically when left 0.
-  HealthOptions health;
   /// Sampled post-solve self-verification (obs/verify.h).
   VerifierOptions verify;
   /// Session durability (src/durability/): an empty data_dir disables it;

@@ -75,6 +75,12 @@ void ShardPlan::RefreshCutPairs(const SvgicInstance& instance) {
 
 namespace {
 
+/// Users per shard aimed for when ShardPlanOptions::num_shards == 0.
+constexpr int kTargetShardSize = 24;
+/// kCommunity splits any community larger than this multiple of the ideal
+/// shard size (n / num_shards) via BFS chunking.
+constexpr double kMaxImbalance = 1.6;
+
 /// Splits any community larger than `max_size` into BFS chunks of at most
 /// `chunk_size` members, keeping the rest of the partition untouched.
 void SplitOversized(const SocialGraph& graph, int max_size, int chunk_size,
@@ -103,8 +109,7 @@ ShardPlan BuildShardPlan(const SvgicInstance& instance,
   const int n = graph.num_vertices();
   int target = options.num_shards > 0
                    ? options.num_shards
-                   : (n + std::max(1, options.target_shard_size) - 1) /
-                         std::max(1, options.target_shard_size);
+                   : (n + kTargetShardSize - 1) / kTargetShardSize;
   target = std::max(1, std::min(target, std::max(1, n)));
   const int ideal = std::max(1, (n + target - 1) / target);
 
@@ -114,8 +119,8 @@ ShardPlan BuildShardPlan(const SvgicInstance& instance,
     p = BalancedPartition(graph, ideal, &rng);
   } else {
     p = GreedyModularity(graph, target);
-    const int max_size = std::max(
-        ideal, static_cast<int>(ideal * std::max(1.0, options.max_imbalance)));
+    const int max_size =
+        std::max(ideal, static_cast<int>(ideal * kMaxImbalance));
     SplitOversized(graph, max_size, ideal, options.seed, &p);
     // An edgeless (or near-edgeless) graph leaves more singletons than
     // shards: fold the surplus round-robin into the first `target` labels.

@@ -33,15 +33,10 @@ enum class ShardMethod {
 };
 
 struct ShardPlanOptions {
-  /// Explicit shard count; 0 derives it from target_shard_size.
+  /// Explicit shard count; 0 aims for 24 users per shard.
   int num_shards = 0;
-  /// Users per shard aimed for when num_shards == 0.
-  int target_shard_size = 24;
   ShardMethod method = ShardMethod::kCommunity;
   uint64_t seed = 1;
-  /// kCommunity splits any community larger than this multiple of the
-  /// ideal shard size (n / num_shards) via BFS chunking.
-  double max_imbalance = 1.6;
 };
 
 /// Balance + cut statistics of a plan (telemetry and bench tables).

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/datasets.h"
@@ -401,6 +402,101 @@ TEST(SnapshotTest, OversizedDimensionsAreRejectedBeforeAnyAllocation) {
     ASSERT_FALSE(decoded.ok()) << "prefix " << len;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << "prefix " << len << ": " << decoded.status();
+  }
+}
+
+/// Byte offset of the first pair's `u` in the encoded state of `inst`:
+/// past the version, the dimensions, the edge list, the preference
+/// matrix, the tau lists, the commodity and slot vectors and the
+/// finalized-edge and pair counts.
+size_t FirstPairOffset(const SvgicInstance& inst) {
+  const int num_edges = inst.graph().num_edges();
+  size_t offset = 4 + 3 * 4 + 8 + 4 + 8 * static_cast<size_t>(num_edges) +
+                  4 * static_cast<size_t>(inst.num_users()) * inst.num_items();
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    offset += 4 + 8 * inst.TauEntries(e).size();
+  }
+  offset += 4 + 4 * inst.commodity_values().size();
+  offset += 4 + 4 * inst.slot_weights().size();
+  return offset + 4 + 4;
+}
+
+uint32_t U32At(const std::string& bytes, size_t at) {
+  ByteReader reader(bytes.data() + at, 4);
+  uint32_t value = 0;
+  EXPECT_TRUE(reader.ReadU32(&value));
+  return value;
+}
+
+std::string WithU32At(std::string bytes, size_t at, uint32_t value) {
+  std::string encoded;
+  PutU32(value, &encoded);
+  bytes.replace(at, 4, encoded);
+  return bytes;
+}
+
+std::string Encoded(const SessionState& state) {
+  std::string bytes;
+  EncodeSessionState(state, &bytes);
+  return bytes;
+}
+
+TEST(SnapshotTest, OutOfRangeIdsAreRejected) {
+  // Ids and sizes inside the payload must agree with the dimensions and
+  // counts decoded before them; each violation is InvalidArgument, never
+  // an out-of-bounds write or a state that crashes a later resolve.
+  Session session(RandomInstance(4, 5, 2, 0.5, 11));
+  ApplyAll(&session, BuildStream(4, 5, 6, 13));
+  const SessionState good = session.CaptureState();
+  const SvgicInstance& inst = good.instance;
+  const uint32_t n = static_cast<uint32_t>(inst.num_users());
+  const uint32_t m = static_cast<uint32_t>(inst.num_items());
+  const uint32_t num_edges = static_cast<uint32_t>(inst.graph().num_edges());
+  ASSERT_GT(num_edges, 0u);
+  ASSERT_FALSE(inst.pairs().empty());
+  ASSERT_FALSE(inst.pairs()[0].weights.empty());
+  ASSERT_FALSE(good.keys.cols.empty());
+  ASSERT_FALSE(good.keys.rows.empty());
+
+  const std::string encoded = Encoded(good);
+  ASSERT_TRUE(DecodeSessionState(encoded.data(), encoded.size()).ok());
+  const size_t pair = FirstPairOffset(inst);
+  const FriendPair& first = inst.pairs()[0];
+  ASSERT_EQ(U32At(encoded, pair), static_cast<uint32_t>(first.u));
+  ASSERT_EQ(U32At(encoded, pair + 4), static_cast<uint32_t>(first.v));
+  ASSERT_EQ(U32At(encoded, pair + 16), first.weights.size());
+  ASSERT_EQ(U32At(encoded, pair + 20),
+            static_cast<uint32_t>(first.weights[0].item));
+
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"pair u = 2^30", WithU32At(encoded, pair, 1u << 30)},
+      {"pair v = n", WithU32At(encoded, pair + 4, n)},
+      {"pair uv = num_edges", WithU32At(encoded, pair + 8, num_edges)},
+      {"pair vu = num_edges", WithU32At(encoded, pair + 12, num_edges)},
+      {"pair weight item = m", WithU32At(encoded, pair + 20, m)},
+  };
+  SessionState tau_item = good;
+  tau_item.instance.SetTauValue(0, 1000000, 0.5);
+  cases.emplace_back("tau item = 10^6", Encoded(tau_item));
+  SessionState commodity = good;
+  commodity.instance.set_commodity_values({1.0f});
+  cases.emplace_back("1 commodity value for 5 items", Encoded(commodity));
+  SessionState slots = good;
+  slots.instance.set_slot_weights(
+      std::vector<float>(inst.num_slots() + 1, 1.0f));
+  cases.emplace_back("k + 1 slot weights", Encoded(slots));
+  SessionState cols = good;
+  cols.keys.cols.push_back(42);
+  cases.emplace_back("a column key more than basis columns", Encoded(cols));
+  SessionState rows = good;
+  rows.keys.rows.pop_back();
+  cases.emplace_back("a row key fewer than basis rows", Encoded(rows));
+
+  for (const auto& [what, bytes] : cases) {
+    auto decoded = DecodeSessionState(bytes.data(), bytes.size());
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << decoded.status();
   }
 }
 

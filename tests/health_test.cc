@@ -55,13 +55,12 @@ bool HasReason(const HealthVerdict& verdict, const std::string& reason) {
   return false;
 }
 
-/// Default options with the hysteresis shrunk to 1 so single-rule tests
-/// can read the verdict off one bad window.
-HealthOptions Immediate() {
-  HealthOptions options;
-  options.degrade_after = 1;
-  options.recover_after = 1;
-  return options;
+/// Feeds `window` twice, the hysteresis's two consecutive bad windows
+/// that leave ok, and returns the second verdict.
+HealthVerdict EvaluateTwice(HealthMonitor* monitor,
+                            const WindowedSnapshot& window) {
+  monitor->Evaluate(window);
+  return monitor->Evaluate(window);
 }
 
 TEST(HealthMonitorTest, QuietWindowsStayOk) {
@@ -75,65 +74,79 @@ TEST(HealthMonitorTest, QuietWindowsStayOk) {
 }
 
 TEST(HealthMonitorTest, ShedRateRuleFires) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot window = CleanWindow();
-  AddCounter(&window, "serve.shed", 50);  // 50/s > default 5/s
-  const HealthVerdict verdict = monitor.Evaluate(window);
+  AddCounter(&window, "serve.shed", 50);  // 50/s > 5/s
+  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "shed_rate"));
 }
 
 TEST(HealthMonitorTest, ShedRateBelowThresholdDoesNotFire) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot window = CleanWindow();
   AddCounter(&window, "serve.shed", 3);  // 3/s < 5/s
-  EXPECT_EQ(monitor.Evaluate(window).level, HealthLevel::kOk);
+  EXPECT_EQ(EvaluateTwice(&monitor, window).level, HealthLevel::kOk);
 }
 
 TEST(HealthMonitorTest, QueueSaturationRuleFires) {
-  HealthOptions options = Immediate();
-  options.queue_capacity = 100;  // fires above 90 (0.9 * capacity)
-  HealthMonitor monitor(options);
+  HealthMonitor monitor(/*queue_capacity=*/100);  // fires above 90
   WindowedSnapshot window = CleanWindow();
   AddGauge(&window, "serve.queue_depth", /*last=*/10, /*max=*/95);
-  const HealthVerdict verdict = monitor.Evaluate(window);
+  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "queue_saturation"));
 
   // Disabled (capacity 0): the same window reads healthy.
-  HealthMonitor no_rule(Immediate());
-  EXPECT_EQ(no_rule.Evaluate(window).level, HealthLevel::kOk);
+  HealthMonitor no_rule;
+  EXPECT_EQ(EvaluateTwice(&no_rule, window).level, HealthLevel::kOk);
 }
 
 TEST(HealthMonitorTest, SlowRequestRateRuleFires) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot window = CleanWindow();
-  AddCounter(&window, "trace.slow", 10);  // 10/s > default 1/s
-  const HealthVerdict verdict = monitor.Evaluate(window);
+  AddCounter(&window, "trace.slow", 10);  // 10/s > 1/s
+  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "slow_request_rate"));
 }
 
 TEST(HealthMonitorTest, EtaChainGrowthRuleFires) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot window = CleanWindow();
   AddGauge(&window, "lp.eta_chain", /*last=*/2048, /*max=*/2048);
-  const HealthVerdict verdict = monitor.Evaluate(window);
+  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "eta_chain_growth"));
 }
 
 TEST(HealthMonitorTest, DriftBudgetRuleFires) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot window = CleanWindow();
   AddCounter(&window, "session.full_rerounds", 5);  // 5/s > 0.5/s
-  const HealthVerdict verdict = monitor.Evaluate(window);
+  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "drift_budget"));
 }
 
+TEST(HealthMonitorTest, ChangelogLagRuleFires) {
+  // The limit is 4096 un-snapshotted commands: at the limit the window
+  // reads healthy, one command past it the rule fires.
+  HealthMonitor at_limit;
+  WindowedSnapshot lagging = CleanWindow();
+  AddGauge(&lagging, "durability.changelog_lag", /*last=*/0, /*max=*/4096);
+  EXPECT_EQ(EvaluateTwice(&at_limit, lagging).level, HealthLevel::kOk);
+
+  HealthMonitor monitor;
+  WindowedSnapshot over = CleanWindow();
+  AddGauge(&over, "durability.changelog_lag", /*last=*/0, /*max=*/4097);
+  const HealthVerdict verdict = EvaluateTwice(&monitor, over);
+  EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
+  EXPECT_TRUE(HasReason(verdict, "changelog_lag"));
+}
+
 TEST(HealthMonitorTest, ResolveLatencyRegressionRuleFires) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   // Establish the EWMA baseline around 10ms.
   for (int i = 0; i < 5; ++i) {
     WindowedSnapshot window = CleanWindow();
@@ -143,13 +156,13 @@ TEST(HealthMonitorTest, ResolveLatencyRegressionRuleFires) {
   // 40ms > 3x baseline: regression.
   WindowedSnapshot slow = CleanWindow();
   AddResolveLatency(&slow, /*count=*/20, /*mean=*/0.040);
-  const HealthVerdict verdict = monitor.Evaluate(slow);
+  const HealthVerdict verdict = EvaluateTwice(&monitor, slow);
   EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
   EXPECT_TRUE(HasReason(verdict, "resolve_latency_regression"));
 }
 
 TEST(HealthMonitorTest, LatencyBaselineIgnoresSparseWindows) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   // Baseline at 10ms.
   for (int i = 0; i < 3; ++i) {
     WindowedSnapshot window = CleanWindow();
@@ -160,11 +173,11 @@ TEST(HealthMonitorTest, LatencyBaselineIgnoresSparseWindows) {
   // without firing: two cold solves are not a fleet-level regression.
   WindowedSnapshot sparse = CleanWindow();
   AddResolveLatency(&sparse, /*count=*/2, /*mean=*/1.0);
-  EXPECT_EQ(monitor.Evaluate(sparse).level, HealthLevel::kOk);
+  EXPECT_EQ(EvaluateTwice(&monitor, sparse).level, HealthLevel::kOk);
 }
 
 TEST(HealthMonitorTest, SustainedRegressionDoesNotPolluteBaseline) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   for (int i = 0; i < 5; ++i) {
     WindowedSnapshot window = CleanWindow();
     AddResolveLatency(&window, /*count=*/20, /*mean=*/0.010);
@@ -172,9 +185,10 @@ TEST(HealthMonitorTest, SustainedRegressionDoesNotPolluteBaseline) {
   }
   // If regressed windows fed the EWMA, the baseline would chase the
   // regression and the rule would stop firing after a few windows.
+  WindowedSnapshot slow = CleanWindow();
+  AddResolveLatency(&slow, /*count=*/20, /*mean=*/0.040);
+  monitor.Evaluate(slow);  // the first of the two bad windows that degrade
   for (int i = 0; i < 10; ++i) {
-    WindowedSnapshot slow = CleanWindow();
-    AddResolveLatency(&slow, /*count=*/20, /*mean=*/0.040);
     const HealthVerdict verdict = monitor.Evaluate(slow);
     EXPECT_EQ(verdict.level, HealthLevel::kDegraded) << "window " << i;
     EXPECT_TRUE(HasReason(verdict, "resolve_latency_regression"));
@@ -182,7 +196,7 @@ TEST(HealthMonitorTest, SustainedRegressionDoesNotPolluteBaseline) {
 }
 
 TEST(HealthMonitorTest, OneNoisyWindowDoesNotFlap) {
-  HealthMonitor monitor;  // default degrade_after = 2
+  HealthMonitor monitor;  // two bad windows degrade
   WindowedSnapshot bad = CleanWindow();
   AddCounter(&bad, "serve.shed", 50);
   // bad, clean, bad, clean ... never two bad in a row: stays ok.
@@ -193,7 +207,7 @@ TEST(HealthMonitorTest, OneNoisyWindowDoesNotFlap) {
   // Two consecutive bad windows: degraded.
   EXPECT_EQ(monitor.Evaluate(bad).level, HealthLevel::kOk);
   EXPECT_EQ(monitor.Evaluate(bad).level, HealthLevel::kDegraded);
-  // One clean window is not yet recovery (recover_after = 2)...
+  // One clean window is not yet recovery (two clean windows recover)...
   EXPECT_EQ(monitor.Evaluate(CleanWindow()).level, HealthLevel::kDegraded);
   // ...the second is.
   const HealthVerdict recovered = monitor.Evaluate(CleanWindow());
@@ -209,7 +223,7 @@ TEST(HealthMonitorTest, VerifyFailureAndJournalFailStopTripImmediately) {
   const std::vector<std::pair<WindowedSnapshot, std::string>> cases = {
       {verify_failed, "verify_failure"}, {journal_failed, "journal_failed"}};
   for (const auto& [bad, reason] : cases) {
-    HealthMonitor monitor;  // degrade_after = 2 must NOT apply here
+    HealthMonitor monitor;  // the two-window hysteresis must NOT apply
     const HealthVerdict verdict = monitor.Evaluate(bad);
     EXPECT_EQ(verdict.level, HealthLevel::kUnhealthy);
     EXPECT_TRUE(HasReason(verdict, reason));
@@ -220,10 +234,10 @@ TEST(HealthMonitorTest, VerifyFailureAndJournalFailStopTripImmediately) {
 }
 
 TEST(HealthMonitorTest, ReasonsTrackTheFreshestBadWindow) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   WindowedSnapshot shed = CleanWindow();
   AddCounter(&shed, "serve.shed", 50);
-  EXPECT_TRUE(HasReason(monitor.Evaluate(shed), "shed_rate"));
+  EXPECT_TRUE(HasReason(EvaluateTwice(&monitor, shed), "shed_rate"));
   // The degraded verdict's reasons follow the latest active rules.
   WindowedSnapshot slow = CleanWindow();
   AddCounter(&slow, "trace.slow", 10);
@@ -234,12 +248,12 @@ TEST(HealthMonitorTest, ReasonsTrackTheFreshestBadWindow) {
 }
 
 TEST(HealthMonitorTest, JsonDumpCarriesStatusAndReasons) {
-  HealthMonitor monitor(Immediate());
+  HealthMonitor monitor;
   EXPECT_NE(monitor.JsonDump().find("\"status\": \"ok\""),
             std::string::npos);
   WindowedSnapshot bad = CleanWindow();
   AddCounter(&bad, "serve.shed", 50);
-  monitor.Evaluate(bad);
+  EvaluateTwice(&monitor, bad);
   const std::string json = monitor.JsonDump();
   EXPECT_NE(json.find("\"status\": \"degraded\""), std::string::npos);
   EXPECT_NE(json.find("\"shed_rate\""), std::string::npos);

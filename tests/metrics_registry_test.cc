@@ -299,9 +299,7 @@ TEST(MetricsTimeSeriesTest, WindowedHistogramQuantilesSeeOnlyTheWindow) {
 
 TEST(MetricsTimeSeriesTest, RingEvictsOldWindows) {
   MetricsRegistry registry;
-  TimeSeriesOptions options;
-  options.windows = 4;
-  MetricsTimeSeries series(&registry, options);
+  MetricsTimeSeries series(&registry, /*windows=*/4);
   Counter* hits = registry.GetCounter("hits");
   for (int i = 0; i < 10; ++i) {
     hits->Increment(1);

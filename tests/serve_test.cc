@@ -947,6 +947,53 @@ TEST(ServeServerTest, QueueDepthGaugeReturnsToZeroAfterAllPaths) {
   EXPECT_EQ(server.metrics().GetGauge("serve.queue_depth")->value(), 0);
 }
 
+TEST(ServeServerTest, QueueSaturationFiresAgainstTheAdmissionBound) {
+  // The health monitor's queue capacity is the admission bound: with a
+  // bound of 10 the rule fires above 9 commands in flight. One worker
+  // pinned inside a completion callback holds the depth still while the
+  // test captures windows.
+  ServerOptions options;
+  options.num_workers = 1;
+  options.admission.max_queue_depth = 10;
+  options.metrics_interval_seconds = 0;  // captures driven by the test
+  ServeServer server(options);
+  const int session =
+      server.CreateSession(RandomInstance(8, 12, 2, 0.5, 57));
+
+  std::promise<void> entered, release;
+  auto entered_future = entered.get_future();
+  std::shared_future<void> release_future(release.get_future());
+  Status first = server.admission().Submit(
+      session, MakePref(0, 0, 0.5),
+      [&entered, release_future](const Status&, const CommandOutcome&) {
+        entered.set_value();
+        release_future.wait();
+      });
+  ASSERT_TRUE(first.ok());
+  entered_future.wait();  // the only worker is now pinned
+  for (int i = 1; i < 9; ++i) {
+    ASSERT_TRUE(server.admission().Submit(session, MakeResolve()).ok());
+  }
+  ASSERT_EQ(server.admission().depth(), 9);
+  server.CaptureMetricsWindow(1.0);
+  server.CaptureMetricsWindow(1.0);
+  EXPECT_EQ(server.health().verdict().level, HealthLevel::kOk);
+
+  ASSERT_TRUE(server.admission().Submit(session, MakeResolve()).ok());
+  ASSERT_EQ(server.admission().depth(), 10);
+  server.CaptureMetricsWindow(1.0);
+  server.CaptureMetricsWindow(1.0);
+  const HealthVerdict verdict = server.health().verdict();
+  EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
+  ASSERT_EQ(verdict.reasons.size(), 1u);
+  EXPECT_EQ(verdict.reasons[0], "queue_saturation");
+
+  release.set_value();
+  server.manager().Drain();
+  EXPECT_EQ(server.admission().depth(), 0);
+  server.Shutdown();
+}
+
 TEST(ServeServerTest, InjectedVerifyFailureFlipsHealthEndToEnd) {
   // The tentpole e2e: a forced self-verification failure must flip
   // GET /health to 503/unhealthy within one capture window, and clean
@@ -998,7 +1045,7 @@ TEST(ServeServerTest, InjectedVerifyFailureFlipsHealthEndToEnd) {
     EXPECT_NE(response.find("\"verify_failure\""), std::string::npos);
   }
 
-  // Clear the fault: recover_after clean windows restore the verdict.
+  // Clear the fault: two clean windows restore the verdict.
   server.verifier().InjectFailures(false);
   server.CaptureMetricsWindow(1.0);
   server.CaptureMetricsWindow(1.0);
