@@ -15,12 +15,13 @@
 //    columns arrive in one flat column-major array (ColumnMatrix, the
 //    simplex's own constraint storage), and all factors and the eta file
 //    are stored as flat contiguous (index, value) streams with sorted
-//    indices, so the Ftran/Btran kernels are single forward
-//    passes over cache-resident arrays (each pass is O(n) even on a
-//    hypersparse vector); past LuKernelOptions::dense_switch_density the
-//    kernels drop the per-element zero tests and run the branch-lean
-//    dense-scatter flavor (same arithmetic on every nonzero, so both
-//    flavors return exactly equal results).
+//    indices. The Ftran/Btran kernels are hypersparse: each triangular
+//    pass finds the pivots its input reaches over the factors' structure
+//    and runs the inner loops over those only, in the order of a loop
+//    over every pivot, so a solve costs O(reach + output nonzeros + eta
+//    file) rather than O(n) — and returns what the full loops would, up
+//    to the sign of a zero. A reach past a fixed fraction of n runs the
+//    full zero-skipping loops instead.
 //  * DenseBasisFactorization — the legacy explicit dense inverse
 //    (Gauss-Jordan refactorization, dense eta row operations). O(n^2) per
 //    solve and O(n^3) per refactorization; kept as the reference path for
@@ -89,17 +90,32 @@ class BasisFactorization {
   virtual Status Factorize(const ColumnMatrix& columns,
                            const std::vector<int>& basis) = 0;
 
-  /// v := B^-1 v (entering-column transform). Size num_rows.
+  /// v := B^-1 v (entering-column transform). Size num_rows. Without the
+  /// vector's pattern this is an O(n) solve.
   virtual void Ftran(std::vector<double>* v) const = 0;
 
-  /// v := B^-T v (pricing transform). Size num_rows.
+  /// v := B^-T v (pricing transform). Size num_rows; O(n) like Ftran(v).
   virtual void Btran(std::vector<double>* v) const = 0;
 
+  /// Ftran of a vector whose pattern the caller knows, which lets a
+  /// hypersparse solve skip the pivots it does not reach: on entry *nz
+  /// lists, without duplicates, every index whose entry of *v is not +0.0.
+  /// Returns true with *nz listing, ascending, every index where the
+  /// result is not +0.0; returns false (*nz unspecified) when the solve
+  /// reached too much of the basis to track it.
+  virtual bool Ftran(std::vector<double>* v, std::vector<int>* nz) const = 0;
+
+  /// Btran of a vector whose pattern the caller knows (as for Ftran).
+  virtual void Btran(std::vector<double>* v,
+                     const std::vector<int>& nz) const = 0;
+
   /// Replaces the basis column at position `leaving_pos` with the column
-  /// whose Ftran image is `w` (product-form update). Returns
-  /// kNumericalError when |w[leaving_pos]| is too small to pivot on — the
-  /// caller must refactorize.
-  virtual Status Update(const std::vector<double>& w, int leaving_pos) = 0;
+  /// whose Ftran image is `w` (product-form update); `nz` lists, ascending,
+  /// every index where w may be nonzero (the pattern Ftran returned, or
+  /// every index). Returns kNumericalError when |w[leaving_pos]| is too
+  /// small to pivot on — the caller must refactorize.
+  virtual Status Update(const std::vector<double>& w,
+                        const std::vector<int>& nz, int leaving_pos) = 0;
 
   /// Product-form eta terms accumulated since the last Factorize().
   virtual int eta_count() const = 0;
@@ -133,6 +149,13 @@ class BasisFactorization {
   /// no policy uses it.
   virtual int64_t factor_pivot_visits() const = 0;
 
+  /// Entries the most recent Ftran or Btran visited: its input pattern, the
+  /// pivots and factor terms its reach walked and applied (every pivot, for
+  /// a full loop), and the eta file's pivots and terms. The count that
+  /// shows a solve pays for what it reaches rather than for n. Read-only;
+  /// no policy uses it.
+  virtual int64_t solve_visits() const = 0;
+
   /// Accumulated eta-file work performed by Ftran/Btran calls since the
   /// last Factorize(): the extra solve cost the eta chain has already
   /// charged. Once this exceeds factor_ops(), refactorizing earlier would
@@ -140,19 +163,8 @@ class BasisFactorization {
   virtual int64_t eta_ops_since_factor() const = 0;
 };
 
-/// Kernel tuning knobs of the sparse LU backend.
-struct LuKernelOptions {
-  /// Input vectors whose nonzero fraction exceeds this run the dense
-  /// (branch-lean, no per-element zero test) kernel flavor; sparser inputs
-  /// keep the zero-skipping flavor. 0 forces dense, > 1 forces sparse.
-  /// Both flavors perform the same arithmetic on every nonzero, so the
-  /// results are exactly equal — the switch is purely a speed knob.
-  double dense_switch_density = 0.3;
-};
-
 /// Sparse LU backend (the default).
-std::unique_ptr<BasisFactorization> MakeLuFactorization(
-    const LuKernelOptions& kernel = {});
+std::unique_ptr<BasisFactorization> MakeLuFactorization();
 
 /// Legacy dense-inverse backend (reference/equivalence path).
 std::unique_ptr<BasisFactorization> MakeDenseFactorization();

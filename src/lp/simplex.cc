@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "lp/basis_lu.h"
@@ -272,15 +273,8 @@ class RevisedSimplex {
   /// model. Called at the end of Run(), when cost_ is the phase-2 vector.
   std::vector<double> ExportDuals() const {
     std::vector<double> y(num_rows_, 0.0);
-    bool any = false;
-    for (int pos = 0; pos < num_rows_; ++pos) {
-      const double cb = cost_[basis_[pos]];
-      if (cb != 0.0) {
-        y[pos] = cb;
-        any = true;
-      }
-    }
-    if (any) factor_->Btran(&y);
+    std::vector<int> nz;
+    if (LoadBasicCosts(&y, &nz)) factor_->Btran(&y, nz);
     const double sense = model_.maximize() ? 1.0 : -1.0;
     for (int i = 0; i < num_rows_; ++i) {
       const double row_sign =
@@ -332,6 +326,35 @@ class RevisedSimplex {
     for (int j = 0; j < model_.num_vars(); ++j) {
       cost_[j] = sign * model_.objective(j);
     }
+  }
+
+  /// Loads c_B into the all-zero vector *y and lists its nonzero
+  /// positions in *nz. Returns false when every basic cost is zero.
+  bool LoadBasicCosts(std::vector<double>* y, std::vector<int>* nz) const {
+    nz->clear();
+    for (int pos = 0; pos < num_rows_; ++pos) {
+      const double cb = cost_[basis_[pos]];
+      if (cb == 0.0) continue;
+      (*y)[pos] = cb;
+      nz->push_back(pos);
+    }
+    return !nz->empty();
+  }
+
+  /// Loads column j into the all-zero vector *v and lists its rows in *nz.
+  void LoadColumn(int j, std::vector<double>* v, std::vector<int>* nz) const {
+    nz->clear();
+    for (const auto& [row, a] : cols_[j]) {
+      (*v)[row] = a;
+      nz->push_back(row);
+    }
+  }
+
+  /// Lists every row: the pattern of a vector the factorization could not
+  /// track.
+  void ListAllRows(std::vector<int>* nz) const {
+    nz->resize(num_rows_);
+    std::iota(nz->begin(), nz->end(), 0);
   }
 
   /// Factorizes the current basis and recomputes x_B = B^-1 (b - N x_N).
@@ -405,15 +428,8 @@ class RevisedSimplex {
   void RecomputeReducedCosts() {
     Timer t;
     std::vector<double> y(num_rows_, 0.0);
-    bool any = false;
-    for (int pos = 0; pos < num_rows_; ++pos) {
-      const double cb = cost_[basis_[pos]];
-      if (cb != 0.0) {
-        y[pos] = cb;
-        any = true;
-      }
-    }
-    if (any) factor_->Btran(&y);
+    const bool any = LoadBasicCosts(&y, &nz_);
+    if (any) factor_->Btran(&y, nz_);
     stats_.btran_seconds += t.ElapsedSeconds();
     t.Reset();
     d_.assign(num_cols_, 0.0);
@@ -534,7 +550,8 @@ class RevisedSimplex {
       Timer phase_timer;
       rho.assign(num_rows_, 0.0);
       rho[r] = 1.0;
-      factor_->Btran(&rho);
+      nz_.assign(1, r);
+      factor_->Btran(&rho, nz_);
       stats_.btran_seconds += phase_timer.ElapsedSeconds();
 
       // Eligible entering columns: moving them toward/away from their
@@ -595,8 +612,8 @@ class RevisedSimplex {
       // (flips are only dual-feasible together with the dual step).
       phase_timer.Reset();
       w.assign(num_rows_, 0.0);
-      for (const auto& [row, a] : cols_[entering]) w[row] = a;
-      factor_->Ftran(&w);
+      LoadColumn(entering, &w, &w_nz_);
+      if (!factor_->Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
       const double alpha_rq = w[r];
       if (!std::isfinite(alpha_rq) || std::abs(alpha_rq) < kDualPivotTol ||
@@ -641,7 +658,7 @@ class RevisedSimplex {
       const double bound_r = below ? lower_[leaving] : upper_[leaving];
       const double t_q = (basic_value_[r] - bound_r) / alpha_rq;
       double d_q = cost_[entering];
-      for (int pos = 0; pos < num_rows_; ++pos) {
+      for (int pos : w_nz_) {
         const double cb = cost_[basis_[pos]];
         if (cb != 0.0) d_q -= cb * w[pos];
       }
@@ -663,7 +680,7 @@ class RevisedSimplex {
       const double gamma_r = dual_gamma_[r];
       const double inv_rq2 = 1.0 / (alpha_rq * alpha_rq);
       double max_gamma = 1.0;
-      for (int pos = 0; pos < num_rows_; ++pos) {
+      for (int pos : w_nz_) {
         if (pos == r || w[pos] == 0.0) continue;
         const double cand = w[pos] * w[pos] * inv_rq2 * gamma_r;
         if (cand > dual_gamma_[pos]) dual_gamma_[pos] = cand;
@@ -678,9 +695,7 @@ class RevisedSimplex {
       // it violated.
       const double x_q_old = Value(entering);
       if (t_q != 0.0) {
-        for (int pos = 0; pos < num_rows_; ++pos) {
-          basic_value_[pos] -= t_q * w[pos];
-        }
+        for (int pos : w_nz_) basic_value_[pos] -= t_q * w[pos];
       }
       status_[leaving] = below ? VarStatus::kAtLower : VarStatus::kAtUpper;
       pos_of_basic_[leaving] = -1;
@@ -694,7 +709,7 @@ class RevisedSimplex {
       ++stats_.dual_pivots;
 
       phase_timer.Reset();
-      Status updated = factor_->Update(w, r);
+      Status updated = factor_->Update(w, w_nz_, r);
       stats_.factor_seconds += phase_timer.ElapsedSeconds();
       if (!updated.ok() || ShouldRefactor()) {
         Status refactored = Refactorize();
@@ -794,15 +809,8 @@ class RevisedSimplex {
                       int* direction, double* d_enter) {
     Timer phase_timer;
     y->assign(num_rows_, 0.0);
-    bool any_cost = false;
-    for (int pos = 0; pos < num_rows_; ++pos) {
-      const double cb = cost_[basis_[pos]];
-      if (cb != 0.0) {
-        (*y)[pos] = cb;
-        any_cost = true;
-      }
-    }
-    if (any_cost) factor_->Btran(y);
+    const bool any_cost = LoadBasicCosts(y, &nz_);
+    if (any_cost) factor_->Btran(y, nz_);
     stats_.btran_seconds += phase_timer.ElapsedSeconds();
 
     phase_timer.Reset();
@@ -929,8 +937,8 @@ class RevisedSimplex {
       // Direction in basic space: w = B^-1 A_e.
       Timer phase_timer;
       w.assign(num_rows_, 0.0);
-      for (const auto& [row, a] : cols_[entering]) w[row] = a;
-      factor_->Ftran(&w);
+      LoadColumn(entering, &w, &w_nz_);
+      if (!factor_->Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
 
       if (partial && !bland) {
@@ -939,7 +947,7 @@ class RevisedSimplex {
         // candidate whose drift flipped it ineligible is dropped and
         // pricing retried (the list eventually drains into a full scan).
         double d_exact = cost_[entering];
-        for (int pos = 0; pos < num_rows_; ++pos) {
+        for (int pos : w_nz_) {
           const double cb = cost_[basis_[pos]];
           if (cb != 0.0) d_exact -= cb * w[pos];
         }
@@ -967,7 +975,7 @@ class RevisedSimplex {
       double t_limit = upper_[entering] - lower_[entering];  // bound flip
       int leaving_pos = -1;
       bool leaving_to_upper = false;
-      for (int pos = 0; pos < num_rows_; ++pos) {
+      for (int pos : w_nz_) {
         const double delta = direction * w[pos];
         if (std::abs(delta) <= opt_.tolerance) continue;
         const int bj = basis_[pos];
@@ -1006,9 +1014,7 @@ class RevisedSimplex {
       const double t = std::max(0.0, t_limit);
 
       if (t > 0.0) {
-        for (int pos = 0; pos < num_rows_; ++pos) {
-          basic_value_[pos] -= direction * t * w[pos];
-        }
+        for (int pos : w_nz_) basic_value_[pos] -= direction * t * w[pos];
         if (partial) tracked_obj += d_enter * direction * t;
       }
       if (leaving_pos < 0) {
@@ -1030,7 +1036,8 @@ class RevisedSimplex {
         phase_timer.Reset();
         rho.assign(num_rows_, 0.0);
         rho[leaving_pos] = 1.0;
-        factor_->Btran(&rho);
+        nz_.assign(1, leaving_pos);
+        factor_->Btran(&rho, nz_);
         stats_.btran_seconds += phase_timer.ElapsedSeconds();
       }
 
@@ -1058,7 +1065,7 @@ class RevisedSimplex {
       }
 
       phase_timer.Reset();
-      Status updated = factor_->Update(w, leaving_pos);
+      Status updated = factor_->Update(w, w_nz_, leaving_pos);
       stats_.factor_seconds += phase_timer.ElapsedSeconds();
       if (!updated.ok() || ShouldRefactor()) {
         Status refactored = Refactorize();
@@ -1171,6 +1178,10 @@ class RevisedSimplex {
   int cand_capacity_ = 0;
 
   std::unique_ptr<BasisFactorization> factor_;
+  /// Pattern of the vector handed to the latest Ftran/Btran, and of the
+  /// entering column's Ftran image w (ascending), which the pivot's loops
+  /// over w walk instead of every row.
+  std::vector<int> nz_, w_nz_;
   bool warm_used_ = false;
   int total_iterations_ = 0;
   int phase1_iterations_ = 0;

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -31,10 +32,14 @@ Status SendAll(int fd, const char* data, size_t size) {
 
 /// Retry backoff: doubles per attempt, then scaled by a factor uniform in
 /// [1 - kJitterFraction, 1 + kJitterFraction] drawn from a splitmix64
-/// stream seeded with kJitterSeed.
+/// stream. Each client's stream starts from kJitterSeed mixed with the
+/// client's creation index in the process, so clients that lose a server
+/// together do not reconnect in lockstep.
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kJitterFraction = 0.2;
 constexpr uint64_t kJitterSeed = 1;
+
+std::atomic<uint64_t> clients_created{0};
 
 /// splitmix64 step: a cheap deterministic jitter stream (no <random>
 /// state to carry; identical runs produce identical backoff schedules).
@@ -45,10 +50,19 @@ uint64_t NextJitter(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+/// The jitter stream's start for the next client: one splitmix64 step over
+/// the seed plus the creation index, so adjacent clients' streams are
+/// unrelated rather than shifted copies of one another.
+uint64_t NextClientJitterSeed() {
+  uint64_t state =
+      kJitterSeed + clients_created.fetch_add(1, std::memory_order_relaxed);
+  return NextJitter(&state);
+}
+
 }  // namespace
 
 ServeClient::ServeClient(ClientRetryOptions retry, MetricsRegistry* registry)
-    : retry_(retry), jitter_state_(kJitterSeed) {
+    : retry_(retry), jitter_state_(NextClientJitterSeed()) {
   if (registry != nullptr) {
     retries_counter_ = registry->GetCounter("serve.client.retries");
   }
@@ -165,14 +179,18 @@ Result<ServeResponse> ServeClient::ReadResponse() {
   return response;
 }
 
-bool ServeClient::PrepareRetry(int attempt, bool reconnect) {
-  if (attempt >= retry_.max_retries) return false;
+double ServeClient::NextBackoffMs(int attempt) {
   double backoff_ms = retry_.initial_backoff_ms;
   for (int i = 0; i < attempt; ++i) backoff_ms *= kBackoffMultiplier;
   if (backoff_ms > retry_.max_backoff_ms) backoff_ms = retry_.max_backoff_ms;
   const double unit = static_cast<double>(NextJitter(&jitter_state_) >> 11) *
                       (1.0 / 9007199254740992.0);  // [0, 1)
-  backoff_ms *= 1.0 + kJitterFraction * (2.0 * unit - 1.0);
+  return backoff_ms * (1.0 + kJitterFraction * (2.0 * unit - 1.0));
+}
+
+bool ServeClient::PrepareRetry(int attempt, bool reconnect) {
+  if (attempt >= retry_.max_retries) return false;
+  const double backoff_ms = NextBackoffMs(attempt);
   if (backoff_ms > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));

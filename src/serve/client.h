@@ -40,8 +40,9 @@ struct ClientRetryOptions {
   int max_retries = 0;
   double initial_backoff_ms = 5.0;
   /// The backoff doubles per retry up to this cap; each one is then
-  /// scaled by a factor uniform in [0.8, 1.2] from a deterministic stream,
-  /// so benches reproduce.
+  /// scaled by a factor uniform in [0.8, 1.2] from a deterministic stream
+  /// per client: the n-th client a process creates always draws the same
+  /// schedule, so benches reproduce, and no two clients draw the same one.
   double max_backoff_ms = 200.0;
 };
 
@@ -99,6 +100,10 @@ class ServeClient {
 
   /// Fetches the server's status JSON (send + receive).
   Result<std::string> FetchStatus();
+
+  /// The jittered delay before retry number `attempt` (0-based), drawn
+  /// from this client's jitter stream; Apply() sleeps this long.
+  double NextBackoffMs(int attempt);
 
  private:
   Result<uint64_t> SendFrame(FrameKind kind, uint32_t session_id,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "core/lp_formulation.h"
 #include "datagen/datasets.h"
@@ -1000,117 +1001,183 @@ void EndColumn(ColumnMatrix* cols) {
   cols->start.push_back(static_cast<int64_t>(cols->entries.size()));
 }
 
-TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
-  // The dense-scatter and zero-skipping kernel flavors perform the same
-  // arithmetic on every nonzero, so over a long factorize/ftran/btran/
-  // update stream every component must compare equal with == (signed
-  // zeros may differ in representation; == treats them as equal, which is
-  // exactly the guarantee callers rely on).
+TEST(EtaKernelTest, HypersparseMatchesDenseBackendOverLongStream) {
+  // The reach-driven LU kernels against the explicit dense inverse over a
+  // long factorize/ftran/btran/update stream. Two of every three steps
+  // solve a basis column and a unit vector, whose reach stays under the
+  // n / 10 cutoff; every third solves vectors with half their entries set,
+  // which take the full-loop fallback. The solves that take the pattern
+  // must match the full loops (the calls without it) bit for bit, and a
+  // tracked pattern must hold every nonzero.
   Rng rng(9090);
-  const int n = 24;
+  const int n = 200;
   const int pool = 3 * n;
   ColumnMatrix cols;
   for (int c = 0; c < pool; ++c) {
     const int diag = c % n;
     cols.entries.push_back({diag, 3.0 + rng.Uniform(0, 1)});
     for (int r = 0; r < n; ++r) {
-      if (r != diag && rng.Bernoulli(0.2)) {
+      if (r != diag && rng.Bernoulli(0.006)) {
         cols.entries.push_back({r, rng.Uniform(-1, 1)});
       }
     }
     EndColumn(&cols);
   }
-  LuKernelOptions always_dense;
-  always_dense.dense_switch_density = 0.0;
-  LuKernelOptions always_sparse;
-  always_sparse.dense_switch_density = 2.0;
-  auto fd = MakeLuFactorization(always_dense);
-  auto fs = MakeLuFactorization(always_sparse);
+  auto lu = MakeLuFactorization();
+  auto dense = MakeDenseFactorization();
   std::vector<int> basis(n);
   std::vector<char> in_basis(pool, 0);
   for (int i = 0; i < n; ++i) {
     basis[i] = i;
     in_basis[i] = 1;
   }
-  ASSERT_TRUE(fd->Factorize(cols, basis).ok());
-  ASSERT_TRUE(fs->Factorize(cols, basis).ok());
-  int updates = 0;
-  int64_t mismatches = 0;
+  ASSERT_TRUE(lu->Factorize(cols, basis).ok());
+  ASSERT_TRUE(dense->Factorize(cols, basis).ok());
+  int updates = 0, tracked = 0, untracked = 0;
+  int64_t mismatches = 0, unlisted = 0;
+  double max_err = 0.0;
+  auto compare = [&](const std::vector<double>& a,
+                     const std::vector<double>& full,
+                     const std::vector<double>& reference) {
+    for (int i = 0; i < n; ++i) {
+      mismatches += a[i] == full[i] ? 0 : 1;
+      max_err = std::max(max_err, std::abs(a[i] - reference[i]) /
+                                      (1.0 + std::abs(reference[i])));
+    }
+  };
   for (int step = 0; step < 2500; ++step) {
+    const bool dense_input = step % 3 == 2;
     const int enter = static_cast<int>(rng.UniformInt(pool));
-    std::vector<double> wd(n, 0.0), ws(n, 0.0);
-    for (const auto& [r, a] : cols[enter]) wd[r] = ws[r] = a;
-    fd->Ftran(&wd);
-    fs->Ftran(&ws);
-    for (int i = 0; i < n; ++i) mismatches += wd[i] == ws[i] ? 0 : 1;
-    std::vector<double> yd(n, 0.0), ys(n, 0.0);
-    yd[step % n] = ys[step % n] = 1.0;
-    fd->Btran(&yd);
-    fs->Btran(&ys);
-    for (int i = 0; i < n; ++i) mismatches += yd[i] == ys[i] ? 0 : 1;
-    if (in_basis[enter]) continue;
+    std::vector<double> w(n, 0.0);
+    std::vector<int> nz;
+    if (dense_input) {
+      for (int i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.5)) {
+          w[i] = rng.Uniform(-1, 1);
+          nz.push_back(i);
+        }
+      }
+    } else {
+      for (const auto& [r, a] : cols[enter]) {
+        w[r] = a;
+        nz.push_back(r);
+      }
+    }
+    std::vector<double> ws = w, wd = w;
+    const bool listed = lu->Ftran(&w, &nz);
+    lu->Ftran(&ws);
+    dense->Ftran(&wd);
+    compare(w, ws, wd);
+    if (listed) {
+      ++tracked;
+      std::vector<char> in_nz(n, 0);
+      for (int i : nz) in_nz[i] = 1;
+      for (int i = 0; i < n; ++i) unlisted += w[i] != 0.0 && !in_nz[i];
+      EXPECT_TRUE(std::is_sorted(nz.begin(), nz.end())) << "step " << step;
+    } else {
+      ++untracked;
+    }
+    std::vector<double> y(n, 0.0);
+    std::vector<int> ynz;
+    if (dense_input) {
+      for (int i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.5)) {
+          y[i] = rng.Uniform(-1, 1);
+          ynz.push_back(i);
+        }
+      }
+    } else {
+      y[step % n] = 1.0;
+      ynz.push_back(step % n);
+    }
+    std::vector<double> ys = y, yd = y;
+    lu->Btran(&y, ynz);
+    lu->Btran(&ys);
+    dense->Btran(&yd);
+    compare(y, ys, yd);
+    if (dense_input || in_basis[enter]) continue;
     int piv = 0;
     for (int i = 1; i < n; ++i) {
-      if (std::abs(wd[i]) > std::abs(wd[piv])) piv = i;
+      if (std::abs(w[i]) > std::abs(w[piv])) piv = i;
     }
-    if (std::abs(wd[piv]) < 1e-6) continue;
-    const Status ud = fd->Update(wd, piv);
-    const Status us = fs->Update(ws, piv);
-    ASSERT_EQ(ud.ok(), us.ok()) << "step " << step;
-    if (!ud.ok() || fd->eta_count() >= 64) {
-      ASSERT_TRUE(fd->Factorize(cols, basis).ok());
-      ASSERT_TRUE(fs->Factorize(cols, basis).ok());
-      if (!ud.ok()) continue;
+    if (std::abs(w[piv]) < 1e-6) continue;
+    if (!listed) {
+      nz.resize(n);
+      std::iota(nz.begin(), nz.end(), 0);
     }
-    if (ud.ok()) {
-      in_basis[basis[piv]] = 0;
-      in_basis[enter] = 1;
-      basis[piv] = enter;
-      ++updates;
+    const Status ul = lu->Update(w, nz, piv);
+    const Status ud = dense->Update(wd, nz, piv);
+    ASSERT_EQ(ul.ok(), ud.ok()) << "step " << step;
+    if (!ul.ok() || lu->eta_count() >= 64) {
+      ASSERT_TRUE(lu->Factorize(cols, basis).ok());
+      ASSERT_TRUE(dense->Factorize(cols, basis).ok());
+      if (!ul.ok()) continue;
     }
+    in_basis[basis[piv]] = 0;
+    in_basis[enter] = 1;
+    basis[piv] = enter;
+    ++updates;
   }
   EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(unlisted, 0);
+  EXPECT_LT(max_err, 1e-9);
   EXPECT_GT(updates, 400);
+  EXPECT_GT(tracked, 600);
+  EXPECT_GT(untracked, 600);
 }
 
-TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
-  // A slack-heavy basis of the shape a large compact LP starts from:
-  // 50k unit slack columns, with 300 of them replaced by structural
-  // columns. A left-looking pass that probed every earlier pivot for each
-  // column would make ~n^2/2 (over 10^9) visits; one that visits only the
-  // pivots a column reaches stays within a small multiple of the basis
-  // and factor nonzeros. The count is deterministic, unlike a timer.
-  Rng rng(4242);
+// A slack-heavy basis of the shape a large compact LP starts from: 50k
+// unit slack columns, with 300 of them replaced by structural columns,
+// then `extra_slacks` more rows with their unit slacks.
+void SlackHeavyBasis(Rng* rng, int extra_slacks, ColumnMatrix* cols,
+                     std::vector<int>* basis) {
   const int n = 50000;
   const int structurals = 300;
   const int stride = n / structurals;
-  ColumnMatrix cols;
-  std::vector<int> basis(n);
+  basis->resize(n);
   for (int r = 0; r < n; ++r) {
-    basis[r] = cols.num_cols();
-    cols.entries.push_back({r, 1.0});
-    EndColumn(&cols);
+    (*basis)[r] = cols->num_cols();
+    cols->entries.push_back({r, 1.0});
+    EndColumn(cols);
   }
   for (int j = 0; j < structurals; ++j) {
     // The entry on its own row dominates the column: the basis is regular.
     const int diag = j * stride;
-    const int64_t first = cols.start.back();
-    cols.entries.push_back({diag, 8.0 + rng.Uniform(0, 1)});
+    const int64_t first = cols->start.back();
+    cols->entries.push_back({diag, 8.0 + rng->Uniform(0, 1)});
     for (int t = 0; t < 6; ++t) {
       // Even terms land on other structurals' rows, so L and U carry real
       // fill; odd terms on any row.
       const int64_t draw = t % 2 == 0 ? structurals : n;
-      int row = static_cast<int>(rng.UniformInt(draw));
+      int row = static_cast<int>(rng->UniformInt(draw));
       if (t % 2 == 0) row *= stride;
       bool dup = false;
-      for (size_t e = first; e < cols.entries.size(); ++e) {
-        dup = dup || cols.entries[e].row == row;
+      for (size_t e = first; e < cols->entries.size(); ++e) {
+        dup = dup || cols->entries[e].row == row;
       }
-      if (!dup) cols.entries.push_back({row, rng.Uniform(-1, 1)});
+      if (!dup) cols->entries.push_back({row, rng->Uniform(-1, 1)});
     }
-    basis[diag] = cols.num_cols();
-    EndColumn(&cols);
+    (*basis)[diag] = cols->num_cols();
+    EndColumn(cols);
   }
+  for (int r = n; r < n + extra_slacks; ++r) {
+    basis->push_back(cols->num_cols());
+    cols->entries.push_back({r, 1.0});
+    EndColumn(cols);
+  }
+}
+
+TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
+  // A left-looking pass that probed every earlier pivot for each column
+  // would make ~n^2/2 (over 10^9) visits on the slack-heavy basis; one
+  // that visits only the pivots a column reaches stays within a small
+  // multiple of the basis and factor nonzeros. The count is deterministic,
+  // unlike a timer.
+  Rng rng(4242);
+  ColumnMatrix cols;
+  std::vector<int> basis;
+  SlackHeavyBasis(&rng, 0, &cols, &basis);
+  const int n = static_cast<int>(basis.size());
   auto lu = MakeLuFactorization();
   ASSERT_TRUE(lu->Factorize(cols, basis).ok());
   int64_t basis_nonzeros = 0;
@@ -1130,6 +1197,74 @@ TEST(LuFactorTest, LeftLookingPassIsLinearInNonzeros) {
     max_err = std::max(max_err, std::abs(b[pos] - x[pos]));
   }
   EXPECT_LT(max_err, 1e-9);
+}
+
+TEST(LuFactorTest, SolvesPayForTheirReachNotForN) {
+  // A solve handed its input pattern visits the pivots and factor terms
+  // its input reaches, not the basis dimension. Two checks on the
+  // slack-heavy basis: the same solves visit exactly as many entries when
+  // 50k more slack rows are added, and no solve visits more than a
+  // constant times (input + output nonzeros) — with a constant small
+  // enough that one pass over the 50k pivots would not fit (the densest
+  // outputs, ~300 entries, come from the 300 coupled structurals, whose
+  // fill every such solve walks). Each must also return the same bits as
+  // the full loops (the call without a pattern).
+  constexpr int kRows = 50000;
+  constexpr int64_t kVisitsPerNonzero = 128;
+  Rng rng(4242), padded_rng(4242);
+  ColumnMatrix cols, padded_cols;
+  std::vector<int> basis, padded_basis;
+  SlackHeavyBasis(&rng, 0, &cols, &basis);
+  SlackHeavyBasis(&padded_rng, kRows, &padded_cols, &padded_basis);
+  auto lu = MakeLuFactorization();
+  auto padded = MakeLuFactorization();
+  ASSERT_TRUE(lu->Factorize(cols, basis).ok());
+  ASSERT_TRUE(padded->Factorize(padded_cols, padded_basis).ok());
+  int64_t mismatches = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    // Unit vectors, a third of them on a structural's row, and columns.
+    std::vector<double> v(kRows, 0.0);
+    std::vector<int> nz;
+    if (trial % 3 == 2) {
+      const int col = basis[static_cast<int>(rng.UniformInt(kRows))];
+      for (const auto& [row, a] : cols[col]) {
+        v[row] = a;
+        nz.push_back(row);
+      }
+    } else {
+      int at = static_cast<int>(rng.UniformInt(kRows));
+      if (trial % 3 == 1) at -= at % (kRows / 300);
+      v[at] = 1.0;
+      nz.push_back(at);
+    }
+    const int64_t in = static_cast<int64_t>(nz.size());
+    std::vector<double> full = v;
+    std::vector<double> wide = v;
+    wide.resize(2 * kRows, 0.0);
+    std::vector<int> wide_nz = nz;
+    int64_t visits = 0;
+    if (trial % 2 == 0) {
+      ASSERT_TRUE(lu->Ftran(&v, &nz)) << "trial " << trial;
+      visits = lu->solve_visits();
+      ASSERT_TRUE(padded->Ftran(&wide, &wide_nz)) << "trial " << trial;
+      lu->Ftran(&full);
+    } else {
+      lu->Btran(&v, nz);
+      visits = lu->solve_visits();
+      padded->Btran(&wide, wide_nz);
+      lu->Btran(&full);
+    }
+    EXPECT_EQ(padded->solve_visits(), visits) << "trial " << trial;
+    int64_t out = 0;
+    for (int i = 0; i < kRows; ++i) {
+      out += v[i] != 0.0;
+      mismatches += v[i] == full[i] && v[i] == wide[i] ? 0 : 1;
+    }
+    EXPECT_LE(visits, kVisitsPerNonzero * (in + out)) << "trial " << trial;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The call without a pattern runs the full loops.
+  EXPECT_GE(lu->solve_visits(), kRows);
 }
 
 TEST(AdaptiveRefactorTest, BoundsEtaGrowthWithoutTheHardCap) {

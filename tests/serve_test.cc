@@ -1133,6 +1133,32 @@ TEST(ServeServerTest, ClosedConnectionsAreReaped) {
   server.Shutdown();
 }
 
+TEST(ServeClientTest, ClientsDrawDifferentBackoffSchedules) {
+  // Two clients that lose the same server must not retry in lockstep:
+  // each draws its own jitter stream, still within the [0.8, 1.2] band
+  // around the capped exponential backoff.
+  ClientRetryOptions retry;
+  retry.max_retries = 6;
+  ServeClient first(retry), second(retry);
+  std::vector<double> a, b;
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    a.push_back(first.NextBackoffMs(attempt));
+    b.push_back(second.NextBackoffMs(attempt));
+    const double base =
+        std::min(retry.initial_backoff_ms * std::pow(2.0, attempt),
+                 retry.max_backoff_ms);
+    for (double ms : {a.back(), b.back()}) {
+      EXPECT_GE(ms, 0.8 * base);
+      EXPECT_LE(ms, 1.2 * base);
+    }
+  }
+  int equal = 0;
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    equal += a[attempt] == b[attempt];
+  }
+  EXPECT_EQ(equal, 0);
+}
+
 TEST(ServeServerTest, ShutdownFrameStopsTheServer) {
   ServeServer server;
   server.CreateSession(RandomInstance(8, 12, 2, 0.5, 39));
