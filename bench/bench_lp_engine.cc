@@ -2,11 +2,10 @@
 // fig8-scale compact LPs (Yelp n=40, k=10 — the m=10000 point is the
 // largest bench_fig8_scalability instance).
 //
-//  1. Cold pricing — full-Devex (score every column every pivot) vs the
-//     candidate-list partial pricing that is now the default. The
-//     "pricing share" column is LpStats::pricing_seconds over the whole
-//     solve: the quantity the ROADMAP said should decide the partial-
-//     pricing question, reported per mode in the --json= artifact.
+//  1. Cold solves under the one phase-2 pricing rule (Devex-scored
+//     candidate list). The "pricing share" column is
+//     LpStats::pricing_seconds over the whole solve, reported in the
+//     --json= artifact.
 //  2. Warm repair — branch-and-bound-child one-bound changes and
 //     serving-style item bans re-solved from the parent-optimal basis.
 //     Both leave that basis dual-feasible, so SolveLp repairs its primal
@@ -22,11 +21,11 @@
 //     adaptive refactorization rule, whose work counters keep the eta
 //     chain — and with it the ftran/btran cost per pivot — bounded.
 //
-// Cold objectives are cross-checked between the pricing modes and every
-// warm repair is KKT-audited (lp/kkt.h); a failure prints loudly (the
-// tests in lp_test.cc enforce both).
+// Every cold solve and warm repair is KKT-audited (lp/kkt.h); a failure
+// prints loudly (lp_test.cc enforces the same audit against the dense
+// reference backend).
 
-#include <cmath>
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <vector>
@@ -60,81 +59,56 @@ Result<LpModel> BuildEngineLp(int m) {
   return BuildCompactLp(*inst, &map);
 }
 
-const char* PricingName(PricingMode mode) {
-  return mode == PricingMode::kPartial ? "partial" : "full devex";
-}
-
 struct ColdRun {
   LpSolution sol;
   bool ok = false;
 };
 
-ColdRun SolveCold(const LpModel& lp, PricingMode mode) {
-  SimplexOptions options;
-  options.pricing = mode;
-  ColdRun run;
-  auto sol = SolveLp(lp, options);
-  if (!sol.ok()) {
-    std::cerr << "cold solve (" << PricingName(mode)
-              << ") failed: " << sol.status() << "\n";
-    return run;
+/// Reports a KKT violation of `sol` against `lp`; `what` labels it.
+void AuditKkt(const LpModel& lp, const LpSolution& sol,
+              const std::string& what) {
+  const KktReport kkt = CheckLpKkt(lp, sol.x, sol.dual_values);
+  if (!kkt.Ok(1e-6)) {
+    std::cerr << "KKT VIOLATION on " << what << ": " << kkt.MaxViolation()
+              << "\n";
   }
-  run.sol = std::move(sol).value();
-  run.ok = true;
-  return run;
 }
 
-bool ObjectivesMatch(double a, double b) {
-  return std::abs(a - b) <= 1e-6 * std::max(1.0, std::abs(a));
-}
-
-/// Section 1: cold full-Devex vs partial pricing per compact-LP size.
-/// Returns the per-m partial-pricing solutions (reused as the warm-repair
-/// parent).
-std::map<int, ColdRun> PrintPricingComparison(
-    const std::map<int, LpModel>& lps) {
-  Table t({"m", "mode", "pivots", "solve (s)", "pricing (s)",
-           "pricing share", "cand hits", "full scans"});
-  std::map<int, ColdRun> partial_runs;
+/// Section 1: one cold solve per compact-LP size. Returns the per-m
+/// solutions (reused as the warm-repair parent).
+std::map<int, ColdRun> PrintColdSolves(const std::map<int, LpModel>& lps) {
+  Table t({"m", "pivots", "solve (s)", "pricing (s)", "pricing share",
+           "cand hits", "full scans"});
+  std::map<int, ColdRun> runs;
   for (const auto& [m, lp] : lps) {
-    double objectives[2] = {0.0, 0.0};
-    int mode_index = 0;
-    for (PricingMode mode : {PricingMode::kFullDevex, PricingMode::kPartial}) {
-      ColdRun run = SolveCold(lp, mode);
-      if (!run.ok) continue;
-      const LpSolution& sol = run.sol;
-      const double share =
-          sol.solve_seconds > 0 ? sol.stats.pricing_seconds / sol.solve_seconds
-                                : 0.0;
-      objectives[mode_index++] = sol.objective;
-      t.NewRow()
-          .Add(static_cast<int64_t>(m))
-          .Add(PricingName(mode))
-          .Add(static_cast<int64_t>(sol.iterations))
-          .Add(FormatDouble(sol.solve_seconds, 3))
-          .Add(FormatDouble(sol.stats.pricing_seconds, 3))
-          .Add(FormatPercent(share))
-          .Add(sol.stats.candidate_hits)
-          .Add(sol.stats.full_pricing_scans);
-      const std::string prefix =
-          "lp engine | m=" + std::to_string(m) + " cold ";
-      benchutil::RecordMetric(prefix + "solve seconds - " + PricingName(mode),
-                              sol.solve_seconds);
-      benchutil::RecordMetric(
-          prefix + "pricing seconds - " + PricingName(mode),
-          sol.stats.pricing_seconds);
-      benchutil::RecordMetric(prefix + "pricing share - " + PricingName(mode),
-                              share);
-      if (mode == PricingMode::kPartial) partial_runs[m] = std::move(run);
+    auto sol = SolveLp(lp);
+    if (!sol.ok()) {
+      std::cerr << "cold solve failed at m=" << m << ": " << sol.status()
+                << "\n";
+      continue;
     }
-    if (!ObjectivesMatch(objectives[0], objectives[1])) {
-      std::cerr << "OBJECTIVE MISMATCH at m=" << m << ": full devex "
-                << objectives[0] << " vs partial " << objectives[1] << "\n";
-    }
+    const double share = sol->solve_seconds > 0
+                             ? sol->stats.pricing_seconds / sol->solve_seconds
+                             : 0.0;
+    t.NewRow()
+        .Add(static_cast<int64_t>(m))
+        .Add(static_cast<int64_t>(sol->iterations))
+        .Add(FormatDouble(sol->solve_seconds, 3))
+        .Add(FormatDouble(sol->stats.pricing_seconds, 3))
+        .Add(FormatPercent(share))
+        .Add(sol->stats.candidate_hits)
+        .Add(sol->stats.full_pricing_scans);
+    const std::string prefix = "lp engine | m=" + std::to_string(m) + " cold ";
+    benchutil::RecordMetric(prefix + "solve seconds", sol->solve_seconds);
+    benchutil::RecordMetric(prefix + "pricing seconds",
+                            sol->stats.pricing_seconds);
+    benchutil::RecordMetric(prefix + "pricing share", share);
+    AuditKkt(lp, *sol, "cold m=" + std::to_string(m));
+    runs[m] = {std::move(sol).value(), true};
   }
-  t.Print("LP engine: cold compact-LP solves, full-Devex vs partial "
-          "pricing (Yelp n=40, k=10)");
-  return partial_runs;
+  t.Print("LP engine: cold compact-LP solves, candidate-list pricing "
+          "(Yelp n=40, k=10)");
+  return runs;
 }
 
 struct RepairTotals {
@@ -158,11 +132,7 @@ void RepairChild(const LpModel& child, const LpBasis& parent_basis,
   totals->dual_pivots += sol->stats.dual_pivots;
   totals->seconds += sol->solve_seconds;
   ++totals->resolves;
-  const KktReport kkt = CheckLpKkt(child, sol->x, sol->dual_values);
-  if (!kkt.Ok(1e-6)) {
-    std::cerr << "KKT VIOLATION on " << what << ": " << kkt.MaxViolation()
-              << "\n";
-  }
+  AuditKkt(child, *sol, what);
 }
 
 /// Section 2: dual repair of one-bound-change children. The children come
@@ -364,7 +334,7 @@ void PrintTables() {
     }
     lps.emplace(m, std::move(lp).value());
   }
-  std::map<int, ColdRun> partial_runs = PrintPricingComparison(lps);
+  std::map<int, ColdRun> partial_runs = PrintColdSolves(lps);
   const auto small = partial_runs.find(kSmallM);
   if (small != partial_runs.end() && lps.count(kSmallM) > 0) {
     PrintWarmRepair(small->second, lps.at(kSmallM));
@@ -377,18 +347,12 @@ void BM_ColdCompactSolve(benchmark::State& state) {
   auto inst = GenerateDataset(EngineParams(static_cast<int>(state.range(0))));
   CompactLpMap map;
   auto lp = BuildCompactLp(*inst, &map);
-  SimplexOptions options;
-  options.pricing =
-      state.range(1) != 0 ? PricingMode::kPartial : PricingMode::kFullDevex;
   for (auto _ : state) {
-    auto sol = SolveLp(*lp, options);
+    auto sol = SolveLp(*lp);
     benchmark::DoNotOptimize(sol);
   }
 }
-BENCHMARK(BM_ColdCompactSolve)
-    ->Args({2000, 0})
-    ->Args({2000, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdCompactSolve)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_DualChildResolve(benchmark::State& state) {
   auto inst = GenerateDataset(EngineParams(2000));

@@ -12,6 +12,9 @@ namespace {
 /// Candidate index for (active item ai, slot s).
 inline int CandidateIndex(int ai, SlotId s, int k) { return ai * k + s; }
 
+/// Independent rounding: draws per slot before greedy completion takes it.
+constexpr int kMaxDrawAttempts = 64;
+
 }  // namespace
 
 Result<AvgResult> RunCsfSampling(CsfState* state_ptr,
@@ -162,8 +165,7 @@ Result<IndependentRoundingResult> RunIndependentRounding(
     weights.resize(items.size());
     for (SlotId s = 0; s < k; ++s) {
       // Draw an item with probability proportional to x*_{u,s}^c.
-      const int attempts = options.repair_duplicates ? 64 : 1;
-      for (int attempt = 0; attempt < attempts; ++attempt) {
+      for (int attempt = 0; attempt < kMaxDrawAttempts; ++attempt) {
         for (size_t i = 0; i < items.size(); ++i) {
           weights[i] = frac.XCompact(u, items[i]);
         }
@@ -172,8 +174,7 @@ Result<IndependentRoundingResult> RunIndependentRounding(
         const ItemId c = items[pick];
         if (state.config().Displays(u, c)) {
           ++result.duplicate_draws;
-          if (options.repair_duplicates) continue;
-          break;  // raw Algorithm 1 simply loses the draw
+          continue;
         }
         Status st = state.AssignUnit(u, s, c);
         if (st.ok()) break;

@@ -69,11 +69,6 @@ Result<AvgResult> RunAvgBest(const SvgicInstance& instance,
 
 struct IndependentRoundingOptions {
   uint64_t seed = 1;
-  /// Re-draw on duplicate items so the output is a valid configuration
-  /// (false reproduces the raw Algorithm 1 whose output may violate
-  /// no-duplication; violations are then resolved by greedy completion and
-  /// counted in the result).
-  bool repair_duplicates = true;
 };
 
 struct IndependentRoundingResult {
@@ -82,7 +77,10 @@ struct IndependentRoundingResult {
 };
 
 /// Algorithm 1, the trivial independent rounding scheme (Lemma 3 shows it
-/// loses a factor m of social utility). Kept as a measurable strawman.
+/// loses a factor m of social utility). Kept as a measurable strawman. A
+/// draw of an item the user already displays is re-drawn (up to 64 times
+/// per slot), so the output is a valid configuration; slots still empty
+/// after that are filled by greedy completion.
 Result<IndependentRoundingResult> RunIndependentRounding(
     const SvgicInstance& instance, const FractionalSolution& frac,
     const IndependentRoundingOptions& options = {});

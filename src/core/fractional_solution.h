@@ -3,8 +3,8 @@
 //
 // By Observation 2 of the paper, an optimal compact solution {x_u^c}
 // expands to an optimal slot-indexed solution x*_{u,s}^c = x_u^c / k, so
-// the rounding algorithms only ever need the compact matrix; XSlot()
-// performs the division.
+// the rounding algorithms only ever need the compact matrix (XCompact);
+// a slot-indexed factor is XCompact(u, c) / num_slots for every slot s.
 //
 // BuildSupporters() materializes, per item, the users with a non-negligible
 // utility factor, sorted descending. This is the "decision dilution"
@@ -49,10 +49,6 @@ struct FractionalSolution {
 
   double XCompact(UserId u, ItemId c) const {
     return x[static_cast<size_t>(u) * num_items + c];
-  }
-  /// Slot-expanded utility factor x*_{u,s}^c (identical for every s).
-  double XSlot(UserId u, ItemId c) const {
-    return XCompact(u, c) / num_slots;
   }
 
   /// Per-item supporter lists (descending by x), values above `tol` only.

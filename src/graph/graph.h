@@ -70,7 +70,6 @@ class SocialGraph {
   const std::vector<UserId>& InNeighbors(UserId u) const { return in_adj_[u]; }
 
   int OutDegree(UserId u) const { return static_cast<int>(out_adj_[u].size()); }
-  int InDegree(UserId u) const { return static_cast<int>(in_adj_[u].size()); }
 
   /// Number of unordered vertex pairs {u, v} connected in at least one
   /// direction. For symmetric graphs this equals num_edges()/2.

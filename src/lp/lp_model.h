@@ -125,7 +125,7 @@ struct LpStats {
   int64_t dual_pivots = 0;      ///< dual-simplex pivots
   int64_t dual_bound_flips = 0; ///< bound flips of the dual ratio test
   int64_t bland_pivots = 0;     ///< pivots taken under the Bland fallback
-  // Candidate-list pricing effectiveness (PricingMode::kPartial).
+  // Candidate-list pricing effectiveness (phase 2).
   int64_t candidate_hits = 0;       ///< pivots priced from the list alone
   int64_t full_pricing_scans = 0;   ///< full scans (rebuilds + optimality)
   // Eta-file state at solve end, the observable the adaptive

@@ -183,13 +183,9 @@ class RevisedSimplex {
     basis_.assign(num_rows_, -1);
     pos_of_basic_.assign(num_cols_, -1);
     basic_value_.assign(num_rows_, 0.0);
-    cand_capacity_ =
-        opt_.candidate_list_size > 0
-            ? opt_.candidate_list_size
-            : std::clamp(
-                  static_cast<int>(2.0 * std::sqrt(
-                                             static_cast<double>(num_cols_))),
-                  64, 1024);
+    cand_capacity_ = std::clamp(
+        static_cast<int>(2.0 * std::sqrt(static_cast<double>(num_cols_))),
+        64, 1024);
     factor_ = opt_.basis == SimplexBasisType::kDense ? MakeDenseFactorization()
                                                      : MakeLuFactorization();
     return Status::OK();
@@ -777,8 +773,7 @@ class RevisedSimplex {
         continue;  // pruned: no longer an improving column
       }
       cand_[out++] = cand;
-      const double score = opt_.devex_pricing ? cand.d * cand.d / devex_[j]
-                                              : std::abs(cand.d);
+      const double score = cand.d * cand.d / devex_[j];
       if (score > best_score) {
         best_score = score;
         best = j;
@@ -802,7 +797,7 @@ class RevisedSimplex {
 
   /// Full pricing scan: recomputes y = B^-T c_B and every nonbasic reduced
   /// cost. Returns the entering column (Bland: first eligible; otherwise
-  /// best Devex/Dantzig score) or -1 when none is eligible (optimal). With
+  /// best Devex score) or -1 when none is eligible (optimal). With
   /// `rebuild_list` the top-scored eligible columns are kept as the new
   /// candidate list.
   int FullPricingScan(bool bland, bool rebuild_list, std::vector<double>* y,
@@ -841,8 +836,7 @@ class RevisedSimplex {
         *d_enter = d;
         break;
       }
-      const double score =
-          opt_.devex_pricing ? d * d / devex_[j] : std::abs(d);
+      const double score = d * d / devex_[j];
       if (rebuild_list) PushCandidate({j, d}, score);
       if (score > best_score) {
         best_score = score;
@@ -883,10 +877,10 @@ class RevisedSimplex {
     // Partial pricing only applies to phase 2: the composite phase-1 cost
     // vector changes every iteration, which invalidates incrementally
     // maintained reduced costs.
-    const bool partial = !phase1 && opt_.pricing == PricingMode::kPartial;
+    const bool partial = !phase1;
     cand_.clear();
     cand_score_.clear();
-    // Incrementally tracked objective (partial mode): recomputing
+    // Incrementally tracked objective (phase 2): recomputing
     // CurrentObjective() per iteration would cost O(num_cols), the very
     // scan the candidate list exists to avoid.
     double tracked_obj = partial ? CurrentObjective() : 0.0;
@@ -912,8 +906,8 @@ class RevisedSimplex {
       }
       const bool bland = stall > opt_.stall_threshold;
 
-      // Pricing: candidate list first (partial mode), full scan when the
-      // list is dry, Bland always scans fully.
+      // Pricing: candidate list first (phase 2), full scan when the list
+      // is dry, Bland always scans fully.
       int entering = -1;
       int direction = 0;
       double d_enter = 0.0;
@@ -1024,15 +1018,11 @@ class RevisedSimplex {
         continue;
       }
 
-      // Devex reference-row BTRAN must see the pre-update basis; partial
-      // pricing reuses the same rho for the incremental reduced-cost
-      // updates of the list members.
-      const bool update_devex = opt_.devex_pricing && !bland;
-      // Under Bland the full scan just cleared the candidate list, so the
-      // incremental update has nothing to do — skip the rho Btran too.
-      const bool partial_update = partial && !bland;
-      const bool need_rho = update_devex || partial_update;
-      if (need_rho) {
+      // Devex reference-row BTRAN must see the pre-update basis; phase 2
+      // reuses the same rho for the incremental reduced-cost updates of
+      // the list members. Under Bland the weights stay put and the full
+      // scan just cleared the candidate list, so skip the rho Btran.
+      if (!bland) {
         phase_timer.Reset();
         rho.assign(num_rows_, 0.0);
         rho[leaving_pos] = 1.0;
@@ -1053,12 +1043,11 @@ class RevisedSimplex {
       basic_value_[leaving_pos] =
           direction > 0 ? lower_[entering] + t : upper_[entering] - t;
 
-      if (partial_update) {
+      if (partial && !bland) {
         phase_timer.Reset();
-        UpdateCandidatesAfterPivot(entering, leaving, d_enter, alpha_rq, rho,
-                                   update_devex);
+        UpdateCandidatesAfterPivot(entering, leaving, d_enter, alpha_rq, rho);
         stats_.pricing_seconds += phase_timer.ElapsedSeconds();
-      } else if (update_devex) {
+      } else if (!bland) {
         phase_timer.Reset();
         UpdateDevexWeights(entering, leaving, alpha_rq, rho);
         stats_.pricing_seconds += phase_timer.ElapsedSeconds();
@@ -1116,8 +1105,7 @@ class RevisedSimplex {
   /// list when that is an improving direction.
   void UpdateCandidatesAfterPivot(int entering, int leaving, double d_q,
                                   double alpha_rq,
-                                  const std::vector<double>& rho,
-                                  bool update_devex) {
+                                  const std::vector<double>& rho) {
     const double theta = d_q / alpha_rq;
     const double gamma_q = devex_[entering];
     const double inv_rq2 = 1.0 / (alpha_rq * alpha_rq);
@@ -1131,7 +1119,7 @@ class RevisedSimplex {
       for (const auto& [row, a] : cols_[cand.col]) alpha_rj += rho[row] * a;
       PricingCandidate updated = cand;
       updated.d -= theta * alpha_rj;
-      if (update_devex && alpha_rj != 0.0) {
+      if (alpha_rj != 0.0) {
         const double score = alpha_rj * alpha_rj * inv_rq2 * gamma_q;
         if (score > devex_[cand.col]) devex_[cand.col] = score;
       }

@@ -17,20 +17,21 @@
 //    branch-and-bound parent, the previous lambda of a sweep) and the
 //    solver re-establishes feasibility in a few pivots instead of
 //    re-crashing from scratch,
-//  * candidate-list (partial) pricing: phase 2 prices a short Devex-scored
-//    list of promising nonbasic columns whose reduced costs are updated
-//    incrementally across pivots, falling back to a full scan only when
-//    the list runs dry — optimality is still only ever declared after a
-//    full scan, so the final objective is the full-Devex one; the full
-//    scan-every-column path stays selectable via SimplexOptions::pricing,
+//  * candidate-list (partial) pricing, the one phase-2 rule: phase 2
+//    prices a short Devex-scored list of promising nonbasic columns
+//    (capacity clamp(2 * sqrt(num_cols), 64, 1024)) whose reduced costs
+//    are updated incrementally across pivots, falling back to a full scan
+//    only when the list runs dry — optimality is still only ever declared
+//    after a full scan; phase 1, whose composite cost changes every
+//    pivot, scans every column,
 //  * a dual simplex (SolveDual inside the engine) with dual Devex row
 //    pricing and a bound-flipping ratio test, used whenever a warm basis
 //    is dual-feasible but primal-infeasible — the exact state after a
 //    one-bound change in a branch-and-bound child or a rhs-side
 //    perturbation — repairing such a basis in far fewer pivots than the
 //    composite primal phase 1; cold starts always take phase 1,
-//  * Devex (steepest-edge-flavoured) pricing with the existing Bland's-rule
-//    fallback for anti-cycling.
+//  * Devex (steepest-edge-flavoured) scores in both phases, with a
+//    Bland's-rule fallback for anti-cycling.
 //
 // Intended scale: up to a few thousand rows/columns (the sizes at which the
 // paper itself still runs the exact IP/LP). Larger SVGIC instances use the
@@ -49,20 +50,6 @@ namespace savg {
 enum class SimplexBasisType {
   kSparseLu,  ///< sparse LU + eta file (default)
   kDense,     ///< legacy explicit dense inverse (reference path)
-};
-
-/// How phase 2 prices entering columns.
-enum class PricingMode {
-  /// Score every nonbasic column every iteration (the PR 2 reference
-  /// path). O(nnz) per pivot in the pricing scan AND the Devex update.
-  kFullDevex,
-  /// Candidate-list pricing: keep the top-scored eligible columns from the
-  /// last full scan, update their reduced costs incrementally per pivot
-  /// (one Btran of the pivot row + a sparse dot per list member), and
-  /// rescan everything only when the list runs dry. Optimality is still
-  /// only declared after a full scan, so the final objective matches
-  /// kFullDevex exactly (up to degenerate-tie vertex choice).
-  kPartial,
 };
 
 struct SimplexOptions {
@@ -88,15 +75,6 @@ struct SimplexOptions {
   /// termination stays guaranteed.
   int stall_threshold = 10000;
   SimplexBasisType basis = SimplexBasisType::kSparseLu;
-  /// Devex pricing; false = Dantzig (largest reduced cost).
-  bool devex_pricing = true;
-  /// Phase-2 pricing strategy (see PricingMode). Partial pricing is the
-  /// default: on the m=10000 compact LPs the full per-pivot column scan
-  /// dominates LpStats::pricing_seconds (ROADMAP open item).
-  PricingMode pricing = PricingMode::kPartial;
-  /// Candidate-list capacity for PricingMode::kPartial; <= 0 picks
-  /// clamp(2 * sqrt(num_cols), 64, 1024).
-  int candidate_list_size = 0;
 };
 
 /// Solves `model` to optimality. Returns kInfeasible / kUnbounded /

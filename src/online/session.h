@@ -76,7 +76,10 @@ struct SessionOptions {
   /// community, dirty users map to dirty shards, and Resolve() re-solves
   /// only the touched shards' LPs — the scaling path for sessions past the
   /// single-LP practical limit. Requires lambda in (0, 1); the session
-  /// falls back to the monolithic path at the endpoints.
+  /// falls back to the monolithic path at the endpoints. Only `svgic_cli`
+  /// sets it: the sharded path has no single LP, so its self-verification
+  /// checks the configuration and the objective but can run no KKT audit,
+  /// and svgic_serverd audits the LP of every answer it verifies.
   bool use_sharding = false;
   ShardSolveOptions sharding;
   /// Sampled post-solve self-verification (obs/verify.h): when set,

@@ -114,7 +114,7 @@ ShardPlan BuildShardPlan(const SvgicInstance& instance,
   const int ideal = std::max(1, (n + target - 1) / target);
 
   Partition p;
-  if (options.method == ShardMethod::kBalanced || target >= n) {
+  if (target >= n) {
     Rng rng(options.seed);
     p = BalancedPartition(graph, ideal, &rng);
   } else {

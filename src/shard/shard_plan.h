@@ -9,9 +9,10 @@
 // the cut-pair list, which users sit on a shard boundary — plus balance
 // and cut statistics for telemetry.
 //
-// Plans are deterministic for a fixed seed: kCommunity uses the
-// deterministic greedy modularity merge, kBalanced the seeded BFS
-// chunking, and all tie-breaks are index-based.
+// Plans are deterministic for a fixed seed: shards come from the
+// deterministic greedy modularity merge, with oversized communities split
+// by seeded BFS chunking (the whole graph is chunked that way when the
+// shard count reaches the user count), and all tie-breaks are index-based.
 
 #pragma once
 
@@ -23,19 +24,9 @@
 
 namespace savg {
 
-enum class ShardMethod {
-  /// Greedy modularity communities, merged/split toward the target shard
-  /// count with BFS chunking of oversized communities (default).
-  kCommunity,
-  /// Seeded BFS chunking into near-equal shards (ignores community
-  /// structure beyond local connectivity; useful as an ablation).
-  kBalanced,
-};
-
 struct ShardPlanOptions {
   /// Explicit shard count; 0 aims for 24 users per shard.
   int num_shards = 0;
-  ShardMethod method = ShardMethod::kCommunity;
   uint64_t seed = 1;
 };
 

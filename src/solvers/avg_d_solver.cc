@@ -4,7 +4,6 @@
 #include "core/avg_d.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -40,10 +39,8 @@ class AvgDSolver : public Solver {
 
 }  // namespace
 
-void RegisterAvgDSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "AVG-D", [] { return std::make_unique<AvgDSolver>(); },
-      {"avgd", "avg_d"});
+std::unique_ptr<Solver> NewAvgDSolver() {
+  return std::make_unique<AvgDSolver>();
 }
 
 }  // namespace savg

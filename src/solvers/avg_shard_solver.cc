@@ -7,7 +7,6 @@
 #include "shard/shard_solve.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -60,10 +59,8 @@ class AvgShardSolver : public Solver {
 
 }  // namespace
 
-void RegisterAvgShardSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "AVG-SHARD", [] { return std::make_unique<AvgShardSolver>(); },
-      {"avg-shard", "avg_shard", "shard"});
+std::unique_ptr<Solver> NewAvgShardSolver() {
+  return std::make_unique<AvgShardSolver>();
 }
 
 }  // namespace savg

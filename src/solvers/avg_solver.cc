@@ -5,7 +5,6 @@
 #include "core/local_search.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -60,12 +59,8 @@ class AvgSolver : public Solver {
 
 }  // namespace
 
-void RegisterAvgSolvers(SolverRegistry* registry) {
-  (void)registry->Register(
-      "AVG", [] { return std::make_unique<AvgSolver>(false); });
-  (void)registry->Register(
-      "AVG+LS", [] { return std::make_unique<AvgSolver>(true); },
-      {"avg-ls", "avg_ls"});
+std::unique_ptr<Solver> NewAvgSolver(bool local_search) {
+  return std::make_unique<AvgSolver>(local_search);
 }
 
 }  // namespace savg

@@ -7,7 +7,6 @@
 #include "core/avg_st.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -64,10 +63,8 @@ class AvgStSolver : public Solver {
 
 }  // namespace
 
-void RegisterAvgStSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "AVG-ST", [] { return std::make_unique<AvgStSolver>(); },
-      {"avg_st", "avgst"});
+std::unique_ptr<Solver> NewAvgStSolver() {
+  return std::make_unique<AvgStSolver>();
 }
 
 }  // namespace savg

@@ -3,7 +3,6 @@
 #include "baselines/brute_force.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -32,10 +31,8 @@ class BruteForceSolver : public Solver {
 
 }  // namespace
 
-void RegisterBruteForceSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "BRUTE", [] { return std::make_unique<BruteForceSolver>(); },
-      {"bf", "brute-force"});
+std::unique_ptr<Solver> NewBruteForceSolver() {
+  return std::make_unique<BruteForceSolver>();
 }
 
 }  // namespace savg

@@ -1,26 +1,27 @@
-// Registration hooks for the built-in algorithm adapters (internal).
+// Constructors of the built-in algorithm adapters (internal).
 //
-// Each adapter translation unit defines one hook; RegisterBuiltinSolvers()
-// (solvers/builtin.cc) calls them all, which keeps registration robust
-// inside the static library (no reliance on static initializers the linker
-// could drop).
+// Each adapter translation unit defines one; the SolverRegistry
+// constructor (solvers/solver_registry.cc) calls them all to build its
+// fixed table.
 
 #pragma once
 
+#include <memory>
+
+#include "solvers/solver.h"
+
 namespace savg {
 
-class SolverRegistry;
-
-void RegisterAvgSolvers(SolverRegistry* registry);       // AVG, AVG+LS
-void RegisterAvgShardSolver(SolverRegistry* registry);   // AVG-SHARD
-void RegisterAvgDSolver(SolverRegistry* registry);       // AVG-D
-void RegisterAvgStSolver(SolverRegistry* registry);      // AVG-ST
-void RegisterIndependentRoundingSolver(SolverRegistry* registry);  // IR
-void RegisterPerSolver(SolverRegistry* registry);        // PER
-void RegisterFmgSolver(SolverRegistry* registry);        // FMG
-void RegisterSdpSolver(SolverRegistry* registry);        // SDP
-void RegisterGrfSolver(SolverRegistry* registry);        // GRF
-void RegisterIpSolver(SolverRegistry* registry);         // IP
-void RegisterBruteForceSolver(SolverRegistry* registry); // BRUTE
+std::unique_ptr<Solver> NewAvgSolver(bool local_search);  // AVG / AVG+LS
+std::unique_ptr<Solver> NewAvgShardSolver();               // AVG-SHARD
+std::unique_ptr<Solver> NewAvgDSolver();                   // AVG-D
+std::unique_ptr<Solver> NewAvgStSolver();                  // AVG-ST
+std::unique_ptr<Solver> NewIndependentRoundingSolver();    // IR
+std::unique_ptr<Solver> NewPerSolver();                    // PER
+std::unique_ptr<Solver> NewFmgSolver();                    // FMG
+std::unique_ptr<Solver> NewSdpSolver();                    // SDP
+std::unique_ptr<Solver> NewGrfSolver();                    // GRF
+std::unique_ptr<Solver> NewIpSolver();                     // IP
+std::unique_ptr<Solver> NewBruteForceSolver();             // BRUTE
 
 }  // namespace savg

@@ -3,7 +3,6 @@
 #include "baselines/fmg.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -29,9 +28,8 @@ class FmgSolver : public Solver {
 
 }  // namespace
 
-void RegisterFmgSolver(SolverRegistry* registry) {
-  (void)registry->Register("FMG",
-                           [] { return std::make_unique<FmgSolver>(); });
+std::unique_ptr<Solver> NewFmgSolver() {
+  return std::make_unique<FmgSolver>();
 }
 
 }  // namespace savg

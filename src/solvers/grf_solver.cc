@@ -3,7 +3,6 @@
 #include "baselines/grf.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -32,9 +31,8 @@ class GrfSolver : public Solver {
 
 }  // namespace
 
-void RegisterGrfSolver(SolverRegistry* registry) {
-  (void)registry->Register("GRF",
-                           [] { return std::make_unique<GrfSolver>(); });
+std::unique_ptr<Solver> NewGrfSolver() {
+  return std::make_unique<GrfSolver>();
 }
 
 }  // namespace savg

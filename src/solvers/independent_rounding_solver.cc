@@ -4,7 +4,6 @@
 #include "core/avg.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -43,10 +42,8 @@ class IndependentRoundingSolver : public Solver {
 
 }  // namespace
 
-void RegisterIndependentRoundingSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "IR", [] { return std::make_unique<IndependentRoundingSolver>(); },
-      {"independent", "independent-rounding"});
+std::unique_ptr<Solver> NewIndependentRoundingSolver() {
+  return std::make_unique<IndependentRoundingSolver>();
 }
 
 }  // namespace savg

@@ -3,7 +3,6 @@
 #include "baselines/ip_exact.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -31,9 +30,8 @@ class IpSolver : public Solver {
 
 }  // namespace
 
-void RegisterIpSolver(SolverRegistry* registry) {
-  (void)registry->Register(
-      "IP", [] { return std::make_unique<IpSolver>(); }, {"ip-exact"});
+std::unique_ptr<Solver> NewIpSolver() {
+  return std::make_unique<IpSolver>();
 }
 
 }  // namespace savg

@@ -3,7 +3,6 @@
 #include "baselines/per.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -28,9 +27,8 @@ class PerSolver : public Solver {
 
 }  // namespace
 
-void RegisterPerSolver(SolverRegistry* registry) {
-  (void)registry->Register("PER",
-                           [] { return std::make_unique<PerSolver>(); });
+std::unique_ptr<Solver> NewPerSolver() {
+  return std::make_unique<PerSolver>();
 }
 
 }  // namespace savg

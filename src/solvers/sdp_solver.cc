@@ -3,7 +3,6 @@
 #include "baselines/sdp.h"
 #include "solvers/adapter_util.h"
 #include "solvers/builtin_solvers.h"
-#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -29,9 +28,8 @@ class SdpSolver : public Solver {
 
 }  // namespace
 
-void RegisterSdpSolver(SolverRegistry* registry) {
-  (void)registry->Register("SDP",
-                           [] { return std::make_unique<SdpSolver>(); });
+std::unique_ptr<Solver> NewSdpSolver() {
+  return std::make_unique<SdpSolver>();
 }
 
 }  // namespace savg

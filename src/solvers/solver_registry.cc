@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <initializer_list>
 #include <sstream>
 
-#include "util/logging.h"
+#include "solvers/builtin_solvers.h"
 
 namespace savg {
 
@@ -20,89 +21,50 @@ std::string Lowercase(const std::string& s) {
 
 }  // namespace
 
-SolverRegistry& SolverRegistry::Global() {
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry();
-    RegisterBuiltinSolvers(r);
-    return r;
-  }();
+const SolverRegistry& SolverRegistry::Global() {
+  static const SolverRegistry* registry = new SolverRegistry();
   return *registry;
 }
 
-Status SolverRegistry::Register(const std::string& name, Factory factory,
-                                const std::vector<std::string>& aliases) {
-  if (name.empty()) return Status::InvalidArgument("solver name is empty");
-  if (!factory) return Status::InvalidArgument("solver factory is null");
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> keys = {Lowercase(name)};
-  for (const std::string& alias : aliases) keys.push_back(Lowercase(alias));
-  for (const std::string& key : keys) {
-    if (index_.count(key)) {
-      return Status::AlreadyExists("solver name already registered: " + key);
-    }
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->canonical_name = name;
-  entry->factory = std::move(factory);
-  const size_t idx = entries_.size();
-  entries_.push_back(std::move(entry));
-  for (const std::string& key : keys) index_[key] = idx;
-  return Status::OK();
+SolverRegistry::SolverRegistry() {
+  const auto add = [this](std::unique_ptr<Solver> solver,
+                          std::initializer_list<const char*> aliases) {
+    const size_t idx = entries_.size();
+    index_[Lowercase(solver->Name())] = idx;
+    for (const char* alias : aliases) index_[Lowercase(alias)] = idx;
+    entries_.push_back({solver->Name(), std::move(solver)});
+  };
+  // The paper's default comparison order, then the extras.
+  add(NewAvgSolver(/*local_search=*/false), {});
+  add(NewAvgSolver(/*local_search=*/true), {"avg-ls", "avg_ls"});
+  add(NewAvgShardSolver(), {"avg-shard", "avg_shard", "shard"});
+  add(NewAvgDSolver(), {"avgd", "avg_d"});
+  add(NewPerSolver(), {});
+  add(NewFmgSolver(), {});
+  add(NewSdpSolver(), {});
+  add(NewGrfSolver(), {});
+  add(NewIpSolver(), {"ip-exact"});
+  add(NewAvgStSolver(), {"avg_st", "avgst"});
+  add(NewBruteForceSolver(), {"bf", "brute-force"});
+  add(NewIndependentRoundingSolver(), {"independent", "independent-rounding"});
 }
 
-Result<SolverRegistry::Entry*> SolverRegistry::LookupLocked(
-    const std::string& name) const {
+Result<const Solver*> SolverRegistry::Find(const std::string& name) const {
   auto it = index_.find(Lowercase(name));
   if (it == index_.end()) {
     std::ostringstream msg;
     msg << "unknown solver \"" << name << "\"; known solvers:";
-    for (const auto& entry : entries_) msg << " " << entry->canonical_name;
+    for (const Entry& entry : entries_) msg << " " << entry.canonical_name;
     return Status::NotFound(msg.str());
   }
-  return entries_[it->second].get();
-}
-
-Result<const Solver*> SolverRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SAVG_ASSIGN_OR_RETURN(Entry * entry, LookupLocked(name));
-  if (entry->singleton == nullptr) entry->singleton = entry->factory();
-  return static_cast<const Solver*>(entry->singleton.get());
-}
-
-Result<std::unique_ptr<Solver>> SolverRegistry::Create(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SAVG_ASSIGN_OR_RETURN(Entry * entry, LookupLocked(name));
-  return entry->factory();
-}
-
-bool SolverRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.count(Lowercase(name)) > 0;
+  return entries_[it->second].solver.get();
 }
 
 std::vector<std::string> SolverRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(entries_.size());
-  for (const auto& entry : entries_) names.push_back(entry->canonical_name);
+  for (const Entry& entry : entries_) names.push_back(entry.canonical_name);
   return names;
 }
 
-namespace internal {
-
-SolverRegistrar::SolverRegistrar(const std::string& name,
-                                 SolverRegistry::Factory factory,
-                                 const std::vector<std::string>& aliases) {
-  Status st =
-      SolverRegistry::Global().Register(name, std::move(factory), aliases);
-  if (!st.ok()) {
-    // A name collision here means Find() will keep returning the earlier
-    // solver — surface it instead of silently dropping the registration.
-    SAVG_LOG(Warning) << "SAVG_REGISTER_SOLVER(" << name
-                      << ") ignored: " << st;
-  }
-}
-
-}  // namespace internal
 }  // namespace savg

@@ -1,25 +1,14 @@
-// Name -> Solver registry with self-registration support.
+// The fixed name -> Solver table of the built-in algorithms.
 //
-// The registry maps case-insensitive names (plus aliases: "avg-ls" for
-// "AVG+LS", "bf" for "BRUTE", ...) to lazily constructed solver
-// singletons. All built-in algorithms register on first access to
-// Global(), so merely linking savg_core makes the whole zoo resolvable by
-// name — no call site enumerates algorithms anymore.
-//
-// External code can add solvers two ways:
-//  * imperatively: SolverRegistry::Global().Register("NAME", factory);
-//  * declaratively: SAVG_REGISTER_SOLVER(MySolver) at namespace scope in a
-//    translation unit that is linked into the final binary. (Inside a
-//    static library the linker may drop such a TU unless something
-//    references it — the built-ins therefore register imperatively from
-//    RegisterBuiltinSolvers().)
+// The table maps case-insensitive names (plus aliases: "avg-ls" for
+// "AVG+LS", "bf" for "BRUTE", ...) to one shared instance per solver, so
+// no call site enumerates algorithms. It is built once, on the first
+// Global() call, and never changes afterwards; lookups take no lock.
 
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,65 +19,28 @@ namespace savg {
 
 class SolverRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Solver>()>;
+  /// The process-wide table of every built-in solver.
+  static const SolverRegistry& Global();
 
-  /// The process-wide registry, with all built-in solvers registered.
-  static SolverRegistry& Global();
-
-  /// Registers a factory under `name` (case-insensitive) plus optional
-  /// aliases. Fails with kAlreadyExists if any name is taken.
-  Status Register(const std::string& name, Factory factory,
-                  const std::vector<std::string>& aliases = {});
-
-  /// Resolves a name or alias to the (lazily constructed, process-owned)
-  /// solver instance. Unknown names fail with kNotFound and a message
-  /// listing the known names.
+  /// Resolves a name or alias to the solver's shared, process-owned
+  /// instance. Unknown names fail with kNotFound and a message listing the
+  /// known names.
   Result<const Solver*> Find(const std::string& name) const;
 
-  /// Constructs a fresh instance (for callers that want to own one).
-  Result<std::unique_ptr<Solver>> Create(const std::string& name) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Canonical names in registration order (aliases excluded).
+  /// Canonical names in table order (aliases excluded).
   std::vector<std::string> Names() const;
 
  private:
+  SolverRegistry();
+
   struct Entry {
     std::string canonical_name;
-    Factory factory;
-    std::unique_ptr<Solver> singleton;  // created on first Find
+    std::unique_ptr<const Solver> solver;
   };
 
-  Result<Entry*> LookupLocked(const std::string& name) const;
-
-  mutable std::mutex mu_;
+  std::vector<Entry> entries_;
   /// Lowercased name/alias -> index into entries_.
   std::map<std::string, size_t> index_;
-  mutable std::vector<std::unique_ptr<Entry>> entries_;
 };
-
-/// Registers every built-in algorithm adapter (idempotent; called by
-/// SolverRegistry::Global()).
-void RegisterBuiltinSolvers(SolverRegistry* registry);
-
-namespace internal {
-
-/// Helper for SAVG_REGISTER_SOLVER: registers at static-init time.
-struct SolverRegistrar {
-  SolverRegistrar(const std::string& name, SolverRegistry::Factory factory,
-                  const std::vector<std::string>& aliases = {});
-};
-
-}  // namespace internal
-
-/// Self-registers `SolverClass` (default-constructible) under its Name().
-#define SAVG_REGISTER_SOLVER(SolverClass)                             \
-  static const ::savg::internal::SolverRegistrar                      \
-      savg_registrar_##SolverClass(                                   \
-          SolverClass().Name(),                                       \
-          []() -> std::unique_ptr<::savg::Solver> {                   \
-            return std::make_unique<SolverClass>();                   \
-          })
 
 }  // namespace savg

@@ -22,7 +22,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
 void SetLogLevel(LogLevel level) { g_level = level; }
 
 namespace internal {

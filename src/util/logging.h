@@ -16,7 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 /// Global minimum level actually emitted (default: kWarning so library code
 /// stays quiet in tests/benches unless callers opt in).
-LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
 namespace internal {
@@ -53,7 +52,6 @@ class Timer {
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

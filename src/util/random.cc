@@ -92,14 +92,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-double Rng::Exponential(double lambda) {
-  double u;
-  do {
-    u = Uniform();
-  } while (u <= 1e-300);
-  return -std::log(u) / lambda;
-}
-
 uint64_t Rng::Zipf(uint64_t n, double s) {
   assert(n > 0);
   if (n == 1) return 0;
@@ -163,7 +155,5 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t count) {
   idx.resize(count);
   return idx;
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace savg

@@ -56,8 +56,6 @@ class Rng {
   bool Bernoulli(double p);
   /// Standard normal via Box-Muller.
   double Normal(double mean = 0.0, double stddev = 1.0);
-  /// Exponential with rate lambda.
-  double Exponential(double lambda);
 
   /// Zipf-distributed rank in [0, n) with exponent s (>= 0). Rank 0 is the
   /// most probable. Uses an O(n) precomputed table-free rejection-less
@@ -80,9 +78,6 @@ class Rng {
   /// Samples `count` distinct indices from [0, n) (reservoir-free; uses
   /// partial Fisher-Yates on an index vector). Requires count <= n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t count);
-
-  /// Derives an independent child generator (for parallel streams).
-  Rng Fork();
 
  private:
   uint64_t s_[4];

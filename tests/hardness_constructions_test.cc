@@ -119,7 +119,6 @@ TEST(HardnessConstructionsTest, Lemma3IndependentRoundingLosesFactorM) {
   for (int i = 0; i < runs; ++i) {
     IndependentRoundingOptions iopt;
     iopt.seed = 100 + i;
-    iopt.repair_duplicates = true;
     auto ind = RunIndependentRounding(inst, *frac, iopt);
     ASSERT_TRUE(ind.ok());
     ind_social += Evaluate(inst, ind->config).social_direct;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "core/lp_formulation.h"
 #include "datagen/datasets.h"
@@ -302,80 +304,112 @@ void CheckDualKkt(const LpModel& m, const LpSolution& sol, double tol) {
       << "max violation " << report.MaxViolation();
 }
 
+/// Solves `m` with the default configuration (sparse LU) and with the
+/// dense reference backend (same pricing rule, explicit inverse) and checks
+/// that both agree on status and on the objective (within `tol`) and that
+/// both solutions are feasible with KKT-valid duals. Returns the default
+/// solve, or nullopt when `m` has none.
+std::optional<LpSolution> SolveAgainstDense(const LpModel& m,
+                                            const std::string& what,
+                                            double tol = 1e-6) {
+  SimplexOptions dense_opt;
+  dense_opt.basis = SimplexBasisType::kDense;
+  auto solved = SolveLp(m);
+  auto dense = SolveLp(m, dense_opt);
+  EXPECT_EQ(solved.ok(), dense.ok())
+      << what << ": default " << solved.status() << " dense "
+      << dense.status();
+  if (!solved.ok() && !dense.ok()) {
+    EXPECT_EQ(solved.status().code(), dense.status().code()) << what;
+  }
+  if (!solved.ok() || !dense.ok()) return std::nullopt;
+  EXPECT_NEAR(solved->objective, dense->objective, tol) << what;
+  EXPECT_NEAR(m.MaxViolation(solved->x), 0.0, 1e-6) << what;
+  EXPECT_NEAR(m.MaxViolation(dense->x), 0.0, 1e-6) << what;
+  CheckDualKkt(m, *solved, 1e-6);
+  CheckDualKkt(m, *dense, 1e-6);
+  return std::move(solved).value();
+}
+
 TEST(SimplexEquivalenceTest, SparseLuMatchesDenseOnRandomLps) {
+  // The generator mixes <=, >= and = rows under both objective senses, so
+  // the KKT audits cover every dual sign convention of LpSolution.
   Rng rng(1234);
   int solved = 0;
   for (int trial = 0; trial < 60; ++trial) {
     LpModel m = RandomLp(&rng, 4 + trial % 9, 2 + trial % 7);
-    SimplexOptions sparse_opt;
-    sparse_opt.basis = SimplexBasisType::kSparseLu;
-    SimplexOptions dense_opt;
-    dense_opt.basis = SimplexBasisType::kDense;
-    auto sparse = SolveLp(m, sparse_opt);
-    auto dense = SolveLp(m, dense_opt);
-    ASSERT_EQ(sparse.ok(), dense.ok())
-        << "trial " << trial << ": sparse " << sparse.status() << " dense "
-        << dense.status();
-    if (!sparse.ok()) {
-      EXPECT_EQ(sparse.status().code(), dense.status().code());
-      continue;
-    }
-    ++solved;
-    EXPECT_NEAR(sparse->objective, dense->objective, 1e-6)
-        << "trial " << trial;
-    EXPECT_NEAR(m.MaxViolation(sparse->x), 0.0, 1e-6);
-    EXPECT_NEAR(m.MaxViolation(dense->x), 0.0, 1e-6);
-    // The generator mixes <=, >= and = rows under both objective senses,
-    // so this covers every dual sign convention of LpSolution.
-    CheckDualKkt(m, *sparse, 1e-6);
-    CheckDualKkt(m, *dense, 1e-6);
+    if (SolveAgainstDense(m, "trial " + std::to_string(trial))) ++solved;
   }
   EXPECT_GE(solved, 20);  // the generator must produce enough solvable LPs
 }
 
-TEST(SimplexEquivalenceTest, DantzigMatchesDevexPricing) {
+TEST(SimplexEquivalenceTest, DefaultRuleMatchesDenseOnSmallRandomLps) {
   Rng rng(77);
+  int solved = 0;
   for (int trial = 0; trial < 20; ++trial) {
     LpModel m = RandomLp(&rng, 6, 5);
-    SimplexOptions devex;
-    SimplexOptions dantzig;
-    dantzig.devex_pricing = false;
-    auto a = SolveLp(m, devex);
-    auto b = SolveLp(m, dantzig);
-    ASSERT_EQ(a.ok(), b.ok());
-    if (a.ok()) EXPECT_NEAR(a->objective, b->objective, 1e-6);
+    if (SolveAgainstDense(m, "trial " + std::to_string(trial))) ++solved;
   }
+  EXPECT_GE(solved, 5);
 }
 
-// --- Partial / candidate-list pricing ------------------------------------
+// --- Candidate-list pricing ----------------------------------------------
 
-TEST(SimplexPricingTest, PartialMatchesFullDevexOnRandomLps) {
-  // Same optimal objective whichever pricing strategy ran: optimality is
-  // only declared after a full scan in both modes.
+TEST(SimplexPricingTest, DefaultRuleMatchesDenseOnRandomLps) {
+  // Optimality is only declared after a full scan, so the candidate list
+  // cannot stop the solve early: the objective is the dense reference's.
   Rng rng(321);
   int solved = 0;
   for (int trial = 0; trial < 40; ++trial) {
     LpModel m = RandomLp(&rng, 5 + trial % 10, 3 + trial % 6);
-    SimplexOptions full;
-    full.pricing = PricingMode::kFullDevex;
-    SimplexOptions partial;
-    partial.pricing = PricingMode::kPartial;
-    // A tiny list maximizes rebuild churn — the stress case.
-    partial.candidate_list_size = 2;
-    auto a = SolveLp(m, full);
-    auto b = SolveLp(m, partial);
-    ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial << ": full " << a.status()
-                              << " partial " << b.status();
-    if (!a.ok()) continue;
+    auto sol = SolveAgainstDense(m, "trial " + std::to_string(trial));
+    if (!sol) continue;
     ++solved;
-    EXPECT_NEAR(a->objective, b->objective, 1e-6) << "trial " << trial;
-    EXPECT_NEAR(m.MaxViolation(b->x), 0.0, 1e-6);
-    EXPECT_GT(b->stats.full_pricing_scans, 0);  // optimality proof ran
+    EXPECT_GT(sol->stats.full_pricing_scans, 0);  // optimality proof ran
   }
   EXPECT_GE(solved, 15);
 }
 
-TEST(SimplexPricingTest, PartialMatchesFullDevexOnPaperExample) {
+/// A maximization LP whose all-logical start is feasible (x >= 0,
+/// nonnegative coefficients, positive rhs on <= rows), so phase 2 prices
+/// from the first pivot and every column with a positive cost starts
+/// eligible.
+LpModel RandomWideLp(Rng* rng, int num_vars, int num_rows) {
+  LpModel m;
+  m.SetMaximize(true);
+  for (int j = 0; j < num_vars; ++j) {
+    m.AddVariable(0.0, rng->Uniform(0.5, 3.0), rng->Uniform(-1.0, 2.0));
+  }
+  for (int i = 0; i < num_rows; ++i) {
+    std::vector<LpTerm> terms;
+    for (int j = 0; j < num_vars; ++j) {
+      if (rng->Bernoulli(0.3)) terms.push_back({j, rng->Uniform(0.1, 2.0)});
+    }
+    m.AddRow(RowType::kLessEqual, rng->Uniform(1.0, 0.1 * num_vars),
+             std::move(terms));
+  }
+  return m;
+}
+
+TEST(SimplexPricingTest, CandidateListRebuildsOnWideLps) {
+  // The list holds clamp(2 sqrt(cols), 64, 1024) = 64 columns here, fewer
+  // than start eligible, so it runs dry and is rebuilt by full scans
+  // mid-solve: the stress case for the incremental reduced costs.
+  Rng rng(321);
+  for (int trial = 0; trial < 12; ++trial) {
+    LpModel m = RandomWideLp(&rng, 150 + 10 * trial, 12 + trial % 5);
+    int eligible = 0;
+    for (int j = 0; j < m.num_vars(); ++j) eligible += m.objective(j) > 0;
+    ASSERT_GT(eligible, 64) << "trial " << trial;
+    auto sol = SolveAgainstDense(m, "trial " + std::to_string(trial));
+    ASSERT_TRUE(sol) << "trial " << trial;
+    EXPECT_GT(sol->stats.candidate_hits, 0) << "trial " << trial;
+    // The first build, at least one rebuild, and the optimality proof.
+    EXPECT_GT(sol->stats.full_pricing_scans, 2) << "trial " << trial;
+  }
+}
+
+TEST(SimplexPricingTest, DefaultRuleMatchesDenseOnPaperExample) {
   // The paper's running example, through the real compact formulation.
   for (double lambda : {0.3, 0.5, 0.7}) {
     SvgicInstance inst = MakePaperExample(lambda);
@@ -383,17 +417,8 @@ TEST(SimplexPricingTest, PartialMatchesFullDevexOnPaperExample) {
     CompactLpMap map;
     auto lp = BuildCompactLp(inst, &map);
     ASSERT_TRUE(lp.ok()) << lp.status();
-    SimplexOptions full;
-    full.pricing = PricingMode::kFullDevex;
-    SimplexOptions partial;
-    partial.pricing = PricingMode::kPartial;
-    auto a = SolveLp(*lp, full);
-    auto b = SolveLp(*lp, partial);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_NEAR(a->objective, b->objective, 1e-8) << "lambda " << lambda;
-    CheckDualKkt(*lp, *a, 1e-6);
-    CheckDualKkt(*lp, *b, 1e-6);
+    EXPECT_TRUE(
+        SolveAgainstDense(*lp, "lambda " + std::to_string(lambda), 1e-8));
   }
 }
 

@@ -54,15 +54,16 @@ bool SameConfig(const Configuration& a, const Configuration& b) {
 
 TEST(ShardPlanTest, DeterministicForFixedSeed) {
   const SvgicInstance inst = RandomInstance(DatasetKind::kYelp, 48, 24, 3, 5);
-  for (ShardMethod method :
-       {ShardMethod::kCommunity, ShardMethod::kBalanced}) {
+  // 4 shards take the community merge; one shard per user takes the
+  // seeded balanced BFS partition of the whole graph.
+  for (int num_shards : {4, inst.num_users()}) {
     ShardPlanOptions options;
-    options.num_shards = 4;
-    options.method = method;
+    options.num_shards = num_shards;
     options.seed = 11;
     const ShardPlan a = BuildShardPlan(inst, options);
     const ShardPlan b = BuildShardPlan(inst, options);
-    EXPECT_TRUE(SamePlan(a, b));
+    EXPECT_TRUE(SamePlan(a, b)) << num_shards << " shards";
+    EXPECT_EQ(a.num_shards(), num_shards);
   }
 }
 
