@@ -126,7 +126,7 @@ struct RelaxationOptions {
   /// limit. Row count alone does not predict the cost: Yelp shapes pass a
   /// second below 4000 rows already, and a higher limit only admits
   /// slower ones, so 4000 stays. The subgradient path (1-4% below the
-  /// exact optimum on the Timik sweep, 0.36s on Yelp 40x2000x10) is
+  /// exact optimum on the Timik sweep, 0.06s on Yelp 40x2000x10) is
   /// covered by Corollary 4.2 (beta-approximate LP -> 4*beta-approximate
   /// rounding).
   int auto_simplex_row_limit = 4000;

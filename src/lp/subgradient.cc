@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "lp/capped_simplex.h"
-#include "util/logging.h"
 
 namespace savg {
 
@@ -176,7 +175,6 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
   if (static_cast<int>(problem.linear.size()) != n * m) {
     return Status::InvalidArgument("linear term has wrong size");
   }
-  Timer timer;
   const size_t total = static_cast<size_t>(n) * m;
   const auto pairs_of_agent = BuildPairsOfAgent(problem);
 
@@ -207,12 +205,9 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
   }
   if (options.initial_x != nullptr && options.initial_x->size() == total) {
     std::vector<double> warm = *options.initial_x;
-    std::vector<double> block(m);
     for (int a = 0; a < n; ++a) {
-      const size_t base = static_cast<size_t>(a) * m;
-      std::copy(warm.begin() + base, warm.begin() + base + m, block.begin());
-      ProjectCappedSimplex(&block, problem.k);
-      std::copy(block.begin(), block.end(), warm.begin() + base);
+      ProjectCappedSimplex(warm.data() + static_cast<size_t>(a) * m, m,
+                           problem.k);
     }
     const double warm_f = problem.Evaluate(warm);
     if (warm_f > start_f) {
@@ -226,7 +221,6 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
   const double radius = std::sqrt(static_cast<double>(n) * problem.k);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    if (timer.ElapsedSeconds() > options.time_limit_seconds) break;
     // Supergradient.
     std::copy(problem.linear.begin(), problem.linear.end(), g.begin());
     for (const ConcavePair& pr : problem.pairs) {
@@ -252,12 +246,9 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
                         (gnorm * std::sqrt(static_cast<double>(iter) + 1.0));
     for (size_t i = 0; i < total; ++i) x[i] += step * g[i];
     // Project every agent block onto D(k).
-    std::vector<double> block(m);
     for (int a = 0; a < n; ++a) {
-      const size_t base = static_cast<size_t>(a) * m;
-      std::copy(x.begin() + base, x.begin() + base + m, block.begin());
-      ProjectCappedSimplex(&block, problem.k);
-      std::copy(block.begin(), block.end(), x.begin() + base);
+      ProjectCappedSimplex(x.data() + static_cast<size_t>(a) * m, m,
+                           problem.k);
     }
     const double f = problem.Evaluate(x);
     if (f > best_f) {
@@ -269,7 +260,6 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
   // Exact block-coordinate polish from the best point found.
   x = best_x;
   for (int sweep = 0; sweep < options.polish_sweeps; ++sweep) {
-    if (timer.ElapsedSeconds() > options.time_limit_seconds) break;
     for (int a = 0; a < n; ++a) {
       ExactBlockMaximize(problem, a, pairs_of_agent, &x);
     }
@@ -285,8 +275,6 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
   SubgradientSolution sol;
   sol.x = std::move(best_x);
   sol.objective = best_f;
-  sol.iterations = options.max_iterations;
-  sol.solve_seconds = timer.ElapsedSeconds();
   return sol;
 }
 

@@ -55,7 +55,6 @@ struct SubgradientOptions {
   /// Exact per-agent block-coordinate maximization sweeps after the
   /// subgradient phase (0 disables polishing).
   int polish_sweeps = 8;
-  double time_limit_seconds = 1e18;
   /// Optional warm-start point (row-major num_agents x num_items; blocks
   /// are re-projected onto D(k), so a stale-but-close point is fine).
   /// Considered alongside the built-in starting points, best wins. Not
@@ -68,8 +67,6 @@ struct SubgradientOptions {
 struct SubgradientSolution {
   std::vector<double> x;
   double objective = 0.0;
-  int iterations = 0;
-  double solve_seconds = 0.0;
 };
 
 /// Runs projected supergradient ascent followed by block-coordinate

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -660,7 +662,7 @@ TEST(CappedSimplexTest, ProjectionFeasible) {
     for (double& x : v) x = rng.Uniform(-2, 2);
     const double k = 1 + rng.UniformInt(int64_t{1}, int64_t{10});
     auto w = v;
-    ProjectCappedSimplex(&w, k);
+    ProjectCappedSimplex(w.data(), w.size(), k);
     double total = 0;
     for (double x : w) {
       EXPECT_GE(x, -1e-9);
@@ -674,7 +676,7 @@ TEST(CappedSimplexTest, ProjectionFeasible) {
 TEST(CappedSimplexTest, ProjectionIsIdempotentOnFeasible) {
   std::vector<double> v = {0.5, 0.5, 1.0, 0.0};
   auto w = v;
-  ProjectCappedSimplex(&w, 2.0);
+  ProjectCappedSimplex(w.data(), w.size(), 2.0);
   for (size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(w[i], v[i], 1e-6);
 }
 
@@ -682,9 +684,111 @@ TEST(CappedSimplexTest, ProjectionIsClosestPoint) {
   // For a 2-d case the projection onto {x0 + x1 = 1, 0<=x<=1} is computable
   // by hand: project (0.9, 0.5) -> (0.7, 0.3).
   std::vector<double> v = {0.9, 0.5};
-  ProjectCappedSimplex(&v, 1.0);
+  ProjectCappedSimplex(v.data(), v.size(), 1.0);
   EXPECT_NEAR(v[0], 0.7, 1e-6);
   EXPECT_NEAR(v[1], 0.3, 1e-6);
+}
+
+// Reference projection: the same bisection, but every midpoint sums
+// clamp(v_j - t, 0, 1) over all of v. ProjectCappedSimplex must match it
+// bit for bit.
+void FullPassProjectCappedSimplex(std::vector<double>* v, double k) {
+  constexpr double kTol = 1e-10;
+  const size_t m = v->size();
+  if (m == 0) return;
+  if (k <= 0.0) {
+    std::fill(v->begin(), v->end(), 0.0);
+    return;
+  }
+  if (k >= static_cast<double>(m)) {
+    std::fill(v->begin(), v->end(), 1.0);
+    return;
+  }
+  auto mass = [&](double t) {
+    double acc = 0.0;
+    for (double x : *v) acc += std::clamp(x - t, 0.0, 1.0);
+    return acc;
+  };
+  const auto [mn, mx] = std::minmax_element(v->begin(), v->end());
+  double lo = *mn - 1.0;
+  double hi = *mx;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (mass(mid) > k) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (hi - lo < kTol) break;
+  }
+  const double t = 0.5 * (lo + hi);
+  double total = 0.0;
+  for (double& x : *v) {
+    x = std::clamp(x - t, 0.0, 1.0);
+    total += x;
+  }
+  double deficit = k - total;
+  if (std::abs(deficit) > kTol) {
+    for (double& x : *v) {
+      if (deficit > 0 && x < 1.0) {
+        const double add = std::min(1.0 - x, deficit);
+        x += add;
+        deficit -= add;
+      } else if (deficit < 0 && x > 0.0) {
+        const double sub = std::min(x, -deficit);
+        x -= sub;
+        deficit += sub;
+      }
+      if (std::abs(deficit) <= kTol) break;
+    }
+  }
+}
+
+// One coordinate of a test vector of the given shape (0-6).
+double DrawCoordinate(Rng* rng, int shape) {
+  switch (shape) {
+    case 0:  // spread wider than 1: some clamp at 1 in every bracket
+      return rng->Uniform(-4, 4);
+    case 1:  // narrow spread
+      return rng->Uniform(0.2, 0.45);
+    case 2:  // heavy ties on a few levels
+      return 0.25 * rng->UniformInt(int64_t{0}, int64_t{6});
+    case 3:  // all equal
+      return 0.3;
+    case 4:  // all negative
+      return rng->Uniform(-7, -5);
+    case 5:  // a flat floor with a few tall spikes, as after a step
+      return rng->Bernoulli(0.05) ? rng->Uniform(1, 3) : 0.01;
+    default:  // very wide
+      return rng->Uniform(-50, 50);
+  }
+}
+
+TEST(CappedSimplexTest, MatchesFullPassBisectionBitwise) {
+  Rng rng(23);
+  int cases = 0;
+  for (const size_t m : {1, 2, 3, 17, 256, 2000}) {
+    const double md = static_cast<double>(m);
+    // Integral, fractional, near 0, near m, and half an item.
+    const std::vector<double> ks = {std::max(1.0, std::floor(md / 3)),
+                                    0.37 * md, 1e-7, md - 1e-7,
+                                    std::min(0.5, md / 2)};
+    for (int draw = 0; draw < 14; ++draw) {
+      const int shape = draw % 7;
+      for (const double k : ks) {
+        std::vector<double> v(m);
+        for (double& x : v) x = DrawCoordinate(&rng, shape);
+        std::vector<double> expected = v;
+        FullPassProjectCappedSimplex(&expected, k);
+        ProjectCappedSimplex(v.data(), m, k);
+        const size_t bytes = m * sizeof(double);
+        ASSERT_EQ(std::memcmp(v.data(), expected.data(), bytes), 0)
+            << "m=" << m << " shape=" << shape << " k=" << k;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6 * 14 * 5);
 }
 
 TEST(CappedSimplexTest, LmoPicksTopK) {
@@ -803,6 +907,59 @@ TEST(SubgradientTest, ExactBlockMaximizeIsOptimalForOneAgent) {
   EXPECT_NEAR(contrib, 1.7, 1e-9);
   EXPECT_NEAR(x[1], 1.0, 1e-9);
   EXPECT_NEAR(x[3], 1.0, 1e-9);
+}
+
+// FNV-1a 64 over the bytes of every double, so any changed bit shows.
+uint64_t BitsDigest(const std::vector<double>& x) {
+  uint64_t hash = 1469598103934665603ull;
+  for (double v : x) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Pins the bits of the large-instance relaxation (Yelp 40x2000x10, 6318
+// compact rows, past the 4000-row limit) and of a warm re-solve capped the
+// way ShardCoordinator::SolveShardRelaxation caps it (16 iterations from
+// the previous answer), so a faster projection cannot move any answer.
+TEST(SubgradientTest, LargeRelaxationBitsArePinned) {
+  DatasetParams params;
+  params.kind = DatasetKind::kYelp;
+  params.num_users = 40;
+  params.num_items = 2000;
+  params.num_slots = 10;
+  params.seed = 1;
+  auto instance = GenerateDataset(params);
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  ASSERT_GT(CompactLpRowCount(*instance),
+            RelaxationOptions().auto_simplex_row_limit);
+  const PairwiseConcaveProblem problem = BuildConcaveProblem(*instance);
+
+  auto cold = MaximizePairwiseConcave(problem);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(BitsDigest(cold->x), 0xd36e91b60d0dbbedull);
+  // objective 872.0344655817667
+  EXPECT_EQ(DoubleBits(cold->objective), 0x408b404695e41434ull);
+
+  SubgradientOptions warm_options;
+  warm_options.initial_x = &cold->x;
+  warm_options.max_iterations = 16;
+  auto warm = MaximizePairwiseConcave(problem, warm_options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(BitsDigest(warm->x), 0x6151a4d6e71f22dbull);
+  // objective 872.0344630784658
+  EXPECT_EQ(DoubleBits(warm->objective), 0x408b404694941771ull);
 }
 
 TEST(SubgradientTest, RejectsBadInput) {
