@@ -153,7 +153,10 @@ void BM_MultiViewExtension(benchmark::State& state) {
     benchmark::DoNotOptimize(mv);
   }
 }
-BENCHMARK(BM_MultiViewExtension)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultiViewExtension)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace savg

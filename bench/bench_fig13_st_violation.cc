@@ -77,8 +77,9 @@ void PrintDataset(DatasetKind kind, int n) {
         .Add(v_grf_np)
         .Add(v_grf_p);
   }
-  t.Print(std::string("Fig 13: total size-cap violations over 10 instances, ") +
-          DatasetKindName(kind) + " n=" + std::to_string(n));
+  t.Print(
+      std::string("Fig 13: total size-cap violations over 10 instances, ") +
+      DatasetKindName(kind) + " n=" + std::to_string(n));
 }
 
 void PrintTables() {

@@ -88,7 +88,11 @@ void BM_AvgDSmall(benchmark::State& state) {
     benchmark::DoNotOptimize(run);
   }
 }
-BENCHMARK(BM_AvgDSmall)->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AvgDSmall)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace savg

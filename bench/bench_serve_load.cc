@@ -208,9 +208,10 @@ int NumSessions(const LoadConfig& config) {
 /// arms make the same solves, and which arm gets an expensive repair is
 /// no longer chance. The in-process server also gives both twins one
 /// seed, so their roundings match too; an external server seeds its
-/// sessions itself, and there only the LP solves match. `parity` and a per-kind command count alternate
-/// which twin carries the flag and which of the two requests goes first,
-/// so each arm gets every combination equally often. Every
+/// sessions itself, and there only the LP solves match. `parity` and a
+/// per-kind command count alternate which twin carries the flag and
+/// which of the two requests goes first, so each arm gets every
+/// combination equally often. Every
 /// resolve follows a mutation, so each one solves: a resolve with nothing
 /// changed since a 0-pivot solve reuses the served answer, and timing
 /// those would bound almost nothing. Each request's latency is charged to
@@ -474,10 +475,9 @@ struct DurabilityArmResult {
 /// first solve is identical across arms and kept out of the timer, like
 /// the serving phases' warm-up. Snapshots run in-band exactly as the
 /// SessionManager drives them.
-Result<DurabilityArmResult> RunDurabilityArm(const SvgicInstance& inst,
-                                             const CommandLog& log,
-                                             const DurabilityOptions* durability,
-                                             uint64_t seed) {
+Result<DurabilityArmResult> RunDurabilityArm(
+    const SvgicInstance& inst, const CommandLog& log,
+    const DurabilityOptions* durability, uint64_t seed) {
   MetricsRegistry registry;
   SessionOptions session_options;
   session_options.seed = seed;

@@ -28,7 +28,7 @@ struct BruteForceResult {
 
 /// Finds the exact optimum of the scaled SVGIC objective. Returns
 /// kResourceExhausted if limits are hit before the search completes.
-Result<BruteForceResult> SolveBruteForce(const SvgicInstance& instance,
-                                         const BruteForceOptions& options = {});
+Result<BruteForceResult> SolveBruteForce(
+    const SvgicInstance& instance, const BruteForceOptions& options = {});
 
 }  // namespace savg

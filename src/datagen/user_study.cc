@@ -89,7 +89,8 @@ Result<UserStudyResult> RunUserStudy(const UserStudyParams& params) {
     SAVG_ASSIGN_OR_RETURN(FractionalSolution frac, SolveRelaxation(instance));
     AvgOptions avg_opt;
     avg_opt.seed = rng.Next();
-    SAVG_ASSIGN_OR_RETURN(AvgResult avg, RunAvgBest(instance, frac, 5, avg_opt));
+    SAVG_ASSIGN_OR_RETURN(AvgResult avg,
+                          RunAvgBest(instance, frac, 5, avg_opt));
     methods.push_back({"AVG", std::move(avg.config)});
   }
   {

@@ -7,9 +7,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
+#include "durability/file_io.h"
 #include "util/byte_codec.h"
 #include "util/crc32.h"
 
@@ -141,6 +141,9 @@ Result<std::unique_ptr<ChangelogWriter>> ChangelogWriter::Create(
     written = Status::Unknown("fsync(" + path + "): " +
                               std::strerror(errno));
   }
+  // The directory fsync makes the file's entry durable: without it a power
+  // cut could drop the whole file, acknowledged commands included.
+  if (written.ok()) written = SyncDirectory(DirnameOf(path));
   if (!written.ok()) {
     ::close(fd);
     return written;
@@ -212,10 +215,8 @@ Status ChangelogWriter::Close() {
 }
 
 Result<ChangelogContents> ReadChangelogFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open changelog " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  SAVG_ASSIGN_OR_RETURN(const std::string data,
+                        ReadWholeFile(path, "changelog"));
   ChangelogContents contents;
   if (data.size() >= sizeof(kChangelogMagic) &&
       std::memcmp(data.data(), kChangelogMagic, sizeof(kChangelogMagic)) !=

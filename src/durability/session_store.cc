@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "durability/file_io.h"
 #include "durability/snapshot.h"
 #include "util/logging.h"
 
@@ -84,7 +85,10 @@ Status EnsureDirectory(const std::string& path) {
   for (size_t pos = 1; pos <= path.size(); ++pos) {
     if (pos != path.size() && path[pos] != '/') continue;
     const std::string prefix = path.substr(0, pos);
-    if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
+    if (::mkdir(prefix.c_str(), 0755) == 0) {
+      // The new entry is durable only once its parent is synced.
+      SAVG_RETURN_NOT_OK(SyncDirectory(DirnameOf(prefix)));
+    } else if (errno != EEXIST) {
       return Status::Unknown("mkdir(" + prefix +
                              "): " + std::strerror(errno));
     }
@@ -102,11 +106,12 @@ SessionJournal::SessionJournal(std::string session_dir, uint32_t session_id,
       metrics_(&store->metrics_),
       last_snapshot_seconds_(MonotonicSeconds()) {}
 
-Status SessionJournal::OpenChangelog() {
+Status SessionJournal::OpenChangelog(uint32_t epoch) {
   SAVG_ASSIGN_OR_RETURN(
       writer_, ChangelogWriter::Create(
-                   session_dir_ + "/" + ChangelogFileName(epoch_),
-                   session_id_, epoch_, seq_, options_->fsync, metrics_));
+                   session_dir_ + "/" + ChangelogFileName(epoch),
+                   session_id_, epoch, seq_, options_->fsync, metrics_));
+  epoch_ = epoch;
   return Status::OK();
 }
 
@@ -167,12 +172,14 @@ Status SessionJournal::TakeSnapshot(const Session& session) {
     }
     writer_.reset();
   }
-  epoch_ = next_epoch;
-  const Status opened = OpenChangelog();
+  const Status opened = OpenChangelog(next_epoch);
   if (!opened.ok()) {
     // Snapshot next_epoch is durable but has no changelog to extend it.
-    // Poison the journal so Append refuses instead of hitting a closed
-    // writer forever, and ShouldSnapshot() keeps retrying the rotation.
+    // epoch_ stays put, so the retry rewrites that snapshot and opens its
+    // changelog: no epoch on disk lacks a changelog, and a cold replay
+    // from the oldest epoch still finds every one. Poison the journal so
+    // Append refuses instead of hitting a closed writer forever, and
+    // ShouldSnapshot() keeps retrying the rotation.
     SetFailed(true);
     SAVG_LOG(Error) << "durability: changelog rotation to epoch "
                     << next_epoch << " failed (" << opened.message()
@@ -275,14 +282,13 @@ Result<SessionJournal*> SessionStore::Attach(uint32_t session_id,
   }
   auto journal = std::unique_ptr<SessionJournal>(
       new SessionJournal(dir, session_id, this, journals_.size()));
-  journal->epoch_ = epoch;
   journal->seq_ = applied_seq;
   // The attach snapshot anchors the epoch: recovery always finds a
   // snapshot matching the changelog it replays, even for epoch 0.
   SAVG_RETURN_NOT_OK(
       WriteSnapshotFile(dir + "/" + SnapshotFileName(epoch), session_id,
                         epoch, applied_seq, session.CaptureState()));
-  SAVG_RETURN_NOT_OK(journal->OpenChangelog());
+  SAVG_RETURN_NOT_OK(journal->OpenChangelog(epoch));
   journal->PruneOldEpochs();
   {
     std::lock_guard<std::mutex> lock(lag_mu_);

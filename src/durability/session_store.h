@@ -100,7 +100,8 @@ class SessionJournal : public CommandJournal {
   SessionJournal(std::string session_dir, uint32_t session_id,
                  SessionStore* store, size_t index);
 
-  Status OpenChangelog();
+  /// Opens `epoch`'s changelog and, once it is open, makes `epoch` current.
+  Status OpenChangelog(uint32_t epoch);
   void PruneOldEpochs();
   /// Sets failed_ and keeps the durability.journal_failed gauge in step.
   void SetFailed(bool failed);
@@ -176,7 +177,8 @@ struct EpochInventory {
 };
 Result<EpochInventory> ScanSessionDir(const std::string& dir);
 
-/// mkdir -p. OK when the directory already exists.
+/// mkdir -p. OK when the directory already exists; fsyncs the parent of
+/// each directory it creates.
 Status EnsureDirectory(const std::string& path);
 
 }  // namespace savg

@@ -6,9 +6,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
+#include "durability/file_io.h"
 #include "util/byte_codec.h"
 #include "util/crc32.h"
 
@@ -86,26 +86,6 @@ bool DecodeBasisSide(ByteReader* in, std::vector<VarBasisStatus>* out) {
     (*out)[i] = static_cast<VarBasisStatus>(v);
   }
   return true;
-}
-
-std::string DirnameOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-Status SyncDirectory(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Unknown("open(" + dir + "): " + std::strerror(errno));
-  }
-  Status result = Status::OK();
-  if (::fsync(fd) != 0) {
-    result = Status::Unknown("fsync(" + dir + "): " + std::strerror(errno));
-  }
-  ::close(fd);
-  return result;
 }
 
 }  // namespace
@@ -427,10 +407,8 @@ Status WriteSnapshotFile(const std::string& path, uint32_t session_id,
 }
 
 Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open snapshot " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  SAVG_ASSIGN_OR_RETURN(const std::string data,
+                        ReadWholeFile(path, "snapshot"));
   if (data.size() < kSnapshotHeaderBytes) {
     return Status::InvalidArgument(path + ": truncated snapshot header");
   }

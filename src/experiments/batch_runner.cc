@@ -171,9 +171,8 @@ Result<BatchReport> BatchRunner::Run(
           const SvgicInstance* instance = instances[i];
           const Solver* solver = solvers[s];
           BatchTaskResult* out = &report.tasks[slot];
-          pool.Submit([this, i, s, r, instance, solver, out, &cache] {
+          pool.Submit([this, i, r, instance, solver, out, &cache] {
             out->instance_index = i;
-            out->solver_index = s;
             out->repeat = r;
             SolverContext context;
             context.options = &options_.solver;

@@ -100,7 +100,6 @@ struct BatchOptions {
 /// One task outcome. `run` is meaningful iff `status.ok()`.
 struct BatchTaskResult {
   int instance_index = 0;
-  int solver_index = 0;
   int repeat = 0;
   Status status = Status::OK();
   SolverRun run;

@@ -69,7 +69,9 @@ class SocialGraph {
   /// In-neighbors of u (sources of edges * -> u).
   const std::vector<UserId>& InNeighbors(UserId u) const { return in_adj_[u]; }
 
-  int OutDegree(UserId u) const { return static_cast<int>(out_adj_[u].size()); }
+  int OutDegree(UserId u) const {
+    return static_cast<int>(out_adj_[u].size());
+  }
 
   /// Number of unordered vertex pairs {u, v} connected in at least one
   /// direction. For symmetric graphs this equals num_edges()/2.

@@ -32,8 +32,8 @@ enum class NodeSelection {
 /// feasible integral point (used to tighten the incumbent early). The
 /// returned vector must be feasible for the model with integral values on
 /// all integer variables; the solver re-checks feasibility.
-using MipHeuristic =
-    std::function<std::optional<std::vector<double>>(const std::vector<double>&)>;
+using MipHeuristic = std::function<std::optional<std::vector<double>>(
+    const std::vector<double>&)>;
 
 struct MipOptions {
   SimplexOptions lp_options;

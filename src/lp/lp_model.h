@@ -123,7 +123,6 @@ struct LpStats {
   // Pivot mix: how the solve's iterations were produced.
   int64_t primal_pivots = 0;    ///< primal pivots + bound flips (phases 1+2)
   int64_t dual_pivots = 0;      ///< dual-simplex pivots
-  int64_t dual_bound_flips = 0; ///< bound flips of the dual ratio test
   int64_t bland_pivots = 0;     ///< pivots taken under the Bland fallback
   // Candidate-list pricing effectiveness (phase 2).
   int64_t candidate_hits = 0;       ///< pivots priced from the list alone
@@ -145,7 +144,6 @@ struct LpStats {
     setup_seconds += o.setup_seconds;
     primal_pivots += o.primal_pivots;
     dual_pivots += o.dual_pivots;
-    dual_bound_flips += o.dual_bound_flips;
     bland_pivots += o.bland_pivots;
     candidate_hits += o.candidate_hits;
     full_pricing_scans += o.full_pricing_scans;

@@ -644,7 +644,6 @@ class RevisedSimplex {
           basic_value_[pos] -= flip_rhs[pos];
         }
         stats_.ftran_seconds += phase_timer.ElapsedSeconds();
-        stats_.dual_bound_flips += static_cast<int64_t>(flips.size());
       }
 
       // Primal step driving x_B(r) exactly onto its violated bound, and

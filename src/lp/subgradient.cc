@@ -70,9 +70,10 @@ double ExactBlockMaximize(const PairwiseConcaveProblem& problem, int agent,
       bps.push_back({c, b, w});
     }
   }
-  std::sort(bps.begin(), bps.end(), [](const Breakpoint& l, const Breakpoint& r) {
-    return l.item != r.item ? l.item < r.item : l.level < r.level;
-  });
+  std::sort(bps.begin(), bps.end(),
+            [](const Breakpoint& l, const Breakpoint& r) {
+              return l.item != r.item ? l.item < r.item : l.level < r.level;
+            });
 
   // Per-item view into the sorted breakpoint array.
   std::vector<std::pair<int, int>> item_range(m, {0, 0});  // [begin, end)

@@ -41,7 +41,9 @@ struct PairwiseConcaveProblem {
   std::vector<double> linear;
   std::vector<ConcavePair> pairs;
 
-  double& L(int a, int c) { return linear[static_cast<size_t>(a) * num_items + c]; }
+  double& L(int a, int c) {
+    return linear[static_cast<size_t>(a) * num_items + c];
+  }
   double L(int a, int c) const {
     return linear[static_cast<size_t>(a) * num_items + c];
   }

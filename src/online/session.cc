@@ -272,8 +272,8 @@ Result<ResolveReport> Session::Resolve(bool force_cold) {
     return ReuseServedAnswer();
   }
   served_answer_.reset();
-  // A failed resolve must be a true no-op on served state: config_, basis_
-  // and frac_ only commit at the success point of the resolve paths, dirty
+  // A failed resolve must be a true no-op on served state: config_ and
+  // basis_ only commit at the success point of the resolve paths, dirty
   // flags are kept (ClearDirty runs on success only), and the rounding-seed
   // RNG draw plus the RefinalizePairs() evolution of the instance's pair
   // order are rolled back here — so a retry, and a replay of the changelog
@@ -379,9 +379,8 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     trace->AddLabel(span, "path", ResolvePathName(report.path));
   }
 
-  // Extract the compact fractional solution into a LOCAL: frac_ is served
-  // state and must survive untouched if the rounding below fails (the
-  // resolve-failure no-op guarantee) — it commits with basis_ at the end.
+  // Extract the compact fractional solution; only the rounding below
+  // reads it, and nothing of it outlives this resolve.
   FractionalSolution frac;
   frac.num_users = n;
   frac.num_items = m;
@@ -482,7 +481,6 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     }
   }
 
-  frac_ = std::move(frac);
   basis_ = std::move(sol->basis);
   keys_ = std::move(keys);
   valid_basis_ = true;
@@ -617,7 +615,6 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
   report.rerounded_units = rerounded;
   report.rounding_seconds = stats.rounding_seconds;
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
-  frac_ = coordinator_->frac();
 
   if (options_.verifier != nullptr &&
       options_.verifier->ShouldVerify(ForceVerifyRequested())) {

@@ -314,7 +314,6 @@ class Session {
   Rng rng_;
 
   Configuration config_;
-  FractionalSolution frac_;
   /// Basis + keys of the last compact-LP solve (valid_basis_ gates use).
   LpBasis basis_;
   CompactLpKeys keys_;

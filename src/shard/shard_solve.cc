@@ -252,20 +252,6 @@ void ShardCoordinator::MarkAllDirty() {
   for (auto& shard : shards_) shard->dirty = true;
 }
 
-int ShardCoordinator::CountDirtyShards() const {
-  int count = 0;
-  for (const auto& shard : shards_) count += shard->dirty ? 1 : 0;
-  return count;
-}
-
-std::vector<int> ShardCoordinator::DirtyShards() const {
-  std::vector<int> dirty;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i]->dirty) dirty.push_back(static_cast<int>(i));
-  }
-  return dirty;
-}
-
 void ShardCoordinator::ApplyDualBonus(int shard) {
   Shard& s = *shards_[shard];
   const int m = instance_->num_items();
@@ -334,7 +320,10 @@ Status ShardCoordinator::SolveFractional(ThreadPool* pool,
   }
   TraceScope solve_span("shard.solve");
   Timer lp_timer;
-  std::vector<int> dirty = DirtyShards();
+  std::vector<int> dirty;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->dirty) dirty.push_back(static_cast<int>(i));
+  }
   std::vector<int64_t> pivots_by_shard(plan_.num_shards(), 0);
   std::vector<int> solves_by_shard(plan_.num_shards(), 0);
   stats->num_shards = plan_.num_shards();
@@ -659,11 +648,9 @@ Result<Configuration> ShardCoordinator::Round(
 
 Result<ShardSolveResult> SolveSharded(const SvgicInstance& instance,
                                       const ShardSolveOptions& options) {
-  Timer plan_timer;
   ShardCoordinator coordinator(&instance, options);
   SAVG_RETURN_NOT_OK(coordinator.Build());
   ShardSolveResult result;
-  result.stats.plan_seconds = plan_timer.ElapsedSeconds();
   ThreadPool pool(options.num_workers);
   SAVG_RETURN_NOT_OK(coordinator.SolveFractional(&pool, &result.stats));
   std::vector<int> all_shards(coordinator.num_shards());

@@ -129,7 +129,6 @@ struct ShardSolveStats {
   int64_t csf_iterations = 0;
   int cut_pairs = 0;
   double cut_weight_fraction = 0.0;
-  double plan_seconds = 0.0;
   double lp_seconds = 0.0;
   double rounding_seconds = 0.0;
 };
@@ -169,7 +168,6 @@ class ShardCoordinator {
   Status Refresh(const std::vector<UserId>& dirty_users);
 
   void MarkAllDirty();
-  int CountDirtyShards() const;
 
   /// Runs the dual-coordinated parallel solve of the dirty shards (see
   /// file comment) and clears the dirty flags. Clean shards keep their
@@ -187,9 +185,6 @@ class ShardCoordinator {
                               const std::vector<int>& reround,
                               uint64_t rounding_seed, ThreadPool* pool,
                               ShardSolveStats* stats, int* rerounded_units);
-
-  /// Shards marked dirty since the last SolveFractional().
-  std::vector<int> DirtyShards() const;
 
   /// Shards re-solved by the last SolveFractional() (the dirty set plus
   /// any adaptively widened shards) — the set whose x rows changed, which
@@ -221,7 +216,7 @@ class ShardCoordinator {
 };
 
 /// One-shot batch entry point: plan, coordinate, round. This is what the
-/// AVG-SHARD solver adapter calls.
+/// AVG-SHARD solver calls.
 struct ShardSolveResult {
   Configuration config;
   FractionalSolution frac;

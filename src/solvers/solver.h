@@ -1,20 +1,20 @@
-// The polymorphic solver abstraction every algorithm plugs into.
+// The solver abstraction every built-in algorithm is served through.
 //
-// A Solver wraps one end-to-end SVGIC algorithm (relaxation included where
-// the algorithm needs one) behind Name() + Solve(). Callers — the batch
-// engine, the bench harness, the CLI — address algorithms by string name
-// through the SolverRegistry instead of a hard-coded enum, so adding an
-// algorithm never touches a call site.
+// A Solver is one row of the fixed SolverRegistry table: a canonical name,
+// whether the algorithm rounds the compact LP relaxation, and a plain
+// function with only that algorithm's own lines. Solve() does the work all
+// of them share (option defaults, timer, shared-or-own relaxation,
+// evaluation). Callers address algorithms by string name through the
+// registry, so adding one never touches a call site.
 //
-// Layering: this header depends only on core/ types. The per-algorithm
-// option structs live in solver_options.h (included by adapters and by
-// callers that tune options), keeping this interface free of the
-// algorithm zoo.
+// Layering: this header depends only on core/ types; the per-algorithm
+// option structs live in solver_options.h.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/configuration.h"
 #include "core/objective.h"
@@ -63,27 +63,43 @@ struct SolverRun {
   }
 };
 
-/// Interface implemented by every algorithm adapter. Implementations are
-/// stateless (all mutable state lives on the stack of Solve), so one
-/// instance may serve concurrent Solve calls from the thread pool.
+/// One built-in algorithm, built only by the SolverRegistry. Immutable (run
+/// state lives on the stack of Solve), so one instance may serve
+/// concurrent Solve calls from the thread pool.
 class Solver {
  public:
-  virtual ~Solver() = default;
-
   /// Canonical name, e.g. "AVG-D". Lookup is case-insensitive.
-  virtual std::string Name() const = 0;
+  std::string Name() const { return name_; }
 
   /// True if this solver consumes the compact LP relaxation for the given
   /// context — the batch engine then provides one through its shared
   /// per-instance cache.
-  virtual bool NeedsRelaxation(const SolverContext& context) const {
-    (void)context;
-    return false;
-  }
+  bool NeedsRelaxation(const SolverContext& context) const;
 
   /// Runs the algorithm end-to-end on one instance.
-  virtual Result<SolverRun> Solve(const SvgicInstance& instance,
-                                  const SolverContext& context) const = 0;
+  Result<SolverRun> Solve(const SvgicInstance& instance,
+                          const SolverContext& context) const;
+
+ private:
+  friend class SolverRegistry;
+
+  /// Whether the algorithm rounds the compact relaxation under `options`.
+  using RoundsRelaxationFn = bool (*)(const SolverOptions& options);
+  /// The algorithm's own lines: sets `run->config` (and `iterations`,
+  /// `proven_optimal`). `relaxation` is set iff it rounds one.
+  using RunFn = Status (*)(const SvgicInstance& instance,
+                           const SolverContext& context,
+                           const SolverOptions& options,
+                           const FractionalSolution* relaxation,
+                           SolverRun* run);
+
+  Solver(std::string name, RoundsRelaxationFn rounds_relaxation, RunFn run)
+      : name_(std::move(name)), rounds_relaxation_(rounds_relaxation),
+        run_(run) {}
+
+  std::string name_;
+  RoundsRelaxationFn rounds_relaxation_;  ///< nullptr: never
+  RunFn run_;
 };
 
 }  // namespace savg

@@ -38,7 +38,7 @@ struct SolverOptions {
   IpExactOptions ip;
   BruteForceOptions brute_force;
   IndependentRoundingOptions independent_rounding;
-  /// AVG-SHARD knobs (shard/shard_solve.h). The adapter overrides
+  /// AVG-SHARD knobs (shard/shard_solve.h). AVG-SHARD overrides
   /// shard.relaxation with the top-level `relaxation` and shard.rounding
   /// with `avg`, so AVG and AVG-SHARD comparisons solve and round alike;
   /// only the plan / dual-coordination knobs here are shard-specific.

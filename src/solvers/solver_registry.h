@@ -1,14 +1,15 @@
 // The fixed name -> Solver table of the built-in algorithms.
 //
-// The table maps case-insensitive names (plus aliases: "avg-ls" for
-// "AVG+LS", "bf" for "BRUTE", ...) to one shared instance per solver, so
-// no call site enumerates algorithms. It is built once, on the first
-// Global() call, and never changes afterwards; lookups take no lock.
+// Each row is one Solver (solver.h): a canonical name, whether it rounds
+// the compact relaxation, and the algorithm's own function. The table maps
+// case-insensitive names (plus aliases: "avg-ls" for "AVG+LS", "bf" for
+// "BRUTE", ...) to one shared instance per solver, so no call site
+// enumerates algorithms. It is built once, on the first Global() call, and
+// never changes afterwards; lookups take no lock.
 
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,13 +34,10 @@ class SolverRegistry {
  private:
   SolverRegistry();
 
-  struct Entry {
-    std::string canonical_name;
-    std::unique_ptr<const Solver> solver;
-  };
-
-  std::vector<Entry> entries_;
-  /// Lowercased name/alias -> index into entries_.
+  /// Table order; never resized after construction, so Find's pointers
+  /// stay valid.
+  std::vector<Solver> solvers_;
+  /// Lowercased name/alias -> index into solvers_.
   std::map<std::string, size_t> index_;
 };
 

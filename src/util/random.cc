@@ -55,7 +55,9 @@ double Rng::Uniform() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
+double Rng::Uniform(double lo, double hi) {
+  return lo + (hi - lo) * Uniform();
+}
 
 uint64_t Rng::UniformInt(uint64_t n) {
   assert(n > 0);
@@ -110,7 +112,8 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
     }
   }
   const double one_minus_s = 1.0 - s;
-  const double zeta_ish = (std::pow(nd + 1.0, one_minus_s) - 1.0) / one_minus_s;
+  const double zeta_ish =
+      (std::pow(nd + 1.0, one_minus_s) - 1.0) / one_minus_s;
   for (;;) {
     double u = Uniform();
     double x = std::pow(u * zeta_ish * one_minus_s + 1.0, 1.0 / one_minus_s) -

@@ -69,8 +69,8 @@ std::vector<double> AverageRanks(const std::vector<double>& xs) {
     size_t j = i;
     while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
     // Positions i..j (0-based) share the average 1-based rank.
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 +
-                       1.0;
+    const double avg =
+        (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
     for (size_t t = i; t <= j; ++t) ranks[order[t]] = avg;
     i = j + 1;
   }
@@ -97,8 +97,8 @@ std::vector<CdfPoint> EmpiricalCdf(std::vector<double> xs, size_t max_points) {
   if (max_points > 0 && cdf.size() > max_points) {
     std::vector<CdfPoint> out;
     out.reserve(max_points);
-    const double step =
-        static_cast<double>(cdf.size() - 1) / static_cast<double>(max_points - 1);
+    const double step = static_cast<double>(cdf.size() - 1) /
+                        static_cast<double>(max_points - 1);
     for (size_t i = 0; i < max_points; ++i) {
       out.push_back(cdf[static_cast<size_t>(std::round(i * step))]);
     }

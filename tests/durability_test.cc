@@ -1,9 +1,10 @@
 // Tests of the durability stack (src/durability/): changelog framing with
 // torn-tail tolerance at every byte offset, bit-exact snapshot round trips,
 // crash recovery equal to uninterrupted execution (state digest + next
-// resolve), snapshot-corruption fallback to the previous epoch, the
-// resolve-failure transparency regression, and client reconnect-with-backoff
-// across a server restart.
+// resolve), fallback to the previous epoch past a corrupt or unreadable
+// snapshot, warm recovery == cold replay after a healed rotation failure,
+// the resolve-failure transparency regression, and client
+// reconnect-with-backoff across a server restart.
 
 #include <gtest/gtest.h>
 
@@ -285,6 +286,22 @@ TEST(ChangelogTest, CorruptMidFileRecordDiscardsFromThere) {
   ASSERT_EQ(contents->commands.size(), 2u);
   EXPECT_EQ(contents->commands[0], commands[0]);
   EXPECT_EQ(contents->commands[1], commands[1]);
+}
+
+TEST(RecoveryReadersTest, ReadErrorsReturnStatusInsteadOfThrowing) {
+  // A directory opens as a stream but fails on the first read (EISDIR):
+  // both readers must report it as a Status, not throw from the buffer
+  // fill.
+  const std::string dir = FreshDir("reader_directory");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  auto changelog = ReadChangelogFile(dir);
+  EXPECT_FALSE(changelog.ok());
+  auto snapshot = ReadSnapshotFile(dir);
+  EXPECT_FALSE(snapshot.ok());
+  // A missing file still reads as not found.
+  auto missing = ReadSnapshotFile(dir + "/absent");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 // --- Snapshots -------------------------------------------------------------
@@ -672,6 +689,93 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackToPreviousEpoch) {
   EXPECT_FALSE(manager.RecoverSession(0).ok());
 }
 
+TEST(RecoveryTest, UnreadableNewestSnapshotFallsBackToPreviousEpoch) {
+  const std::string dir = FreshDir("recovery_unreadable");
+  const SvgicInstance base = RandomInstance(10, 14, 2, 0.5, 27);
+  const CommandLog log = BuildStream(10, 14, 20, 43);
+
+  DurabilityOptions options;
+  options.data_dir = dir;
+  options.fsync.mode = FsyncPolicy::Mode::kNever;
+  options.snapshot_interval_seconds = 0;
+  options.snapshot_every_commands = 5;
+  options.keep_epochs = 2;
+  SessionStore store(options);
+
+  Session control(base);
+  auto durable = std::make_unique<Session>(base);
+  auto journal = store.Attach(0, *durable);
+  ASSERT_TRUE(journal.ok());
+  durable->set_journal(*journal);
+  ApplyAll(&control, log);
+  ApplyAll(durable.get(), log, *journal);
+  const uint32_t newest_epoch = (*journal)->epoch();
+  ASSERT_GT(newest_epoch, 1u);
+  durable.reset();
+
+  // The newest snapshot's name now holds a directory: opening it works,
+  // reading it fails. Recovery must treat it like a corrupt snapshot.
+  const std::string newest_path =
+      store.SessionDir(0) + "/" + SnapshotFileName(newest_epoch);
+  ASSERT_EQ(::unlink(newest_path.c_str()), 0);
+  ASSERT_TRUE(EnsureDirectory(newest_path).ok());
+
+  RecoveryManager manager(dir, SessionOptions{});
+  auto recovered = manager.RecoverSession(0);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->snapshot_fallbacks, 1);
+  EXPECT_EQ(recovered->snapshot_epoch, newest_epoch - 1);
+  EXPECT_EQ(recovered->applied_seq, log.size());
+  EXPECT_EQ(Digest(*recovered->session), Digest(control));
+}
+
+TEST(RecoveryTest, ColdReplayRefusesAMissingChangelogThatHeldCommands) {
+  const std::string dir = FreshDir("recovery_true_gap");
+  const SvgicInstance base = RandomInstance(10, 14, 2, 0.5, 37);
+
+  DurabilityOptions options;
+  options.data_dir = dir;
+  options.fsync.mode = FsyncPolicy::Mode::kNever;
+  options.snapshot_interval_seconds = 0;
+  options.snapshot_every_commands = 0;  // snapshots only when forced
+  options.keep_epochs = 3;
+  SessionStore store(options);
+
+  Session session(base);
+  auto journal = store.Attach(0, session);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  session.set_journal(*journal);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    ASSERT_TRUE(session.Apply(MakePref(epoch, 1, 0.3 + 0.1 * epoch)).ok());
+    ASSERT_TRUE(session.Apply(MakeResolve()).ok());
+    if (epoch < 2) {
+      ASSERT_TRUE((*journal)->TakeSnapshot(session).ok());
+    }
+  }
+  ASSERT_EQ((*journal)->epoch(), 2u);
+
+  // Epoch 1's changelog held two commands; without it the cold replay
+  // from epoch 0 cannot reach the live state.
+  const std::string middle =
+      store.SessionDir(0) + "/" + ChangelogFileName(1);
+  ASSERT_EQ(::unlink(middle.c_str()), 0);
+
+  RecoveryOptions cold;
+  cold.cold_replay = true;
+  RecoveryManager cold_manager(dir, SessionOptions{}, cold);
+  auto refused = cold_manager.RecoverSession(0);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("missing changelog epoch 1"),
+            std::string::npos)
+      << refused.status();
+
+  // The warm path starts past the gap and still recovers.
+  RecoveryManager warm_manager(dir, SessionOptions{});
+  auto warm = warm_manager.RecoverSession(0);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(Digest(*warm->session), Digest(session));
+}
+
 TEST(RecoveryTest, RecoversWhenOldestRetainedEpochIsHigh) {
   const std::string dir = FreshDir("recovery_high_epoch");
   const SvgicInstance base = RandomInstance(10, 14, 2, 0.5, 29);
@@ -788,11 +892,19 @@ TEST(SessionStoreTest, FailedRotationFailStopsSessionUntilRetrySucceeds) {
   EXPECT_TRUE((*journal)->healthy());
   ASSERT_TRUE(session.Apply(MakePref(1, 2, 0.7)).ok());
 
-  // Recovery sees a consistent store.
+  // Recovery sees a consistent store, on the warm path and on the cold
+  // replay from the oldest retained epoch alike.
   RecoveryManager manager(dir, SessionOptions{});
   auto recovered = manager.RecoverSession(0);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(Digest(*recovered->session), Digest(session));
+  RecoveryOptions cold;
+  cold.cold_replay = true;
+  RecoveryManager cold_manager(dir, SessionOptions{}, cold);
+  auto replayed = cold_manager.RecoverSession(0);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed->snapshot_epoch, 0u);
+  EXPECT_EQ(Digest(*replayed->session), Digest(*recovered->session));
 }
 
 TEST(SessionStoreTest, ChangelogLagGaugeIsTheMaximumAcrossSessions) {

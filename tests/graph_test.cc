@@ -64,7 +64,9 @@ TEST(GraphTest, InducedSubgraph) {
 TEST(GraphTest, EgoNetworkHops) {
   // Path 0-1-2-3-4.
   SocialGraph g(5);
-  for (int i = 0; i + 1 < 5; ++i) ASSERT_TRUE(g.AddUndirectedEdge(i, i + 1).ok());
+  for (int i = 0; i + 1 < 5; ++i) {
+    ASSERT_TRUE(g.AddUndirectedEdge(i, i + 1).ok());
+  }
   auto ego1 = g.EgoNetwork(2, 1);
   EXPECT_EQ(ego1, (std::vector<UserId>{1, 2, 3}));
   auto ego2 = g.EgoNetwork(0, 2);
@@ -151,7 +153,8 @@ TEST(CommunityTest, LabelPropagationSeparatesCliques) {
   // Two 6-cliques joined by one edge.
   SocialGraph g(12);
   for (int a = 0; a < 6; ++a)
-    for (int b = a + 1; b < 6; ++b) ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
+    for (int b = a + 1; b < 6; ++b)
+      ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
   for (int a = 6; a < 12; ++a)
     for (int b = a + 1; b < 12; ++b)
       ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
@@ -166,7 +169,8 @@ TEST(CommunityTest, LabelPropagationSeparatesCliques) {
 TEST(CommunityTest, GreedyModularitySeparatesCliques) {
   SocialGraph g(10);
   for (int a = 0; a < 5; ++a)
-    for (int b = a + 1; b < 5; ++b) ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
+    for (int b = a + 1; b < 5; ++b)
+      ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
   for (int a = 5; a < 10; ++a)
     for (int b = a + 1; b < 10; ++b)
       ASSERT_TRUE(g.AddUndirectedEdge(a, b).ok());
