@@ -557,7 +557,9 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "gen") == 0) return Generate(argc, argv);
   if (std::strcmp(argv[1], "run") == 0) return Run(argc, argv);
   if (std::strcmp(argv[1], "eval") == 0) return Eval(argc, argv);
-  if (std::strcmp(argv[1], "genevents") == 0) return GenerateEvents(argc, argv);
+  if (std::strcmp(argv[1], "genevents") == 0) {
+    return GenerateEvents(argc, argv);
+  }
   if (std::strcmp(argv[1], "serve") == 0) return Serve(argc, argv);
   if (std::strcmp(argv[1], "trace") == 0) return FetchTrace(argc, argv);
   if (std::strcmp(argv[1], "top") == 0) return Top(argc, argv);

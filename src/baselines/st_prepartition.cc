@@ -5,38 +5,6 @@
 
 namespace savg {
 
-Result<SvgicInstance> ExtractSubInstance(const SvgicInstance& instance,
-                                         const std::vector<UserId>& users) {
-  std::vector<UserId> old_to_new;
-  SocialGraph sub_graph = instance.graph().InducedSubgraph(users, &old_to_new);
-  SvgicInstance sub(sub_graph, instance.num_items(), instance.num_slots(),
-                    instance.lambda());
-  for (size_t i = 0; i < users.size(); ++i) {
-    const UserId old_u = users[i];
-    for (ItemId c = 0; c < instance.num_items(); ++c) {
-      const double p = instance.p(old_u, c);
-      if (p > 0.0) sub.set_p(static_cast<UserId>(i), c, p);
-    }
-  }
-  // Copy tau for surviving directed edges.
-  for (const Edge& e : instance.graph().edges()) {
-    const UserId nu = old_to_new[e.u];
-    const UserId nv = old_to_new[e.v];
-    if (nu < 0 || nv < 0) continue;
-    const EdgeId sub_e = sub_graph.FindEdge(nu, nv);
-    if (sub_e < 0) continue;
-    for (const ItemValue& iv : instance.TauEntries(e.id)) {
-      if (iv.value > 0.0f) sub.set_tau(sub_e, iv.item, iv.value);
-    }
-  }
-  sub.set_commodity_values(
-      std::vector<float>(instance.commodity_values()));
-  sub.set_slot_weights(std::vector<float>(instance.slot_weights()));
-  sub.FinalizePairs();
-  SAVG_RETURN_NOT_OK(sub.Validate());
-  return sub;
-}
-
 Result<Configuration> RunWithPrepartition(const SvgicInstance& instance,
                                           int size_cap, uint64_t seed,
                                           const BaselineRunner& runner) {

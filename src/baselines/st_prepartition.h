@@ -22,11 +22,6 @@ namespace savg {
 using BaselineRunner =
     std::function<Result<Configuration>(const SvgicInstance&)>;
 
-/// Induced sub-instance on `users` (item set unchanged). Preference rows
-/// and surviving directed tau entries are copied; pairs are re-finalized.
-Result<SvgicInstance> ExtractSubInstance(const SvgicInstance& instance,
-                                         const std::vector<UserId>& users);
-
 /// Pre-partitions into balanced subgroups of size <= size_cap, runs
 /// `runner` per subgroup, and merges the per-subgroup configurations back
 /// into one global configuration.

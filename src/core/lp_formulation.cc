@@ -303,6 +303,38 @@ FractionalSolution TopKSolution(const SvgicInstance& instance) {
 
 }  // namespace
 
+FractionalSolution CompactFractionalSolution(const SvgicInstance& instance,
+                                             const CompactLpMap& map,
+                                             const LpSolution& sol) {
+  const int n = instance.num_users();
+  const int m = instance.num_items();
+  FractionalSolution frac;
+  frac.num_users = n;
+  frac.num_items = m;
+  frac.num_slots = instance.num_slots();
+  frac.x.assign(static_cast<size_t>(n) * m, 0.0);
+  for (UserId u = 0; u < n; ++u) {
+    for (ItemId c = 0; c < m; ++c) {
+      const int var = map.XVar(u, c, m);
+      if (var >= 0) frac.x[static_cast<size_t>(u) * m + c] = sol.x[var];
+    }
+  }
+  frac.lp_objective = sol.objective;
+  frac.exact = true;
+  frac.simplex_iterations = sol.iterations;
+  frac.warm_started = sol.warm_started;
+  frac.lp_stats = sol.stats;
+  return frac;
+}
+
+RelaxationMethod ChooseRelaxationMethod(const SvgicInstance& instance,
+                                        const RelaxationOptions& options) {
+  if (options.method != RelaxationMethod::kAuto) return options.method;
+  return CompactLpRowCount(instance) <= options.auto_simplex_row_limit
+             ? RelaxationMethod::kSimplex
+             : RelaxationMethod::kSubgradient;
+}
+
 Result<FractionalSolution> SolveRelaxation(const SvgicInstance& instance,
                                            const RelaxationOptions& options,
                                            const LpBasis* warm_start) {
@@ -319,39 +351,19 @@ Result<FractionalSolution> SolveRelaxation(const SvgicInstance& instance,
     return frac;
   }
 
-  RelaxationMethod method = options.method;
-  if (method == RelaxationMethod::kAuto) {
-    method = CompactLpRowCount(instance) <= options.auto_simplex_row_limit
-                 ? RelaxationMethod::kSimplex
-                 : RelaxationMethod::kSubgradient;
-  }
-
   FractionalSolution frac;
   frac.num_users = n;
   frac.num_items = m;
   frac.num_slots = k;
-  frac.x.assign(static_cast<size_t>(n) * m, 0.0);
 
-  switch (method) {
+  switch (ChooseRelaxationMethod(instance, options)) {
     case RelaxationMethod::kSimplex: {
       CompactLpMap map;
       auto lp = BuildCompactLp(instance, &map);
       if (!lp.ok()) return lp.status();
       auto sol = SolveLp(*lp, options.simplex, warm_start);
       if (!sol.ok()) return sol.status();
-      for (UserId u = 0; u < n; ++u) {
-        for (ItemId c = 0; c < m; ++c) {
-          const int var = map.XVar(u, c, m);
-          if (var >= 0) {
-            frac.x[static_cast<size_t>(u) * m + c] = sol->x[var];
-          }
-        }
-      }
-      frac.lp_objective = sol->objective;
-      frac.exact = true;
-      frac.simplex_iterations = sol->iterations;
-      frac.warm_started = sol->warm_started;
-      frac.lp_stats = sol->stats;
+      frac = CompactFractionalSolution(instance, map, *sol);
       frac.lp_basis = std::move(sol->basis);
       break;
     }
@@ -364,6 +376,7 @@ Result<FractionalSolution> SolveRelaxation(const SvgicInstance& instance,
       // an incompatible basis silently cold-starts.
       auto sol = SolveLp(*lp, options.simplex, warm_start);
       if (!sol.ok()) return sol.status();
+      frac.x.resize(static_cast<size_t>(n) * m);
       for (UserId u = 0; u < n; ++u) {
         for (ItemId c = 0; c < m; ++c) {
           double acc = 0.0;

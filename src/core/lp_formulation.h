@@ -72,6 +72,13 @@ struct ExpandedLpMap {
 Result<LpModel> BuildCompactLp(const SvgicInstance& instance,
                                CompactLpMap* map);
 
+/// The compact fractional solution of `sol`, a solve of the model
+/// BuildCompactLp built with `map`: x (0 on folded items), objective and
+/// simplex counters. The basis stays in `sol`; supporters are not built.
+FractionalSolution CompactFractionalSolution(const SvgicInstance& instance,
+                                             const CompactLpMap& map,
+                                             const LpSolution& sol);
+
 /// Stable 64-bit identity per column and row of a compact LP, independent
 /// of the index shifts instance mutations cause (columns appear/disappear
 /// when an item becomes useful/useless for a user, rows when pairs gain or
@@ -133,6 +140,11 @@ struct RelaxationOptions {
   /// Supporter pruning threshold.
   double prune_tolerance = 1e-9;
 };
+
+/// options.method, with kAuto resolved: the exact simplex up to
+/// auto_simplex_row_limit compact LP rows, the subgradient solver above.
+RelaxationMethod ChooseRelaxationMethod(const SvgicInstance& instance,
+                                        const RelaxationOptions& options);
 
 /// Solves the SVGIC relaxation and returns the compact fractional solution
 /// with supporter lists built.

@@ -330,4 +330,31 @@ std::string SvgicInstance::DebugString() const {
   return os.str();
 }
 
+Result<SvgicInstance> ExtractSubInstance(const SvgicInstance& instance,
+                                         const std::vector<UserId>& users) {
+  std::vector<UserId> old_to_new;
+  SocialGraph sub_graph = instance.graph().InducedSubgraph(users, &old_to_new);
+  SvgicInstance sub(std::move(sub_graph), instance.num_items(),
+                    instance.num_slots(), instance.lambda());
+  for (size_t i = 0; i < users.size(); ++i) {
+    for (ItemId c = 0; c < instance.num_items(); ++c) {
+      sub.set_p(static_cast<UserId>(i), c, instance.p(users[i], c));
+    }
+  }
+  for (const Edge& e : instance.graph().edges()) {
+    const UserId nu = old_to_new[e.u];
+    const UserId nv = old_to_new[e.v];
+    if (nu < 0 || nv < 0) continue;
+    const EdgeId sub_e = sub.graph().FindEdge(nu, nv);
+    for (const ItemValue& iv : instance.TauEntries(e.id)) {
+      if (iv.value > 0.0f) sub.set_tau(sub_e, iv.item, iv.value);
+    }
+  }
+  sub.set_commodity_values(instance.commodity_values());
+  sub.set_slot_weights(instance.slot_weights());
+  sub.FinalizePairs();
+  SAVG_RETURN_NOT_OK(sub.Validate());
+  return sub;
+}
+
 }  // namespace savg

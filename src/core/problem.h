@@ -208,4 +208,10 @@ class SvgicInstance {
   void RebuildPairWeights(FriendPair* pair) const;
 };
 
+/// Induced sub-instance on `users` (item set, k and lambda unchanged);
+/// sub-instance user i is users[i]. Preference rows and the positive tau
+/// entries of surviving directed edges are copied; pairs are finalized.
+Result<SvgicInstance> ExtractSubInstance(const SvgicInstance& instance,
+                                         const std::vector<UserId>& users);
+
 }  // namespace savg

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -23,27 +22,6 @@ constexpr size_t kHeaderBytes = 4 + 4 + 4 + 4 + 8;
 /// A single encoded command is ~25 bytes; anything near this is a corrupt
 /// length field, not a record.
 constexpr uint32_t kMaxRecordBytes = 1 << 20;
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unknown("write(" + path +
-                             "): " + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -117,8 +95,7 @@ ChangelogWriter::ChangelogWriter(std::string path, int fd, FsyncPolicy policy,
     : path_(std::move(path)),
       fd_(fd),
       policy_(policy),
-      metrics_(metrics),
-      last_sync_seconds_(MonotonicSeconds()) {}
+      metrics_(metrics) {}
 
 Result<std::unique_ptr<ChangelogWriter>> ChangelogWriter::Create(
     const std::string& path, uint32_t session_id, uint32_t epoch,
@@ -177,8 +154,7 @@ Status ChangelogWriter::Append(const SessionCommand& command, bool resolved) {
       sync_now = unsynced_ >= policy_.every_n;
       break;
     case FsyncPolicy::Mode::kInterval:
-      sync_now = (MonotonicSeconds() - last_sync_seconds_) * 1e3 >=
-                 policy_.interval_ms;
+      sync_now = since_sync_.ElapsedSeconds() * 1e3 >= policy_.interval_ms;
       break;
     case FsyncPolicy::Mode::kOnResolve:
       sync_now = resolved;
@@ -191,16 +167,16 @@ Status ChangelogWriter::Append(const SessionCommand& command, bool resolved) {
 Status ChangelogWriter::Sync() {
   if (fd_ < 0) return Status::InvalidArgument("changelog is closed");
   if (unsynced_ == 0) return Status::OK();
-  const double start = MonotonicSeconds();
+  Timer fsync_timer;
   if (::fsync(fd_) != 0) {
     return Status::Unknown("fsync(" + path_ + "): " + std::strerror(errno));
   }
   unsynced_ = 0;
-  last_sync_seconds_ = MonotonicSeconds();
+  since_sync_.Reset();
   if (metrics_ != nullptr) {
     if (metrics_->fsyncs != nullptr) metrics_->fsyncs->Increment();
     if (metrics_->fsync_latency != nullptr) {
-      metrics_->fsync_latency->Observe(last_sync_seconds_ - start);
+      metrics_->fsync_latency->Observe(fsync_timer.ElapsedSeconds());
     }
   }
   return Status::OK();

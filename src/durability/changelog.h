@@ -39,6 +39,7 @@
 
 #include "metrics/registry.h"
 #include "serve/session_command.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace savg {
@@ -111,8 +112,8 @@ class ChangelogWriter {
   const DurabilityMetrics* metrics_ = nullptr;
   uint64_t appended_ = 0;
   int unsynced_ = 0;
-  /// Monotonic time of the last fsync (kInterval), in seconds.
-  double last_sync_seconds_ = 0.0;
+  /// Started at creation, restarted at every fsync (kInterval).
+  Timer since_sync_;
 };
 
 /// Everything one changelog file yields at recovery.

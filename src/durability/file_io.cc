@@ -30,6 +30,20 @@ Result<std::string> ReadWholeFile(const std::string& path,
   return data;
 }
 
+Status WriteAll(int fd, const char* data, size_t size,
+                const std::string& path) {
+  size_t written = 0;
+  while (written < size) {
+    const ssize_t n = ::write(fd, data + written, size - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unknown("write(" + path + "): " + std::strerror(errno));
+    }
+    written += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
 std::string DirnameOf(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";

@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "util/status.h"
@@ -13,6 +14,11 @@ namespace savg {
 /// directory) is an error Status, never an exception.
 Result<std::string> ReadWholeFile(const std::string& path,
                                   const std::string& what);
+
+/// write()s the whole buffer to `fd`, retrying short writes and EINTR;
+/// errors name `path`.
+Status WriteAll(int fd, const char* data, size_t size,
+                const std::string& path);
 
 /// The directory part of `path` ("." when it has none).
 std::string DirnameOf(const std::string& path);

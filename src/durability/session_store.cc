@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -17,12 +16,6 @@
 namespace savg {
 
 namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Matches "<prefix><decimal digits>" exactly (the SnapshotFileName /
 /// ChangelogFileName shapes; %06u zero-pads but longer epochs print wider,
@@ -103,8 +96,7 @@ SessionJournal::SessionJournal(std::string session_dir, uint32_t session_id,
       store_(store),
       index_(index),
       options_(&store->options_),
-      metrics_(&store->metrics_),
-      last_snapshot_seconds_(MonotonicSeconds()) {}
+      metrics_(&store->metrics_) {}
 
 Status SessionJournal::OpenChangelog(uint32_t epoch) {
   SAVG_ASSIGN_OR_RETURN(
@@ -148,7 +140,7 @@ bool SessionJournal::ShouldSnapshot() const {
     return true;
   }
   if (options_->snapshot_interval_seconds > 0.0 &&
-      MonotonicSeconds() - last_snapshot_seconds_ >=
+      since_snapshot_.ElapsedSeconds() >=
           options_->snapshot_interval_seconds) {
     return true;
   }
@@ -188,7 +180,7 @@ Status SessionJournal::TakeSnapshot(const Session& session) {
   }
   SetFailed(false);
   commands_since_snapshot_ = 0;
-  last_snapshot_seconds_ = MonotonicSeconds();
+  since_snapshot_.Reset();
   if (metrics_->snapshots != nullptr) metrics_->snapshots->Increment();
   store_->PublishLag(index_, 0);
   PruneOldEpochs();

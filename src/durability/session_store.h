@@ -28,6 +28,7 @@
 
 #include "durability/changelog.h"
 #include "online/session.h"
+#include "util/logging.h"
 
 namespace savg {
 
@@ -117,7 +118,8 @@ class SessionJournal : public CommandJournal {
   uint32_t epoch_ = 0;
   uint64_t seq_ = 0;
   uint64_t commands_since_snapshot_ = 0;
-  double last_snapshot_seconds_ = 0.0;
+  /// Started at attach, restarted at every snapshot (the interval timer).
+  Timer since_snapshot_;
   /// Set on append/rotation failure; cleared by a successful TakeSnapshot.
   bool failed_ = false;
 };

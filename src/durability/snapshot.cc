@@ -373,31 +373,19 @@ Status WriteSnapshotFile(const std::string& path, uint32_t session_id,
   if (fd < 0) {
     return Status::Unknown("open(" + tmp + "): " + std::strerror(errno));
   }
-  size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t r = ::write(fd, file.data() + written,
-                              file.size() - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      const Status status =
-          Status::Unknown("write(" + tmp + "): " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return status;
-    }
-    written += static_cast<size_t>(r);
+  Status status = WriteAll(fd, file.data(), file.size(), tmp);
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = Status::Unknown("fsync(" + tmp + "): " + std::strerror(errno));
   }
-  if (::fsync(fd) != 0) {
-    const Status status =
-        Status::Unknown("fsync(" + tmp + "): " + std::strerror(errno));
+  if (!status.ok()) {
     ::close(fd);
     ::unlink(tmp.c_str());
     return status;
   }
   ::close(fd);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status status = Status::Unknown("rename(" + tmp + " -> " + path +
-                                          "): " + std::strerror(errno));
+    status = Status::Unknown("rename(" + tmp + " -> " + path +
+                             "): " + std::strerror(errno));
     ::unlink(tmp.c_str());
     return status;
   }

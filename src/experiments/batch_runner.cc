@@ -4,20 +4,15 @@
 #include <cctype>
 
 #include "solvers/solver_registry.h"
-#include "util/logging.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace savg {
 
 namespace {
 
-/// splitmix64 finalizer — the standard 64-bit avalanche mix.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// One splitmix64 step from state `x`: the standard 64-bit avalanche mix.
+uint64_t Mix64(uint64_t x) { return SplitMix64(&x); }
 
 uint64_t HashName(const std::string& name) {
   // FNV-1a over the lowercased name, so aliases/case differences do not
@@ -151,7 +146,6 @@ Result<BatchReport> BatchRunner::Run(
   const int num_solvers = static_cast<int>(solvers.size());
   const int repeats = std::max(1, options_.repeats);
 
-  Timer timer;
   BatchReport report;
   report.num_instances = num_instances;
   report.num_solvers = num_solvers;
@@ -205,7 +199,6 @@ Result<BatchReport> BatchRunner::Run(
   report.lp_stats = cache.TotalLpStats();
   report.relaxation_bases = cache.ExportBases();
   report.relaxation_objectives = cache.ExportObjectives();
-  report.wall_seconds = timer.ElapsedSeconds();
   return report;
 }
 

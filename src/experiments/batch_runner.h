@@ -128,7 +128,6 @@ struct BatchReport {
   /// LP objective per instance (0 where no relaxation ran); lets tests
   /// assert that warm-started sweeps reproduce cold-start optima.
   std::vector<double> relaxation_objectives;
-  double wall_seconds = 0.0;
 
   const BatchTaskResult& Task(int instance, int solver, int repeat) const {
     return tasks[(static_cast<size_t>(instance) * num_solvers + solver) *

@@ -69,8 +69,6 @@ Result<std::vector<AggregateRow>> RunComparison(
   SAVG_RETURN_NOT_OK(report.FirstError());
   if (warm_start != nullptr) {
     warm_start->bases = std::move(report.relaxation_bases);
-    warm_start->total_simplex_iterations += report.lp_simplex_iterations;
-    warm_start->warm_started_solves += report.lp_warm_started_solves;
     warm_start->lp_stats += report.lp_stats;
   }
 

@@ -48,12 +48,9 @@ struct AggregateRow {
 /// basis of every sampled instance after a RunComparison call; the
 /// next call with the same `samples` (e.g. the next lambda of a sweep,
 /// which keeps the constraint matrix fixed) seeds its simplex solves from
-/// them. Also accumulates the relaxation pivot counters, so benches and
-/// tests can compare warm vs cold sweeps.
+/// them.
 struct SweepWarmStart {
   std::vector<LpBasis> bases;
-  int64_t total_simplex_iterations = 0;
-  int64_t warm_started_solves = 0;
   /// Per-phase simplex time accumulated across the sweep's LP solves.
   LpStats lp_stats;
 };

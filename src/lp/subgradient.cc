@@ -31,6 +31,23 @@ constexpr double kBreakpointRatchet = 0.02;
 /// Subgradient step length: kStepScale * radius / (|g| * sqrt(iter + 1)).
 constexpr double kStepScale = 0.5;
 
+/// How far a warm-start block may stray from D(k), per coordinate bound and
+/// in total mass, and still be taken as given. The projection itself is
+/// accurate to 1e-10 in mass, and re-projecting a point it produced moves
+/// it (bisection plus mass correction), which could lose objective.
+constexpr double kFeasibleTolerance = 1e-9;
+
+bool InCappedSimplex(const double* v, size_t m, double k) {
+  double mass = 0.0;
+  for (size_t j = 0; j < m; ++j) {
+    if (v[j] < -kFeasibleTolerance || v[j] > 1.0 + kFeasibleTolerance) {
+      return false;
+    }
+    mass += v[j];
+  }
+  return std::abs(mass - k) <= kFeasibleTolerance;
+}
+
 std::vector<std::vector<int>> BuildPairsOfAgent(
     const PairwiseConcaveProblem& problem) {
   std::vector<std::vector<int>> pairs_of_agent(problem.num_agents);
@@ -205,10 +222,14 @@ Result<SubgradientSolution> MaximizePairwiseConcave(
     }
   }
   if (options.initial_x != nullptr && options.initial_x->size() == total) {
+    // Blocks already in D(k) are evaluated as given, so a re-solve from a
+    // previous answer never returns less than that answer.
     std::vector<double> warm = *options.initial_x;
     for (int a = 0; a < n; ++a) {
-      ProjectCappedSimplex(warm.data() + static_cast<size_t>(a) * m, m,
-                           problem.k);
+      double* block = warm.data() + static_cast<size_t>(a) * m;
+      if (!InCappedSimplex(block, m, problem.k)) {
+        ProjectCappedSimplex(block, m, problem.k);
+      }
     }
     const double warm_f = problem.Evaluate(warm);
     if (warm_f > start_f) {

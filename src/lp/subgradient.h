@@ -58,7 +58,8 @@ struct SubgradientOptions {
   /// subgradient phase (0 disables polishing).
   int polish_sweeps = 8;
   /// Optional warm-start point (row-major num_agents x num_items; blocks
-  /// are re-projected onto D(k), so a stale-but-close point is fine).
+  /// outside D(k) are projected onto it, so a stale-but-close point is
+  /// fine, and blocks inside are kept as given).
   /// Considered alongside the built-in starting points, best wins. Not
   /// owned; must outlive the solve. The sharded coordinator hands each
   /// shard its previous round's solution here, which is what makes many

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/tracer.h"
+
 namespace savg {
 
 namespace {
@@ -154,14 +156,6 @@ std::string MetricsRegistry::TextDump() const {
 
 namespace {
 
-std::string SafeName(const std::string& name) {
-  std::string out = name;
-  for (char& ch : out) {
-    if (ch == '"' || ch == '\\') ch = '\'';
-  }
-  return out;
-}
-
 std::string PromName(const std::string& name) {
   std::string out = "savg_";
   for (char ch : name) {
@@ -182,7 +176,7 @@ std::string MetricsRegistry::JsonDump() const {
   for (const MetricSample& sample : Snapshot()) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"name\": \"" << SafeName(sample.name)
+    out << "{\"name\": \"" << JsonEscape(sample.name)
         << "\", \"value\": " << sample.value << "}";
   }
   out << "], \"histograms\": [";
@@ -190,7 +184,7 @@ std::string MetricsRegistry::JsonDump() const {
   for (const auto& [name, hist] : Histograms()) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"name\": \"" << SafeName(name)
+    out << "{\"name\": \"" << JsonEscape(name)
         << "\", \"count\": " << hist->count() << ", \"sum\": " << hist->sum()
         << ", \"buckets\": [";
     bool first_bucket = true;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "obs/tracer.h"
+
 namespace savg {
 
 int64_t WindowedSnapshot::CounterDelta(const std::string& name) const {
@@ -50,25 +52,26 @@ std::string WindowedSnapshot::JsonDump() const {
   for (const CounterRow& row : counters) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"name\": \"" << row.name << "\", \"delta\": " << row.delta
-        << ", \"rate\": " << row.rate << "}";
+    out << "{\"name\": \"" << JsonEscape(row.name) << "\", \"delta\": "
+        << row.delta << ", \"rate\": " << row.rate << "}";
   }
   out << "], \"gauges\": [";
   first = true;
   for (const GaugeRow& row : gauges) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"name\": \"" << row.name << "\", \"last\": " << row.last
-        << ", \"max\": " << row.max << "}";
+    out << "{\"name\": \"" << JsonEscape(row.name) << "\", \"last\": "
+        << row.last << ", \"max\": " << row.max << "}";
   }
   out << "], \"histograms\": [";
   first = true;
   for (const HistogramRow& row : histograms) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"name\": \"" << row.name << "\", \"count\": " << row.count
-        << ", \"rate\": " << row.rate << ", \"mean\": " << row.mean
-        << ", \"p50\": " << row.p50 << ", \"p99\": " << row.p99 << "}";
+    out << "{\"name\": \"" << JsonEscape(row.name) << "\", \"count\": "
+        << row.count << ", \"rate\": " << row.rate
+        << ", \"mean\": " << row.mean << ", \"p50\": " << row.p50
+        << ", \"p99\": " << row.p99 << "}";
   }
   out << "]}";
   return out.str();

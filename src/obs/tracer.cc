@@ -9,8 +9,6 @@
 
 namespace savg {
 
-namespace {
-
 std::string JsonEscape(const std::string& value) {
   std::string out;
   out.reserve(value.size() + 2);
@@ -40,6 +38,8 @@ std::string JsonEscape(const std::string& value) {
   }
   return out;
 }
+
+namespace {
 
 std::string MillisString(int64_t nanos) {
   char buf[32];

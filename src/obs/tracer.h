@@ -113,4 +113,9 @@ std::string TraceTextTree(const std::vector<Trace>& traces);
 /// One-line JSON for the slow-query log.
 std::string TraceJsonLine(const Trace& trace);
 
+/// `value` escaped for the inside of a JSON string literal: quote and
+/// backslash backslash-escaped, control characters as \n, \t or \u00XX.
+/// Shared by the trace exports, the metrics dumps and the status JSON.
+std::string JsonEscape(const std::string& value);
+
 }  // namespace savg

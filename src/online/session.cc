@@ -381,22 +381,7 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
 
   // Extract the compact fractional solution; only the rounding below
   // reads it, and nothing of it outlives this resolve.
-  FractionalSolution frac;
-  frac.num_users = n;
-  frac.num_items = m;
-  frac.num_slots = k;
-  frac.x.assign(static_cast<size_t>(n) * m, 0.0);
-  for (UserId u = 0; u < n; ++u) {
-    for (ItemId c = 0; c < m; ++c) {
-      const int var = map.XVar(u, c, m);
-      if (var >= 0) frac.x[static_cast<size_t>(u) * m + c] = sol->x[var];
-    }
-  }
-  frac.lp_objective = sol->objective;
-  frac.exact = true;
-  frac.simplex_iterations = sol->iterations;
-  frac.warm_started = sol->warm_started;
-  frac.lp_stats = sol->stats;
+  FractionalSolution frac = CompactFractionalSolution(instance_, map, *sol);
   frac.BuildSupporters(options_.prune_tolerance);
 
   // Re-round: keep the previous configuration's units for clean users (on

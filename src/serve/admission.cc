@@ -24,6 +24,14 @@ Status AdmissionQueue::Submit(int session_id, const SessionCommand& command,
                               ApplyCallback done,
                               std::shared_ptr<TraceContext> trace,
                               bool force_verify) {
+  // Sessions are dense and never removed, so an unknown id is the only
+  // submission the manager rejects. Refusing it here lets an admitted
+  // command count before it is queued: a worker may run it and answer the
+  // client before manager_->Submit even returns.
+  if (session_id < 0 || session_id >= manager_->num_sessions()) {
+    errors_->Increment();
+    return Status::OutOfRange("unknown session id");
+  }
   // Reserve the slot first (increment-then-check keeps the bound exact
   // under concurrent submitters: whoever lands past the limit backs out).
   depth_gauge_->Increment();
@@ -57,17 +65,9 @@ Status AdmissionQueue::Submit(int session_id, const SessionCommand& command,
     // the response frame) finishes — in-flight means admit-to-answered.
     depth_gauge_->Decrement();
   };
-  Status submitted =
-      manager_->Submit(session_id, command, std::move(wrapped),
-                       std::move(trace), force_verify);
-  if (!submitted.ok()) {
-    // Rejected before entering any queue: give the slot back.
-    depth_gauge_->Decrement();
-    errors_->Increment();
-    return submitted;
-  }
   admitted_->Increment();
-  return Status::OK();
+  return manager_->Submit(session_id, command, std::move(wrapped),
+                          std::move(trace), force_verify);
 }
 
 }  // namespace savg

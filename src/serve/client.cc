@@ -1,6 +1,5 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -12,23 +11,10 @@
 #include <cstring>
 #include <thread>
 
+#include "util/random.h"
+
 namespace savg {
 namespace {
-
-Status SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n =
-        ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unknown(std::string("send failed: ") +
-                              std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// Retry backoff: doubles per attempt, then scaled by a factor uniform in
 /// [1 - kJitterFraction, 1 + kJitterFraction] drawn from a splitmix64
@@ -41,22 +27,13 @@ constexpr uint64_t kJitterSeed = 1;
 
 std::atomic<uint64_t> clients_created{0};
 
-/// splitmix64 step: a cheap deterministic jitter stream (no <random>
-/// state to carry; identical runs produce identical backoff schedules).
-uint64_t NextJitter(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 /// The jitter stream's start for the next client: one splitmix64 step over
 /// the seed plus the creation index, so adjacent clients' streams are
 /// unrelated rather than shifted copies of one another.
 uint64_t NextClientJitterSeed() {
   uint64_t state =
       kJitterSeed + clients_created.fetch_add(1, std::memory_order_relaxed);
-  return NextJitter(&state);
+  return SplitMix64(&state);
 }
 
 }  // namespace
@@ -72,25 +49,7 @@ ServeClient::~ServeClient() { Close(); }
 
 Status ServeClient::Connect(const std::string& host, int port) {
   Close();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Unknown(std::string("socket failed: ") +
-                            std::strerror(errno));
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad IPv4 address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Unknown("connect to " + host + ":" +
-                               std::to_string(port) + " failed: " + err);
-  }
+  SAVG_ASSIGN_OR_RETURN(const int fd, ConnectTcp(host, port));
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
@@ -183,7 +142,7 @@ double ServeClient::NextBackoffMs(int attempt) {
   double backoff_ms = retry_.initial_backoff_ms;
   for (int i = 0; i < attempt; ++i) backoff_ms *= kBackoffMultiplier;
   if (backoff_ms > retry_.max_backoff_ms) backoff_ms = retry_.max_backoff_ms;
-  const double unit = static_cast<double>(NextJitter(&jitter_state_) >> 11) *
+  const double unit = static_cast<double>(SplitMix64(&jitter_state_) >> 11) *
                       (1.0 / 9007199254740992.0);  // [0, 1)
   return backoff_ms * (1.0 + kJitterFraction * (2.0 * unit - 1.0));
 }
@@ -233,25 +192,7 @@ Result<ServeResponse> ServeClient::Apply(uint32_t session_id,
 
 Result<std::string> HttpGet(const std::string& host, int port,
                             const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Unknown(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad IPv4 address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Unknown("connect to " + host + ":" +
-                           std::to_string(port) + " failed: " + err);
-  }
+  SAVG_ASSIGN_OR_RETURN(const int fd, ConnectTcp(host, port));
   const std::string request =
       "GET " + path + " HTTP/1.0\r\nHost: " + host + "\r\n\r\n";
   Status sent = SendAll(fd, request.data(), request.size());

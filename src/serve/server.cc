@@ -26,34 +26,6 @@ constexpr size_t kRecvChunk = 64 * 1024;
 /// status front-end talking.
 constexpr size_t kMaxHttpRequestBytes = 16 * 1024;
 
-/// send() the whole buffer (MSG_NOSIGNAL: a vanished peer must surface as
-/// EPIPE, not kill the process).
-bool SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n =
-        ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-void AppendJsonEscaped(const std::string& text, std::ostream* out) {
-  for (char ch : text) {
-    if (ch == '"' || ch == '\\') {
-      *out << '\'';
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      *out << ' ';
-    } else {
-      *out << ch;
-    }
-  }
-}
-
 }  // namespace
 
 ServeServer::ServeServer(ServerOptions options)
@@ -223,7 +195,7 @@ void ServeServer::SendFrame(const std::shared_ptr<Connection>& conn,
   AppendFrame(kind, request_id, session_id, payload, &frame);
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (!conn->open.load()) return;
-  if (!SendAll(conn->fd, frame.data(), frame.size())) {
+  if (!SendAll(conn->fd, frame.data(), frame.size()).ok()) {
     conn->open.store(false);
   }
 }
@@ -500,7 +472,7 @@ void ServeServer::ServeHttp(const std::shared_ptr<Connection>& conn,
            << body;
   const std::string text = response.str();
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->open.load()) SendAll(conn->fd, text.data(), text.size());
+  if (conn->open.load()) (void)SendAll(conn->fd, text.data(), text.size());
 }
 
 std::string ServeServer::StatusJson() {
@@ -513,6 +485,8 @@ std::string ServeServer::StatusJson() {
     if (!stats.ok()) continue;
     if (!first) out << ", ";
     first = false;
+    const std::string error =
+        stats->first_error.ok() ? "" : stats->first_error.ToString();
     out << "{\"id\": " << stats->session_id
         << ", \"users\": " << stats->num_users
         << ", \"items\": " << stats->num_items
@@ -521,12 +495,7 @@ std::string ServeServer::StatusJson() {
         << ", \"resolves_coalesced\": " << stats->resolves_coalesced
         << ", \"queue_depth\": " << stats->queue_depth
         << ", \"last_scaled_total\": " << stats->last_scaled_total
-        << ", \"error\": \"";
-    AppendJsonEscaped(stats->first_error.ok()
-                          ? ""
-                          : stats->first_error.ToString(),
-                      &out);
-    out << "\"}";
+        << ", \"error\": \"" << JsonEscape(error) << "\"}";
   }
   const double resolves = static_cast<double>(
       metrics_.GetCounter("serve.resolves")->value());

@@ -1,5 +1,11 @@
 #include "serve/wire.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "util/byte_codec.h"
@@ -176,6 +182,43 @@ Result<ApplyResult> DecodeApplyResult(const char* data, size_t size) {
   result.assigned_id = static_cast<int64_t>(assigned_id);
   result.resolved = resolved != 0;
   return result;
+}
+
+Status SendAll(int fd, const char* data, size_t size) {
+  size_t sent = 0;
+  while (sent < size) {
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return Status::Unknown(std::string("send failed: ") +
+                             std::strerror(n < 0 ? errno : EPIPE));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Result<int> ConnectTcp(const std::string& host, int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::Unknown(std::string("socket failed: ") +
+                           std::strerror(errno));
+  }
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    return Status::InvalidArgument("bad IPv4 address: " + host);
+  }
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return Status::Unknown("connect to " + host + ":" +
+                           std::to_string(port) + " failed: " + err);
+  }
+  return fd;
 }
 
 }  // namespace savg

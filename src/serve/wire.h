@@ -33,7 +33,8 @@
 // feed it arbitrary byte chunks from the socket and it yields complete
 // frames, rejecting bad magic / versions / oversized lengths without ever
 // reading past the buffer (the fuzz decode test drives it with truncated
-// and corrupt streams).
+// and corrupt streams). SendAll and ConnectTcp are the socket write and
+// the TCP connect that server, client and HttpGet share.
 
 #pragma once
 
@@ -133,5 +134,15 @@ struct ApplyResult {
 
 void EncodeApplyResult(const ApplyResult& result, std::string* out);
 Result<ApplyResult> DecodeApplyResult(const char* data, size_t size);
+
+// --- Socket helpers --------------------------------------------------------
+
+/// send()s the whole buffer, retrying short writes and EINTR. MSG_NOSIGNAL:
+/// a vanished peer surfaces as an error (EPIPE), not as a SIGPIPE.
+Status SendAll(int fd, const char* data, size_t size);
+
+/// A connected TCP socket to the IPv4 address `host` at `port`; the caller
+/// owns (and closes) the returned descriptor.
+Result<int> ConnectTcp(const std::string& host, int port);
 
 }  // namespace savg

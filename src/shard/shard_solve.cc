@@ -6,6 +6,7 @@
 #include "core/objective.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace savg {
 
@@ -23,41 +24,15 @@ constexpr double kDualStepScale = 0.5;
 /// shards; the warm point makes long ascents unnecessary.
 constexpr int kWarmSubgradientIterations = 16;
 
-/// Deterministic per-shard seed derivation (splitmix64 finalizer): seeds
-/// depend only on the caller seed and the shard index, never on worker
-/// identity or execution order.
+/// Deterministic per-shard seed derivation (one splitmix64 step from the
+/// seed advanced by `salt` increments): seeds depend only on the caller
+/// seed and the shard index, never on worker identity or execution order.
 uint64_t MixSeed(uint64_t seed, uint64_t salt) {
-  uint64_t x = seed + 0x9E3779B97F4A7C15ULL * (salt + 1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x | 1;
+  uint64_t state = seed + 0x9E3779B97F4A7C15ULL * salt;
+  return SplitMix64(&state) | 1;
 }
 
 }  // namespace
-
-double EvaluateFractionalObjective(const SvgicInstance& instance,
-                                   const std::vector<double>& x) {
-  const int n = instance.num_users();
-  const int m = instance.num_items();
-  double acc = 0.0;
-  for (UserId u = 0; u < n; ++u) {
-    const size_t base = static_cast<size_t>(u) * m;
-    for (ItemId c = 0; c < m; ++c) {
-      if (x[base + c] > 0.0) acc += instance.ScaledP(u, c) * x[base + c];
-    }
-  }
-  for (const FriendPair& pair : instance.pairs()) {
-    const size_t bu = static_cast<size_t>(pair.u) * m;
-    const size_t bv = static_cast<size_t>(pair.v) * m;
-    for (const ItemValue& iv : pair.weights) {
-      acc += iv.value * std::min(x[bu + iv.item], x[bv + iv.item]);
-    }
-  }
-  return acc;
-}
 
 struct ShardCoordinator::Shard {
   SvgicInstance sub;
@@ -144,28 +119,9 @@ Status ShardCoordinator::Build() {
 Status ShardCoordinator::ExtractShard(int shard) {
   Shard& s = *shards_[shard];
   const std::vector<UserId>& members = plan_.users[shard];
-  // InducedSubgraph assigns local ids in `members` order, so the members
-  // list doubles as the local -> global map.
-  SocialGraph sub_graph = instance_->graph().InducedSubgraph(members);
-  s.sub = SvgicInstance(std::move(sub_graph), instance_->num_items(),
-                        instance_->num_slots(), instance_->lambda());
-  const int m = instance_->num_items();
-  for (size_t local = 0; local < members.size(); ++local) {
-    const UserId gu = members[local];
-    for (ItemId c = 0; c < m; ++c) {
-      s.sub.set_p(static_cast<UserId>(local), c, instance_->p(gu, c));
-    }
-  }
-  for (const Edge& e : s.sub.graph().edges()) {
-    const EdgeId global_edge =
-        instance_->graph().FindEdge(members[e.u], members[e.v]);
-    for (const ItemValue& iv : instance_->TauEntries(global_edge)) {
-      s.sub.set_tau(e.id, iv.item, iv.value);
-    }
-  }
-  s.sub.set_commodity_values(instance_->commodity_values());
-  s.sub.set_slot_weights(instance_->slot_weights());
-  s.sub.FinalizePairs();
+  // Local ids follow `members` order, so the members list doubles as the
+  // local -> global map.
+  SAVG_ASSIGN_OR_RETURN(s.sub, ExtractSubInstance(*instance_, members));
   s.globals = members;
   s.boundary_locals.clear();
   for (size_t local = 0; local < members.size(); ++local) {
@@ -282,11 +238,7 @@ Result<FractionalSolution> ShardCoordinator::SolveShardRelaxation(
     int shard, bool warm) {
   Shard& s = *shards_[shard];
   RelaxationOptions rel = options_.relaxation;
-  if (rel.method == RelaxationMethod::kAuto) {
-    rel.method = CompactLpRowCount(s.sub) <= rel.auto_simplex_row_limit
-                     ? RelaxationMethod::kSimplex
-                     : RelaxationMethod::kSubgradient;
-  }
+  rel.method = ChooseRelaxationMethod(s.sub, rel);
   const LpBasis* warm_basis = nullptr;
   if (warm) {
     if (rel.method == RelaxationMethod::kSimplex && !s.frac.lp_basis.Empty()) {

@@ -133,13 +133,6 @@ struct ShardSolveStats {
   double rounding_seconds = 0.0;
 };
 
-/// The true (scaled) objective of a compact fractional point x on
-/// `instance`: sum p'(u,c) x_u^c + sum_pairs sum_c w_e^c min(x_u^c, x_v^c).
-/// This is what the compact LP maximizes (Observation 2); exposed for the
-/// gap computation and the shard equivalence tests.
-double EvaluateFractionalObjective(const SvgicInstance& instance,
-                                   const std::vector<double>& x);
-
 /// Persistent coordination state over one (mutable) parent instance. The
 /// instance must outlive the coordinator; after parent mutations call
 /// Refresh() with the touched users before the next SolveFractional().

@@ -31,6 +31,12 @@ struct RngState {
   }
 };
 
+/// One splitmix64 step: advances `*state` by the golden-ratio increment and
+/// returns the mixed value. Rng seeds its state from it; callers that need
+/// one well-mixed 64-bit value from a few inputs (task and shard seeds,
+/// retry jitter) use it directly.
+uint64_t SplitMix64(uint64_t* state);
+
 /// Fast, reproducible PRNG (xoshiro256**).
 class Rng {
  public:

@@ -196,6 +196,17 @@ TEST(BatchRunnerTest, SolversWithoutRelaxationSkipTheCache) {
   EXPECT_EQ(report->lp_cache_hits, 0);
 }
 
+// Pins BatchTaskSeed for a few (base, instance, solver, repeat) tuples, so
+// a change to how the seed is mixed cannot move the stream of any
+// randomized solver in a batch. Names hash case-insensitively.
+TEST(BatchRunnerTest, TaskSeedsArePinned) {
+  EXPECT_EQ(BatchTaskSeed(0, 0, "AVG", 0), 0x72d6f50c12a71b58ull);
+  EXPECT_EQ(BatchTaskSeed(42, 3, "AVG-D", 2), 0xb2ea2c4a88eef968ull);
+  EXPECT_EQ(BatchTaskSeed(7, 1, "GRF", 0), 0x7075d78d742dee5full);
+  EXPECT_EQ(BatchTaskSeed(7, 1, "grf", 0), 0x7075d78d742dee5full);
+  EXPECT_EQ(BatchTaskSeed(~0ull, 9, "IR", 4), 0xf159055520a5c7f1ull);
+}
+
 TEST(BatchRunnerTest, UnknownSolverNameFailsUpFront) {
   const auto instances = MakeInstances(1);
   BatchRunner runner;

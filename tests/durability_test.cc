@@ -11,10 +11,12 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -286,6 +288,33 @@ TEST(ChangelogTest, CorruptMidFileRecordDiscardsFromThere) {
   ASSERT_EQ(contents->commands.size(), 2u);
   EXPECT_EQ(contents->commands[0], commands[0]);
   EXPECT_EQ(contents->commands[1], commands[1]);
+}
+
+// The interval policy fsyncs on the first append once its interval has
+// passed since the last fsync (here, since the file was created), and not
+// before.
+TEST(ChangelogTest, IntervalPolicySyncsOnceTheIntervalPassed) {
+  const std::string dir = FreshDir("changelog_interval");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  MetricsRegistry registry;
+  const DurabilityMetrics metrics = DurabilityMetrics::FromRegistry(&registry);
+  FsyncPolicy policy;
+  policy.mode = FsyncPolicy::Mode::kInterval;
+
+  policy.interval_ms = 1e9;
+  auto idle = ChangelogWriter::Create(dir + "/" + ChangelogFileName(0), 0, 0,
+                                      0, policy, &metrics);
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  ASSERT_TRUE((*idle)->Append(MakePref(0, 1, 0.5), false).ok());
+  EXPECT_EQ(metrics.fsyncs->value(), 0);
+
+  policy.interval_ms = 20.0;
+  auto due = ChangelogWriter::Create(dir + "/" + ChangelogFileName(1), 0, 1,
+                                     0, policy, &metrics);
+  ASSERT_TRUE(due.ok()) << due.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  ASSERT_TRUE((*due)->Append(MakePref(0, 1, 0.5), false).ok());
+  EXPECT_EQ(metrics.fsyncs->value(), 1);
 }
 
 TEST(RecoveryReadersTest, ReadErrorsReturnStatusInsteadOfThrowing) {
@@ -905,6 +934,29 @@ TEST(SessionStoreTest, FailedRotationFailStopsSessionUntilRetrySucceeds) {
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(replayed->snapshot_epoch, 0u);
   EXPECT_EQ(Digest(*replayed->session), Digest(*recovered->session));
+}
+
+// The snapshot timer fires once snapshot_interval_seconds has passed since
+// the journal attached and a command was applied, and not before.
+TEST(SessionStoreTest, SnapshotTimerFiresOnceTheIntervalPassed) {
+  const SvgicInstance base = RandomInstance(8, 12, 2, 0.5, 37);
+  for (const double interval : {1e9, 0.02}) {
+    const std::string dir = FreshDir("snapshot_timer");
+    DurabilityOptions options;
+    options.data_dir = dir;
+    options.fsync.mode = FsyncPolicy::Mode::kNever;
+    options.snapshot_interval_seconds = interval;
+    options.snapshot_every_commands = 0;
+    SessionStore store(options);
+    Session session(base);
+    auto journal = store.Attach(0, session);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    session.set_journal(*journal);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    EXPECT_FALSE((*journal)->ShouldSnapshot());  // no command yet
+    ASSERT_TRUE(session.Apply(MakePref(0, 1, 0.5)).ok());
+    EXPECT_EQ((*journal)->ShouldSnapshot(), interval < 1.0) << interval;
+  }
 }
 
 TEST(SessionStoreTest, ChangelogLagGaugeIsTheMaximumAcrossSessions) {

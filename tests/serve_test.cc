@@ -11,12 +11,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
@@ -293,11 +295,49 @@ TEST(AdmissionTest, ShedsWhenQueueIsFull) {
   EXPECT_EQ(metrics.GetCounter("serve.shed")->value(), 1);
   EXPECT_TRUE(manager.FirstError().ok());
   // Unknown session (queue has room): submission error, not a shed, and
-  // the reserved slot is returned.
+  // no slot is held.
   EXPECT_EQ(admission.Submit(99, MakeResolve()).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(admission.depth(), 0);
   EXPECT_EQ(admission.shed_count(), 1);
+}
+
+// The admission counts before the command can run, so every completion
+// callback already sees its own admission (and a metrics window captured
+// after an answer includes it); a submission to an unknown session is an
+// error and never counts as admitted.
+TEST(AdmissionTest, CompletionSeesItsOwnAdmission) {
+  SessionManagerOptions options;
+  options.num_workers = 2;
+  SessionManager manager(options);
+  const int session = manager.CreateSession(RandomInstance(8, 12, 2, 0.5, 5));
+  MetricsRegistry metrics;
+  AdmissionQueue admission(&manager, &metrics);
+
+  constexpr int kCommands = 50;
+  std::atomic<int> unseen{0};
+  for (int i = 0; i < kCommands; ++i) {
+    // One session's commands complete in submission order, so the i-th
+    // completion must see at least i + 1 admissions.
+    const int64_t expected = i + 1;
+    auto done = [&admission, &unseen, expected](const Status&,
+                                                const CommandOutcome&) {
+      if (admission.admitted_count() < expected) ++unseen;
+    };
+    ASSERT_TRUE(
+        admission.Submit(session, MakePref(i % 8, i % 12, 0.5), done).ok());
+  }
+  manager.Drain();
+  EXPECT_EQ(unseen.load(), 0);
+  EXPECT_EQ(admission.admitted_count(), kCommands);
+
+  EXPECT_EQ(admission.Submit(99, MakeResolve()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(admission.Submit(-1, MakeResolve()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(admission.admitted_count(), kCommands);
+  EXPECT_EQ(metrics.GetCounter("serve.errors")->value(), 2);
+  EXPECT_EQ(admission.depth(), 0);
 }
 
 // --- Resolve coalescing ----------------------------------------------------
@@ -629,6 +669,36 @@ TEST(ServeServerTest, FlashCrowdShedsOverloadedResponses) {
   EXPECT_GT(overloaded, 0) << "no shedding under a 16x overload burst";
   EXPECT_GT(ok, 0);
   EXPECT_EQ(server.admission().shed_count(), overloaded);
+  server.Shutdown();
+}
+
+// A journal whose every append fails with a message holding a quote, a
+// backslash and a newline.
+class FailingJournal : public CommandJournal {
+ public:
+  Status Append(const SessionCommand&, bool) override {
+    return Status::Unknown("disk \"d:\\data\" full\nretry");
+  }
+};
+
+// A session error appears in /status verbatim, JSON-escaped.
+TEST(ServeServerTest, StatusEscapesSessionErrors) {
+  FailingJournal journal;  // outlives the server's session
+  ServeServer server;
+  auto session =
+      std::make_unique<Session>(RandomInstance(8, 12, 2, 0.5, 41));
+  session->set_journal(&journal);
+  const int id = server.manager().AdoptSession(std::move(session), 0, 0);
+  ASSERT_TRUE(server.admission().Submit(id, MakePref(0, 1, 0.5)).ok());
+  server.manager().Drain();
+  ASSERT_TRUE(server.Start().ok());
+
+  auto status = HttpGet("127.0.0.1", server.port(), "/status");
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_NE(status->find(
+                R"("error": "Unknown: disk \"d:\\data\" full\nretry")"),
+            std::string::npos)
+      << *status;
   server.Shutdown();
 }
 

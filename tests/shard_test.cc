@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
+#include "durability/snapshot.h"
 #include "online/session.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_solve.h"
@@ -336,6 +338,67 @@ TEST(ShardedSessionTest, StructuralMutationsStayConsistent) {
   EXPECT_TRUE(session.config().IsComplete());
   EXPECT_TRUE(session.config().CheckValid().ok());
   EXPECT_GT(report->scaled_total, 0.0);
+}
+
+// Pins every resolve's scaled_total and lp_objective bits, and the final
+// state digest, of a sharded session driven by a seeded event stream and
+// then by tau-to-zero edits (which leave zero-valued tau entries on the
+// parent's edges), so a change to how shards are extracted or seeded
+// cannot move any served answer.
+TEST(ShardedSessionTest, ResolveBitsArePinned) {
+  SvgicInstance base = RandomInstance(DatasetKind::kTimik, 30, 20, 3, 12);
+  EventStreamParams events;
+  events.num_mutations = 120;
+  events.seed = 4;
+  const CommandLog stream = GenerateEventStream(base, events);
+  SessionOptions options;
+  options.use_sharding = true;
+  options.sharding.plan.num_shards = 3;
+  options.seed = 21;
+  Session session(std::move(base), options);
+
+  uint64_t hash = 1469598103934665603ull;  // FNV-1a 64 over the bits
+  int resolves = 0, sharded = 0;
+  auto apply = [&](const SessionCommand& command) {
+    auto outcome = session.Apply(command);
+    ASSERT_TRUE(outcome.ok())
+        << CommandTypeName(command.type) << ": " << outcome.status();
+    if (!outcome->resolved) return;
+    ++resolves;
+    sharded += outcome->report.num_shards == 3;
+    for (double value :
+         {outcome->report.scaled_total, outcome->report.lp_objective}) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xff;
+        hash *= 1099511628211ull;
+      }
+    }
+  };
+  apply(MakeResolve());
+  for (const SessionCommand& command : stream) apply(command);
+
+  // Zero the first 20 positive tau entries in edge order, resolving after
+  // every fifth edit.
+  std::vector<SessionCommand> zeroes;
+  const SvgicInstance& live = session.instance();
+  for (const Edge& e : live.graph().edges()) {
+    for (const ItemValue& iv : live.TauEntries(e.id)) {
+      if (iv.value > 0.0f && zeroes.size() < 20) {
+        zeroes.push_back(MakeTau(e.u, e.v, iv.item, 0.0));
+      }
+    }
+  }
+  ASSERT_EQ(zeroes.size(), 20u);
+  for (size_t i = 0; i < zeroes.size(); ++i) {
+    apply(zeroes[i]);
+    if (i % 5 == 4) apply(MakeResolve());
+  }
+  EXPECT_EQ(resolves, 29);
+  EXPECT_EQ(sharded, 29);
+  EXPECT_EQ(hash, 0xfa07d295a8672ba9ull);
+  EXPECT_EQ(SessionStateDigest(session.CaptureState()), 0x4de532940b55eec6ull);
 }
 
 }  // namespace
