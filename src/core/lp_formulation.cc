@@ -50,7 +50,7 @@ Result<LpModel> BuildCompactLp(const SvgicInstance& instance,
   lp.SetMaximize(true);
   map->x.assign(static_cast<size_t>(n) * m, -1);
   map->filler.assign(n, -1);
-  map->y.assign(instance.pairs().size(), {});
+  map->s.assign(instance.pairs().size(), {});
 
   for (UserId u = 0; u < n; ++u) {
     const std::vector<bool> useful = UsefulItems(instance, u);
@@ -73,16 +73,18 @@ Result<LpModel> BuildCompactLp(const SvgicInstance& instance,
     lp.AddRow(RowType::kEqual, k, std::move(mass_row));
   }
 
+  // tau * min(x_u, x_v) = tau * x_v - tau * s with s >= x_v - x_u: tau > 0
+  // (RebuildPairWeights drops zeros) drives s down to max(0, x_v - x_u).
   for (size_t pi = 0; pi < instance.pairs().size(); ++pi) {
     const FriendPair& pair = instance.pairs()[pi];
-    map->y[pi].reserve(pair.weights.size());
+    map->s[pi].reserve(pair.weights.size());
     for (const ItemValue& iv : pair.weights) {
-      const int y = lp.AddVariable(0.0, 1.0, iv.value);
-      map->y[pi].push_back(y);
       const int xu = map->XVar(pair.u, iv.item, m);
       const int xv = map->XVar(pair.v, iv.item, m);
-      lp.AddRow(RowType::kLessEqual, 0.0, {{y, 1.0}, {xu, -1.0}});
-      lp.AddRow(RowType::kLessEqual, 0.0, {{y, 1.0}, {xv, -1.0}});
+      lp.SetObjectiveCoefficient(xv, lp.objective(xv) + iv.value);
+      const int s = lp.AddVariable(0.0, 1.0, -iv.value);
+      map->s[pi].push_back(s);
+      lp.AddRow(RowType::kLessEqual, 0.0, {{xv, 1.0}, {xu, -1.0}, {s, -1.0}});
     }
   }
   return lp;
@@ -93,8 +95,8 @@ namespace {
 // Key packing: tag(2) | u(21) | v(21) | c(20). Column and row keys are
 // separate spaces (ProjectCompactBasis never compares across them), so
 // tags only need to keep the kinds disjoint within each space: cols use
-// tag 0 (x), 1 (filler), 2 (y); rows use tag 0 (mass), 2 and 3 (the two
-// y caps). u < v for pair entities (FriendPair canonical order).
+// tag 0 (x), 1 (filler), 2 (s); rows use tag 0 (mass) and 2 (the entry
+// row). u < v for pair entities (FriendPair canonical order).
 constexpr uint64_t PackKey(uint64_t tag, uint64_t u, uint64_t v, uint64_t c) {
   return (tag << 62) | (u << 41) | (v << 20) | c;
 }
@@ -118,14 +120,13 @@ CompactLpKeys BuildCompactLpKeys(const SvgicInstance& instance,
   }
   // Row order mirrors BuildCompactLp: per-user mass rows first...
   for (UserId u = 0; u < n; ++u) keys.rows.push_back(PackKey(0, u, 0, 1));
-  // ...then per (pair, weight entry): the y column and its two cap rows.
+  // ...then per (pair, weight entry): the s column and its row.
   for (size_t pi = 0; pi < instance.pairs().size(); ++pi) {
     const FriendPair& pair = instance.pairs()[pi];
     for (size_t wi = 0; wi < pair.weights.size(); ++wi) {
-      const ItemId c = pair.weights[wi].item;
-      keys.cols[map.y[pi][wi]] = PackKey(2, pair.u, pair.v, c);
-      keys.rows.push_back(PackKey(2, pair.u, pair.v, c));
-      keys.rows.push_back(PackKey(3, pair.u, pair.v, c));
+      const uint64_t key = PackKey(2, pair.u, pair.v, pair.weights[wi].item);
+      keys.cols[map.s[pi][wi]] = key;
+      keys.rows.push_back(key);
     }
   }
   return keys;

@@ -5,7 +5,14 @@
 //
 //  * Compact LP (LP_SIMP, Section 4.4): variables x_u^c and y_e^c, with
 //    sum_c x_u^c = k per user. O((n + |E|) m) variables. The advanced LP
-//    transformation; exact for the relaxation by Observation 2.
+//    transformation; exact for the relaxation by Observation 2. It is built
+//    with one row per co-display entry instead of the two caps y <= x_u,
+//    y <= x_v: for a pair u < v (FriendPair order) and an entry (c, tau),
+//    y = x_v - s with s in [0, 1], tau moves onto x_v's cost, s costs -tau
+//    and the row is x_v - x_u - s <= 0. Every stored tau is > 0, so at the
+//    optimum s = max(0, x_v - x_u) and y = min(x_u, x_v). The orientation
+//    is fixed by user id, never by preference, so value-only edits keep
+//    every column and row key of the LP (see CompactLpKeys).
 //  * Expanded LP (LP_SVGIC, Section 3.3): slot-indexed x_{u,s}^c, y_{e,s}^c.
 //    O((n + |E|) m k) variables. Used by the exact IP baseline (integrality
 //    is slot-sensitive: alignment matters for co-display) and by the "-ALP"
@@ -42,9 +49,10 @@ struct CompactLpMap {
   std::vector<int> x;  // n x m
   /// Filler variable per user aggregating all useless items (or -1).
   std::vector<int> filler;
-  /// y variable per (pair index, weight entry index), parallel to
-  /// instance.pairs()[p].weights.
-  std::vector<std::vector<int>> y;
+  /// s variable per (pair index, weight entry index), parallel to
+  /// instance.pairs()[p].weights: the co-display y = min(x_u, x_v) of the
+  /// entry is x_v - s (v the pair's larger user id).
+  std::vector<std::vector<int>> s;
 
   int XVar(UserId u, ItemId c, int num_items) const {
     return x[static_cast<size_t>(u) * num_items + c];
@@ -83,10 +91,13 @@ FractionalSolution CompactFractionalSolution(const SvgicInstance& instance,
 /// of the index shifts instance mutations cause (columns appear/disappear
 /// when an item becomes useful/useless for a user, rows when pairs gain or
 /// lose weight entries). Two keys are equal iff they denote the same
-/// logical entity — x_u^c, u's filler, y_{uv}^c, u's mass row, or one of
-/// the two y-cap rows of (u, v, c) — so the online serving layer can match
-/// the entities of the pre-mutation LP to the post-mutation LP and project
-/// a cached simplex basis across the change (online/basis_projection.h).
+/// logical entity — x_u^c, u's filler, the s column of (u, v, c), u's mass
+/// row, or the one row of (u, v, c) — so the online serving layer can
+/// match the entities of the pre-mutation LP to the post-mutation LP and
+/// project a cached simplex basis across the change
+/// (online/basis_projection.h). Entries are oriented by user id (tau on
+/// x_v), never by value, so after a preference, tau or lambda edit every
+/// key still names the same column or row with the same coefficients.
 struct CompactLpKeys {
   std::vector<uint64_t> cols;  ///< indexed by LP variable
   std::vector<uint64_t> rows;  ///< indexed by LP row
@@ -122,27 +133,29 @@ struct RelaxationOptions {
   RelaxationMethod method = RelaxationMethod::kAuto;
   SimplexOptions simplex;
   SubgradientOptions subgradient;
-  /// kAuto switches to the subgradient solver above this many LP rows.
-  /// Cold exact solves with the reach-only LU (Release, one core of a
-  /// 4-vCPU Xeon guest; Timik seeds 1-3, Yelp seed 1 unless given):
-  /// Timik m=40, k=3 takes 0.04s at 1.5k rows, 0.30-0.84s at 3.5-4.8k
-  /// rows and 0.75-1.10s at 5.0-5.1k rows. Yelp pivots far more per row:
-  /// 2.8k rows (20x200x5, seed 2) take 0.23s, but at k=10 3.1k rows take
-  /// 1.1s, 3.6k rows 3.4s, 3.9k rows 5.1s, 4.8k rows 13s and 6.3k rows
-  /// (40x2000x10) 10s, while 4.2k rows (40x3000x10) hit the iteration
-  /// limit. Row count alone does not predict the cost: Yelp shapes pass a
-  /// second below 4000 rows already, and a higher limit only admits
-  /// slower ones, so 4000 stays. The subgradient path (1-4% below the
-  /// exact optimum on the Timik sweep, 0.06s on Yelp 40x2000x10) is
-  /// covered by Corollary 4.2 (beta-approximate LP -> 4*beta-approximate
-  /// rounding).
+  /// kAuto switches to the subgradient solver above this many rows of the
+  /// CompactLpRowCount measure (n + 2 * entries; the built LP has half the
+  /// entry rows). Cold exact solves of the one-row-per-entry LP (Release,
+  /// one core of a 4-vCPU Xeon guest, one run each; rows are the measure):
+  /// Timik m=40, k=3, seeds 1-3, takes 0.01s at 1.5k rows, 0.04-0.06s at
+  /// 3.5-4.3k rows and 0.08-0.14s at 5.0-5.1k rows. Yelp pivots far more
+  /// per row: 2.8k rows (20x200x5, seed 2) take 0.06s, but at k=10 3.6k
+  /// rows take 0.33s (20x200x10) or 3.0s (30x3000x10), 4.2k rows
+  /// (40x3000x10) 1.6s, 4.8k rows (30x2000x10) 3.8s and 6.3k rows
+  /// (40x2000x10) 3.1s, all seed 1. Row count alone does not predict the
+  /// cost: Yelp shapes pass a second below 4000 rows already, and a higher
+  /// limit only admits shapes that take seconds where the subgradient path
+  /// takes 0.06s (Yelp 40x2000x10), so 4000 stays. The subgradient path
+  /// (1-4% below the exact optimum on the Timik sweep) is covered by
+  /// Corollary 4.2 (beta-approximate LP -> 4*beta-approximate rounding).
   int auto_simplex_row_limit = 4000;
   /// Supporter pruning threshold.
   double prune_tolerance = 1e-9;
 };
 
-/// options.method, with kAuto resolved: the exact simplex up to
-/// auto_simplex_row_limit compact LP rows, the subgradient solver above.
+/// options.method, with kAuto resolved: the exact simplex while
+/// CompactLpRowCount is at most auto_simplex_row_limit, the subgradient
+/// solver above.
 RelaxationMethod ChooseRelaxationMethod(const SvgicInstance& instance,
                                         const RelaxationOptions& options);
 
@@ -158,8 +171,10 @@ Result<FractionalSolution> SolveRelaxation(
     const SvgicInstance& instance, const RelaxationOptions& options = {},
     const LpBasis* warm_start = nullptr);
 
-/// Number of rows the compact LP would have (for the kAuto decision and
-/// for tests).
+/// The kAuto size measure: n + 2 * (co-display entries), the row count of
+/// the two-cap form the auto_simplex_row_limit was calibrated on.
+/// BuildCompactLp builds n + (entries) rows; the measure keeps its old
+/// value so the same instances take the exact path as before.
 int CompactLpRowCount(const SvgicInstance& instance);
 
 }  // namespace savg

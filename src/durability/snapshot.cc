@@ -18,7 +18,10 @@ namespace {
 
 constexpr char kSnapshotMagic[4] = {'S', 'V', 'G', 'S'};
 constexpr uint32_t kSnapshotVersion = 1;
-constexpr uint32_t kStateVersion = 1;
+/// 2: the cached basis and keys are those of the compact LP with one row
+/// per co-display entry. Version 1 states carried the two-cap LP's, whose
+/// tag-2 column was y, not s; they are refused, never decoded.
+constexpr uint32_t kStateVersion = 2;
 /// magic + version + session_id + epoch + applied_seq + payload_len
 /// + payload_crc + header_crc.
 constexpr size_t kSnapshotHeaderBytes = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4;

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/random.h"
+
 namespace savg {
 
 namespace {
@@ -48,13 +50,10 @@ class KeyIndex {
 
   /// The slot holding `key`, or the empty slot that ends its probe run.
   Slot& Find(uint64_t key) {
-    // The splitmix64 finalizer: the packed keys vary mostly in their low
-    // and middle bits, so they are mixed before masking.
-    uint64_t h = key;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    for (size_t at = h & mask_;; at = (at + 1) & mask_) {
+    // The packed keys vary mostly in their low and middle bits, so they
+    // are mixed before masking.
+    uint64_t state = key;
+    for (size_t at = SplitMix64(&state) & mask_;; at = (at + 1) & mask_) {
       Slot& slot = slots_[at];
       if (slot.index < 0 || slot.key == key) return slot;
     }

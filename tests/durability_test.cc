@@ -30,6 +30,7 @@
 #include "serve/server.h"
 #include "serve/session_command.h"
 #include "util/byte_codec.h"
+#include "util/crc32.h"
 
 namespace savg {
 namespace {
@@ -397,11 +398,52 @@ TEST(SnapshotTest, AnySingleByteCorruptionIsDetected) {
   }
 }
 
+TEST(SnapshotTest, VersionOneStateIsRefused) {
+  // Version 1 states carry the basis and keys of the two-cap compact LP,
+  // whose tag-2 column key named y where version 2's names s = x_v - y.
+  // Such a payload must be refused whole, with a Status, never decoded.
+  Session session(RandomInstance(8, 10, 2, 0.5, 9));
+  ASSERT_TRUE(session.Resolve().ok());
+  std::string payload;
+  EncodeSessionState(session.CaptureState(), &payload);
+  ASSERT_TRUE(DecodeSessionState(payload.data(), payload.size()).ok());
+  std::string version_one;
+  PutU32(1, &version_one);
+  payload.replace(0, 4, version_one);
+
+  auto decoded = DecodeSessionState(payload.data(), payload.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message(), "unsupported session state version 1");
+
+  // The same payload inside a snapshot file with valid CRCs: recovery's
+  // reader refuses it the same way.
+  std::string file("SVGS", 4);
+  PutU32(1, &file);  // snapshot (container) version
+  PutU32(0, &file);  // session id
+  PutU32(0, &file);  // epoch
+  PutU64(1, &file);  // applied seq
+  PutU64(payload.size(), &file);
+  PutU32(Crc32(payload.data(), payload.size()), &file);
+  PutU32(Crc32(file.data(), file.size()), &file);
+  file += payload;
+  const std::string dir = FreshDir("snapshot_state_v1");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  const std::string path = dir + "/" + SnapshotFileName(0);
+  WriteFileBytes(path, file);
+  auto snapshot = ReadSnapshotFile(path);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(snapshot.status().message().find("state version 1"),
+            std::string::npos)
+      << snapshot.status();
+}
+
 /// The encoded instance dimensions: n, m, k, lambda and an edge count of 0,
 /// after the state version.
 std::string StateHeader(uint32_t n, uint32_t m, uint32_t k) {
   std::string bytes;
-  PutU32(1, &bytes);  // state version
+  PutU32(2, &bytes);  // the current state version
   PutU32(n, &bytes);
   PutU32(m, &bytes);
   PutU32(k, &bytes);
@@ -434,6 +476,9 @@ TEST(SnapshotTest, OversizedDimensionsAreRejectedBeforeAnyAllocation) {
     auto decoded = DecodeSessionState(payload.data(), payload.size());
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << decoded.status();
+    // Refused for its dimensions, not for its version.
+    EXPECT_EQ(decoded.status().message().find("version"), std::string::npos)
         << decoded.status();
   }
 

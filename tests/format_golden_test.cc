@@ -189,7 +189,7 @@ TEST(FormatGoldenTest, SessionStateDigestAndSnapshotHeader) {
   char digest[17];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(SessionStateDigest(state)));
-  EXPECT_EQ(std::string(digest), "859151ce005eb448");
+  EXPECT_EQ(std::string(digest), "fb9625205170af4e");
 
   const std::string dir = ::testing::TempDir() + "/savg_format_golden_svgs";
   ASSERT_TRUE(EnsureDirectory(dir).ok());
@@ -201,9 +201,9 @@ TEST(FormatGoldenTest, SessionStateDigestAndSnapshotHeader) {
   ASSERT_GE(file.size(), 40u);
   EXPECT_EQ(Hex(file.substr(0, 40)),
             // "SVGS" | version 1 | session 5 | epoch 1 | applied_seq 10
-            // | payload_len 6107 | payload crc32 | header crc32
+            // | payload_len 5315 | payload crc32 | header crc32
             "535647530100000005000000010000000a00000000000000"
-            "db17000000000000381a844fe518c996");
+            "c31400000000000082c9e9419cf8d4cf");
   std::remove(path.c_str());
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "baselines/brute_force.h"
 #include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
+#include "lp/kkt.h"
 #include "lp/simplex.h"
 #include "paper_example.h"
 
@@ -48,6 +53,145 @@ TEST(LpFormulationTest, Observation2CompactEqualsExpanded) {
     EXPECT_NEAR(sol_c->objective, sol_e->objective,
                 1e-6 * (1.0 + std::abs(sol_c->objective)));
   }
+}
+
+/// The textbook LP_SIMP with two cap rows per co-display entry, y <= x_u
+/// and y <= x_v, and y at cost tau: the oracle the one-row form must agree
+/// with. Useless items fold into a filler exactly as in BuildCompactLp.
+LpModel TwoCapCompactLp(const SvgicInstance& inst) {
+  const int n = inst.num_users();
+  const int m = inst.num_items();
+  LpModel lp;
+  lp.SetMaximize(true);
+  std::vector<int> x(static_cast<size_t>(n) * m, -1);
+  for (UserId u = 0; u < n; ++u) {
+    std::vector<bool> useful(m, false);
+    for (ItemId c = 0; c < m; ++c) useful[c] = inst.p(u, c) > 0.0;
+    for (int pi : inst.PairsOfUser(u)) {
+      for (const ItemValue& iv : inst.pairs()[pi].weights) {
+        useful[iv.item] = true;
+      }
+    }
+    std::vector<LpTerm> mass_row;
+    const int useless =
+        static_cast<int>(std::count(useful.begin(), useful.end(), false));
+    for (ItemId c = 0; c < m; ++c) {
+      if (!useful[c]) continue;
+      x[static_cast<size_t>(u) * m + c] =
+          lp.AddVariable(0.0, 1.0, inst.ScaledP(u, c));
+      mass_row.push_back({x[static_cast<size_t>(u) * m + c], 1.0});
+    }
+    if (useless > 0) {
+      mass_row.push_back({lp.AddVariable(0.0, useless, 0.0), 1.0});
+    }
+    lp.AddRow(RowType::kEqual, inst.num_slots(), std::move(mass_row));
+  }
+  for (const FriendPair& pair : inst.pairs()) {
+    for (const ItemValue& iv : pair.weights) {
+      const int y = lp.AddVariable(0.0, 1.0, iv.value);
+      const int xu = x[static_cast<size_t>(pair.u) * m + iv.item];
+      const int xv = x[static_cast<size_t>(pair.v) * m + iv.item];
+      lp.AddRow(RowType::kLessEqual, 0.0, {{y, 1.0}, {xu, -1.0}});
+      lp.AddRow(RowType::kLessEqual, 0.0, {{y, 1.0}, {xv, -1.0}});
+    }
+  }
+  return lp;
+}
+
+int NumEntries(const SvgicInstance& inst) {
+  int entries = 0;
+  for (const FriendPair& pair : inst.pairs()) {
+    entries += static_cast<int>(pair.weights.size());
+  }
+  return entries;
+}
+
+SvgicInstance Dataset(DatasetKind kind, int n, int m, int k, uint64_t seed) {
+  DatasetParams params;
+  params.kind = kind;
+  params.num_users = n;
+  params.num_items = m;
+  params.num_slots = k;
+  params.seed = seed;
+  auto inst = GenerateDataset(params);
+  EXPECT_TRUE(inst.ok()) << inst.status();
+  return std::move(inst).value();
+}
+
+TEST(LpFormulationTest, OneRowPerEntryMatchesTwoCapOracle) {
+  std::vector<std::pair<std::string, SvgicInstance>> cases;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    cases.emplace_back("timik 12x24x3 s" + std::to_string(seed),
+                       Dataset(DatasetKind::kTimik, 12, 24, 3, seed));
+    cases.emplace_back("yelp 10x60x4 s" + std::to_string(seed),
+                       Dataset(DatasetKind::kYelp, 10, 60, 4, seed));
+  }
+  for (double lambda : {0.3, 0.5, 0.7}) {
+    SvgicInstance inst = MakePaperExample(lambda);
+    inst.FinalizePairs();
+    cases.emplace_back("paper example lambda " + std::to_string(lambda),
+                       std::move(inst));
+  }
+  for (const auto& [name, inst] : cases) {
+    SCOPED_TRACE(name);
+    const int n = inst.num_users();
+    const int m = inst.num_items();
+    ASSERT_GT(NumEntries(inst), 0);
+    CompactLpMap map;
+    auto lp = BuildCompactLp(inst, &map);
+    ASSERT_TRUE(lp.ok()) << lp.status();
+    EXPECT_EQ(lp->num_rows(), n + NumEntries(inst));
+    EXPECT_EQ(CompactLpRowCount(inst), n + 2 * NumEntries(inst));
+
+    auto sol = SolveLp(*lp);
+    ASSERT_TRUE(sol.ok()) << sol.status();
+    auto oracle = SolveLp(TwoCapCompactLp(inst));
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    const double scale = std::max(1.0, std::abs(oracle->objective));
+    EXPECT_LE(std::abs(sol->objective - oracle->objective), 1e-9 * scale);
+    EXPECT_TRUE(CheckLpKkt(*lp, sol->x, sol->dual_values).Ok(1e-7));
+
+    // y = min(x_u, x_v) and s = max(0, x_v - x_u) reproduce the objective.
+    const FractionalSolution frac = CompactFractionalSolution(inst, map, *sol);
+    double total = 0.0;
+    for (UserId u = 0; u < n; ++u) {
+      for (ItemId c = 0; c < m; ++c) {
+        total += inst.ScaledP(u, c) * frac.XCompact(u, c);
+      }
+    }
+    for (size_t pi = 0; pi < inst.pairs().size(); ++pi) {
+      const FriendPair& pair = inst.pairs()[pi];
+      for (size_t wi = 0; wi < pair.weights.size(); ++wi) {
+        const ItemValue& iv = pair.weights[wi];
+        const double xu = frac.XCompact(pair.u, iv.item);
+        const double xv = frac.XCompact(pair.v, iv.item);
+        EXPECT_NEAR(sol->x[map.s[pi][wi]], std::max(0.0, xv - xu), 1e-9);
+        total += iv.value * std::min(xu, xv);
+      }
+    }
+    EXPECT_LE(std::abs(total - sol->objective), 1e-9 * scale);
+  }
+}
+
+TEST(LpFormulationTest, AutoRoutingKeepsTheTwoCapRowMeasure) {
+  // The 4000-row kAuto limit was calibrated on n + 2 * entries rows; the
+  // measure keeps that value although the built LP has n + entries rows.
+  const RelaxationOptions options;
+  const SvgicInstance timik = Dataset(DatasetKind::kTimik, 20, 40, 3, 1);
+  const SvgicInstance yelp = Dataset(DatasetKind::kYelp, 20, 200, 5, 2);
+  const SvgicInstance large = Dataset(DatasetKind::kYelp, 40, 2000, 10, 1);
+  for (const SvgicInstance* inst : {&timik, &yelp, &large}) {
+    EXPECT_EQ(CompactLpRowCount(*inst),
+              inst->num_users() + 2 * NumEntries(*inst));
+  }
+  EXPECT_EQ(ChooseRelaxationMethod(timik, options), RelaxationMethod::kSimplex);
+  EXPECT_EQ(ChooseRelaxationMethod(yelp, options), RelaxationMethod::kSimplex);
+  EXPECT_EQ(ChooseRelaxationMethod(large, options),
+            RelaxationMethod::kSubgradient);
+  // Half of its 6318 measured rows would route it to the exact solver.
+  EXPECT_EQ(CompactLpRowCount(large), 6318);
+  EXPECT_LE(large.num_users() + NumEntries(large),
+            options.auto_simplex_row_limit);
 }
 
 TEST(LpFormulationTest, CompactLpIsMuchSmaller) {

@@ -459,6 +459,95 @@ TEST(BasisProjectionTest, ProjectsAcrossAddedUser) {
   EXPECT_LT(warm->iterations, cold->iterations);
 }
 
+TEST(BasisProjectionTest, ValueOnlyEditsKeepEveryKey) {
+  // Each co-display entry's s column and row sit on the pair's larger user
+  // id, so edits that change values but not the LP's shape keep every key
+  // and project the cached basis whole. Orienting entries by p' instead
+  // would flip one on the preference swap below: its row would change sign
+  // under the same keys, and the carried basis would mean something else.
+  SvgicInstance inst = RandomInstance(14, 20, 3, 0.5, 29);
+  // Every row's terms, flattened: the constraint matrix.
+  using Terms = std::vector<std::pair<int, double>>;
+  auto keys_and_basis = [&](LpBasis* basis, Terms* terms) {
+    CompactLpMap map;
+    auto lp = BuildCompactLp(inst, &map);
+    EXPECT_TRUE(lp.ok()) << lp.status();
+    auto sol = SolveLp(*lp);
+    EXPECT_TRUE(sol.ok()) << sol.status();
+    *basis = sol->basis;
+    terms->clear();
+    for (const LpRow& row : lp->rows()) {
+      for (const LpTerm& t : row.terms) terms->emplace_back(t.var, t.coef);
+    }
+    return BuildCompactLpKeys(inst, map, *lp);
+  };
+  LpBasis basis;
+  Terms terms;
+  const CompactLpKeys keys = keys_and_basis(&basis, &terms);
+
+  // A pair entry whose endpoints both like the item, unequally.
+  UserId lo = -1, hi = -1;
+  ItemId item = -1;
+  EdgeId edge = -1;
+  float tau = 0.0f;
+  for (const FriendPair& pair : inst.pairs()) {
+    for (const ItemValue& iv : pair.weights) {
+      const double pu = inst.p(pair.u, iv.item);
+      const double pv = inst.p(pair.v, iv.item);
+      if (lo < 0 && pu > 0.0 && pv > 0.0 && pu != pv) {
+        lo = pu < pv ? pair.u : pair.v;
+        hi = pu < pv ? pair.v : pair.u;
+        item = iv.item;
+      }
+    }
+  }
+  ASSERT_GE(lo, 0);
+  for (EdgeId e = 0; e < inst.graph().num_edges() && edge < 0; ++e) {
+    if (!inst.TauEntries(e).empty() && inst.TauEntries(e)[0].value > 0.0f) {
+      edge = e;
+      tau = inst.TauEntries(e)[0].value;
+    }
+  }
+  ASSERT_GE(edge, 0);
+
+  const auto check = [&](const char* step, std::vector<UserId> dirty) {
+    inst.RefinalizePairs(dirty);
+    ASSERT_TRUE(inst.Validate().ok()) << step;
+    LpBasis new_basis;
+    Terms new_terms;
+    const CompactLpKeys new_keys = keys_and_basis(&new_basis, &new_terms);
+    EXPECT_TRUE(new_terms == terms) << step;
+    EXPECT_TRUE(new_keys.cols == keys.cols) << step;
+    EXPECT_TRUE(new_keys.rows == keys.rows) << step;
+    BasisProjectionDelta delta;
+    const LpBasis projected =
+        ProjectCompactBasis(basis, keys, new_keys, &delta);
+    EXPECT_EQ(delta.ChangedFraction(), 0.0) << step;
+    EXPECT_EQ(delta.new_rows, 0) << step;
+    EXPECT_EQ(delta.dropped_rows, 0) << step;
+    EXPECT_TRUE(projected.structural == basis.structural) << step;
+    EXPECT_TRUE(projected.logical == basis.logical) << step;
+    basis = new_basis;
+  };
+
+  // A preference swap reorders p' across the pair.
+  const double p_lo = inst.p(lo, item);
+  const double p_hi = inst.p(hi, item);
+  inst.set_p(lo, item, p_hi);
+  inst.set_p(hi, item, p_lo);
+  ASSERT_GT(inst.ScaledP(lo, item), inst.ScaledP(hi, item));
+  check("preference swap", {lo, hi});
+
+  // A tau edit that keeps the entry positive.
+  const Edge& e = inst.graph().edges()[edge];
+  inst.SetTauValue(edge, inst.TauEntries(edge)[0].item, 0.5 * tau);
+  check("tau edit", {e.u, e.v});
+
+  // A lambda change rescales every p'.
+  inst.set_lambda(0.7);
+  check("lambda", {});
+}
+
 /// Reference projection over an ordered map: the first old occurrence of a
 /// key wins, a match erases the key, and what is left over is dropped.
 LpBasis ReferenceProjection(const LpBasis& old_basis,
@@ -536,7 +625,7 @@ TEST(BasisProjectionTest, MatchesMapReferenceAcrossShapeChanges) {
   };
   solve(&keys, &basis);
 
-  // A join with a friend and tau: new x, y columns and new cap rows.
+  // A join with a friend and tau: new x and s columns and new entry rows.
   const UserId nu = inst.AddUser();
   ASSERT_TRUE(inst.AddFriendship(nu, 0).ok());
   inst.set_p(nu, 1, 0.9);
@@ -547,8 +636,8 @@ TEST(BasisProjectionTest, MatchesMapReferenceAcrossShapeChanges) {
   EXPECT_GT(join.new_cols, 0);
   EXPECT_GT(join.new_rows, 0);
 
-  // A leave of a user with weighted pairs: its x and y columns and the
-  // pairs' cap rows drop out.
+  // A leave of a user with weighted pairs: its x and s columns and the
+  // pairs' entry rows drop out.
   UserId leaver = -1;
   for (const FriendPair& pair : inst.pairs()) {
     if (!pair.weights.empty() && pair.u != nu && pair.v != nu) {

@@ -398,7 +398,8 @@ TEST(ShardedSessionTest, ResolveBitsArePinned) {
   EXPECT_EQ(resolves, 29);
   EXPECT_EQ(sharded, 29);
   EXPECT_EQ(hash, 0xfa07d295a8672ba9ull);
-  EXPECT_EQ(SessionStateDigest(session.CaptureState()), 0x4de532940b55eec6ull);
+  // The digest covers the encoded state, version field included.
+  EXPECT_EQ(SessionStateDigest(session.CaptureState()), 0xf5f09e21fcec7551ull);
 }
 
 }  // namespace
