@@ -22,8 +22,8 @@
 //     chain — and with it the ftran/btran cost per pivot — bounded.
 //
 // Every cold solve and warm repair is KKT-audited (lp/kkt.h); a failure
-// prints loudly (lp_test.cc enforces the same audit against the dense
-// reference backend).
+// prints loudly (lp_test.cc enforces the same audit on every optimum it
+// certifies).
 
 #include <algorithm>
 #include <deque>

@@ -165,9 +165,8 @@ void EncodeSessionState(const SessionState& state, std::string* out) {
 
 Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   ByteReader in(data, size);
-  const auto corrupt = [](const char* what) {
-    return Status::InvalidArgument(std::string("corrupt session state: ") +
-                                   what);
+  const auto corrupt = [](const std::string& what) {
+    return Status::InvalidArgument("corrupt session state: " + what);
   };
 
   uint32_t version = 0;
@@ -257,6 +256,10 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
   }
   instance.RestoreFinalizedPairs(std::move(pairs),
                                  static_cast<int>(finalized_edges));
+  // Well-formed bytes can still hold an instance no resolve accepts (a
+  // negative utility, more slots than items); refuse it here, whole.
+  const Status valid = instance.Validate();
+  if (!valid.ok()) return corrupt("instance: " + valid.message());
 
   SessionState state;
   state.instance = std::move(instance);
@@ -281,8 +284,10 @@ Result<SessionState> DecodeSessionState(const char* data, size_t size) {
         if (!in.ReadU32(&raw)) return corrupt("config assignments");
         const ItemId c = static_cast<ItemId>(raw);
         if (c == kNoItem) continue;
-        SAVG_RETURN_NOT_OK(
-            config.Set(static_cast<UserId>(u), static_cast<SlotId>(s), c));
+        // An item out of range or shown twice is corrupt bytes too.
+        const Status set =
+            config.Set(static_cast<UserId>(u), static_cast<SlotId>(s), c);
+        if (!set.ok()) return corrupt("config assignments");
       }
     }
     state.config = std::move(config);

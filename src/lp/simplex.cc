@@ -98,9 +98,9 @@ class RevisedSimplex {
     for (int j = 0; j < model_.num_vars(); ++j) sol.x[j] = Value(j);
     sol.objective = model_.ObjectiveValue(sol.x);
     sol.dual_values = ExportDuals();
-    stats_.eta_count = factor_->eta_count();
-    stats_.eta_nonzeros = factor_->eta_nonzeros();
-    stats_.refactorizations = factor_->factorizations();
+    stats_.eta_count = factor_.eta_count();
+    stats_.eta_nonzeros = factor_.eta_nonzeros();
+    stats_.refactorizations = factor_.factorizations();
     sol.iterations = total_iterations_;
     sol.phase1_iterations = phase1_iterations_;
     sol.warm_started = warm_used_;
@@ -186,8 +186,6 @@ class RevisedSimplex {
     cand_capacity_ = std::clamp(
         static_cast<int>(2.0 * std::sqrt(static_cast<double>(num_cols_))),
         64, 1024);
-    factor_ = opt_.basis == SimplexBasisType::kDense ? MakeDenseFactorization()
-                                                     : MakeLuFactorization();
     return Status::OK();
   }
 
@@ -270,7 +268,7 @@ class RevisedSimplex {
   std::vector<double> ExportDuals() const {
     std::vector<double> y(num_rows_, 0.0);
     std::vector<int> nz;
-    if (LoadBasicCosts(&y, &nz)) factor_->Btran(&y, nz);
+    if (LoadBasicCosts(&y, &nz)) factor_.Btran(&y, nz);
     const double sense = model_.maximize() ? 1.0 : -1.0;
     for (int i = 0; i < num_rows_; ++i) {
       const double row_sign =
@@ -356,7 +354,7 @@ class RevisedSimplex {
   /// Factorizes the current basis and recomputes x_B = B^-1 (b - N x_N).
   Status Refactorize() {
     Timer t;
-    Status st = factor_->Factorize(cols_, basis_);
+    Status st = factor_.Factorize(cols_, basis_);
     if (!st.ok()) return st;
     ComputeBasicValues();
     stats_.factor_seconds += t.ElapsedSeconds();
@@ -374,15 +372,15 @@ class RevisedSimplex {
   /// work counter — no wall clock — so the decision replays identically
   /// across machines and worker counts.
   bool ShouldRefactor() const {
-    const int etas = factor_->eta_count();
+    const int etas = factor_.eta_count();
     if (etas == 0) return false;
     if (etas >= opt_.refactor_interval) return true;
-    if (static_cast<double>(factor_->eta_nonzeros()) >
-        kEtaDensityLimit * static_cast<double>(factor_->factor_nonzeros())) {
+    if (static_cast<double>(factor_.eta_nonzeros()) >
+        kEtaDensityLimit * static_cast<double>(factor_.factor_nonzeros())) {
       return true;
     }
-    return static_cast<double>(factor_->eta_ops_since_factor()) >
-           kEtaOpsMultiplier * static_cast<double>(factor_->factor_ops());
+    return static_cast<double>(factor_.eta_ops_since_factor()) >
+           kEtaOpsMultiplier * static_cast<double>(factor_.factor_ops());
   }
 
   void ComputeBasicValues() {
@@ -393,7 +391,7 @@ class RevisedSimplex {
       if (v == 0.0) continue;
       for (const auto& [row, a] : cols_[j]) r[row] -= a * v;
     }
-    factor_->Ftran(&r);
+    factor_.Ftran(&r);
     basic_value_ = std::move(r);
   }
 
@@ -425,7 +423,7 @@ class RevisedSimplex {
     Timer t;
     std::vector<double> y(num_rows_, 0.0);
     const bool any = LoadBasicCosts(&y, &nz_);
-    if (any) factor_->Btran(&y, nz_);
+    if (any) factor_.Btran(&y, nz_);
     stats_.btran_seconds += t.ElapsedSeconds();
     t.Reset();
     d_.assign(num_cols_, 0.0);
@@ -547,7 +545,7 @@ class RevisedSimplex {
       rho.assign(num_rows_, 0.0);
       rho[r] = 1.0;
       nz_.assign(1, r);
-      factor_->Btran(&rho, nz_);
+      factor_.Btran(&rho, nz_);
       stats_.btran_seconds += phase_timer.ElapsedSeconds();
 
       // Eligible entering columns: moving them toward/away from their
@@ -609,7 +607,7 @@ class RevisedSimplex {
       phase_timer.Reset();
       w.assign(num_rows_, 0.0);
       LoadColumn(entering, &w, &w_nz_);
-      if (!factor_->Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
+      if (!factor_.Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
       const double alpha_rq = w[r];
       if (!std::isfinite(alpha_rq) || std::abs(alpha_rq) < kDualPivotTol ||
@@ -639,7 +637,7 @@ class RevisedSimplex {
             flip_rhs[row] += coef * step;
           }
         }
-        factor_->Ftran(&flip_rhs);
+        factor_.Ftran(&flip_rhs);
         for (int pos = 0; pos < num_rows_; ++pos) {
           basic_value_[pos] -= flip_rhs[pos];
         }
@@ -704,7 +702,7 @@ class RevisedSimplex {
       ++stats_.dual_pivots;
 
       phase_timer.Reset();
-      Status updated = factor_->Update(w, w_nz_, r);
+      Status updated = factor_.Update(w, w_nz_, r);
       stats_.factor_seconds += phase_timer.ElapsedSeconds();
       if (!updated.ok() || ShouldRefactor()) {
         Status refactored = Refactorize();
@@ -804,7 +802,7 @@ class RevisedSimplex {
     Timer phase_timer;
     y->assign(num_rows_, 0.0);
     const bool any_cost = LoadBasicCosts(y, &nz_);
-    if (any_cost) factor_->Btran(y, nz_);
+    if (any_cost) factor_.Btran(y, nz_);
     stats_.btran_seconds += phase_timer.ElapsedSeconds();
 
     phase_timer.Reset();
@@ -931,7 +929,7 @@ class RevisedSimplex {
       Timer phase_timer;
       w.assign(num_rows_, 0.0);
       LoadColumn(entering, &w, &w_nz_);
-      if (!factor_->Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
+      if (!factor_.Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
 
       if (partial && !bland) {
@@ -1026,7 +1024,7 @@ class RevisedSimplex {
         rho.assign(num_rows_, 0.0);
         rho[leaving_pos] = 1.0;
         nz_.assign(1, leaving_pos);
-        factor_->Btran(&rho, nz_);
+        factor_.Btran(&rho, nz_);
         stats_.btran_seconds += phase_timer.ElapsedSeconds();
       }
 
@@ -1053,7 +1051,7 @@ class RevisedSimplex {
       }
 
       phase_timer.Reset();
-      Status updated = factor_->Update(w, w_nz_, leaving_pos);
+      Status updated = factor_.Update(w, w_nz_, leaving_pos);
       stats_.factor_seconds += phase_timer.ElapsedSeconds();
       if (!updated.ok() || ShouldRefactor()) {
         Status refactored = Refactorize();
@@ -1164,7 +1162,7 @@ class RevisedSimplex {
   std::vector<double> cand_score_;
   int cand_capacity_ = 0;
 
-  std::unique_ptr<BasisFactorization> factor_;
+  BasisFactorization factor_;
   /// Pattern of the vector handed to the latest Ftran/Btran, and of the
   /// entering column's Ftran image w (ascending), which the pivot's loops
   /// over w walk instead of every row.

