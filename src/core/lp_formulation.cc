@@ -7,26 +7,6 @@
 
 namespace savg {
 
-namespace {
-
-/// Marks items that matter for user u: nonzero preference or appearing in
-/// an incident pair's social weights. Everything else can be folded into a
-/// single zero-objective "filler" variable without changing the LP optimum.
-std::vector<bool> UsefulItems(const SvgicInstance& instance, UserId u) {
-  std::vector<bool> useful(instance.num_items(), false);
-  for (ItemId c = 0; c < instance.num_items(); ++c) {
-    if (instance.p(u, c) > 0.0) useful[c] = true;
-  }
-  for (int pi : instance.PairsOfUser(u)) {
-    for (const ItemValue& iv : instance.pairs()[pi].weights) {
-      useful[iv.item] = true;
-    }
-  }
-  return useful;
-}
-
-}  // namespace
-
 int CompactLpRowCount(const SvgicInstance& instance) {
   int rows = instance.num_users();
   for (const FriendPair& pair : instance.pairs()) {
@@ -35,62 +15,93 @@ int CompactLpRowCount(const SvgicInstance& instance) {
   return rows;
 }
 
-Result<LpModel> BuildCompactLp(const SvgicInstance& instance,
-                               CompactLpMap* map) {
+namespace {
+
+Status CheckCompactLpInstance(const SvgicInstance& instance) {
   SAVG_RETURN_NOT_OK(instance.Validate());
   if (instance.lambda() <= 0.0) {
     return Status::InvalidArgument(
         "compact LP requires lambda > 0 (lambda = 0 reduces to top-k)");
   }
+  return Status::OK();
+}
+
+/// Numbers the compact LP's columns into *map: per user, x_u^c for each
+/// item that matters for u (nonzero preference or in an incident pair's
+/// social weights) in item order, then u's filler, which folds every other
+/// item into one zero-objective variable without changing the optimum;
+/// then the s column of every co-display entry in pair order. Returns the
+/// column count.
+int LayOutCompactLp(const SvgicInstance& instance, CompactLpMap* map) {
   const int n = instance.num_users();
   const int m = instance.num_items();
-  const double k = instance.num_slots();
-
-  LpModel lp;
-  lp.SetMaximize(true);
   map->x.assign(static_cast<size_t>(n) * m, -1);
   map->filler.assign(n, -1);
   map->s.assign(instance.pairs().size(), {});
-
+  int num_vars = 0;
+  std::vector<char> useful(m);
   for (UserId u = 0; u < n; ++u) {
-    const std::vector<bool> useful = UsefulItems(instance, u);
-    std::vector<LpTerm> mass_row;
-    int useless = 0;
-    for (ItemId c = 0; c < m; ++c) {
-      if (!useful[c]) {
-        ++useless;
-        continue;
+    for (ItemId c = 0; c < m; ++c) useful[c] = instance.p(u, c) > 0.0;
+    for (int pi : instance.PairsOfUser(u)) {
+      for (const ItemValue& iv : instance.pairs()[pi].weights) {
+        useful[iv.item] = 1;
       }
-      const int var = lp.AddVariable(0.0, 1.0, instance.ScaledP(u, c));
-      map->x[static_cast<size_t>(u) * m + c] = var;
-      mass_row.push_back({var, 1.0});
     }
-    if (useless > 0) {
-      const int var = lp.AddVariable(0.0, static_cast<double>(useless), 0.0);
-      map->filler[u] = var;
-      mass_row.push_back({var, 1.0});
+    bool useless = false;
+    for (ItemId c = 0; c < m; ++c) {
+      if (useful[c]) {
+        map->x[static_cast<size_t>(u) * m + c] = num_vars++;
+      } else {
+        useless = true;
+      }
     }
-    lp.AddRow(RowType::kEqual, k, std::move(mass_row));
+    if (useless) map->filler[u] = num_vars++;
   }
-
-  // tau * min(x_u, x_v) = tau * x_v - tau * s with s >= x_v - x_u: tau > 0
-  // (RebuildPairWeights drops zeros) drives s down to max(0, x_v - x_u).
   for (size_t pi = 0; pi < instance.pairs().size(); ++pi) {
-    const FriendPair& pair = instance.pairs()[pi];
-    map->s[pi].reserve(pair.weights.size());
-    for (const ItemValue& iv : pair.weights) {
-      const int xu = map->XVar(pair.u, iv.item, m);
-      const int xv = map->XVar(pair.v, iv.item, m);
-      lp.SetObjectiveCoefficient(xv, lp.objective(xv) + iv.value);
-      const int s = lp.AddVariable(0.0, 1.0, -iv.value);
-      map->s[pi].push_back(s);
-      lp.AddRow(RowType::kLessEqual, 0.0, {{xv, 1.0}, {xu, -1.0}, {s, -1.0}});
-    }
+    const size_t entries = instance.pairs()[pi].weights.size();
+    map->s[pi].resize(entries);
+    for (size_t wi = 0; wi < entries; ++wi) map->s[pi][wi] = num_vars++;
   }
-  return lp;
+  return num_vars;
 }
 
-namespace {
+/// The objective coefficient and upper bound of every column of the
+/// layout `map` (`num_vars` columns). x_u^c costs p'(u, c) plus the tau of
+/// every entry that puts it on x_u^c, added in pair order; s costs -tau of
+/// its entry (tau * min(x_u, x_v) = tau * x_v - tau * s with s >= x_v -
+/// x_u, and tau > 0, since RebuildPairWeights drops zeros, drives s down
+/// to max(0, x_v - x_u)); the filler costs 0 and holds the mass of the
+/// items it folds.
+void CompactLpValues(const SvgicInstance& instance, const CompactLpMap& map,
+                     int num_vars, std::vector<double>* objective,
+                     std::vector<double>* upper) {
+  const int n = instance.num_users();
+  const int m = instance.num_items();
+  objective->assign(num_vars, 0.0);
+  upper->assign(num_vars, 1.0);
+  for (UserId u = 0; u < n; ++u) {
+    int useless = 0;
+    for (ItemId c = 0; c < m; ++c) {
+      const int var = map.XVar(u, c, m);
+      if (var < 0) {
+        ++useless;
+      } else {
+        (*objective)[var] = instance.ScaledP(u, c);
+      }
+    }
+    if (map.filler[u] >= 0) {
+      (*upper)[map.filler[u]] = static_cast<double>(useless);
+    }
+  }
+  for (size_t pi = 0; pi < instance.pairs().size(); ++pi) {
+    const FriendPair& pair = instance.pairs()[pi];
+    for (size_t wi = 0; wi < pair.weights.size(); ++wi) {
+      const ItemValue& iv = pair.weights[wi];
+      (*objective)[map.XVar(pair.v, iv.item, m)] += iv.value;
+      (*objective)[map.s[pi][wi]] = -iv.value;
+    }
+  }
+}
 
 // Key packing: tag(2) | u(21) | v(21) | c(20). Column and row keys are
 // separate spaces (ProjectCompactBasis never compares across them), so
@@ -101,15 +112,15 @@ constexpr uint64_t PackKey(uint64_t tag, uint64_t u, uint64_t v, uint64_t c) {
   return (tag << 62) | (u << 41) | (v << 20) | c;
 }
 
-}  // namespace
-
-CompactLpKeys BuildCompactLpKeys(const SvgicInstance& instance,
-                                 const CompactLpMap& map, const LpModel& lp) {
+CompactLpKeys KeysOf(const SvgicInstance& instance, const CompactLpMap& map,
+                     int num_vars) {
   const int n = instance.num_users();
   const int m = instance.num_items();
+  size_t entries = 0;
+  for (const std::vector<int>& s : map.s) entries += s.size();
   CompactLpKeys keys;
-  keys.cols.assign(lp.num_vars(), 0);
-  keys.rows.reserve(lp.num_rows());
+  keys.cols.assign(num_vars, 0);
+  keys.rows.reserve(n + entries);
 
   for (UserId u = 0; u < n; ++u) {
     for (ItemId c = 0; c < m; ++c) {
@@ -130,6 +141,82 @@ CompactLpKeys BuildCompactLpKeys(const SvgicInstance& instance,
     }
   }
   return keys;
+}
+
+/// The compact LP of the layout `map` (`num_vars` columns).
+LpModel CompactLpModel(const SvgicInstance& instance, const CompactLpMap& map,
+                       int num_vars) {
+  const int n = instance.num_users();
+  const int m = instance.num_items();
+  const double k = instance.num_slots();
+  std::vector<double> objective, upper;
+  CompactLpValues(instance, map, num_vars, &objective, &upper);
+  LpModel lp;
+  lp.SetMaximize(true);
+  for (int var = 0; var < num_vars; ++var) {
+    lp.AddVariable(0.0, upper[var], objective[var]);
+  }
+  // Per user: the x columns and the filler hold exactly k slots of mass.
+  for (UserId u = 0; u < n; ++u) {
+    std::vector<LpTerm> mass_row;
+    for (ItemId c = 0; c < m; ++c) {
+      const int var = map.XVar(u, c, m);
+      if (var >= 0) mass_row.push_back({var, 1.0});
+    }
+    if (map.filler[u] >= 0) mass_row.push_back({map.filler[u], 1.0});
+    lp.AddRow(RowType::kEqual, k, std::move(mass_row));
+  }
+  // Per co-display entry (c, tau) of a pair u < v: x_v - x_u - s <= 0.
+  for (size_t pi = 0; pi < instance.pairs().size(); ++pi) {
+    const FriendPair& pair = instance.pairs()[pi];
+    for (size_t wi = 0; wi < pair.weights.size(); ++wi) {
+      const ItemId c = pair.weights[wi].item;
+      lp.AddRow(RowType::kLessEqual, 0.0,
+                {{map.XVar(pair.v, c, m), 1.0},
+                 {map.XVar(pair.u, c, m), -1.0},
+                 {map.s[pi][wi], -1.0}});
+    }
+  }
+  return lp;
+}
+
+}  // namespace
+
+Result<LpModel> BuildCompactLp(const SvgicInstance& instance,
+                               CompactLpMap* map) {
+  SAVG_RETURN_NOT_OK(CheckCompactLpInstance(instance));
+  return CompactLpModel(instance, *map, LayOutCompactLp(instance, map));
+}
+
+CompactLpKeys BuildCompactLpKeys(const SvgicInstance& instance,
+                                 const CompactLpMap& map, const LpModel& lp) {
+  return KeysOf(instance, map, lp.num_vars());
+}
+
+Result<bool> CompactLpEngine::Refresh(const SvgicInstance& instance) {
+  SAVG_RETURN_NOT_OK(CheckCompactLpInstance(instance));
+  CompactLpMap map;
+  const int num_vars = LayOutCompactLp(instance, &map);
+  CompactLpKeys keys = KeysOf(instance, map, num_vars);
+  // The map is taken either way: under equal keys it numbers the same
+  // columns, but an added item nobody uses widens it.
+  map_ = std::move(map);
+  if (simplex_.loaded() && instance.num_slots() == num_slots_ &&
+      keys.cols == keys_.cols && keys.rows == keys_.rows) {
+    // The same columns and rows in the same order, and the same k: the
+    // matrix, the lower bounds and the rhs are as loaded.
+    CompactLpValues(instance, map_, num_vars, &objective_, &upper_);
+    simplex_.SetValues(objective_, upper_);
+    return false;
+  }
+  keys_ = std::move(keys);
+  num_slots_ = instance.num_slots();
+  Status loaded = simplex_.Load(CompactLpModel(instance, map_, num_vars));
+  if (!loaded.ok()) {
+    keys_ = CompactLpKeys();
+    return loaded;
+  }
+  return true;
 }
 
 Result<LpModel> BuildExpandedLp(const SvgicInstance& instance,

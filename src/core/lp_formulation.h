@@ -109,6 +109,36 @@ struct CompactLpKeys {
 CompactLpKeys BuildCompactLpKeys(const SvgicInstance& instance,
                                  const CompactLpMap& map, const LpModel& lp);
 
+/// The compact LP of a mutating instance, kept in the simplex's column
+/// form across re-solves (an online session's LP engine). Refresh() lays
+/// out the instance's LP (map and keys). When the keys and k equal the
+/// loaded ones, the matrix and the rhs are unchanged, so it rewrites only
+/// the objective and the filler upper bounds in place; otherwise it builds
+/// the LP and loads it again. Either way the engine then holds the column
+/// form of BuildCompactLp(instance) exactly, so simplex().Solve() answers
+/// what SolveLp() answers on that model, bit for bit, and its
+/// factorization memo (SimplexEngine) survives value-only refreshes.
+class CompactLpEngine {
+ public:
+  /// Brings the loaded LP up to `instance`; fails where BuildCompactLp
+  /// fails. Returns true when the LP was rebuilt, false when only its
+  /// values were rewritten.
+  Result<bool> Refresh(const SvgicInstance& instance);
+
+  /// Layout and keys of the loaded LP (empty before the first Refresh).
+  const CompactLpMap& map() const { return map_; }
+  const CompactLpKeys& keys() const { return keys_; }
+  SimplexEngine& simplex() { return simplex_; }
+
+ private:
+  SimplexEngine simplex_;
+  CompactLpMap map_;
+  CompactLpKeys keys_;
+  int num_slots_ = 0;
+  /// Value buffers of the in-place refresh.
+  std::vector<double> objective_, upper_;
+};
+
 /// Builds LP_SVGIC (slot-indexed). With `for_integer_program` the x bounds
 /// stay [0,1] (integrality is requested at the MIP call site).
 Result<LpModel> BuildExpandedLp(const SvgicInstance& instance,

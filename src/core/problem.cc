@@ -285,16 +285,20 @@ Status SvgicInstance::Validate() const {
         "num_slots > num_items: the no-duplication constraint is "
         "unsatisfiable");
   }
-  if (lambda_ < 0.0 || lambda_ > 1.0) {
+  if (!(lambda_ >= 0.0 && lambda_ <= 1.0)) {  // NaN included
     return Status::InvalidArgument("lambda must be in [0, 1]");
+  }
+  if (lambda_ > 0.0 && !std::isfinite(PreferenceScale(lambda_))) {
+    return Status::InvalidArgument("lambda too small to scale preferences");
   }
   if (preference_.size() !=
       static_cast<size_t>(num_users()) * num_items_) {
     return Status::InvalidArgument("preference matrix has wrong size");
   }
   for (float v : preference_) {
-    if (v < 0.0f || std::isnan(v)) {
-      return Status::InvalidArgument("preference utilities must be >= 0");
+    if (!(v >= 0.0f) || std::isinf(v)) {
+      return Status::InvalidArgument(
+          "preference utilities must be finite and >= 0");
     }
   }
   for (const auto& entries : tau_) {
@@ -302,8 +306,9 @@ Status SvgicInstance::Validate() const {
       if (iv.item < 0 || iv.item >= num_items_) {
         return Status::OutOfRange("tau entry references unknown item");
       }
-      if (iv.value < 0.0f || std::isnan(iv.value)) {
-        return Status::InvalidArgument("social utilities must be >= 0");
+      if (!(iv.value >= 0.0f) || std::isinf(iv.value)) {
+        return Status::InvalidArgument(
+            "social utilities must be finite and >= 0");
       }
     }
   }

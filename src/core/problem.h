@@ -77,7 +77,12 @@ class SvgicInstance {
   /// (Section 4.4; requires lambda > 0). With this scaling every algorithm
   /// can run the lambda = 1/2 analysis unchanged.
   double ScaledP(UserId u, ItemId c) const {
-    return (1.0 - lambda_) / lambda_ * p(u, c);
+    return PreferenceScale(lambda_) * p(u, c);
+  }
+  /// The factor (1 - lambda)/lambda of ScaledP. It overflows to +inf for
+  /// a positive lambda below ~1/DBL_MAX, which Validate() refuses.
+  static double PreferenceScale(double lambda) {
+    return (1.0 - lambda) / lambda;
   }
 
   /// Social utility tau(u, v, c) for the directed edge id `e`.

@@ -56,12 +56,13 @@ bool IsSet(double x) { return x != 0.0 || std::signbit(x); }
 // builds its eta from the pattern Ftran returned, so a pivot's eta costs
 // its nonzeros too.
 
-inline void BasisFactorization::ClearEtas() {
+void BasisFactorization::DiscardEtas() {
   eta_pos_.clear();
   eta_pivot_.clear();
   eta_off_.assign(1, 0);
   eta_rows_.clear();
   eta_vals_.clear();
+  eta_ops_since_factor_ = 0;
 }
 
 inline void BasisFactorization::Link(int k, int row, std::vector<int>* head,
@@ -176,9 +177,7 @@ Status BasisFactorization::Factorize(const ColumnMatrix& columns,
                                      const std::vector<int>& basis) {
   const int n = static_cast<int>(basis.size());
   n_ = n;
-  ++factorizations_;
-  ClearEtas();
-  eta_ops_since_factor_ = 0;
+  DiscardEtas();
   int64_t ops = 0;
   int64_t pivot_visits = 0;
   pos_of_k_.assign(n, -1);

@@ -114,11 +114,15 @@ class BasisFactorization {
   Status Update(const std::vector<double>& w, const std::vector<int>& nz,
                 int leaving_pos);
 
+  /// Drops the eta file, so the factorization is again exactly what the
+  /// last successful Factorize() left: the LU depends only on the basis
+  /// columns it was handed, so re-factorizing the same basis of the same
+  /// columns would rebuild it bit for bit. The caller must know both are
+  /// unchanged.
+  void DiscardEtas();
+
   /// Product-form eta terms accumulated since the last Factorize().
   int eta_count() const { return static_cast<int>(eta_pos_.size()); }
-
-  /// Total factorizations performed over the lifetime.
-  int factorizations() const { return factorizations_; }
 
   // --- deterministic work counters for adaptive refactorization ---------
 
@@ -220,7 +224,6 @@ class BasisFactorization {
                    std::vector<RowLink>* links);
   /// Queues the pivot of `row` for the left-looking pass, once.
   void Reach(int row);
-  void ClearEtas();
 
   int n_ = 0;
   std::vector<int> pos_of_k_, k_of_pos_;
@@ -260,7 +263,6 @@ class BasisFactorization {
   mutable std::vector<uint32_t> mark_;
   mutable uint32_t stamp_ = 0;
   mutable std::vector<int> reach_;
-  int factorizations_ = 0;
   int64_t factor_ops_ = 0;
   int64_t factor_pivot_visits_ = 0;
   mutable int64_t solve_visits_ = 0;

@@ -117,8 +117,9 @@ struct LpStats {
   /// Always 0 (the engine has no presolve); kept because perfbench's
   /// replay reads it for its lp.presolve_ms metric.
   double presolve_seconds = 0.0;
-  /// Build (row-to-column transpose), basis seeding and solution export:
-  /// the solve's work outside the timed phases above.
+  /// Basis seeding and solution export, plus the row-to-column transpose
+  /// when the model was loaded for this solve: the solve's work outside
+  /// the timed phases above.
   double setup_seconds = 0.0;
   // Pivot mix: how the solve's iterations were produced.
   int64_t primal_pivots = 0;    ///< primal pivots + bound flips (phases 1+2)
@@ -134,6 +135,9 @@ struct LpStats {
   int64_t eta_count = 0;      ///< product-form etas pending at solve end
   int64_t eta_nonzeros = 0;   ///< their stored nonzeros at solve end
   int64_t refactorizations = 0;  ///< basis (re)factorizations performed
+  /// Factorizations skipped because the basis was the one the engine had
+  /// factorized last (SimplexEngine): only its eta file was dropped.
+  int64_t reused_factorizations = 0;
   LpStats& operator+=(const LpStats& o) {
     pricing_seconds += o.pricing_seconds;
     ratio_test_seconds += o.ratio_test_seconds;
@@ -150,6 +154,7 @@ struct LpStats {
     eta_count += o.eta_count;
     eta_nonzeros += o.eta_nonzeros;
     refactorizations += o.refactorizations;
+    reused_factorizations += o.reused_factorizations;
     return *this;
   }
 };

@@ -1,6 +1,7 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -31,6 +32,8 @@ constexpr double kEtaDensityLimit = 1.0;
 /// exceeds this multiple of one factorization's cost (rent-or-buy).
 constexpr double kEtaOpsMultiplier = 1.0;
 
+}  // namespace
+
 /// Internal working form:
 ///   maximize c'x  s.t.  A x = b,  l <= x <= u
 /// with >= rows negated into <= and one logical column per row: [0, inf)
@@ -40,17 +43,107 @@ constexpr double kEtaOpsMultiplier = 1.0;
 /// the dual simplex when a warm basis prices dual-feasible.
 class RevisedSimplex {
  public:
-  RevisedSimplex(const LpModel& model, const SimplexOptions& options,
-                 const LpBasis* warm_start)
-      : model_(model), opt_(options), warm_(warm_start) {}
+  bool loaded() const { return loaded_; }
 
-  Result<LpSolution> Run() {
+  Status Load(const LpModel& model) {
+    Timer load;
+    loaded_ = false;
+    factored_ = false;
+    n_struct_ = model.num_vars();
+    num_rows_ = model.num_rows();
+    num_cols_ = n_struct_ + num_rows_;
+    maximize_ = model.maximize();
+
+    lower_.assign(num_cols_, 0.0);
+    upper_.assign(num_cols_, 0.0);
+    obj_.resize(n_struct_);
+    for (int j = 0; j < n_struct_; ++j) {
+      lower_[j] = model.lower(j);
+      upper_[j] = model.upper(j);
+      obj_[j] = model.objective(j);
+      if (!std::isfinite(lower_[j])) {
+        return Status::NotImplemented("simplex requires finite lower bounds");
+      }
+    }
+
+    // Transpose the rows into cols_: count each column's entries, prefix-sum
+    // the counts into offsets, then fill row by row, so every column lists
+    // its rows in ascending order. A row's repeated terms for one variable
+    // merge into one entry (an explicit 0.0 when they cancel); zero
+    // coefficients are skipped. `next` holds each column's last counted
+    // row while counting, then its fill cursor.
+    std::vector<int64_t>& start = cols_.start;
+    start.assign(num_cols_ + 1, 0);
+    std::vector<int64_t> next(num_cols_, -1);
+    for (int i = 0; i < num_rows_; ++i) {
+      for (const LpTerm& t : model.row(i).terms) {
+        if (t.var < 0 || t.var >= n_struct_) {
+          return Status::InvalidArgument("row references unknown variable");
+        }
+        if (t.coef == 0.0 || next[t.var] == i) continue;
+        next[t.var] = i;
+        ++start[t.var + 1];
+      }
+      start[n_struct_ + i + 1] = 1;
+    }
+    for (int j = 0; j < num_cols_; ++j) start[j + 1] += start[j];
+    std::copy(start.begin(), start.end() - 1, next.begin());
+    cols_.entries.resize(start[num_cols_]);
+    ColumnEntry* entries = cols_.entries.data();
+    rhs_.assign(num_rows_, 0.0);
+    row_sign_.assign(num_rows_, 1.0);
+    for (int i = 0; i < num_rows_; ++i) {
+      const LpRow& row = model.row(i);
+      const double sign = row.type == RowType::kGreaterEqual ? -1.0 : 1.0;
+      row_sign_[i] = sign;
+      rhs_[i] = sign * row.rhs;
+      for (const LpTerm& t : row.terms) {
+        const double coef = sign * t.coef;
+        if (coef == 0.0) continue;
+        int64_t& at = next[t.var];
+        if (at > start[t.var] && entries[at - 1].row == i) {
+          entries[at - 1].coef += coef;
+        } else {
+          entries[at++] = {i, coef};
+        }
+      }
+      const int logical = n_struct_ + i;
+      entries[next[logical]++] = {i, 1.0};
+      lower_[logical] = 0.0;
+      upper_[logical] = row.type == RowType::kEqual ? 0.0 : kLpInfinity;
+    }
+    cand_capacity_ = std::clamp(
+        static_cast<int>(2.0 * std::sqrt(static_cast<double>(num_cols_))),
+        64, 1024);
+    loaded_ = true;
+    load_seconds_ = load.ElapsedSeconds();
+    return Status::OK();
+  }
+
+  void SetValues(const std::vector<double>& objective,
+                 const std::vector<double>& upper) {
+    assert(static_cast<int>(objective.size()) == n_struct_ &&
+           static_cast<int>(upper.size()) == n_struct_);
+    std::copy(objective.begin(), objective.end(), obj_.begin());
+    std::copy(upper.begin(), upper.end(), upper_.begin());
+  }
+
+  Result<LpSolution> Run(const SimplexOptions& options,
+                         const LpBasis* warm_start) {
+    if (!loaded_) return Status::FailedPrecondition("no LP loaded");
     Timer setup;
-    Status built = Build();
-    if (!built.ok()) return built;
+    opt_ = options;
+    warm_ = warm_start;
+    for (int j = 0; j < n_struct_; ++j) {
+      if (upper_[j] < lower_[j] - opt_.tolerance) {
+        return Status::Infeasible("variable with empty bound interval");
+      }
+    }
+    ResetSolveState();
     Timer timer;
     if (!TryWarmBasis()) ColdBasis();
-    stats_.setup_seconds = setup.ElapsedSeconds();
+    stats_.setup_seconds = setup.ElapsedSeconds() + load_seconds_;
+    load_seconds_ = 0.0;
     Status factored = Refactorize();
     if (!factored.ok()) {
       if (!warm_used_) return factored;
@@ -94,13 +187,14 @@ class RevisedSimplex {
 
     setup.Reset();
     LpSolution sol;
-    sol.x.resize(model_.num_vars());
-    for (int j = 0; j < model_.num_vars(); ++j) sol.x[j] = Value(j);
-    sol.objective = model_.ObjectiveValue(sol.x);
+    sol.x.resize(n_struct_);
+    for (int j = 0; j < n_struct_; ++j) sol.x[j] = Value(j);
+    double objective = 0.0;
+    for (int j = 0; j < n_struct_; ++j) objective += obj_[j] * sol.x[j];
+    sol.objective = objective;
     sol.dual_values = ExportDuals();
     stats_.eta_count = factor_.eta_count();
     stats_.eta_nonzeros = factor_.eta_nonzeros();
-    stats_.refactorizations = factor_.factorizations();
     sol.iterations = total_iterations_;
     sol.phase1_iterations = phase1_iterations_;
     sol.warm_started = warm_used_;
@@ -115,78 +209,20 @@ class RevisedSimplex {
  private:
   // ---- setup -------------------------------------------------------------
 
-  Status Build() {
-    n_struct_ = model_.num_vars();
-    num_rows_ = model_.num_rows();
-    num_cols_ = n_struct_ + num_rows_;
-
-    lower_.assign(num_cols_, 0.0);
-    upper_.assign(num_cols_, 0.0);
-    for (int j = 0; j < n_struct_; ++j) {
-      lower_[j] = model_.lower(j);
-      upper_[j] = model_.upper(j);
-      if (!std::isfinite(lower_[j])) {
-        return Status::NotImplemented("simplex requires finite lower bounds");
-      }
-      if (upper_[j] < lower_[j] - opt_.tolerance) {
-        return Status::Infeasible("variable with empty bound interval");
-      }
-    }
-
-    // Transpose the rows into cols_: count each column's entries, prefix-sum
-    // the counts into offsets, then fill row by row, so every column lists
-    // its rows in ascending order. A row's repeated terms for one variable
-    // merge into one entry (an explicit 0.0 when they cancel); zero
-    // coefficients are skipped. `next` holds each column's last counted
-    // row while counting, then its fill cursor.
-    std::vector<int64_t>& start = cols_.start;
-    start.assign(num_cols_ + 1, 0);
-    std::vector<int64_t> next(num_cols_, -1);
-    for (int i = 0; i < num_rows_; ++i) {
-      for (const LpTerm& t : model_.row(i).terms) {
-        if (t.var < 0 || t.var >= n_struct_) {
-          return Status::InvalidArgument("row references unknown variable");
-        }
-        if (t.coef == 0.0 || next[t.var] == i) continue;
-        next[t.var] = i;
-        ++start[t.var + 1];
-      }
-      start[n_struct_ + i + 1] = 1;
-    }
-    for (int j = 0; j < num_cols_; ++j) start[j + 1] += start[j];
-    std::copy(start.begin(), start.end() - 1, next.begin());
-    cols_.entries.resize(start[num_cols_]);
-    ColumnEntry* entries = cols_.entries.data();
-    rhs_.assign(num_rows_, 0.0);
-    for (int i = 0; i < num_rows_; ++i) {
-      const LpRow& row = model_.row(i);
-      const double sign = row.type == RowType::kGreaterEqual ? -1.0 : 1.0;
-      rhs_[i] = sign * row.rhs;
-      for (const LpTerm& t : row.terms) {
-        const double coef = sign * t.coef;
-        if (coef == 0.0) continue;
-        int64_t& at = next[t.var];
-        if (at > start[t.var] && entries[at - 1].row == i) {
-          entries[at - 1].coef += coef;
-        } else {
-          entries[at++] = {i, coef};
-        }
-      }
-      const int logical = n_struct_ + i;
-      entries[next[logical]++] = {i, 1.0};
-      lower_[logical] = 0.0;
-      upper_[logical] = row.type == RowType::kEqual ? 0.0 : kLpInfinity;
-    }
-
+  /// Clears everything one solve leaves behind except the factorization,
+  /// which Refactorize() reuses only for the basis it was made from.
+  void ResetSolveState() {
     status_.assign(num_cols_, VarStatus::kAtLower);
     cost_.assign(num_cols_, 0.0);
     basis_.assign(num_rows_, -1);
     pos_of_basic_.assign(num_cols_, -1);
     basic_value_.assign(num_rows_, 0.0);
-    cand_capacity_ = std::clamp(
-        static_cast<int>(2.0 * std::sqrt(static_cast<double>(num_cols_))),
-        64, 1024);
-    return Status::OK();
+    cand_.clear();
+    cand_score_.clear();
+    warm_used_ = false;
+    total_iterations_ = 0;
+    phase1_iterations_ = 0;
+    stats_ = LpStats();
   }
 
   /// All logicals basic: the identity basis, always factorizable.
@@ -269,12 +305,8 @@ class RevisedSimplex {
     std::vector<double> y(num_rows_, 0.0);
     std::vector<int> nz;
     if (LoadBasicCosts(&y, &nz)) factor_.Btran(&y, nz);
-    const double sense = model_.maximize() ? 1.0 : -1.0;
-    for (int i = 0; i < num_rows_; ++i) {
-      const double row_sign =
-          model_.row(i).type == RowType::kGreaterEqual ? -1.0 : 1.0;
-      y[i] *= sense * row_sign;
-    }
+    const double sense = maximize_ ? 1.0 : -1.0;
+    for (int i = 0; i < num_rows_; ++i) y[i] *= sense * row_sign_[i];
     return y;
   }
 
@@ -315,11 +347,9 @@ class RevisedSimplex {
   }
 
   void SetPhase2Cost() {
-    const double sign = model_.maximize() ? 1.0 : -1.0;
+    const double sign = maximize_ ? 1.0 : -1.0;
     std::fill(cost_.begin(), cost_.end(), 0.0);
-    for (int j = 0; j < model_.num_vars(); ++j) {
-      cost_[j] = sign * model_.objective(j);
-    }
+    for (int j = 0; j < n_struct_; ++j) cost_[j] = sign * obj_[j];
   }
 
   /// Loads c_B into the all-zero vector *y and lists its nonzero
@@ -352,10 +382,22 @@ class RevisedSimplex {
   }
 
   /// Factorizes the current basis and recomputes x_B = B^-1 (b - N x_N).
+  /// When factor_ already holds the LU of this very basis of the loaded
+  /// matrix, dropping its eta file gives the factorization a fresh
+  /// Factorize() would build, so that is all it does.
   Status Refactorize() {
     Timer t;
-    Status st = factor_.Factorize(cols_, basis_);
-    if (!st.ok()) return st;
+    if (factored_ && basis_ == factored_basis_) {
+      factor_.DiscardEtas();
+      ++stats_.reused_factorizations;
+    } else {
+      ++stats_.refactorizations;
+      factored_ = false;
+      Status st = factor_.Factorize(cols_, basis_);
+      if (!st.ok()) return st;
+      factored_basis_ = basis_;
+      factored_ = true;
+    }
     ComputeBasicValues();
     stats_.factor_seconds += t.ElapsedSeconds();
     // Incrementally maintained reduced costs drift past a refactorization
@@ -1136,18 +1178,25 @@ class RevisedSimplex {
     if (devex_[leaving] > 1e10) devex_.assign(num_cols_, 1.0);
   }
 
-  const LpModel& model_;
-  const SimplexOptions opt_;
-  const LpBasis* warm_ = nullptr;
-
+  // The loaded LP (Load, SetValues).
+  bool loaded_ = false;
   int n_struct_ = 0;
   int num_rows_ = 0;
   int num_cols_ = 0;
-
+  bool maximize_ = true;
   /// The constraint matrix A (logicals included) in one flat column-major
   /// array: column j's (row, coef) entries in ascending row order.
   ColumnMatrix cols_;
-  std::vector<double> lower_, upper_, cost_, rhs_;
+  std::vector<double> lower_, upper_, rhs_;
+  std::vector<double> obj_;       ///< structural objective, model sense
+  std::vector<double> row_sign_;  ///< -1 for a negated >= row, else 1
+  /// Time of the latest Load(), charged to the next solve's setup.
+  double load_seconds_ = 0.0;
+
+  // The current solve (Run).
+  SimplexOptions opt_;
+  const LpBasis* warm_ = nullptr;
+  std::vector<double> cost_;
 
   std::vector<VarStatus> status_;
   std::vector<int> basis_;          ///< position -> basic column
@@ -1163,6 +1212,10 @@ class RevisedSimplex {
   int cand_capacity_ = 0;
 
   BasisFactorization factor_;
+  /// The basis factor_ holds the LU of (valid while factored_): set by
+  /// every successful factorization, cleared by Load().
+  std::vector<int> factored_basis_;
+  bool factored_ = false;
   /// Pattern of the vector handed to the latest Ftran/Btran, and of the
   /// entering column's Ftran image w (ascending), which the pivot's loops
   /// over w walk instead of every row.
@@ -1172,8 +1225,6 @@ class RevisedSimplex {
   int phase1_iterations_ = 0;
   LpStats stats_;
 };
-
-}  // namespace
 
 namespace {
 
@@ -1189,6 +1240,7 @@ void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   span->Counter("dual_simplex", sol.dual_simplex_used ? 1 : 0);
   span->Counter("eta_count", sol.stats.eta_count);
   span->Counter("refactorizations", sol.stats.refactorizations);
+  span->Counter("reused_factorizations", sol.stats.reused_factorizations);
   span->BridgeChild("lp.setup", sol.stats.setup_seconds);
   span->BridgeChild("lp.pricing", sol.stats.pricing_seconds);
   span->BridgeChild("lp.ratio_test", sol.stats.ratio_test_seconds);
@@ -1197,15 +1249,41 @@ void AttachLpTrace(TraceScope* span, const LpSolution& sol) {
   span->BridgeChild("lp.factor", sol.stats.factor_seconds);
 }
 
+/// Runs one solve of `simplex` inside an "lp.solve" span.
+Result<LpSolution> RunTraced(RevisedSimplex* simplex,
+                             const SimplexOptions& options,
+                             const LpBasis* warm_start, TraceScope* span) {
+  Result<LpSolution> sol = simplex->Run(options, warm_start);
+  if (sol.ok()) AttachLpTrace(span, *sol);
+  return sol;
+}
+
 }  // namespace
 
 Result<LpSolution> SolveLp(const LpModel& model, const SimplexOptions& options,
                            const LpBasis* warm_start) {
   TraceScope lp_span("lp.solve");
-  RevisedSimplex worker(model, options, warm_start);
-  Result<LpSolution> sol = worker.Run();
-  if (sol.ok()) AttachLpTrace(&lp_span, *sol);
-  return sol;
+  RevisedSimplex simplex;
+  SAVG_RETURN_NOT_OK(simplex.Load(model));
+  return RunTraced(&simplex, options, warm_start, &lp_span);
+}
+
+SimplexEngine::SimplexEngine() : impl_(std::make_unique<RevisedSimplex>()) {}
+SimplexEngine::~SimplexEngine() = default;
+
+Status SimplexEngine::Load(const LpModel& model) { return impl_->Load(model); }
+
+void SimplexEngine::SetValues(const std::vector<double>& objective,
+                              const std::vector<double>& upper) {
+  impl_->SetValues(objective, upper);
+}
+
+bool SimplexEngine::loaded() const { return impl_->loaded(); }
+
+Result<LpSolution> SimplexEngine::Solve(const SimplexOptions& options,
+                                        const LpBasis* warm_start) {
+  TraceScope lp_span("lp.solve");
+  return RunTraced(impl_.get(), options, warm_start, &lp_span);
 }
 
 }  // namespace savg

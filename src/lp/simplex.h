@@ -32,6 +32,11 @@
 //  * Devex (steepest-edge-flavoured) scores in both phases, with a
 //    Bland's-rule fallback for anti-cycling.
 //
+// SolveLp() loads its model into a temporary SimplexEngine. A caller that
+// re-solves one LP under value edits (the online session) keeps the engine:
+// it skips the row-to-column transpose, and a solve that starts from the
+// basis the engine factorized last skips that factorization too.
+//
 // Intended scale: up to a few thousand rows/columns (the sizes at which the
 // paper itself still runs the exact IP/LP). Larger SVGIC instances use the
 // projected-subgradient solver in lp/subgradient.h, justified by the
@@ -39,6 +44,9 @@
 // rounding).
 
 #pragma once
+
+#include <memory>
+#include <vector>
 
 #include "lp/lp_model.h"
 #include "util/status.h"
@@ -80,5 +88,41 @@ struct SimplexOptions {
 Result<LpSolution> SolveLp(const LpModel& model,
                            const SimplexOptions& options = {},
                            const LpBasis* warm_start = nullptr);
+
+class RevisedSimplex;
+
+/// One LP kept in the simplex's column form across solves. Load() takes a
+/// model; SetValues() rewrites its objective and upper bounds in place;
+/// Solve() answers exactly what SolveLp() answers on the model as loaded
+/// and edited, bit for bit. The engine remembers the basis it factorized
+/// last: when a factorization is due on that same basis and no Load()
+/// came in between, it drops the eta file instead of factorizing again
+/// (LpStats::reused_factorizations). The LU depends only on the basis
+/// columns' coefficients, which value edits never touch, so the reuse
+/// changes no arithmetic.
+class SimplexEngine {
+ public:
+  SimplexEngine();
+  ~SimplexEngine();
+
+  /// Replaces the LP with `model` (the row-to-column transpose). On error
+  /// the engine holds no LP.
+  Status Load(const LpModel& model);
+
+  /// Rewrites every structural variable's objective coefficient and upper
+  /// bound (one entry per variable of the loaded model each). The
+  /// constraint matrix, the lower bounds and the rows stay as loaded.
+  void SetValues(const std::vector<double>& objective,
+                 const std::vector<double>& upper);
+
+  bool loaded() const;
+
+  /// Solves the loaded LP (see SolveLp for the statuses and `warm_start`).
+  Result<LpSolution> Solve(const SimplexOptions& options = {},
+                           const LpBasis* warm_start = nullptr);
+
+ private:
+  std::unique_ptr<RevisedSimplex> impl_;
+};
 
 }  // namespace savg

@@ -1,8 +1,11 @@
 #include "obs/verify.h"
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <utility>
 
+#include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "lp/kkt.h"
 #include "obs/structured_log.h"
@@ -16,6 +19,7 @@ namespace {
 constexpr double kTolerance = 1e-5;
 
 thread_local bool t_force_verify = false;
+thread_local bool t_hold_verify = false;
 
 }  // namespace
 
@@ -27,6 +31,14 @@ ScopedForceVerify::ScopedForceVerify(bool forced)
 }
 
 ScopedForceVerify::~ScopedForceVerify() { t_force_verify = previous_; }
+
+bool HoldVerifyRequested() { return t_hold_verify; }
+
+ScopedHoldVerify::ScopedHoldVerify() : previous_(t_hold_verify) {
+  t_hold_verify = true;
+}
+
+ScopedHoldVerify::~ScopedHoldVerify() { t_hold_verify = previous_; }
 
 SolutionVerifier::SolutionVerifier(MetricsRegistry* metrics,
                                    VerifierOptions options)
@@ -59,11 +71,13 @@ bool SolutionVerifier::ShouldVerify(bool forced) {
   return seq % static_cast<uint64_t>(options_.sample_every) == 0;
 }
 
-void SolutionVerifier::Enqueue(VerifyJob job) {
+void SolutionVerifier::Enqueue(VerifyJob job, bool reserved) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (reserved) --reserved_;
     if (queue_.size() >= options_.max_pending) {
       dropped_->Increment();
+      if (queue_.empty() && !running_) idle_cv_.notify_all();
       return;
     }
     queue_.push_back(std::move(job));
@@ -71,12 +85,24 @@ void SolutionVerifier::Enqueue(VerifyJob job) {
   cv_.notify_one();
 }
 
+void SolutionVerifier::Reserve() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++reserved_;
+}
+
 void SolutionVerifier::Flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && !running_; });
+  idle_cv_.wait(lock, [this] {
+    return queue_.empty() && !running_ && reserved_ == 0;
+  });
 }
 
 void SolutionVerifier::WorkerLoop() {
+  // The lowest priority: woken by a serving thread's Enqueue(), the worker
+  // would otherwise often preempt that thread on its own CPU and delay its
+  // response by a whole audit, which builds an LP. On Linux the nice
+  // value is per thread, so this lowers only the worker.
+  setpriority(PRIO_PROCESS, 0, 19);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -90,7 +116,7 @@ void SolutionVerifier::WorkerLoop() {
       running_ = true;
       lock.unlock();
       RunJob(job);
-      // The job's instance copy and LP are freed here, before mu_ is
+      // The job's instance copy and vectors are freed here, before mu_ is
       // re-taken: that teardown costs about as much as the audit, and
       // Enqueue() on a serving thread would otherwise wait it out.
     }
@@ -126,10 +152,15 @@ void SolutionVerifier::RunJob(const VerifyJob& job) {
     }
   }
   KktReport kkt;
-  if (failure.empty() && job.has_lp) {
+  if (failure.empty() && job.audit_lp) {
     kkt_audits_->Increment();
-    kkt = CheckLpKkt(job.lp, job.x, job.duals);
-    if (!kkt.Ok(kTolerance)) {
+    CompactLpMap map;
+    auto lp = BuildCompactLp(job.instance, &map);
+    const bool shaped = lp.ok() &&
+                        static_cast<int>(job.x.size()) == lp->num_vars() &&
+                        static_cast<int>(job.duals.size()) == lp->num_rows();
+    if (shaped) kkt = CheckLpKkt(*lp, job.x, job.duals);
+    if (!shaped || !kkt.Ok(kTolerance)) {
       failure = "kkt";
       fail_kkt_->Increment();
     }

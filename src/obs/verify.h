@@ -9,15 +9,21 @@
 //   - objective audit: Evaluate() recomputed from an instance snapshot
 //     must match the ScaledTotal the resolve reported;
 //   - LP optimality (monolithic resolves only): primal feasibility and a
-//     full KKT audit of the solved LP via lp/kkt.h, on the exact model,
-//     point and duals the solve produced.
+//     full KKT audit via lp/kkt.h of the point and duals the solve
+//     produced, against the compact LP the worker builds afresh from the
+//     instance snapshot (BuildCompactLp) — independent of the serving
+//     engine's in-place edits.
 //
 // Results flow into verify.pass / verify.fail (+ per-kind fail counters);
 // the health monitor trips `unhealthy` on any fail. The hot-path cost is
-// one sampling branch plus, for sampled requests, snapshotting the
-// instance/config and moving the already-built LP into the job — the
-// checks themselves never run on the serving thread. A bounded queue
-// drops jobs (verify.dropped) rather than ever backpressuring resolves.
+// one sampling branch plus, for sampled requests, a reservation: the
+// session manager answers the requests first and only then has the
+// session copy its instance and configuration and move the solution
+// vectors into the job.
+// The LP build and the checks never run on a serving thread, and the
+// worker runs at the lowest priority, so it cannot preempt one either. A
+// bounded queue drops jobs (verify.dropped) rather than ever
+// backpressuring resolves.
 //
 // Wire clients can force verification per-request (kFrameFlagVerify); the
 // flag travels resolve-coalescing-aware through the thread-local
@@ -35,7 +41,6 @@
 
 #include "core/configuration.h"
 #include "core/problem.h"
-#include "lp/lp_model.h"
 #include "metrics/registry.h"
 
 namespace savg {
@@ -46,9 +51,9 @@ struct VerifyJob {
   SvgicInstance instance;
   Configuration config;
   double reported_scaled_total = 0.0;
-  /// LP audit payload (monolithic resolves; absent for sharded solves).
-  bool has_lp = false;
-  LpModel lp;
+  /// LP audit payload (monolithic resolves; absent for sharded solves):
+  /// the point and row duals of a solve of BuildCompactLp(instance).
+  bool audit_lp = false;
   std::vector<double> x;
   std::vector<double> duals;
 };
@@ -70,9 +75,16 @@ class SolutionVerifier {
   /// path before paying for any snapshotting).
   bool ShouldVerify(bool forced);
 
-  void Enqueue(VerifyJob job);
+  /// Queues `job`; past max_pending it is dropped (verify.dropped).
+  /// `reserved` redeems one Reserve().
+  void Enqueue(VerifyJob job, bool reserved = false);
 
-  /// Blocks until every enqueued job has been checked (tests, shutdown).
+  /// Promises one Enqueue(job, /*reserved=*/true): Flush() waits for it as
+  /// for a queued job (see ScopedHoldVerify).
+  void Reserve();
+
+  /// Blocks until every enqueued or reserved job has been checked (tests,
+  /// shutdown).
   void Flush();
 
   /// Fault injection: while on, every job fails with kind "injected" —
@@ -104,6 +116,7 @@ class SolutionVerifier {
   std::condition_variable idle_cv_;
   std::deque<VerifyJob> queue_;
   bool running_ = false;  ///< worker is mid-job
+  int reserved_ = 0;      ///< Reserve() calls not yet redeemed
   bool stop_ = false;
   std::thread worker_;
 };
@@ -119,6 +132,24 @@ class ScopedForceVerify {
   ~ScopedForceVerify();
   ScopedForceVerify(const ScopedForceVerify&) = delete;
   ScopedForceVerify& operator=(const ScopedForceVerify&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// Thread-local request, set by the session manager around the resolve it
+/// runs for queued requests: a sampled resolve reserves its verify job and
+/// the session holds it until the requests are answered
+/// (Session::EnqueueHeldVerify), so the instance snapshot the job takes
+/// delays no response.
+bool HoldVerifyRequested();
+
+class ScopedHoldVerify {
+ public:
+  ScopedHoldVerify();
+  ~ScopedHoldVerify();
+  ScopedHoldVerify(const ScopedHoldVerify&) = delete;
+  ScopedHoldVerify& operator=(const ScopedHoldVerify&) = delete;
 
  private:
   bool previous_;

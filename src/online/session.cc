@@ -1,6 +1,7 @@
 #include "online/session.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/csf.h"
 #include "core/objective.h"
@@ -40,6 +41,8 @@ Session::Session(SvgicInstance instance, SessionOptions options, RestoreTag)
   // order; re-finalizing could reorder pairs and break bit-exact replay.
 }
 
+Session::~Session() { EnqueueHeldVerify(); }
+
 std::unique_ptr<Session> Session::FromState(SessionState state,
                                             SessionOptions options) {
   auto session = std::unique_ptr<Session>(
@@ -70,6 +73,16 @@ SessionState Session::CaptureState() const {
   return state;
 }
 
+namespace {
+
+/// True for a utility the instance can store: p and tau are floats, so a
+/// value must be >= 0 (not NaN) and stay finite once narrowed.
+bool IsStorableUtility(double value) {
+  return value >= 0.0 && std::isfinite(static_cast<float>(value));
+}
+
+}  // namespace
+
 void Session::MarkDirty(UserId u) {
   if (u >= 0 && u < static_cast<int>(dirty_.size())) dirty_[u] = 1;
 }
@@ -99,8 +112,9 @@ Status Session::ApplyPref(UserId u, ItemId c, double value) {
   if (c < 0 || c >= instance_.num_items()) {
     return Status::OutOfRange("unknown item");
   }
-  if (value < 0.0) {
-    return Status::InvalidArgument("preference must be >= 0");
+  if (!IsStorableUtility(value)) {
+    return Status::InvalidArgument(
+        "preference must be finite and >= 0 as a float");
   }
   instance_.set_p(u, c, value);
   MarkDirty(u);
@@ -116,8 +130,9 @@ Status Session::ApplyTau(UserId u, UserId v, ItemId c,
   if (c < 0 || c >= instance_.num_items()) {
     return Status::OutOfRange("unknown item");
   }
-  if (value < 0.0) {
-    return Status::InvalidArgument("social utility must be >= 0");
+  if (!IsStorableUtility(value)) {
+    return Status::InvalidArgument(
+        "social utility must be finite and >= 0 as a float");
   }
   EdgeId e = instance_.graph().FindEdge(u, v);
   if (e < 0) {
@@ -165,10 +180,11 @@ Status Session::ApplyLeave(UserId u) {
 }
 
 Status Session::ApplyLambda(double lambda) {
-  if (lambda <= 0.0 || lambda > 1.0) {
+  if (!(lambda > 0.0 && lambda <= 1.0) ||  // NaN included
+      !std::isfinite(SvgicInstance::PreferenceScale(lambda))) {
     return Status::InvalidArgument(
         "session lambda must stay in (0, 1] (the compact LP needs "
-        "lambda > 0)");
+        "lambda > 0) and scale preferences finitely");
   }
   instance_.set_lambda(lambda);
   // Objective coefficients change everywhere: re-round every user. The LP
@@ -203,6 +219,7 @@ Status Session::ApplyRetireItem(ItemId c) {
 }
 
 Result<CommandOutcome> Session::Apply(const SessionCommand& command) {
+  EnqueueHeldVerify();
   // A poisoned journal fail-stops the session BEFORE the mutation: one
   // command (the one whose append failed) is applied but un-journaled, and
   // letting more commands through would silently widen that replay gap.
@@ -268,6 +285,7 @@ Result<CommandOutcome> Session::ApplyImpl(const SessionCommand& command) {
 }
 
 Result<ResolveReport> Session::Resolve(bool force_cold) {
+  EnqueueHeldVerify();
   if (served_answer_ && !force_cold) {
     return ReuseServedAnswer();
   }
@@ -318,17 +336,16 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   TraceContext* trace = CurrentTrace();
   const std::vector<UserId> dirty = CollectDirtyUsers();
   instance_.RefinalizePairs(dirty);
-  SAVG_RETURN_NOT_OK(instance_.Validate());
 
   const int n = instance_.num_users();
   const int m = instance_.num_items();
   const int k = instance_.num_slots();
 
+  // The engine's LP is brought up to the (validated) instance in place
+  // when its keys did not change (value edits only), rebuilt otherwise.
   const int64_t build_start = trace != nullptr ? trace->NowNanos() : 0;
-  CompactLpMap map;
-  auto lp = BuildCompactLp(instance_, &map);
-  if (!lp.ok()) return lp.status();
-  CompactLpKeys keys = BuildCompactLpKeys(instance_, map, *lp);
+  auto rebuilt = lp_.Refresh(instance_);
+  if (!rebuilt.ok()) return rebuilt.status();
   if (trace != nullptr) {
     trace->AddSpan("lp.build", trace->CurrentSpan(), build_start,
                    trace->NowNanos() - build_start);
@@ -336,12 +353,25 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
 
   ResolveReport report;
   report.num_dirty_users = static_cast<int>(dirty.size());
+  report.lp_rebuilt = *rebuilt;
 
   // Path decision: project the cached basis and measure the perturbation.
+  // Keys are unique, so under unchanged keys the projection is the
+  // identity and the cached basis warm-starts as it is.
+  const bool same_keys =
+      keys_.cols == lp_.keys().cols && keys_.rows == lp_.keys().rows;
+  const LpBasis* warm = nullptr;
   LpBasis projected;
   if (valid_basis_ && !force_cold) {
     BasisProjectionDelta delta;
-    projected = ProjectCompactBasis(basis_, keys_, keys, &delta);
+    if (same_keys) {
+      delta.surviving_cols = static_cast<int>(keys_.cols.size());
+      warm = &basis_;
+    } else {
+      projected = ProjectCompactBasis(basis_, keys_, lp_.keys(), &delta);
+      warm = &projected;
+      report.basis_projected = true;
+    }
     report.changed_fraction = delta.ChangedFraction();
     report.path = report.changed_fraction <= options_.cold_fraction_threshold
                       ? ResolvePath::kIncremental
@@ -351,13 +381,14 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   }
 
   Timer lp_timer;
+  SimplexEngine& simplex = lp_.simplex();
   auto sol = report.path == ResolvePath::kIncremental
-                 ? SolveLp(*lp, options_.simplex, &projected)
-                 : SolveLp(*lp, options_.simplex);
+                 ? simplex.Solve(options_.simplex, warm)
+                 : simplex.Solve(options_.simplex);
   if (!sol.ok() && report.path == ResolvePath::kIncremental) {
     // A numerically unusable projection must not take the session down.
     report.path = ResolvePath::kColdFallback;
-    sol = SolveLp(*lp, options_.simplex);
+    sol = simplex.Solve(options_.simplex);
   }
   if (!sol.ok()) return sol.status();
   report.lp_seconds = lp_timer.ElapsedSeconds();
@@ -376,12 +407,14 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     trace->AddCounter(span, "phase1_pivots", report.phase1_pivots);
     trace->AddCounter(span, "dirty_users", report.num_dirty_users);
     trace->AddCounter(span, "eta_chain", report.eta_chain_length);
+    trace->AddCounter(span, "lp_rebuilt", report.lp_rebuilt ? 1 : 0);
     trace->AddLabel(span, "path", ResolvePathName(report.path));
   }
 
   // Extract the compact fractional solution; only the rounding below
   // reads it, and nothing of it outlives this resolve.
-  FractionalSolution frac = CompactFractionalSolution(instance_, map, *sol);
+  FractionalSolution frac =
+      CompactFractionalSolution(instance_, lp_.map(), *sol);
   frac.BuildSupporters(options_.prune_tolerance);
 
   // Re-round: keep the previous configuration's units for clean users (on
@@ -430,17 +463,15 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   report.rounding_seconds = rounding_timer.ElapsedSeconds();
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
 
-  // The just-built LP and the solution vectors are dead after this
-  // function, so the audit payload moves instead of copying: into the
-  // verify job, or (the solution vectors only) into the served answer a
-  // no-op resolve may audit later.
+  // The solution vectors are dead after this function, so the audit
+  // payload moves instead of copying: into the verify job, or into the
+  // served answer a no-op resolve may audit later.
   const bool verify = options_.verifier != nullptr &&
                       options_.verifier->ShouldVerify(ForceVerifyRequested());
   if (verify) {
     VerifyJob job;
     job.reported_scaled_total = report.scaled_total;
-    job.has_lp = true;
-    job.lp = std::move(*lp);
+    job.audit_lp = true;
     job.x = std::move(sol->x);
     job.duals = std::move(sol->dual_values);
     EnqueueVerify(std::move(job));
@@ -467,7 +498,7 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   }
 
   basis_ = std::move(sol->basis);
-  keys_ = std::move(keys);
+  if (!same_keys) keys_ = lp_.keys();
   valid_basis_ = true;
   ClearDirty();
   ++num_resolves_;
@@ -495,13 +526,9 @@ ResolveReport Session::ReuseServedAnswer() {
       !answer.audited) {
     VerifyJob job;
     job.reported_scaled_total = answer.report.scaled_total;
-    // Nothing changed since the solve, so this rebuilds the solved LP.
-    // Keeping that LP instead would leave its teardown to the request
-    // that next mutates the session.
-    CompactLpMap map;
-    auto lp = BuildCompactLp(instance_, &map);
-    job.has_lp = lp.ok();
-    if (lp.ok()) job.lp = std::move(*lp);
+    // Nothing changed since the solve: the instance stamped on the job is
+    // the one whose LP x and the duals solve.
+    job.audit_lp = true;
     job.x = std::move(answer.x);
     job.duals = std::move(answer.duals);
     EnqueueVerify(std::move(job));
@@ -512,15 +539,32 @@ ResolveReport Session::ReuseServedAnswer() {
   rng_.Next();
   ++num_resolves_;
   ResolveReport report = answer.report;
+  report.reused = true;
   report.total_seconds = total_timer.ElapsedSeconds();
   return report;
 }
 
 void Session::EnqueueVerify(VerifyJob job) {
   job.session_id = options_.verifier_session_id;
+  if (HoldVerifyRequested()) {
+    options_.verifier->Reserve();
+    held_verify_ = std::move(job);
+    return;
+  }
+  SubmitVerify(std::move(job), /*reserved=*/false);
+}
+
+void Session::EnqueueHeldVerify() {
+  if (!held_verify_) return;
+  VerifyJob job = std::move(*held_verify_);
+  held_verify_.reset();
+  SubmitVerify(std::move(job), /*reserved=*/true);
+}
+
+void Session::SubmitVerify(VerifyJob job, bool reserved) {
   job.instance = instance_;
   job.config = config_;
-  options_.verifier->Enqueue(std::move(job));
+  options_.verifier->Enqueue(std::move(job), reserved);
 }
 
 Result<ResolveReport> Session::ResolveSharded(bool force_cold) {

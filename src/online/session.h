@@ -9,10 +9,15 @@
 // resolve command (or Resolve() directly) re-optimizes incrementally:
 //
 //   1. RefinalizePairs() updates only the pairs incident to dirty users,
-//   2. the cached simplex basis is projected onto the mutated LP
-//      (online/basis_projection.h) and warm-starts the re-solve — the
-//      composite phase 1 repairs the perturbed region in a few pivots,
-//   3. CSF rounding re-runs only for the dirty users: the previous
+//   2. the session's LP engine (CompactLpEngine, core/lp_formulation.h)
+//      is brought up to the mutated instance: in place when the LP's keys
+//      did not change, rebuilt when they did,
+//   3. the cached simplex basis is projected onto the mutated LP
+//      (online/basis_projection.h; under unchanged keys it is used as it
+//      is) and warm-starts the re-solve — the composite phase 1 repairs
+//      the perturbed region in a few pivots, and a start from the basis
+//      the engine factorized last reuses that LU,
+//   4. CSF rounding re-runs only for the dirty users: the previous
 //      configuration's untouched units are pre-assigned, so the sampling
 //      loop (core/avg.h RunCsfSampling) can only fill dirty users' slots,
 //
@@ -40,6 +45,7 @@
 #include "core/lp_formulation.h"
 #include "core/problem.h"
 #include "lp/simplex.h"
+#include "obs/verify.h"
 #include "serve/session_command.h"
 #include "shard/shard_solve.h"
 #include "util/random.h"
@@ -48,8 +54,6 @@
 
 namespace savg {
 
-class SolutionVerifier;
-struct VerifyJob;
 
 struct SessionOptions {
   SimplexOptions simplex;
@@ -85,7 +89,8 @@ struct SessionOptions {
   /// Sampled post-solve self-verification (obs/verify.h): when set,
   /// resolves the verifier samples (or that request force-verification via
   /// ScopedForceVerify) snapshot their instance/config/LP into a
-  /// background check off the hot path. nullptr disables.
+  /// background check off the hot path. nullptr disables. It must outlive
+  /// the session.
   SolutionVerifier* verifier = nullptr;
   /// Session id stamped on verify jobs/failure logs (set by the manager).
   uint32_t verifier_session_id = 0;
@@ -102,6 +107,9 @@ const char* ResolvePathName(ResolvePath path);
 /// Telemetry of one Resolve() call.
 struct ResolveReport {
   ResolvePath path = ResolvePath::kCold;
+  /// True when the answer was reused from the served state without any
+  /// LP work (see Session::Resolve()).
+  bool reused = false;
   /// True when the simplex actually consumed the projected basis.
   bool warm_started = false;
   /// Simplex pivots of this re-solve (total / feasibility-repair only).
@@ -109,6 +117,12 @@ struct ResolveReport {
   int phase1_pivots = 0;
   /// Fraction of LP columns whose identity changed since the last solve.
   double changed_fraction = 0.0;
+  /// True when the LP was built and loaded afresh: its keys changed, or
+  /// the session's LP engine was empty (first resolve, FromState()).
+  /// False when only its values were rewritten in place.
+  bool lp_rebuilt = false;
+  /// True when the cached basis was projected across changed keys.
+  bool basis_projected = false;
   int num_dirty_users = 0;
   /// (user, slot) units freed for re-rounding (k per dirty user).
   int rerounded_units = 0;
@@ -131,7 +145,8 @@ struct ResolveReport {
   /// (zero on the sharded path, whose per-shard solves refactorize
   /// independently).
   int64_t eta_chain_length = 0;
-  /// Basis (re)factorizations this resolve's LP performed.
+  /// Basis (re)factorizations this resolve's LP performed (reused LUs
+  /// are counted in lp_stats.reused_factorizations).
   int64_t refactorizations = 0;
   LpStats lp_stats;
   // Sharded-mode telemetry (zero on the monolithic path).
@@ -146,10 +161,12 @@ struct ResolveReport {
 /// restores via Session::FromState(). Everything the next Resolve() reads
 /// is here: the mutated instance with its EVOLVED pair order, the served
 /// configuration, the cached basis + column keys, the resolve counter,
-/// the rounding RNG, and the dirty flags. The last fractional solution is
-/// deliberately absent: every resolve rebuilds it from the fresh LP before
-/// any read. Sharded-mode coordinator state is also rebuilt (the first
-/// post-recovery sharded resolve re-partitions).
+/// the rounding RNG, and the dirty flags. The last fractional solution and
+/// the LP engine are deliberately absent: every resolve refreshes the
+/// engine and rebuilds the fractional solution before any read, and an
+/// engine only memoizes work, so a restored session starting without one
+/// answers bit-identically. Sharded-mode coordinator state is also
+/// rebuilt (the first post-recovery sharded resolve re-partitions).
 struct SessionState {
   SvgicInstance instance;
   Configuration config;
@@ -198,6 +215,8 @@ class Session {
  public:
   /// Takes ownership of the instance (pairs are finalized here).
   explicit Session(SvgicInstance instance, SessionOptions options = {});
+  /// Hands over a verify job still held (EnqueueHeldVerify()).
+  ~Session();
 
   // Not movable: the sharded-mode coordinator holds a pointer to
   // instance_, so a moved Session would leave it dangling. Heap-allocate
@@ -270,6 +289,14 @@ class Session {
   /// FromState() runs the full path.
   Result<ResolveReport> Resolve(bool force_cold = false);
 
+  /// Under a ScopedHoldVerify, a sampled resolve reserves its verify job
+  /// and holds it; this snapshots the instance and configuration, both
+  /// still those of that resolve, into the job and enqueues it. The
+  /// SessionManager calls it once the requests are answered; Apply() and
+  /// Resolve() call it first, so a held job never outlives the next
+  /// command.
+  void EnqueueHeldVerify();
+
  private:
   /// Restore path: adopts the instance as-is (already finalized with the
   /// evolved pair order) instead of re-running FinalizePairs.
@@ -302,9 +329,12 @@ class Session {
   Result<ResolveReport> ResolveMonolithic(bool force_cold);
   /// Answers a no-op resolve from served_answer_ (see Resolve()).
   ResolveReport ReuseServedAnswer();
-  /// Stamps the session id, instance and served configuration on `job`
-  /// and queues it on the verifier.
+  /// Stamps the session id on `job` and holds it (under a
+  /// ScopedHoldVerify) or snapshots and enqueues it now.
   void EnqueueVerify(VerifyJob job);
+  /// Snapshots the instance and served configuration into `job` and
+  /// queues it on the verifier.
+  void SubmitVerify(VerifyJob job, bool reserved);
   /// Sharded path: dirty users map to dirty shards; only those shards
   /// re-solve and re-round (see SessionOptions::use_sharding).
   Result<ResolveReport> ResolveSharded(bool force_cold);
@@ -318,6 +348,10 @@ class Session {
   LpBasis basis_;
   CompactLpKeys keys_;
   bool valid_basis_ = false;
+  /// The compact LP of the latest monolithic resolve, kept across resolves
+  /// (not state: empty after FromState(); each resolve's Refresh compares
+  /// keys, so a failed resolve leaves nothing to trust).
+  CompactLpEngine lp_;
   int num_resolves_ = 0;
 
   std::vector<char> dirty_;  ///< per-user dirty flag, indexed by id
@@ -330,12 +364,14 @@ class Session {
     /// True once a verify job covered this answer, or without a verifier.
     bool audited = false;
     /// Solution vectors of the unverified solve that produced the answer,
-    /// moved into the first sampled reuse's verify job (which rebuilds
-    /// the LP they solve).
+    /// moved into the first sampled reuse's verify job (whose worker
+    /// rebuilds the LP they solve).
     std::vector<double> x;
     std::vector<double> duals;
   };
   std::optional<ServedAnswer> served_answer_;
+  /// A reserved verify job waiting for EnqueueHeldVerify().
+  std::optional<VerifyJob> held_verify_;
 
   /// Durability sink (not owned); see set_journal().
   CommandJournal* journal_ = nullptr;

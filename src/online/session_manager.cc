@@ -17,6 +17,8 @@ SessionManager::SessionManager(SessionManagerOptions options)
     solver_metrics_.bland_pivots = m->GetCounter("lp.bland_pivots");
     solver_metrics_.dual_pivots = m->GetCounter("lp.dual_pivots");
     solver_metrics_.refactorizations = m->GetCounter("lp.refactorizations");
+    solver_metrics_.reused_factorizations =
+        m->GetCounter("lp.reused_factorizations");
     solver_metrics_.resolve_cold = m->GetCounter("resolve.cold");
     solver_metrics_.resolve_incremental =
         m->GetCounter("resolve.incremental");
@@ -195,6 +197,7 @@ void SessionManager::RunResolve(Entry* entry,
       force_verify = force_verify || waiter.force_verify;
     }
     ScopedForceVerify verify_scope(force_verify);
+    ScopedHoldVerify hold_verify;
     TraceScope apply_span("session.apply");
     apply_span.Label("command", "resolve");
     apply_span.Counter("coalesced",
@@ -225,6 +228,8 @@ void SessionManager::RunResolve(Entry* entry,
     (*waiters)[i].done(status, result);
   }
   waiters->clear();
+  // The answers are out: the held verify job's snapshot delays none.
+  entry->session->EnqueueHeldVerify();
   MaybeSnapshot(entry);
 }
 
@@ -246,6 +251,7 @@ void SessionManager::RecordResolveMetrics(const Status& status,
   m.bland_pivots->Increment(report.lp_stats.bland_pivots);
   m.dual_pivots->Increment(report.lp_stats.dual_pivots);
   m.refactorizations->Increment(report.refactorizations);
+  m.reused_factorizations->Increment(report.lp_stats.reused_factorizations);
   switch (report.path) {
     case ResolvePath::kCold:
       m.resolve_cold->Increment();

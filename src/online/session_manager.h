@@ -181,6 +181,7 @@ class SessionManager {
     Counter* bland_pivots = nullptr;
     Counter* dual_pivots = nullptr;
     Counter* refactorizations = nullptr;
+    Counter* reused_factorizations = nullptr;
     Counter* resolve_cold = nullptr;
     Counter* resolve_incremental = nullptr;
     Counter* resolve_cold_fallback = nullptr;

@@ -36,6 +36,104 @@ SvgicInstance RandomInstance(int n, int m, int k, double lambda,
   return std::move(inst).value();
 }
 
+/// Solves the engine's LP and a fresh BuildCompactLp of `inst` from the
+/// same warm basis: layout, keys and every output must agree bit for bit.
+/// Returns the engine's final basis.
+LpBasis ExpectEngineMatchesFreshBuild(CompactLpEngine* engine,
+                                      const SvgicInstance& inst,
+                                      const LpBasis& warm, int64_t* reused) {
+  CompactLpMap map;
+  auto lp = BuildCompactLp(inst, &map);
+  EXPECT_TRUE(lp.ok()) << lp.status();
+  if (!lp.ok()) return {};
+  EXPECT_EQ(engine->map().x, map.x);
+  EXPECT_EQ(engine->map().filler, map.filler);
+  EXPECT_EQ(engine->map().s, map.s);
+  const CompactLpKeys keys = BuildCompactLpKeys(inst, map, *lp);
+  EXPECT_EQ(engine->keys().cols, keys.cols);
+  EXPECT_EQ(engine->keys().rows, keys.rows);
+  const LpBasis* start = warm.Empty() ? nullptr : &warm;
+  auto want = SolveLp(*lp, {}, start);
+  auto got = engine->simplex().Solve({}, start);
+  EXPECT_TRUE(want.ok() && got.ok());
+  if (!want.ok() || !got.ok()) return {};
+  EXPECT_EQ(got->x, want->x);
+  EXPECT_EQ(got->dual_values, want->dual_values);
+  EXPECT_EQ(got->objective, want->objective);
+  EXPECT_EQ(got->iterations, want->iterations);
+  EXPECT_EQ(got->basis.structural, want->basis.structural);
+  EXPECT_EQ(got->basis.logical, want->basis.logical);
+  EXPECT_EQ(got->stats.refactorizations + got->stats.reused_factorizations,
+            want->stats.refactorizations);
+  *reused += got->stats.reused_factorizations;
+  return got->basis;
+}
+
+TEST(CompactLpEngineTest, RefreshEqualsAFreshBuildAcrossEdits) {
+  DatasetParams params;  // sparse utilities: users keep filler columns
+  params.kind = DatasetKind::kTimik;
+  params.num_users = 10;
+  params.num_items = 16;
+  params.num_slots = 2;
+  params.seed = 5;
+  params.universe_users = 60;
+  auto generated = GenerateDataset(params);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  SvgicInstance inst = std::move(*generated);
+  CompactLpEngine engine;
+  int64_t reused = 0;
+  auto refresh = [&](bool want_rebuild) {
+    auto rebuilt = engine.Refresh(inst);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_EQ(*rebuilt, want_rebuild);
+  };
+  refresh(true);
+  LpBasis basis = ExpectEngineMatchesFreshBuild(&engine, inst, {}, &reused);
+  refresh(false);  // nothing changed
+  basis = ExpectEngineMatchesFreshBuild(&engine, inst, basis, &reused);
+  refresh(false);
+  basis = ExpectEngineMatchesFreshBuild(&engine, inst, basis, &reused);
+  EXPECT_GT(reused, 0);  // the 0-pivot resolve started from the last LU
+
+  // Value edits keep every key: a preference on a useful item, lambda.
+  UserId u = 0;
+  ItemId useful = 0;
+  while (inst.p(u, useful) <= 0.0) ++useful;
+  inst.set_p(u, useful, inst.p(u, useful) * 1.5);
+  refresh(false);
+  basis = ExpectEngineMatchesFreshBuild(&engine, inst, basis, &reused);
+  inst.set_lambda(0.6);
+  refresh(false);
+  basis = ExpectEngineMatchesFreshBuild(&engine, inst, basis, &reused);
+
+  // An added item nobody uses gives every user a filler column; once all
+  // have one, the next such item widens the map and every filler's bound
+  // but changes no key.
+  bool all_fillers = true;
+  for (UserId v = 0; v < inst.num_users(); ++v) {
+    all_fillers = all_fillers && engine.map().filler[v] >= 0;
+  }
+  inst.AddItem();
+  refresh(!all_fillers);
+  if (!all_fillers) {
+    basis = ExpectEngineMatchesFreshBuild(&engine, inst, {}, &reused);
+    inst.AddItem();
+    refresh(false);
+  }
+  basis = ExpectEngineMatchesFreshBuild(&engine, inst, basis, &reused);
+
+  // A preference on a folded item makes it a column: the LP is rebuilt
+  // (the session then projects the basis; a stale one cold-starts here).
+  ItemId folded = 0;
+  while (inst.p(u, folded) > 0.0 ||
+         engine.map().XVar(u, folded, inst.num_items()) >= 0) {
+    ++folded;
+  }
+  inst.set_p(u, folded, 0.7);
+  refresh(true);
+  ExpectEngineMatchesFreshBuild(&engine, inst, {}, &reused);
+}
+
 TEST(LpFormulationTest, Observation2CompactEqualsExpanded) {
   // OPT_SIMP == OPT_SVGIC (Observation 2) on random small instances.
   for (uint64_t seed : {1u, 2u, 3u}) {

@@ -655,6 +655,92 @@ TEST(SimplexWarmStartTest, OptimalBasisResolvesInFewIterations) {
   EXPECT_NEAR(again->objective, first->objective, 1e-9);
 }
 
+void ExpectSameSolve(const Result<LpSolution>& got,
+                     const Result<LpSolution>& want, const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.status() << " vs "
+                                 << want.status();
+  if (!got.ok()) return;
+  EXPECT_EQ(got->x, want->x) << what;
+  EXPECT_EQ(got->dual_values, want->dual_values) << what;
+  EXPECT_EQ(got->objective, want->objective) << what;
+  EXPECT_EQ(got->iterations, want->iterations) << what;
+  EXPECT_EQ(got->warm_started, want->warm_started) << what;
+  EXPECT_EQ(got->basis.structural, want->basis.structural) << what;
+  EXPECT_EQ(got->basis.logical, want->basis.logical) << what;
+  EXPECT_EQ(want->stats.reused_factorizations, 0) << what;
+  EXPECT_EQ(got->stats.refactorizations + got->stats.reused_factorizations,
+            want->stats.refactorizations)
+      << what;
+}
+
+TEST(SimplexEngineTest, EditedResolvesMatchFreshSolvesBitExactly) {
+  // One engine per LP, re-solved from its own last basis under objective
+  // and upper-bound edits (the serving pattern), must answer what a fresh
+  // SolveLp of the edited model answers from the same basis. Small edits
+  // leave the basis optimal, so the next solve starts from the basis the
+  // engine factorized last and reuses that LU.
+  Rng rng(77);
+  int64_t reused = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    LpModel m = RandomLp(&rng, 10, 7);
+    SimplexEngine engine;
+    ASSERT_TRUE(engine.Load(m).ok());
+    LpBasis basis;
+    for (int step = 0; step < 6; ++step) {
+      const std::string what =
+          "trial " + std::to_string(trial) + " step " + std::to_string(step);
+      if (step > 0) {
+        const int j = static_cast<int>(rng.Next() % m.num_vars());
+        if (step % 2 == 0) {
+          m.SetObjectiveCoefficient(j, m.objective(j) * 1.001);
+        } else if (std::isfinite(m.upper(j))) {
+          m.SetBounds(j, m.lower(j), m.upper(j) + 0.25);
+        }
+        std::vector<double> objective(m.num_vars()), upper(m.num_vars());
+        for (int v = 0; v < m.num_vars(); ++v) {
+          objective[v] = m.objective(v);
+          upper[v] = m.upper(v);
+        }
+        engine.SetValues(objective, upper);
+      }
+      const LpBasis* warm = basis.Empty() ? nullptr : &basis;
+      auto got = engine.Solve({}, warm);
+      auto want = SolveLp(m, {}, warm);
+      ExpectSameSolve(got, want, what);
+      if (!got.ok()) break;
+      reused += got->stats.reused_factorizations;
+      basis = got->basis;
+    }
+  }
+  EXPECT_GT(reused, 0);
+}
+
+TEST(SimplexEngineTest, LoadForgetsTheFactorization) {
+  Rng rng(5);
+  LpModel m = RandomLp(&rng, 10, 7);
+  while (!SolveLp(m).ok()) m = RandomLp(&rng, 10, 7);
+  SimplexEngine engine;
+  EXPECT_FALSE(engine.Solve().ok());  // nothing loaded
+  ASSERT_TRUE(engine.Load(m).ok());
+  auto first = engine.Solve();
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto warm = engine.Solve({}, &first->basis);
+  ASSERT_TRUE(warm.ok());
+  auto again = engine.Solve({}, &first->basis);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->iterations, 0);
+  EXPECT_EQ(again->stats.refactorizations, 0);
+  EXPECT_EQ(again->stats.reused_factorizations, 1);
+  // The same model loaded again is a new matrix to the engine.
+  ASSERT_TRUE(engine.Load(m).ok());
+  auto reloaded = engine.Solve({}, &first->basis);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->stats.refactorizations, 1);
+  EXPECT_EQ(reloaded->stats.reused_factorizations, 0);
+  ExpectSameSolve(reloaded, SolveLp(m, {}, &first->basis), "reloaded");
+  EXPECT_EQ(reloaded->x, again->x);
+}
+
 // --- Time limit -----------------------------------------------------------
 
 TEST(SimplexTest, TimeLimitIsEnforcedInsidePivotLoop) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
 #include <map>
+#include <memory>
+#include <random>
+#include <string>
 
 #include "core/lp_formulation.h"
 #include "core/objective.h"
@@ -216,11 +222,16 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
   EXPECT_LT(report->rerounded_units, all_units);
 }
 
-/// A resolve answered from the served state runs no LP at all, so it is
-/// the only kind of resolve that reports zero refactorizations.
+/// A resolve answered from the served state. Its zero refactorizations
+/// do not identify it: a full resolve that reuses the engine's LU reports
+/// zero as well.
 bool Reused(const ResolveReport& report) {
-  return report.path == ResolvePath::kIncremental &&
-         report.refactorizations == 0;
+  if (report.reused) {
+    EXPECT_EQ(report.path, ResolvePath::kIncremental);
+    EXPECT_EQ(report.refactorizations, 0);
+    EXPECT_EQ(report.lp_stats.reused_factorizations, 0);
+  }
+  return report.reused;
 }
 
 Result<ResolveReport> ResolveOnce(Session* session) {
@@ -372,6 +383,34 @@ TEST(OnlineSessionTest, ForcedVerifyOfAReusedAnswerAuditsItOnce) {
   EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
 }
 
+TEST(OnlineSessionTest, HeldVerifyJobIsReservedAndSnapshotsTheResolve) {
+  MetricsRegistry metrics;
+  VerifierOptions verify_options;
+  verify_options.sample_every = 0;  // forced requests only
+  SolutionVerifier verifier(&metrics, verify_options);
+  SessionOptions options;
+  options.verifier = &verifier;
+  Session session(RandomInstance(10, 16, 2, 0.5, 7), options);
+  ASSERT_TRUE(ResolveOnce(&session).ok());
+  {
+    ScopedForceVerify force(true);
+    ScopedHoldVerify hold;
+    ASSERT_TRUE(ResolveOnce(&session).ok());
+  }
+  // Reserved but held: Flush() waits for it.
+  auto flushed = std::async(std::launch::async, [&] { verifier.Flush(); });
+  EXPECT_EQ(flushed.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  // The next command hands the job over before it mutates anything, so
+  // the audit sees the resolved instance, not one whose LP gained a
+  // filler column per user for the new item.
+  auto added = session.Apply(MakeAddItem());
+  flushed.get();
+  ASSERT_TRUE(added.ok());
+  EXPECT_EQ(metrics.GetCounter("verify.pass")->value(), 1);
+  EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
+}
+
 TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
   // Regression: the served configuration predates the added item, so the
   // retire path must not probe config slots for the new id.
@@ -397,6 +436,165 @@ TEST(OnlineSessionTest, RejectsInvalidMutations) {
   EXPECT_FALSE(session.Apply(MakeLambda(1.5)).ok());
   EXPECT_FALSE(session.Apply(MakeLeave(-1)).ok());
   EXPECT_FALSE(session.Apply(MakeRetireItem(99)).ok());
+}
+
+TEST(OnlineSessionTest, RefusesNonFiniteMutationValuesAsANoOp) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<SessionCommand> refused;
+  // p and tau are stored as floats: 1e39 would become +inf.
+  for (double bad : {nan, inf, 1e39}) {
+    refused.push_back(MakePref(0, 1, bad));
+    refused.push_back(MakeTau(0, 1, 1, bad));
+  }
+  // At 1e-310, (1 - lambda) / lambda overflows.
+  for (double bad : {nan, inf, -inf, 1e-310}) {
+    refused.push_back(MakeLambda(bad));
+  }
+  Session session(RandomInstance(8, 12, 2, 0.5, 3));
+  ASSERT_TRUE(session.Resolve().ok());
+  for (const SessionCommand& command : refused) {
+    const uint64_t before = SessionStateDigest(session.CaptureState());
+    auto outcome = session.Apply(command);
+    ASSERT_FALSE(outcome.ok()) << CommandTypeName(command.type) << " "
+                               << command.value;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(SessionStateDigest(session.CaptureState()), before);
+    auto report = ResolveOnce(&session);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(std::isfinite(report->lp_objective));
+    EXPECT_TRUE(std::isfinite(report->scaled_total));
+  }
+}
+
+TEST(SessionWorkTest, ExactWorkOfASeededStreamIsPinned) {
+  // A seeded stream with every command type. The LP engine is a memo, so
+  // at every resolve the live session must agree with a FromState copy,
+  // whose engine starts empty, on the answer and the resulting state; and
+  // the work the live session does is pinned exactly: LP rebuilds, basis
+  // projections, factorizations, reused LUs and pivots.
+  const SvgicInstance base = RandomInstance(12, 20, 3, 0.5, 31);
+  EventStreamParams params;
+  params.num_mutations = 120;
+  params.resolve_every = 3;
+  params.seed = 31;
+  CommandLog stream{MakeResolve()};
+  for (const SessionCommand& command : GenerateEventStream(base, params)) {
+    stream.push_back(command);
+    // Back-to-back resolves: a 0-pivot solve makes the next one a reuse.
+    if (command.type == CommandType::kResolve) stream.push_back(command);
+  }
+  std::map<CommandType, int> types;
+  for (const SessionCommand& command : stream) ++types[command.type];
+  EXPECT_EQ(types.size(), 9u) << "every command type must occur";
+
+  Session live(base);
+  int resolves = 0, reused = 0, rebuilds = 0, projections = 0;
+  int64_t factorizations = 0, reused_lus = 0, pivots = 0;
+  for (const SessionCommand& command : stream) {
+    if (command.type != CommandType::kResolve) {
+      ASSERT_TRUE(live.Apply(command).ok()) << CommandTypeName(command.type);
+      continue;
+    }
+    auto copy = Session::FromState(live.CaptureState(), {});
+    auto got = ResolveOnce(&live);
+    auto want = ResolveOnce(copy.get());
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_TRUE(want->lp_rebuilt);
+    EXPECT_EQ(want->lp_stats.reused_factorizations, 0);
+    EXPECT_EQ(got->path, want->path);
+    EXPECT_EQ(got->pivots, want->pivots);
+    EXPECT_EQ(got->lp_objective, want->lp_objective);
+    EXPECT_EQ(got->scaled_total, want->scaled_total);
+    EXPECT_EQ(got->rerounded_units, want->rerounded_units);
+    EXPECT_EQ(SessionStateDigest(live.CaptureState()),
+              SessionStateDigest(copy->CaptureState()))
+        << "resolve " << live.num_resolves();
+    if (!got->reused) {
+      // The memo only skips work: each LU is either built or reused.
+      EXPECT_EQ(got->refactorizations + got->lp_stats.reused_factorizations,
+                want->refactorizations);
+    }
+    ++resolves;
+    reused += got->reused ? 1 : 0;
+    rebuilds += got->lp_rebuilt ? 1 : 0;
+    projections += got->basis_projected ? 1 : 0;
+    factorizations += got->refactorizations;
+    reused_lus += got->lp_stats.reused_factorizations;
+    pivots += got->pivots;
+  }
+  EXPECT_EQ(resolves, 81);
+  EXPECT_EQ(reused, 5);
+  EXPECT_EQ(rebuilds, 31);  // the cold first resolve + 30 key changes
+  EXPECT_EQ(projections, 30);
+  EXPECT_EQ(factorizations, 214);
+  EXPECT_EQ(reused_lus, 12);
+  EXPECT_EQ(pivots, 1556);
+}
+
+TEST(SessionFuzzTest, CorruptCommandsAreRefusedOrApplyAndResolve) {
+  // Bit-flipped and truncated encodings of a captured stream, with a fixed
+  // seed. Each must be refused by DecodeCommand with InvalidArgument, or
+  // decode into a command Session::Apply applies or refuses with a Status;
+  // after every applied command a resolve must succeed with a finite
+  // objective. The session restarts from the base instance every 100
+  // trials, so joins and added items cannot grow it without bound.
+  const SvgicInstance base = RandomInstance(8, 12, 2, 0.5, 21);
+  EventStreamParams params;
+  params.num_mutations = 80;
+  params.resolve_every = 4;
+  params.seed = 21;
+  std::vector<std::string> encodings;
+  for (const SessionCommand& command : GenerateEventStream(base, params)) {
+    encodings.emplace_back();
+    EncodeCommand(command, &encodings.back());
+  }
+  std::mt19937_64 rng(2026);
+  std::unique_ptr<Session> session;
+  int undecodable = 0;
+  int refused = 0;
+  int applied = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    if (trial % 100 == 0) {
+      session = std::make_unique<Session>(base);
+      ASSERT_TRUE(session->Resolve().ok());
+    }
+    std::string bytes = encodings[rng() % encodings.size()];
+    if (rng() % 4 == 0) {
+      bytes.resize(rng() % bytes.size());
+    } else {
+      for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
+        bytes[rng() % bytes.size()] ^= static_cast<char>(1u << (rng() % 8));
+      }
+    }
+    size_t consumed = 0;
+    auto command = DecodeCommand(bytes.data(), bytes.size(), &consumed);
+    if (!command.ok()) {
+      EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument);
+      ++undecodable;
+      continue;
+    }
+    EXPECT_LE(consumed, bytes.size());
+    if (!session->Apply(*command).ok()) {
+      ++refused;
+      continue;
+    }
+    ++applied;
+    auto report = ResolveOnce(session.get());
+    const std::string what = "trial " + std::to_string(trial) + " " +
+                             CommandTypeName(command->type) + " u " +
+                             std::to_string(command->u) + " v " +
+                             std::to_string(command->v) + " c " +
+                             std::to_string(command->c) + " value " +
+                             ::testing::PrintToString(command->value);
+    ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+    ASSERT_TRUE(std::isfinite(report->lp_objective)) << what;
+    ASSERT_TRUE(std::isfinite(report->scaled_total)) << what;
+  }
+  EXPECT_GT(undecodable, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(applied, 0);
 }
 
 TEST(BasisProjectionTest, IdentityProjectionIsExact) {

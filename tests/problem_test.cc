@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/configuration.h"
 #include "core/problem.h"
 #include "graph/generators.h"
@@ -26,6 +28,32 @@ TEST(ProblemTest, ValidateCatchesNegativePreference) {
   inst.set_p(0, 0, -0.5);
   inst.FinalizePairs();
   EXPECT_FALSE(inst.Validate().ok());
+}
+
+TEST(ProblemTest, ValidateRefusesNonFiniteValuesAndNanLambda) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // p is stored as a float: a finite double above FLT_MAX becomes +inf.
+  for (double p : {nan, inf, 1e39}) {
+    SvgicInstance inst(SocialGraph(2), 3, 2, 0.5);
+    inst.set_p(0, 0, p);
+    inst.FinalizePairs();
+    EXPECT_EQ(inst.Validate().code(), StatusCode::kInvalidArgument) << p;
+  }
+  for (double tau : {nan, inf, 1e39}) {
+    SocialGraph g(2);
+    const EdgeId uv = *g.AddEdge(0, 1);
+    SvgicInstance inst(g, 3, 2, 0.5);
+    inst.set_tau(uv, 1, tau);
+    inst.FinalizePairs();
+    EXPECT_EQ(inst.Validate().code(), StatusCode::kInvalidArgument) << tau;
+  }
+  for (double lambda : {nan, -inf, inf, -0.1, 1e-310}) {
+    SvgicInstance inst(SocialGraph(2), 3, 2, lambda);
+    inst.FinalizePairs();
+    EXPECT_EQ(inst.Validate().code(), StatusCode::kInvalidArgument)
+        << lambda;
+  }
 }
 
 TEST(ProblemTest, ValidateRequiresFinalize) {

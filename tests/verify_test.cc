@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "lp/kkt.h"
 #include "lp/lp_model.h"
@@ -154,20 +155,50 @@ TEST(SolutionVerifierTest, InvalidConfigFails) {
   EXPECT_EQ(metrics.GetCounter("verify.fail.config")->value(), 1);
 }
 
+/// A job auditing a solve of the instance's compact LP, which the worker
+/// builds from the instance itself.
+VerifyJob MakeLpJob(const SvgicInstance& inst) {
+  VerifyJob job = MakeJob(inst);
+  CompactLpMap map;
+  auto lp = BuildCompactLp(inst, &map);
+  EXPECT_TRUE(lp.ok()) << lp.status();
+  auto sol = SolveLp(*lp);
+  EXPECT_TRUE(sol.ok()) << sol.status();
+  job.audit_lp = true;
+  job.x = sol->x;
+  job.duals = sol->dual_values;
+  return job;
+}
+
+TEST(SolutionVerifierTest, OptimalSolveOfTheInstanceLpPassesTheKktAudit) {
+  MetricsRegistry metrics;
+  SolutionVerifier verifier(&metrics);
+  verifier.Enqueue(MakeLpJob(MakePaperExample(0.5)));
+  verifier.Flush();
+  EXPECT_EQ(metrics.GetCounter("verify.pass")->value(), 1);
+  EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
+}
+
 TEST(SolutionVerifierTest, BadDualsFailTheKktAudit) {
   MetricsRegistry metrics;
   SolutionVerifier verifier(&metrics);
-  const SvgicInstance inst = MakePaperExample(0.5);
-  VerifyJob job = MakeJob(inst);
-  job.has_lp = true;
-  job.lp = TinyLp();
-  job.x = {0.0, 1.0};
-  job.duals = {-2.0};  // wrong sign
+  VerifyJob job = MakeLpJob(MakePaperExample(0.5));
+  for (double& dual : job.duals) dual = -2.0 - dual;  // wrong sign
   verifier.Enqueue(std::move(job));
   verifier.Flush();
   EXPECT_EQ(metrics.GetCounter("verify.fail")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("verify.fail.kkt")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("verify.kkt_audits")->value(), 1);
+}
+
+TEST(SolutionVerifierTest, MisshapenLpPayloadFailsTheKktAudit) {
+  MetricsRegistry metrics;
+  SolutionVerifier verifier(&metrics);
+  VerifyJob job = MakeLpJob(MakePaperExample(0.5));
+  job.x.pop_back();  // not a point of the instance's LP
+  verifier.Enqueue(std::move(job));
+  verifier.Flush();
+  EXPECT_EQ(metrics.GetCounter("verify.fail.kkt")->value(), 1);
 }
 
 TEST(SolutionVerifierTest, InjectedFailureTripsTheFailCounter) {
