@@ -277,6 +277,12 @@ void SvgicInstance::RefinalizePairs(const std::vector<UserId>& dirty_users) {
   finalized_ = true;
 }
 
+double SvgicInstance::MaxPreference() const {
+  float max_p = 0.0f;
+  for (float v : preference_) max_p = std::max(max_p, v);
+  return max_p;
+}
+
 Status SvgicInstance::Validate() const {
   if (num_items_ <= 0) return Status::InvalidArgument("num_items must be > 0");
   if (num_slots_ <= 0) return Status::InvalidArgument("num_slots must be > 0");
@@ -288,9 +294,6 @@ Status SvgicInstance::Validate() const {
   if (!(lambda_ >= 0.0 && lambda_ <= 1.0)) {  // NaN included
     return Status::InvalidArgument("lambda must be in [0, 1]");
   }
-  if (lambda_ > 0.0 && !std::isfinite(PreferenceScale(lambda_))) {
-    return Status::InvalidArgument("lambda too small to scale preferences");
-  }
   if (preference_.size() !=
       static_cast<size_t>(num_users()) * num_items_) {
     return Status::InvalidArgument("preference matrix has wrong size");
@@ -300,6 +303,10 @@ Status SvgicInstance::Validate() const {
       return Status::InvalidArgument(
           "preference utilities must be finite and >= 0");
     }
+  }
+  if (lambda_ > 0.0 && !ScalesFinitely(lambda_, MaxPreference())) {
+    return Status::InvalidArgument(
+        "lambda too small to scale preferences finitely");
   }
   for (const auto& entries : tau_) {
     for (const ItemValue& iv : entries) {

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -84,6 +85,13 @@ class SvgicInstance {
   static double PreferenceScale(double lambda) {
     return (1.0 - lambda) / lambda;
   }
+  /// True when a preference p scales finitely under lambda: a finite
+  /// lambda and p can still overflow ScaledP together (1e-300 and 3e38).
+  static bool ScalesFinitely(double lambda, double p) {
+    return std::isfinite(PreferenceScale(lambda) * p);
+  }
+  /// The largest preference utility (0 for an empty instance).
+  double MaxPreference() const;
 
   /// Social utility tau(u, v, c) for the directed edge id `e`.
   double TauOf(EdgeId e, ItemId c) const;

@@ -50,11 +50,11 @@ bool IsSet(double x) { return x != 0.0 || std::signbit(x); }
 // reach over row-wise index lists of U and L, which Factorize() links as
 // it appends each entry. A reach past n / kDenseReachDivisor abandons the
 // search and runs the full loop, and so does a solve handed no pattern.
-// The eta file is walked in full: its cost is O(eta nonzeros), not O(n),
-// and eta_ops_since_factor() still charges all of it per solve, so the
-// refactorization rule fires where it did with the full loops. Update()
-// builds its eta from the pattern Ftran returned, so a pivot's eta costs
-// its nonzeros too.
+// The eta file is walked in full, O(eta count) per solve: Btran's gather
+// streams every eta term, Ftran only the terms of etas whose pivot entry
+// is nonzero, and eta_ops_since_factor() charges exactly the entries each
+// streamed. Update() builds its eta from the pattern Ftran returned, so a
+// pivot's eta costs its nonzeros too.
 
 void BasisFactorization::DiscardEtas() {
   eta_pos_.clear();
@@ -336,7 +336,6 @@ Status BasisFactorization::Update(const std::vector<double>& w,
 bool BasisFactorization::FtranFrom(std::vector<double>* v,
                                    const std::vector<int>* in,
                                    std::vector<int>* out) const {
-  eta_ops_since_factor_ += static_cast<int64_t>(eta_rows_.size());
   solve_visits_ = 0;
   double* x = v->data();
   double* z = z_.data();
@@ -394,6 +393,7 @@ bool BasisFactorization::FtranFrom(std::vector<double>* v,
   }
   // Product-form eta file, forward order.
   const int num_etas = static_cast<int>(eta_pos_.size());
+  int64_t streamed = num_etas;
   for (int e = 0; e < num_etas; ++e) {
     double& vp = x[eta_pos_[e]];
     if (vp == 0.0) continue;
@@ -402,7 +402,7 @@ bool BasisFactorization::FtranFrom(std::vector<double>* v,
     for (int64_t i = eta_off_[e]; i < eta_off_[e + 1]; ++i) {
       x[eta_rows_[i]] -= eta_vals_[i] * t;
     }
-    solve_visits_ += eta_off_[e + 1] - eta_off_[e];
+    streamed += eta_off_[e + 1] - eta_off_[e];
     if (!track) continue;
     for (int64_t i = eta_off_[e]; i < eta_off_[e + 1]; ++i) {
       const int row = eta_rows_[i];
@@ -411,15 +411,16 @@ bool BasisFactorization::FtranFrom(std::vector<double>* v,
       out->push_back(row);
     }
   }
-  solve_visits_ += num_etas;
+  solve_visits_ += streamed;
+  eta_ops_since_factor_ += streamed;
   if (track) std::sort(out->begin(), out->end());
   return track;
 }
 
 void BasisFactorization::BtranFrom(std::vector<double>* v,
                                    const std::vector<int>* in) const {
-  eta_ops_since_factor_ += static_cast<int64_t>(eta_rows_.size());
-  solve_visits_ = static_cast<int64_t>(eta_rows_.size() + eta_pos_.size());
+  solve_visits_ = eta_nonzeros();
+  eta_ops_since_factor_ += solve_visits_;
   double* x = v->data();
   double* z = z_.data();
   // Eta file, reverse order. Accumulation (gather) form: each segment

@@ -22,11 +22,10 @@
 // fraction of n runs the full zero-skipping loops instead.
 //
 // When to refactorize is the caller's policy decision; the factorization
-// exports the deterministic work counters that policy needs
-// (eta_nonzeros, factor_nonzeros, factor_ops, eta_ops_since_factor). The
-// simplex's adaptive refactorization rule (lp/simplex.h) is built on these
-// counters rather than wall-clock measurements so that solve paths stay
-// bit-reproducible across machines and thread counts.
+// exports the deterministic work counters that policy needs (factor_ops,
+// eta_ops_since_factor). The simplex's rent-or-buy rule (lp/simplex.cc)
+// prices them in measured nanoseconds rather than reading a clock, so
+// solve paths stay bit-reproducible across machines and thread counts.
 
 #pragma once
 
@@ -124,36 +123,32 @@ class BasisFactorization {
   /// Product-form eta terms accumulated since the last Factorize().
   int eta_count() const { return static_cast<int>(eta_pos_.size()); }
 
-  // --- deterministic work counters for adaptive refactorization ---------
+  // --- deterministic work counters for the refactorization rule --------
 
-  /// Nonzeros currently stored in the product-form eta file. The direct
-  /// measure of eta density: every Ftran/Btran pays one multiply-add per
-  /// eta nonzero on top of the factor solve.
+  /// Nonzeros currently stored in the product-form eta file, pivots
+  /// included: what one Btran streams on top of the factor solve.
   int64_t eta_nonzeros() const {
     return static_cast<int64_t>(eta_rows_.size()) +
            static_cast<int64_t>(eta_pos_.size());
   }
 
-  /// Nonzeros of the L and U factors (plus diagonal): the per-solve cost
-  /// of a freshly factorized basis, the baseline eta growth is judged
-  /// against.
+  /// Nonzeros of the L and U factors (plus diagonal): what a full-loop
+  /// solve of a freshly factorized basis streams.
   int64_t factor_nonzeros() const {
     return static_cast<int64_t>(l_rows_.size()) +
            static_cast<int64_t>(u_ks_.size()) + n_;
   }
 
   /// Arithmetic term visits of the most recent Factorize(): basis
-  /// nonzeros loaded, L terms folded in, and rows touched per column —
-  /// what one refactorization costs in the same unit as
-  /// eta_ops_since_factor(). It excludes the left-looking pass's pivot
-  /// visits (heap work) and the O(n) setup, and stays that way because the
-  /// adaptive refactor policy prices a refactorization with it.
+  /// nonzeros loaded, L terms folded in, and rows touched per column (2n
+  /// for an all-slack basis). The refactorization rule prices an LU by
+  /// it; the pivot visits grow in proportion, so the price per op
+  /// carries them.
   int64_t factor_ops() const { return factor_ops_; }
 
   /// Earlier pivots the most recent Factorize()'s left-looking pass
   /// visited, summed over columns: the count that shows the pass is linear
-  /// in the nonzeros rather than quadratic in the dimension. Read-only;
-  /// no policy uses it.
+  /// in the nonzeros rather than quadratic in the dimension. Read-only.
   int64_t factor_pivot_visits() const { return factor_pivot_visits_; }
 
   /// Entries the most recent Ftran or Btran visited: its input pattern, the
@@ -163,10 +158,10 @@ class BasisFactorization {
   /// no policy uses it.
   int64_t solve_visits() const { return solve_visits_; }
 
-  /// Accumulated eta-file work performed by Ftran/Btran calls since the
-  /// last Factorize(): the extra solve cost the eta chain has already
-  /// charged. Once this exceeds factor_ops(), refactorizing earlier would
-  /// have been cheaper (the rent-or-buy trigger of the adaptive policy).
+  /// Eta entries the Ftran/Btran calls since the last Factorize() (or
+  /// DiscardEtas()) streamed: one per eta visited plus the terms of every
+  /// eta applied. Btran applies every eta; Ftran skips an eta whose pivot
+  /// entry is zero. The rent the eta file has charged so far.
   int64_t eta_ops_since_factor() const { return eta_ops_since_factor_; }
 
  private:

@@ -128,10 +128,7 @@ struct LpStats {
   // Candidate-list pricing effectiveness (phase 2).
   int64_t candidate_hits = 0;       ///< pivots priced from the list alone
   int64_t full_pricing_scans = 0;   ///< full scans (rebuilds + optimality)
-  // Eta-file state at solve end, the observable the adaptive
-  // refactorization policy acts on (ROADMAP: eta chains in long serving
-  // sessions). Summing across solves gives totals; divide by solves for
-  // the mean chain length.
+  // Eta-file state at solve end; summed across solves by operator+=.
   int64_t eta_count = 0;      ///< product-form etas pending at solve end
   int64_t eta_nonzeros = 0;   ///< their stored nonzeros at solve end
   int64_t refactorizations = 0;  ///< basis (re)factorizations performed

@@ -24,13 +24,24 @@ constexpr double kInfeasAccept = 1e-6;
 constexpr double kNoTimeLimit = 1e17;
 /// Minimum |pivot element| the dual ratio test accepts.
 constexpr double kDualPivotTol = 1e-9;
-/// Refactorize once eta_nonzeros exceeds this multiple of the LU factor
-/// nonzeros (every solve then pays more for the eta file than for a fresh
-/// factorization's triangles).
-constexpr double kEtaDensityLimit = 1.0;
-/// Refactorize once the eta work spent since the last factorization
-/// exceeds this multiple of one factorization's cost (rent-or-buy).
-constexpr double kEtaOpsMultiplier = 1.0;
+/// Rent-or-buy prices in ns per unit of a work counter, measured on cold
+/// solves of the compact LPs of Timik 20x40x3 s1/s3, Yelp 20x200x5 s2 and
+/// Yelp 40x2000x10 s8 (Release, 2.1 GHz Xeon):
+///  - rent: per eta entry streamed, a pivot's unit-row Btran, column Ftran
+///    and c_B Btran cost 1.0-2.5 ns (1.8 over the four LPs) more than the
+///    same calls on a fresh LU of the same basis, as much at 10 etas as at
+///    100 (Btran's eta loop alone is 0.9-1.4; the rest is the reach the
+///    etas widen);
+///  - Factorize: 21-22 per row of an all-slack basis (factor_ops = 2n),
+///    plus 8.3-9.8 per further op on the optimal bases (13 at 40x2000x10);
+///    the pass visits 0.39-0.46 pivots per such op, so the op price
+///    carries them;
+///  - ComputeBasicValues' pass and Ftran plus the full pricing scan a
+///    refactorization forces: 14-19 per column of A (29 at 40x2000x10).
+constexpr double kEtaEntryNs = 1.8;
+constexpr double kFactorOpNs = 9.0;
+constexpr double kFactorRowNs = 3.0;
+constexpr double kColumnNs = 16.0;
 
 }  // namespace
 
@@ -407,22 +418,18 @@ class RevisedSimplex {
     return Status::OK();
   }
 
-  /// Adaptive refactorization trigger: fold the eta file back into a
-  /// fresh LU when it outgrew the factors (density) or has already charged
-  /// more Ftran/Btran work than a refactorization costs (rent-or-buy), with
-  /// refactor_interval as the hard cap. Every input is a deterministic
-  /// work counter — no wall clock — so the decision replays identically
-  /// across machines and worker counts.
+  /// Rent-or-buy refactorization, with refactor_interval as the hard cap:
+  /// fold the eta file back into a fresh LU once the eta entries streamed
+  /// since the last factorization cost more than a new one would. Every
+  /// input is a deterministic work counter — no wall clock — so the
+  /// decision replays identically across machines and worker counts.
   bool ShouldRefactor() const {
     const int etas = factor_.eta_count();
     if (etas == 0) return false;
     if (etas >= opt_.refactor_interval) return true;
-    if (static_cast<double>(factor_.eta_nonzeros()) >
-        kEtaDensityLimit * static_cast<double>(factor_.factor_nonzeros())) {
-      return true;
-    }
-    return static_cast<double>(factor_.eta_ops_since_factor()) >
-           kEtaOpsMultiplier * static_cast<double>(factor_.factor_ops());
+    return kEtaEntryNs * factor_.eta_ops_since_factor() >
+           kFactorOpNs * factor_.factor_ops() + kFactorRowNs * num_rows_ +
+               kColumnNs * num_cols_;
   }
 
   void ComputeBasicValues() {

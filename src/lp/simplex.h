@@ -9,7 +9,7 @@
 //    storage (lp/basis_lu.h ColumnMatrix), with a logical (slack)
 //    variable per row — no artificial variables,
 //  * one basis factorization (lp/basis_lu.h): a sparse LU with
-//    product-form eta updates per pivot and adaptive refactorization,
+//    product-form eta updates per pivot and rent-or-buy refactorization,
 //  * a composite phase 1 that minimizes the sum of primal infeasibilities
 //    from any starting basis — which is what makes warm starts work: a
 //    caller can hand SolveLp() the final basis of a related model (a
@@ -60,11 +60,11 @@ struct SimplexOptions {
   /// Feasibility / reduced-cost tolerance.
   double tolerance = 1e-9;
   /// Hard cap on eta updates between refactorizations (numerical
-  /// hygiene). The engine usually refactorizes earlier: once the eta file
-  /// holds more nonzeros than the LU factors, or once the eta work
-  /// Ftran/Btran spent since the last factorization exceeds what one
-  /// factorization costs (the rent-or-buy rule). Every trigger is a
-  /// deterministic work counter (lp/basis_lu.h), never wall-clock, so
+  /// hygiene). The engine usually refactorizes earlier, by one rule: once
+  /// the eta entries Ftran/Btran streamed since the last factorization
+  /// cost more than a new one, its set-up and the passes it forces (the
+  /// rent-or-buy rule, priced in measured nanoseconds per work counter).
+  /// The counters are deterministic (lp/basis_lu.h), never wall-clock, so
   /// solves stay bit-reproducible across machines.
   int refactor_interval = 256;
   /// Switch to Bland's rule after this many non-improving iterations.

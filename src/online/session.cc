@@ -116,6 +116,12 @@ Status Session::ApplyPref(UserId u, ItemId c, double value) {
     return Status::InvalidArgument(
         "preference must be finite and >= 0 as a float");
   }
+  if (instance_.lambda() > 0.0 &&
+      !SvgicInstance::ScalesFinitely(instance_.lambda(),
+                                     static_cast<float>(value))) {
+    return Status::InvalidArgument(
+        "preference too large to scale finitely under the session lambda");
+  }
   instance_.set_p(u, c, value);
   MarkDirty(u);
   return Status::OK();
@@ -181,7 +187,7 @@ Status Session::ApplyLeave(UserId u) {
 
 Status Session::ApplyLambda(double lambda) {
   if (!(lambda > 0.0 && lambda <= 1.0) ||  // NaN included
-      !std::isfinite(SvgicInstance::PreferenceScale(lambda))) {
+      !SvgicInstance::ScalesFinitely(lambda, instance_.MaxPreference())) {
     return Status::InvalidArgument(
         "session lambda must stay in (0, 1] (the compact LP needs "
         "lambda > 0) and scale preferences finitely");

@@ -1210,10 +1210,12 @@ TEST(RecoveryTest, FailedResolveLeavesServedStateAndJournalUntouched) {
   const uint64_t digest_before = Digest(session);
   const uint64_t seq_before = (*journal)->seq();
 
-  // Injected LP failure: with one simplex iteration the re-solve cannot
-  // finish. The served configuration, basis, RNG, dirty flags and the
-  // journal must all come through untouched.
-  session.set_max_lp_iterations(1);
+  // Injected LP failure: with no simplex iteration allowed the re-solve
+  // cannot finish, even where the served basis is still optimal (the
+  // iteration limit is checked before phase 2 prices). The served
+  // configuration, basis, RNG, dirty flags and the journal must all come
+  // through untouched.
+  session.set_max_lp_iterations(0);
   auto failed = session.Apply(MakeResolve());
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);

@@ -189,7 +189,7 @@ TEST(FormatGoldenTest, SessionStateDigestAndSnapshotHeader) {
   char digest[17];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(SessionStateDigest(state)));
-  EXPECT_EQ(std::string(digest), "fb9625205170af4e");
+  EXPECT_EQ(std::string(digest), "8309deefc6b01596");
 
   const std::string dir = ::testing::TempDir() + "/savg_format_golden_svgs";
   ASSERT_TRUE(EnsureDirectory(dir).ok());
@@ -203,7 +203,7 @@ TEST(FormatGoldenTest, SessionStateDigestAndSnapshotHeader) {
             // "SVGS" | version 1 | session 5 | epoch 1 | applied_seq 10
             // | payload_len 5315 | payload crc32 | header crc32
             "535647530100000005000000010000000a00000000000000"
-            "c31400000000000082c9e9419cf8d4cf");
+            "c31400000000000071d50de8653623db");
   std::remove(path.c_str());
 }
 

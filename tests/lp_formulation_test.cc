@@ -282,7 +282,8 @@ TEST(LpFormulationTest, AutoRoutingKeepsTheTwoCapRowMeasure) {
     EXPECT_EQ(CompactLpRowCount(*inst),
               inst->num_users() + 2 * NumEntries(*inst));
   }
-  EXPECT_EQ(ChooseRelaxationMethod(timik, options), RelaxationMethod::kSimplex);
+  EXPECT_EQ(ChooseRelaxationMethod(timik, options),
+            RelaxationMethod::kSimplex);
   EXPECT_EQ(ChooseRelaxationMethod(yelp, options), RelaxationMethod::kSimplex);
   EXPECT_EQ(ChooseRelaxationMethod(large, options),
             RelaxationMethod::kSubgradient);

@@ -1586,10 +1586,10 @@ TEST(LuFactorTest, SolvesPayForTheirReachNotForN) {
 }
 
 TEST(AdaptiveRefactorTest, BoundsEtaGrowthWithoutTheHardCap) {
-  // With the refactor_interval cap lifted, only the density and
-  // rent-or-buy triggers fold the eta file back into the LU. The deleted
-  // fixed-interval rule, uncapped the same way, solved this LP in 90
-  // pivots with 1 refactorization and left 88 etas pending.
+  // With the refactor_interval cap lifted, only the rent-or-buy rule
+  // folds the eta file back into the LU. The deleted fixed-interval rule,
+  // uncapped the same way, solved this LP in 90 pivots with 1
+  // refactorization and left 88 etas pending.
   Rng rng(31337);
   LpModel m;
   const int num_vars = 120, num_rows = 60;
@@ -1612,10 +1612,34 @@ TEST(AdaptiveRefactorTest, BoundsEtaGrowthWithoutTheHardCap) {
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_NEAR(a->objective, b->objective, 1e-6);
-  EXPECT_EQ(b->iterations, 108);
-  EXPECT_EQ(b->stats.refactorizations, 23);
+  EXPECT_EQ(b->iterations, 80);
+  EXPECT_EQ(b->stats.refactorizations, 7);
   // LpStats surfaces the eta-file state: the chain stays short.
-  EXPECT_EQ(b->stats.eta_count, 3);
+  EXPECT_EQ(b->stats.eta_count, 10);
+}
+
+TEST(AdaptiveRefactorTest, PlanningLpRefactorizesByWork) {
+  // The cold solve of a serving session's planning LP (Timik 20x40x3 seed
+  // 1, 1820 rows). The old eta-ops price refactorized it every ~10
+  // pivots: 1224 pivots, 119 refactorizations.
+  DatasetParams params;
+  params.kind = DatasetKind::kTimik;
+  params.num_users = 20;
+  params.num_items = 40;
+  params.num_slots = 3;
+  params.seed = 1;
+  auto instance = GenerateDataset(params);
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  CompactLpMap map;
+  auto lp = BuildCompactLp(*instance, &map);
+  ASSERT_TRUE(lp.ok()) << lp.status();
+  ASSERT_EQ(lp->num_rows(), 1820);
+  auto sol = SolveLp(*lp);
+  ASSERT_TRUE(sol.ok()) << sol.status();
+  CertifyOptimum(*lp, *sol, "timik 20x40x3 s1");
+  EXPECT_NEAR(sol->objective, 143.401501089, 1e-9 * 143.401501089);
+  EXPECT_EQ(sol->iterations, 1331);
+  EXPECT_EQ(sol->stats.refactorizations, 27);
 }
 
 }  // namespace

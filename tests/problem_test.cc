@@ -54,6 +54,13 @@ TEST(ProblemTest, ValidateRefusesNonFiniteValuesAndNanLambda) {
     EXPECT_EQ(inst.Validate().code(), StatusCode::kInvalidArgument)
         << lambda;
   }
+  // A finite lambda and p whose scaled product overflows.
+  SvgicInstance scaled(SocialGraph(2), 3, 2, 1e-300);
+  scaled.set_p(0, 0, 3e38);
+  scaled.FinalizePairs();
+  EXPECT_EQ(scaled.Validate().code(), StatusCode::kInvalidArgument);
+  scaled.set_p(0, 0, 1.0);
+  EXPECT_TRUE(scaled.Validate().ok());
 }
 
 TEST(ProblemTest, ValidateRequiresFinalize) {
