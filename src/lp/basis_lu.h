@@ -132,8 +132,8 @@ class BasisFactorization {
            static_cast<int64_t>(eta_pos_.size());
   }
 
-  /// Nonzeros of the L and U factors (plus diagonal): what a full-loop
-  /// solve of a freshly factorized basis streams.
+  /// Nonzeros of the L and U factors plus the diagonal. No policy reads
+  /// it; LuFactorTest bounds the left-looking pass by it.
   int64_t factor_nonzeros() const {
     return static_cast<int64_t>(l_rows_.size()) +
            static_cast<int64_t>(u_ks_.size()) + n_;

@@ -249,7 +249,7 @@ class Session {
   /// the simplex iteration count of every subsequent resolve (the
   /// per-solve limit, not cumulative). The resolve-failure path must leave
   /// the served configuration, basis and RNG untouched; the regression
-  /// test drives that with a limit of 0, which fails every solve.
+  /// test drives that with limits of 0 and 1.
   void set_max_lp_iterations(int max_iterations) {
     options_.simplex.max_iterations = max_iterations;
     served_answer_.reset();  // the limit may fail the full path

@@ -1206,21 +1206,24 @@ TEST(RecoveryTest, FailedResolveLeavesServedStateAndJournalUntouched) {
     ASSERT_TRUE(s->Apply(MakeResolve()).ok());
     ASSERT_TRUE(s->Apply(MakePref(1, 2, 0.8)).ok());
     ASSERT_TRUE(s->Apply(MakeTau(0, 3, 1, 0.6)).ok());
+    // The lambda change moves the optimum several pivots away, so the
+    // failure below strikes after the session's engine has pivoted.
+    ASSERT_TRUE(s->Apply(MakeLambda(0.3)).ok());
   }
   const uint64_t digest_before = Digest(session);
   const uint64_t seq_before = (*journal)->seq();
 
-  // Injected LP failure: with no simplex iteration allowed the re-solve
-  // cannot finish, even where the served basis is still optimal (the
-  // iteration limit is checked before phase 2 prices). The served
-  // configuration, basis, RNG, dirty flags and the journal must all come
-  // through untouched.
-  session.set_max_lp_iterations(0);
-  auto failed = session.Apply(MakeResolve());
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(Digest(session), digest_before);
-  EXPECT_EQ((*journal)->seq(), seq_before);  // failures are never journaled
+  // Injected LP failure: with no simplex iteration, or with one, the
+  // re-solve cannot finish. The served configuration, basis, RNG, dirty
+  // flags and the journal must all come through untouched.
+  for (int limit : {0, 1}) {
+    session.set_max_lp_iterations(limit);
+    auto failed = session.Apply(MakeResolve());
+    ASSERT_FALSE(failed.ok()) << "limit " << limit;
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(Digest(session), digest_before);
+    EXPECT_EQ((*journal)->seq(), seq_before);  // failures are never journaled
+  }
 
   // Lifting the limit, the session resumes exactly where the control is:
   // same resolve outcome, same state.
@@ -1229,6 +1232,9 @@ TEST(RecoveryTest, FailedResolveLeavesServedStateAndJournalUntouched) {
   auto control_after = control.Apply(MakeResolve());
   ASSERT_TRUE(after.ok()) << after.status();
   ASSERT_TRUE(control_after.ok());
+  // The same re-solve needs at least two pivots, so the one-iteration
+  // failure above gave up after pivoting once, away from the served basis.
+  EXPECT_GE(control_after->report.pivots, 2);
   EXPECT_EQ(after->report.pivots, control_after->report.pivots);
   EXPECT_EQ(after->report.scaled_total, control_after->report.scaled_total);
   EXPECT_EQ(Digest(session), Digest(control));
