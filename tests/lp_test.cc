@@ -741,6 +741,57 @@ TEST(SimplexEngineTest, LoadForgetsTheFactorization) {
   EXPECT_EQ(reloaded->x, again->x);
 }
 
+TEST(SimplexEngineTest, FailedSolveLeavesNothingStale) {
+  // A solve stopped by its iteration limit after a pivot leaves the LU of
+  // its starting basis with an eta file on it. Solving again from that
+  // basis must reuse the LU with the etas dropped, and nothing else the
+  // failed solve left (statuses, basic values, duals) may reach the
+  // answer: it must match a fresh SolveLp bit for bit.
+  DatasetParams params;
+  params.kind = DatasetKind::kTimik;
+  params.num_users = 12;
+  params.num_items = 20;
+  params.num_slots = 3;
+  params.seed = 5;
+  auto instance = GenerateDataset(params);
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  CompactLpMap map;
+  auto lp = BuildCompactLp(*instance, &map);
+  ASSERT_TRUE(lp.ok()) << lp.status();
+  auto first = SolveLp(*lp);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const LpBasis basis = first->basis;
+
+  // Reweigh the objective so the old optimum is several pivots away.
+  LpModel edited = *lp;
+  std::vector<double> objective(edited.num_vars()), upper(edited.num_vars());
+  for (int j = 0; j < edited.num_vars(); ++j) {
+    edited.SetObjectiveCoefficient(j,
+                                   edited.objective(j) * (1.0 + (j * 7) % 5));
+    objective[j] = edited.objective(j);
+    upper[j] = edited.upper(j);
+  }
+  const auto want = SolveLp(edited, {}, &basis);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GE(want->iterations, 3);
+
+  for (int limit : {1, 2}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    SimplexEngine engine;
+    ASSERT_TRUE(engine.Load(*lp).ok());
+    engine.SetValues(objective, upper);
+    SimplexOptions limited;
+    limited.max_iterations = limit;
+    auto failed = engine.Solve(limited, &basis);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+    auto got = engine.Solve({}, &basis);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->stats.reused_factorizations, 1);
+    ExpectSameSolve(got, want, "after a failed solve");
+  }
+}
+
 // --- Time limit -----------------------------------------------------------
 
 TEST(SimplexTest, TimeLimitIsEnforcedInsidePivotLoop) {
@@ -1064,6 +1115,66 @@ TEST(SubgradientTest, LargeRelaxationBitsArePinned) {
   // objective 872.0344655817667
   EXPECT_EQ(DoubleBits(warm->objective), 0x408b404695e41434ull);
   EXPECT_GE(warm->objective, cold->objective);
+}
+
+// FNV-1a 64 over the status byte of every column of a basis.
+uint64_t BasisDigest(const LpBasis& basis) {
+  uint64_t hash = 1469598103934665603ull;
+  for (const auto* part : {&basis.structural, &basis.logical}) {
+    for (VarBasisStatus s : *part) {
+      hash ^= static_cast<uint8_t>(s);
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// Pins every bit of the cold simplex answer of three planning LPs (the
+// compact LPs perfbench plans): the point, the row duals, the basis, the
+// objective and the pivot count. Bookkeeping changes in the simplex must
+// leave all of them as they are.
+TEST(SimplexBitsTest, ColdPlanningAnswersArePinned) {
+  struct Pin {
+    DatasetKind kind;
+    int users, items, slots;
+    uint64_t seed;
+    uint64_t x, duals, basis, objective;
+    int pivots;
+  };
+  const Pin pins[] = {
+      {DatasetKind::kTimik, 20, 40, 3, 1, 0xefb0d2b207c18f83ull,
+       0xcb5715f51e28bd9dull, 0x6e373ecf78b67becull, 0x4061ecd918d00000ull,
+       1331},
+      {DatasetKind::kTimik, 20, 40, 3, 3, 0xdbf566f885586b83ull,
+       0xc547609f839f0158ull, 0xc7d99ab527b19207ull, 0x406116bc8e600000ull,
+       899},
+      {DatasetKind::kYelp, 20, 200, 5, 2, 0x810b1d0fb90834a3ull,
+       0x0c3589c0ef215c72ull, 0x19f911255cf04672ull, 0x406a69dc9d500000ull,
+       1174},
+  };
+  for (const Pin& pin : pins) {
+    DatasetParams params;
+    params.kind = pin.kind;
+    params.num_users = pin.users;
+    params.num_items = pin.items;
+    params.num_slots = pin.slots;
+    params.seed = pin.seed;
+    auto instance = GenerateDataset(params);
+    ASSERT_TRUE(instance.ok()) << instance.status();
+    CompactLpMap map;
+    auto lp = BuildCompactLp(*instance, &map);
+    ASSERT_TRUE(lp.ok()) << lp.status();
+    auto sol = SolveLp(*lp);
+    ASSERT_TRUE(sol.ok()) << sol.status();
+    SCOPED_TRACE(std::to_string(pin.users) + "x" + std::to_string(pin.items) +
+                 "x" + std::to_string(pin.slots) + " seed " +
+                 std::to_string(pin.seed));
+    EXPECT_EQ(BitsDigest(sol->x), pin.x);
+    EXPECT_EQ(BitsDigest(sol->dual_values), pin.duals);
+    EXPECT_EQ(BasisDigest(sol->basis), pin.basis);
+    EXPECT_EQ(DoubleBits(sol->objective), pin.objective);
+    EXPECT_EQ(sol->iterations, pin.pivots);
+  }
 }
 
 TEST(SubgradientTest, RejectsBadInput) {

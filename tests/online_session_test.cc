@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <map>
@@ -481,13 +482,11 @@ TEST(OnlineSessionTest, RefusesNonFiniteMutationValuesAsANoOp) {
   }
 }
 
-TEST(SessionWorkTest, ExactWorkOfASeededStreamIsPinned) {
-  // A seeded stream with every command type. The LP engine is a memo, so
-  // at every resolve the live session must agree with a FromState copy,
-  // whose engine starts empty, on the answer and the resulting state; and
-  // the work the live session does is pinned exactly: LP rebuilds, basis
-  // projections, factorizations, reused LUs and pivots.
-  const SvgicInstance base = RandomInstance(12, 20, 3, 0.5, 31);
+/// The base instance of SessionWorkTest's seeded stream.
+SvgicInstance WorkStreamBase() { return RandomInstance(12, 20, 3, 0.5, 31); }
+
+/// A seeded stream with every command type over WorkStreamBase().
+CommandLog WorkStream(const SvgicInstance& base) {
   EventStreamParams params;
   params.num_mutations = 120;
   params.resolve_every = 3;
@@ -498,6 +497,17 @@ TEST(SessionWorkTest, ExactWorkOfASeededStreamIsPinned) {
     // Back-to-back resolves: a 0-pivot solve makes the next one a reuse.
     if (command.type == CommandType::kResolve) stream.push_back(command);
   }
+  return stream;
+}
+
+TEST(SessionWorkTest, ExactWorkOfASeededStreamIsPinned) {
+  // A seeded stream with every command type. The LP engine is a memo, so
+  // at every resolve the live session must agree with a FromState copy,
+  // whose engine starts empty, on the answer and the resulting state; and
+  // the work the live session does is pinned exactly: LP rebuilds, basis
+  // projections, factorizations, reused LUs and pivots.
+  const SvgicInstance base = WorkStreamBase();
+  const CommandLog stream = WorkStream(base);
   std::map<CommandType, int> types;
   for (const SessionCommand& command : stream) ++types[command.type];
   EXPECT_EQ(types.size(), 9u) << "every command type must occur";
@@ -545,6 +555,84 @@ TEST(SessionWorkTest, ExactWorkOfASeededStreamIsPinned) {
   EXPECT_EQ(factorizations, 95);
   EXPECT_EQ(reused_lus, 12);
   EXPECT_EQ(pivots, 1560);
+}
+
+/// FNV-1a 64, fed the bits of doubles and the bytes of basis statuses.
+class BitsHash {
+ public:
+  void Add(const std::vector<double>& values) {
+    for (double v : values) {
+      unsigned char bytes[sizeof(double)];
+      std::memcpy(bytes, &v, sizeof(double));
+      for (unsigned char b : bytes) Byte(b);
+    }
+  }
+  void Add(const LpBasis& basis) {
+    for (VarBasisStatus s : basis.structural) Byte(static_cast<uint8_t>(s));
+    for (VarBasisStatus s : basis.logical) Byte(static_cast<uint8_t>(s));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 1099511628211ull;
+  }
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+TEST(SessionWorkTest, LpAnswerBitsOfASeededStreamArePinned) {
+  // Every LP answer of SessionWorkTest's stream, bit for bit: the point,
+  // the row duals and the basis of each solving resolve. A mirror engine
+  // re-solves each resolve's LP the way the session does (the refreshed
+  // LP of the instance it solved, warm from the basis it held when the
+  // path was incremental), so it sees the same loads, value edits and
+  // reused LUs; it must agree with the live resolve's objective, pivots
+  // and stored basis, and the digests of its answers are pinned.
+  const SvgicInstance base = WorkStreamBase();
+  const CommandLog stream = WorkStream(base);
+  Session live(base);
+  CompactLpEngine mirror;
+  BitsHash x_hash, dual_hash, basis_hash;
+  int solves = 0;
+  for (const SessionCommand& command : stream) {
+    if (command.type != CommandType::kResolve) {
+      ASSERT_TRUE(live.Apply(command).ok()) << CommandTypeName(command.type);
+      continue;
+    }
+    const SessionState before = live.CaptureState();
+    auto report = ResolveOnce(&live);
+    ASSERT_TRUE(report.ok()) << report.status();
+    if (report->reused) continue;
+    const SessionState after = live.CaptureState();
+    ASSERT_TRUE(mirror.Refresh(after.instance).ok());
+    LpBasis projected;
+    const LpBasis* warm = nullptr;
+    if (report->path == ResolvePath::kIncremental) {
+      const bool same_keys = before.keys.cols == mirror.keys().cols &&
+                             before.keys.rows == mirror.keys().rows;
+      projected = same_keys ? before.basis
+                            : ProjectCompactBasis(before.basis, before.keys,
+                                                  mirror.keys());
+      warm = &projected;
+    }
+    auto sol = mirror.simplex().Solve(SessionOptions().simplex, warm);
+    ASSERT_TRUE(sol.ok()) << sol.status();
+    const std::string what = "resolve " + std::to_string(live.num_resolves());
+    ASSERT_EQ(sol->objective, report->lp_objective) << what;
+    ASSERT_EQ(sol->iterations, report->pivots) << what;
+    ASSERT_EQ(sol->stats.refactorizations, report->refactorizations) << what;
+    ASSERT_EQ(sol->basis.structural, after.basis.structural) << what;
+    ASSERT_EQ(sol->basis.logical, after.basis.logical) << what;
+    x_hash.Add(sol->x);
+    dual_hash.Add(sol->dual_values);
+    basis_hash.Add(sol->basis);
+    ++solves;
+  }
+  EXPECT_EQ(solves, 73);
+  EXPECT_EQ(x_hash.value(), 0x96a1517ee2daf95aull);
+  EXPECT_EQ(dual_hash.value(), 0xce83043fbc200d97ull);
+  EXPECT_EQ(basis_hash.value(), 0xcc34815dc253fc42ull);
 }
 
 TEST(SessionFuzzTest, CorruptCommandsAreRefusedOrApplyAndResolve) {
