@@ -14,7 +14,20 @@ namespace savg {
 
 namespace {
 
-enum class VarStatus : uint8_t { kBasic, kAtLower, kAtUpper };
+/// A column's place in the basis, numbered as VarBasisStatus so that the
+/// two convert by a cast.
+enum class VarStatus : uint8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
+static_assert(static_cast<int>(VarStatus::kAtLower) ==
+                  static_cast<int>(VarBasisStatus::kNonbasicLower) &&
+              static_cast<int>(VarStatus::kAtUpper) ==
+                  static_cast<int>(VarBasisStatus::kNonbasicUpper) &&
+              static_cast<int>(VarStatus::kBasic) ==
+                  static_cast<int>(VarBasisStatus::kBasic));
+
+/// Sign under which a column's reduced cost d must exceed the tolerance
+/// for it to enter, by status: + at lower, - at upper, 0 when basic (so a
+/// basic column never passes). Indexed by VarStatus.
+constexpr double kPriceSign[] = {1.0, -1.0, 0.0};
 
 /// Per-variable bound violation below this is treated as feasible.
 constexpr double kFeasTolerance = 1e-8;
@@ -184,12 +197,15 @@ class RevisedSimplex {
       }
     }
 
-    // Phase 1: restore primal feasibility (no-op when already feasible).
-    cost_.assign(num_cols_, 0.0);
-    const int before_phase1 = total_iterations_;
-    Status p1 = Iterate(&timer, /*phase1=*/true);
-    if (!p1.ok()) return p1;
-    phase1_iterations_ = total_iterations_ - before_phase1;
+    // Phase 1: restore primal feasibility. It would stop before its first
+    // pivot on a feasible basis, so it runs only on an infeasible one.
+    if (!PrimalFeasible()) {
+      std::fill(cost_.begin(), cost_.end(), 0.0);
+      const int before_phase1 = total_iterations_;
+      Status p1 = Iterate(&timer, /*phase1=*/true);
+      if (!p1.ok()) return p1;
+      phase1_iterations_ = total_iterations_ - before_phase1;
+    }
 
     // Phase 2: optimize the real objective.
     SetPhase2Cost();
@@ -198,8 +214,8 @@ class RevisedSimplex {
 
     setup.Reset();
     LpSolution sol;
-    sol.x.resize(n_struct_);
-    for (int j = 0; j < n_struct_; ++j) sol.x[j] = Value(j);
+    LoadStructuralValues();
+    sol.x.assign(values_.begin(), values_.begin() + n_struct_);
     double objective = 0.0;
     for (int j = 0; j < n_struct_; ++j) objective += obj_[j] * sol.x[j];
     sol.objective = objective;
@@ -222,12 +238,13 @@ class RevisedSimplex {
 
   /// Clears everything one solve leaves behind except the factorization,
   /// which Refactorize() reuses only for the basis it was made from.
+  /// status_, basis_ and cost_ are only sized: the start basis and each
+  /// phase write every entry before any read.
   void ResetSolveState() {
-    status_.assign(num_cols_, VarStatus::kAtLower);
-    cost_.assign(num_cols_, 0.0);
-    basis_.assign(num_rows_, -1);
+    status_.resize(num_cols_);
+    cost_.resize(num_cols_);
+    basis_.resize(num_rows_);
     pos_of_basic_.assign(num_cols_, -1);
-    basic_value_.assign(num_rows_, 0.0);
     cand_.clear();
     cand_score_.clear();
     warm_used_ = false;
@@ -258,47 +275,38 @@ class RevisedSimplex {
         !warm_->Compatible(n_struct_, num_rows_)) {
       return false;
     }
-    auto apply = [&](int col, VarBasisStatus s) {
-      switch (s) {
-        case VarBasisStatus::kBasic:
-          status_[col] = VarStatus::kBasic;
-          break;
-        case VarBasisStatus::kNonbasicUpper:
-          status_[col] = std::isfinite(upper_[col]) ? VarStatus::kAtUpper
-                                                    : VarStatus::kAtLower;
-          break;
-        case VarBasisStatus::kNonbasicLower:
-          status_[col] = VarStatus::kAtLower;
-          break;
+    // Statuses by selects, and the basic columns collected into listed_
+    // without a branch: both vary at random from column to column.
+    std::vector<int>& basics = listed_;
+    basics.resize(num_cols_);
+    int count = 0;
+    auto apply = [&](const std::vector<VarBasisStatus>& from, int first) {
+      const int size = static_cast<int>(from.size());
+      for (int i = 0; i < size; ++i) {
+        const int col = first + i;
+        const bool basic = from[i] == VarBasisStatus::kBasic;
+        // An upper status on an unbounded column means its lower bound.
+        const bool at_upper = (from[i] == VarBasisStatus::kNonbasicUpper) &
+                              std::isfinite(upper_[col]);
+        status_[col] = static_cast<VarStatus>(2 * basic + at_upper);
+        basics[count] = col;
+        count += basic;
       }
     };
-    for (int j = 0; j < n_struct_; ++j) apply(j, warm_->structural[j]);
-    for (int i = 0; i < num_rows_; ++i) {
-      apply(n_struct_ + i, warm_->logical[i]);
-    }
-
-    std::vector<int> basics;
-    basics.reserve(num_rows_);
-    for (int j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) basics.push_back(j);
-    }
+    apply(warm_->structural, 0);
+    apply(warm_->logical, n_struct_);
     // Too many: demote from the tail (logicals first, keeping the
     // structural part of the warm basis). Too few: promote nonbasic
     // logicals.
-    while (static_cast<int>(basics.size()) > num_rows_) {
-      status_[basics.back()] = VarStatus::kAtLower;
-      basics.pop_back();
-    }
-    for (int i = 0; i < num_rows_ &&
-                    static_cast<int>(basics.size()) < num_rows_;
-         ++i) {
+    while (count > num_rows_) status_[basics[--count]] = VarStatus::kAtLower;
+    for (int i = 0; i < num_rows_ && count < num_rows_; ++i) {
       const int logical = n_struct_ + i;
       if (status_[logical] != VarStatus::kBasic) {
         status_[logical] = VarStatus::kBasic;
-        basics.push_back(logical);
+        basics[count++] = logical;
       }
     }
-    if (static_cast<int>(basics.size()) != num_rows_) return false;
+    if (count != num_rows_) return false;
     for (int i = 0; i < num_rows_; ++i) {
       basis_[i] = basics[i];
       pos_of_basic_[basics[i]] = i;
@@ -311,50 +319,44 @@ class RevisedSimplex {
   /// phase-2 internal cost, mapped back through the internal
   /// sign-normalizations (objective sense s, >=-row negation s_i) so that
   /// c_j - sum_i y_i a_ij is structural j's reduced cost in the original
-  /// model. Called at the end of Run(), when cost_ is the phase-2 vector.
+  /// model. Called at the end of Run(): phase 2 has just proved optimality
+  /// by a full pricing scan, whose y_ is that very solve, made on the same
+  /// basis, factorization and phase-2 cost_.
   std::vector<double> ExportDuals() const {
-    std::vector<double> y(num_rows_, 0.0);
-    std::vector<int> nz;
-    if (LoadBasicCosts(&y, &nz)) factor_.Btran(&y, nz);
+    std::vector<double> y(num_rows_);
     const double sense = maximize_ ? 1.0 : -1.0;
-    for (int i = 0; i < num_rows_; ++i) y[i] *= sense * row_sign_[i];
+    for (int i = 0; i < num_rows_; ++i) y[i] = y_[i] * (sense * row_sign_[i]);
     return y;
   }
 
   LpBasis ExportBasis() const {
+    auto map = [](VarStatus s) { return static_cast<VarBasisStatus>(s); };
     LpBasis basis;
-    auto map = [](VarStatus s) {
-      switch (s) {
-        case VarStatus::kBasic:
-          return VarBasisStatus::kBasic;
-        case VarStatus::kAtUpper:
-          return VarBasisStatus::kNonbasicUpper;
-        case VarStatus::kAtLower:
-          break;
-      }
-      return VarBasisStatus::kNonbasicLower;
-    };
     basis.structural.resize(n_struct_);
-    for (int j = 0; j < n_struct_; ++j) basis.structural[j] = map(status_[j]);
+    std::transform(status_.begin(), status_.begin() + n_struct_,
+                   basis.structural.begin(), map);
     basis.logical.resize(num_rows_);
-    for (int i = 0; i < num_rows_; ++i) {
-      basis.logical[i] = map(status_[n_struct_ + i]);
-    }
+    std::transform(status_.begin() + n_struct_, status_.end(),
+                   basis.logical.begin(), map);
     return basis;
   }
 
   // ---- accessors ----------------------------------------------------------
 
+  /// The value of a nonbasic column: the bound its status names.
   double Value(int j) const {
-    switch (status_[j]) {
-      case VarStatus::kBasic:
-        return basic_value_[pos_of_basic_[j]];
-      case VarStatus::kAtLower:
-        return lower_[j];
-      case VarStatus::kAtUpper:
-        return upper_[j];
+    return status_[j] == VarStatus::kAtUpper ? upper_[j] : lower_[j];
+  }
+
+  /// values_[j] := the current value of every structural column j: its
+  /// bound by a select, then the basic values scattered over it (those of
+  /// basic logicals into the spare slot values_[n_struct_], unread).
+  void LoadStructuralValues() {
+    values_.resize(n_struct_ + 1);
+    for (int j = 0; j < n_struct_; ++j) values_[j] = Value(j);
+    for (int pos = 0; pos < num_rows_; ++pos) {
+      values_[std::min(basis_[pos], n_struct_)] = basic_value_[pos];
     }
-    return 0.0;
   }
 
   void SetPhase2Cost() {
@@ -363,17 +365,21 @@ class RevisedSimplex {
     for (int j = 0; j < n_struct_; ++j) cost_[j] = sign * obj_[j];
   }
 
-  /// Loads c_B into the all-zero vector *y and lists its nonzero
-  /// positions in *nz. Returns false when every basic cost is zero.
+  /// Writes c_B into *y (num_rows_ entries; a -0.0 cost as +0.0) and lists
+  /// its nonzero positions in *nz. Returns false when every basic cost is
+  /// zero.
   bool LoadBasicCosts(std::vector<double>* y, std::vector<int>* nz) const {
-    nz->clear();
+    nz->resize(num_rows_);
+    int count = 0;
     for (int pos = 0; pos < num_rows_; ++pos) {
       const double cb = cost_[basis_[pos]];
-      if (cb == 0.0) continue;
-      (*y)[pos] = cb;
-      nz->push_back(pos);
+      const bool nonzero = cb != 0.0;
+      (*y)[pos] = nonzero ? cb : 0.0;  // a -0.0 cost stays out of y
+      (*nz)[count] = pos;
+      count += nonzero;
     }
-    return !nz->empty();
+    nz->resize(count);
+    return count > 0;
   }
 
   /// Loads column j into the all-zero vector *v and lists its rows in *nz.
@@ -432,16 +438,28 @@ class RevisedSimplex {
                kColumnNs * num_cols_;
   }
 
+  /// A nonbasic logical sits at 0, the one finite bound it has, so only
+  /// the nonbasic structural columns off 0 move the rhs. They are listed
+  /// first, by selects and without a branch (statuses vary at random from
+  /// column to column).
   void ComputeBasicValues() {
-    std::vector<double> r = rhs_;
-    for (int j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double v = Value(j);
-      if (v == 0.0) continue;
-      for (const auto& [row, a] : cols_[j]) r[row] -= a * v;
+    listed_.resize(n_struct_);
+    values_.resize(n_struct_ + 1);
+    int count = 0;
+    for (int j = 0; j < n_struct_; ++j) {
+      const double v = status_[j] == VarStatus::kBasic ? 0.0 : Value(j);
+      listed_[count] = j;
+      values_[count] = v;
+      count += v != 0.0;
     }
-    factor_.Ftran(&r);
-    basic_value_ = std::move(r);
+    basic_value_.assign(rhs_.begin(), rhs_.end());
+    for (int i = 0; i < count; ++i) {
+      const double v = values_[i];
+      for (const auto& [row, a] : cols_[listed_[i]]) {
+        basic_value_[row] -= a * v;
+      }
+    }
+    factor_.Ftran(&basic_value_);
   }
 
   bool PrimalFeasible() const {
@@ -466,23 +484,28 @@ class RevisedSimplex {
 
   // ---- dual simplex --------------------------------------------------------
 
-  /// Recomputes every nonbasic reduced cost d_j = c_j - y' A_j from
-  /// scratch into d_ (basic entries 0).
+  /// Recomputes every reduced cost d_j = c_j - y' A_j from scratch into
+  /// d_. The dual simplex reads d_ of nonbasic columns only, so basic ones
+  /// are computed too rather than tested for.
   void RecomputeReducedCosts() {
     Timer t;
-    std::vector<double> y(num_rows_, 0.0);
+    std::vector<double> y(num_rows_);
     const bool any = LoadBasicCosts(&y, &nz_);
     if (any) factor_.Btran(&y, nz_);
     stats_.btran_seconds += t.ElapsedSeconds();
     t.Reset();
-    d_.assign(num_cols_, 0.0);
-    for (int j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
+    d_.resize(num_cols_);
+    for (int j = 0; j < n_struct_; ++j) {
       double d = cost_[j];
       if (any) {
         for (const auto& [row, a] : cols_[j]) d -= y[row] * a;
       }
       d_[j] = d;
+    }
+    for (int i = 0; i < num_rows_; ++i) {
+      // A logical's one entry: 1.0 on its own row.
+      d_[n_struct_ + i] = any ? cost_[n_struct_ + i] - y[i]
+                              : cost_[n_struct_ + i];
     }
     stats_.pricing_seconds += t.ElapsedSeconds();
   }
@@ -495,10 +518,12 @@ class RevisedSimplex {
     RecomputeReducedCosts();
     const double dtol = 10.0 * opt_.tolerance;
     for (int j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      if (upper_[j] - lower_[j] < opt_.tolerance) continue;  // fixed
-      if (status_[j] == VarStatus::kAtLower && d_[j] > dtol) return false;
-      if (status_[j] == VarStatus::kAtUpper && d_[j] < -dtol) return false;
+      // Basic columns never pass the signed test (kPriceSign); fixed ones
+      // are dual-feasible whatever d.
+      if (kPriceSign[static_cast<int>(status_[j])] * d_[j] > dtol &&
+          !(upper_[j] - lower_[j] < opt_.tolerance)) {
+        return false;
+      }
     }
     return true;
   }
@@ -530,6 +555,7 @@ class RevisedSimplex {
     double best_infeas = 1e300;
     int bad_pivots = 0;
     std::vector<double> rho(num_rows_), w(num_rows_), alpha(num_cols_, 0.0);
+    w_nz_.clear();  // w is all zero outside w_nz_
     std::vector<double> flip_rhs(num_rows_);
     struct DualCandidate {
       int col;
@@ -654,7 +680,7 @@ class RevisedSimplex {
       // are applied, so an aborted pivot leaves the iterate untouched
       // (flips are only dual-feasible together with the dual step).
       phase_timer.Reset();
-      w.assign(num_rows_, 0.0);
+      for (int pos : w_nz_) w[pos] = 0.0;
       LoadColumn(entering, &w, &w_nz_);
       if (!factor_.Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
@@ -782,11 +808,21 @@ class RevisedSimplex {
     return infeas;
   }
 
-  double CurrentObjective() const {
+  /// Sum of cost_[j] * x_j over the columns whose value is not 0, in
+  /// column order. Phase 2 only: logicals cost 0 there, and adding their
+  /// terms (+-0.0) to a sum that starts at +0.0 would change no bit.
+  double CurrentObjective() {
+    LoadStructuralValues();
+    listed_.resize(n_struct_);
+    int count = 0;
+    for (int j = 0; j < n_struct_; ++j) {
+      listed_[count] = j;
+      count += values_[j] != 0.0;
+    }
     double acc = 0.0;
-    for (int j = 0; j < num_cols_; ++j) {
-      const double v = Value(j);
-      if (v != 0.0) acc += cost_[j] * v;
+    for (int i = 0; i < count; ++i) {
+      const int j = listed_[i];
+      acc += cost_[j] * values_[j];
     }
     return acc;
   }
@@ -841,17 +877,17 @@ class RevisedSimplex {
     }
   }
 
-  /// Full pricing scan: recomputes y = B^-T c_B and every nonbasic reduced
-  /// cost. Returns the entering column (Bland: first eligible; otherwise
-  /// best Devex score) or -1 when none is eligible (optimal). With
-  /// `rebuild_list` the top-scored eligible columns are kept as the new
-  /// candidate list.
-  int FullPricingScan(bool bland, bool rebuild_list, std::vector<double>* y,
-                      int* direction, double* d_enter) {
+  /// Full pricing scan: recomputes y_ = B^-T c_B and every nonbasic
+  /// reduced cost. Returns the entering column (Bland: first eligible;
+  /// otherwise best Devex score) or -1 when none is eligible (optimal).
+  /// With `rebuild_list` the top-scored eligible columns are kept as the
+  /// new candidate list.
+  int FullPricingScan(bool bland, bool rebuild_list, int* direction,
+                      double* d_enter) {
     Timer phase_timer;
-    y->assign(num_rows_, 0.0);
-    const bool any_cost = LoadBasicCosts(y, &nz_);
-    if (any_cost) factor_.Btran(y, nz_);
+    y_.resize(num_rows_);
+    const bool any_cost = LoadBasicCosts(&y_, &nz_);
+    if (any_cost) factor_.Btran(&y_, nz_);
     stats_.btran_seconds += phase_timer.ElapsedSeconds();
 
     phase_timer.Reset();
@@ -862,20 +898,22 @@ class RevisedSimplex {
     *direction = 0;
     double best_score = 0.0;
     for (int j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      if (upper_[j] - lower_[j] < opt_.tolerance) continue;  // fixed
       double d = cost_[j];
       if (any_cost) {
-        for (const auto& [row, a] : cols_[j]) d -= (*y)[row] * a;
+        if (j < n_struct_) {
+          for (const auto& [row, a] : cols_[j]) d -= y_[row] * a;
+        } else {
+          d -= y_[j - n_struct_];  // a logical's one entry: 1.0 on its row
+        }
       }
-      int dir = 0;
-      if (status_[j] == VarStatus::kAtLower && d > opt_.tolerance) {
-        dir = +1;
-      } else if (status_[j] == VarStatus::kAtUpper && d < -opt_.tolerance) {
-        dir = -1;
-      } else {
+      // One test rules out basic and ineligible columns alike (d is then
+      // unused); only the few that pass check for a fixed column.
+      const VarStatus status = status_[j];
+      if (!(kPriceSign[static_cast<int>(status)] * d > opt_.tolerance)) {
         continue;
       }
+      if (upper_[j] - lower_[j] < opt_.tolerance) continue;  // fixed
+      const int dir = status == VarStatus::kAtLower ? +1 : -1;
       if (bland) {  // first eligible index
         entering = j;
         *direction = dir;
@@ -919,7 +957,8 @@ class RevisedSimplex {
     // Finite sentinel: StallSlack(-inf) would poison the comparison.
     double last_obj = -1e300;
     devex_.assign(num_cols_, 1.0);
-    std::vector<double> y(num_rows_), w(num_rows_), rho;
+    std::vector<double> w(num_rows_), rho;
+    w_nz_.clear();  // w is all zero outside w_nz_
     // Partial pricing only applies to phase 2: the composite phase-1 cost
     // vector changes every iteration, which invalidates incrementally
     // maintained reduced costs.
@@ -964,8 +1003,8 @@ class RevisedSimplex {
         if (entering >= 0) ++stats_.candidate_hits;
       }
       if (entering < 0) {
-        entering = FullPricingScan(bland, partial && !bland, &y, &direction,
-                                   &d_enter);
+        entering =
+            FullPricingScan(bland, partial && !bland, &direction, &d_enter);
       }
       if (entering < 0) {
         if (!phase1) return Status::OK();  // optimal
@@ -976,7 +1015,7 @@ class RevisedSimplex {
 
       // Direction in basic space: w = B^-1 A_e.
       Timer phase_timer;
-      w.assign(num_rows_, 0.0);
+      for (int pos : w_nz_) w[pos] = 0.0;
       LoadColumn(entering, &w, &w_nz_);
       if (!factor_.Ftran(&w, &w_nz_)) ListAllRows(&w_nz_);
       stats_.ftran_seconds += phase_timer.ElapsedSeconds();
@@ -1209,8 +1248,15 @@ class RevisedSimplex {
   std::vector<int> basis_;          ///< position -> basic column
   std::vector<int> pos_of_basic_;   ///< column -> position (or -1)
   std::vector<double> basic_value_;  ///< position -> value of its basic var
+  /// y = B^-T c_B of the latest full pricing scan: at the end of a solve,
+  /// the one that proved optimality.
+  std::vector<double> y_;
+  /// Scratch of the whole-column passes: the columns a pass lists (the
+  /// warm start's basic columns, the nonzero ones) and structural values.
+  std::vector<int> listed_;
+  std::vector<double> values_;
   std::vector<double> devex_;        ///< Devex reference weights
-  std::vector<double> d_;            ///< dual simplex: nonbasic reduced costs
+  std::vector<double> d_;  ///< dual simplex: reduced costs (nonbasic read)
   std::vector<double> dual_gamma_;   ///< dual Devex row weights (per position)
 
   /// Partial-pricing candidate list (+ scores during a rebuild scan).
