@@ -763,32 +763,51 @@ TEST(SimplexEngineTest, FailedSolveLeavesNothingStale) {
   const LpBasis basis = first->basis;
 
   // Reweigh the objective so the old optimum is several pivots away.
-  LpModel edited = *lp;
-  std::vector<double> objective(edited.num_vars()), upper(edited.num_vars());
-  for (int j = 0; j < edited.num_vars(); ++j) {
-    edited.SetObjectiveCoefficient(j,
-                                   edited.objective(j) * (1.0 + (j * 7) % 5));
-    objective[j] = edited.objective(j);
-    upper[j] = edited.upper(j);
+  struct Edit {
+    LpModel model;
+    std::vector<double> objective, upper;
+    Result<LpSolution> want;
+  };
+  auto reweigh = [&](int mul, int mod) {
+    LpModel model = *lp;
+    std::vector<double> objective, upper;
+    for (int j = 0; j < model.num_vars(); ++j) {
+      model.SetObjectiveCoefficient(
+          j, model.objective(j) * (1.0 + (j * mul) % mod));
+      objective.push_back(model.objective(j));
+      upper.push_back(model.upper(j));
+    }
+    auto want = SolveLp(model, {}, &basis);
+    return Edit{std::move(model), std::move(objective), std::move(upper),
+                std::move(want)};
+  };
+  const Edit edits[] = {reweigh(7, 5), reweigh(3, 4)};
+  for (const Edit& edit : edits) {
+    ASSERT_TRUE(edit.want.ok()) << edit.want.status();
+    ASSERT_GE(edit.want->iterations, 3);
   }
-  const auto want = SolveLp(edited, {}, &basis);
-  ASSERT_TRUE(want.ok()) << want.status();
-  ASSERT_GE(want->iterations, 3);
 
+  // The failed solve runs under the first edit; the next solve under the
+  // same values, or under the second edit (what the failed solve computed
+  // for the same basis under other costs must not leak either).
   for (int limit : {1, 2}) {
-    SCOPED_TRACE("limit " + std::to_string(limit));
-    SimplexEngine engine;
-    ASSERT_TRUE(engine.Load(*lp).ok());
-    engine.SetValues(objective, upper);
-    SimplexOptions limited;
-    limited.max_iterations = limit;
-    auto failed = engine.Solve(limited, &basis);
-    ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
-    auto got = engine.Solve({}, &basis);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->stats.reused_factorizations, 1);
-    ExpectSameSolve(got, want, "after a failed solve");
+    for (const Edit& next : edits) {
+      SCOPED_TRACE("limit " + std::to_string(limit) +
+                   (&next == &edits[0] ? ", same values" : ", new values"));
+      SimplexEngine engine;
+      ASSERT_TRUE(engine.Load(*lp).ok());
+      engine.SetValues(edits[0].objective, edits[0].upper);
+      SimplexOptions limited;
+      limited.max_iterations = limit;
+      auto failed = engine.Solve(limited, &basis);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+      engine.SetValues(next.objective, next.upper);
+      auto got = engine.Solve({}, &basis);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->stats.reused_factorizations, 1);
+      ExpectSameSolve(got, next.want, "after a failed solve");
+    }
   }
 }
 
