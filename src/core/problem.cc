@@ -277,12 +277,6 @@ void SvgicInstance::RefinalizePairs(const std::vector<UserId>& dirty_users) {
   finalized_ = true;
 }
 
-double SvgicInstance::MaxPreference() const {
-  float max_p = 0.0f;
-  for (float v : preference_) max_p = std::max(max_p, v);
-  return max_p;
-}
-
 Status SvgicInstance::Validate() const {
   if (num_items_ <= 0) return Status::InvalidArgument("num_items must be > 0");
   if (num_slots_ <= 0) return Status::InvalidArgument("num_slots must be > 0");
@@ -304,9 +298,9 @@ Status SvgicInstance::Validate() const {
           "preference utilities must be finite and >= 0");
     }
   }
-  if (lambda_ > 0.0 && !ScalesFinitely(lambda_, MaxPreference())) {
+  if (lambda_ > 0.0 && !ScalesFinitely(lambda_)) {
     return Status::InvalidArgument(
-        "lambda too small to scale preferences finitely");
+        "lambda too small: scaled preferences could sum past DBL_MAX");
   }
   for (const auto& entries : tau_) {
     for (const ItemValue& iv : entries) {

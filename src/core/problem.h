@@ -80,18 +80,23 @@ class SvgicInstance {
   double ScaledP(UserId u, ItemId c) const {
     return PreferenceScale(lambda_) * p(u, c);
   }
-  /// The factor (1 - lambda)/lambda of ScaledP. It overflows to +inf for
-  /// a positive lambda below ~1/DBL_MAX, which Validate() refuses.
+  /// The factor (1 - lambda)/lambda of ScaledP.
   static double PreferenceScale(double lambda) {
     return (1.0 - lambda) / lambda;
   }
-  /// True when a preference p scales finitely under lambda: a finite
-  /// lambda and p can still overflow ScaledP together (1e-300 and 3e38).
-  static bool ScalesFinitely(double lambda, double p) {
-    return std::isfinite(PreferenceScale(lambda) * p);
+  /// The largest preference scale Validate() accepts. Utilities are finite
+  /// floats, below 2^128, so every term of an objective sum (a scaled
+  /// preference or a social utility, each counted at most twice) is below
+  /// 2^960, and a sum of fewer than 2^53 such terms stays below 2^1015
+  /// with its rounding. No instance that fits in memory holds 2^52
+  /// utilities, so the bound holds whatever utilities later arrive and
+  /// however many users, items and friendships join.
+  static constexpr double kMaxPreferenceScale = 0x1p832;
+  /// True when lambda scales preferences within kMaxPreferenceScale: the
+  /// smallest such lambda is 2^-832, about 3.5e-251.
+  static bool ScalesFinitely(double lambda) {
+    return PreferenceScale(lambda) <= kMaxPreferenceScale;
   }
-  /// The largest preference utility (0 for an empty instance).
-  double MaxPreference() const;
 
   /// Social utility tau(u, v, c) for the directed edge id `e`.
   double TauOf(EdgeId e, ItemId c) const;

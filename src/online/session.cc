@@ -116,12 +116,6 @@ Status Session::ApplyPref(UserId u, ItemId c, double value) {
     return Status::InvalidArgument(
         "preference must be finite and >= 0 as a float");
   }
-  if (instance_.lambda() > 0.0 &&
-      !SvgicInstance::ScalesFinitely(instance_.lambda(),
-                                     static_cast<float>(value))) {
-    return Status::InvalidArgument(
-        "preference too large to scale finitely under the session lambda");
-  }
   instance_.set_p(u, c, value);
   MarkDirty(u);
   return Status::OK();
@@ -187,7 +181,7 @@ Status Session::ApplyLeave(UserId u) {
 
 Status Session::ApplyLambda(double lambda) {
   if (!(lambda > 0.0 && lambda <= 1.0) ||  // NaN included
-      !SvgicInstance::ScalesFinitely(lambda, instance_.MaxPreference())) {
+      !SvgicInstance::ScalesFinitely(lambda)) {
     return Status::InvalidArgument(
         "session lambda must stay in (0, 1] (the compact LP needs "
         "lambda > 0) and scale preferences finitely");

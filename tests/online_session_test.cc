@@ -469,17 +469,27 @@ TEST(OnlineSessionTest, RefusesNonFiniteMutationValuesAsANoOp) {
   for (const SessionCommand& command : refused) {
     expect_refused(&session, command);
   }
-  // Each value is fine alone, but (1 - 1e-300) / 1e-300 * 3e38 overflows
-  // ScaledP: whichever comes second is refused.
+  // The floor on lambda bounds whole objective sums, not single products:
+  // under lambda 1e-300 two preferences of 1.5e8 each scale finitely
+  // (1.5e308) but sum past DBL_MAX. The lambda is refused before or after
+  // them, and the preferences apply either way.
   const SessionCommand tiny_lambda = MakeLambda(1e-300);
-  const SessionCommand huge_pref = MakePref(0, 1, 3e38);
   for (bool lambda_first : {true, false}) {
-    SCOPED_TRACE(lambda_first ? "lambda first" : "preference first");
+    SCOPED_TRACE(lambda_first ? "lambda first" : "preferences first");
     Session paired(RandomInstance(8, 12, 2, 0.5, 3));
-    ASSERT_TRUE(paired.Apply(lambda_first ? tiny_lambda : huge_pref).ok());
-    ASSERT_TRUE(ResolveOnce(&paired).ok());
-    expect_refused(&paired, lambda_first ? huge_pref : tiny_lambda);
+    if (lambda_first) expect_refused(&paired, tiny_lambda);
+    ASSERT_TRUE(paired.Apply(MakePref(0, 1, 1.5e8)).ok());
+    ASSERT_TRUE(paired.Apply(MakePref(0, 2, 1.5e8)).ok());
+    if (!lambda_first) expect_refused(&paired, tiny_lambda);
   }
+  // The smallest accepted lambda scales every preference by 2^832, and
+  // the resolve stays finite.
+  Session at_floor(RandomInstance(8, 12, 2, 0.5, 3));
+  ASSERT_TRUE(at_floor.Apply(MakeLambda(0x1p-832)).ok());
+  auto report = ResolveOnce(&at_floor);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(std::isfinite(report->lp_objective));
+  EXPECT_TRUE(std::isfinite(report->scaled_total));
 }
 
 /// The base instance of SessionWorkTest's seeded stream.

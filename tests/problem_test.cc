@@ -54,13 +54,25 @@ TEST(ProblemTest, ValidateRefusesNonFiniteValuesAndNanLambda) {
     EXPECT_EQ(inst.Validate().code(), StatusCode::kInvalidArgument)
         << lambda;
   }
-  // A finite lambda and p whose scaled product overflows.
+  // A finite lambda whose scale lets float utilities sum past DBL_MAX is
+  // refused whatever the utilities are now, since any may change later.
   SvgicInstance scaled(SocialGraph(2), 3, 2, 1e-300);
   scaled.set_p(0, 0, 3e38);
   scaled.FinalizePairs();
   EXPECT_EQ(scaled.Validate().code(), StatusCode::kInvalidArgument);
   scaled.set_p(0, 0, 1.0);
+  EXPECT_EQ(scaled.Validate().code(), StatusCode::kInvalidArgument);
+  // At the smallest accepted lambda, every utility at FLT_MAX still sums
+  // finitely.
+  scaled.set_lambda(0x1p-832);
+  for (UserId u = 0; u < 2; ++u) {
+    for (ItemId c = 0; c < 3; ++c) {
+      scaled.set_p(u, c, std::numeric_limits<float>::max());
+    }
+  }
   EXPECT_TRUE(scaled.Validate().ok());
+  EXPECT_FALSE(SvgicInstance::ScalesFinitely(
+      std::nextafter(0x1p-832, 0.0)));
 }
 
 TEST(ProblemTest, ValidateRequiresFinalize) {
