@@ -32,7 +32,8 @@ void PrintTables() {
                               benchutil::AlgosOrDefault(true), config,
                               benchutil::WorkerOverride(), &warm);
     benchutil::RecordMetric("fig4 | lambda=" + FormatDouble(lambda, 2),
-                            point_timer.ElapsedSeconds());
+                            point_timer.ElapsedSeconds(),
+                            benchutil::MetricUnit::kSeconds);
     if (!rows.ok()) {
       std::cerr << rows.status() << "\n";
       continue;

@@ -44,7 +44,8 @@ void PrintTables() {
     }
     t.Print("Fig 8(a): execution time vs n (Yelp, m=12, k=3)");
     benchutil::RecordMetric("fig8a | time vs n",
-                            part_a_timer.ElapsedSeconds());
+                            part_a_timer.ElapsedSeconds(),
+                            benchutil::MetricUnit::kSeconds);
   }
   // (b) time vs m, polynomial methods only.
   {

@@ -100,13 +100,17 @@ std::map<int, ColdRun> PrintColdSolves(const std::map<int, LpModel>& lps) {
         .Add(sol->stats.candidate_hits)
         .Add(sol->stats.full_pricing_scans);
     const std::string prefix = "lp engine | m=" + std::to_string(m) + " cold ";
-    benchutil::RecordMetric(prefix + "solve seconds", sol->solve_seconds);
+    benchutil::RecordMetric(prefix + "solve seconds", sol->solve_seconds,
+                            benchutil::MetricUnit::kSeconds);
     benchutil::RecordMetric(prefix + "pricing seconds",
-                            sol->stats.pricing_seconds);
-    benchutil::RecordMetric(prefix + "pricing share", share);
+                            sol->stats.pricing_seconds,
+                            benchutil::MetricUnit::kSeconds);
+    benchutil::RecordMetric(prefix + "pricing share", share,
+                            benchutil::MetricUnit::kRatio);
     // Counts, not seconds: CI holds them under fixed ceilings.
     benchutil::RecordMetric(prefix + "refactorizations",
-                            static_cast<double>(sol->stats.refactorizations));
+                            static_cast<double>(sol->stats.refactorizations),
+                            benchutil::MetricUnit::kCount);
     AuditKkt(lp, *sol, "cold m=" + std::to_string(m));
     runs[m] = {std::move(sol).value(), true};
   }
@@ -198,7 +202,7 @@ void PrintWarmRepair(const ColdRun& parent, const LpModel& lp) {
                  : std::string("-"));
     benchutil::RecordMetric(
         std::string("lp engine | ") + flavor.metric + " (dual-warm)",
-        static_cast<double>(totals.pivots));
+        static_cast<double>(totals.pivots), benchutil::MetricUnit::kCount);
   }
   t.Print("LP engine: dual-simplex warm-basis repair after a bound change "
           "(m=2000 compact LP)");
@@ -246,9 +250,10 @@ void PrintBanWaves(const ColdRun& parent, const LpModel& lp) {
                : std::string("-"))
       .Add(FormatDouble(totals.seconds, 3));
   benchutil::RecordMetric("lp engine | ban-wave repair pivots (devex-rows)",
-                          static_cast<double>(totals.pivots));
+                          static_cast<double>(totals.pivots),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("lp engine | ban-wave repair seconds (devex-rows)",
-                          totals.seconds);
+                          totals.seconds, benchutil::MetricUnit::kSeconds);
   t.Print("LP engine: dual-simplex repair under 8-item ban waves, dual "
           "Devex rows (m=2000 compact LP)");
 }
@@ -316,13 +321,15 @@ void PrintServingStream(const LpModel& lp) {
       .Add(FormatDouble(total_seconds, 3));
   const std::string prefix = "lp engine | serving stream ";
   benchutil::RecordMetric(prefix + "kernel seconds - adaptive",
-                          kernel_seconds);
+                          kernel_seconds, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric(prefix + "max eta chain - adaptive",
-                          static_cast<double>(max_eta));
+                          static_cast<double>(max_eta),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric(prefix + "refactorizations - adaptive",
-                          static_cast<double>(refactors));
+                          static_cast<double>(refactors),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric(prefix + "total seconds - adaptive",
-                          total_seconds);
+                          total_seconds, benchutil::MetricUnit::kSeconds);
   t.Print("LP engine: eta-file management over a 2000-resolve serving "
           "stream, adaptive refactorization "
           "(m=10000 compact LP, cold resolve every 250)");

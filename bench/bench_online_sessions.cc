@@ -183,36 +183,44 @@ void PrintTables() {
             << FormatDouble(drift_trig.min_kept_share, 2) << ")\n\n";
 
   benchutil::RecordMetric("online sessions | stream replay (incremental)",
-                          incr_seconds);
+                          incr_seconds, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("online sessions | stream replay (cold)",
-                          cold_seconds);
+                          cold_seconds, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("online sessions | p50 resolve (incremental)",
-                          Percentile(incr.resolve_seconds, 50));
+                          Percentile(incr.resolve_seconds, 50),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("online sessions | p50 resolve (cold)",
-                          Percentile(cold.resolve_seconds, 50));
+                          Percentile(cold.resolve_seconds, 50),
+                          benchutil::MetricUnit::kSeconds);
   // Deliberately NOT an "(incremental)"/"(cold)" gate pair: one all-dirty
   // lambda event dominates both tails, so their ratio is ~1 and would only
   // add gate noise. Recorded for the artifact/baseline comparisons.
   benchutil::RecordMetric("online sessions | p99 resolve - incremental",
-                          Percentile(incr.resolve_seconds, 99));
+                          Percentile(incr.resolve_seconds, 99),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("online sessions | p99 resolve - cold",
-                          Percentile(cold.resolve_seconds, 99));
+                          Percentile(cold.resolve_seconds, 99),
+                          benchutil::MetricUnit::kSeconds);
   // Which resolve path ran, and the drift numbers, land in the artifact so
   // regressions in the fallback heuristic (cold_fraction_threshold) or in
   // rounding drift are visible from CI runs alone. Counts/fractions, not
   // seconds — never part of a timing gate.
   benchutil::RecordMetric("online sessions | path count - incremental",
-                          static_cast<double>(incr.incremental));
+                          static_cast<double>(incr.incremental),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("online sessions | path count - cold fallback",
-                          static_cast<double>(incr.cold_fallback));
+                          static_cast<double>(incr.cold_fallback),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("online sessions | path count - cold",
-                          static_cast<double>(incr.cold));
+                          static_cast<double>(incr.cold),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("online sessions | drift without reround",
-                          drift_plain);
+                          drift_plain, benchutil::MetricUnit::kRatio);
   benchutil::RecordMetric("online sessions | drift with share threshold",
-                          drift_threshold);
+                          drift_threshold, benchutil::MetricUnit::kRatio);
   benchutil::RecordMetric("online sessions | drift-triggered rerounds",
-                          static_cast<double>(drift_trig.full_rerounds));
+                          static_cast<double>(drift_trig.full_rerounds),
+                          benchutil::MetricUnit::kCount);
 
   // Multi-session throughput: distinct sessions replay concurrently over
   // the shared pool; per-session serialization keeps each replay
@@ -263,7 +271,7 @@ void PrintTables() {
       .Add(FormatDouble(Percentile(all_latencies, 99) * 1000, 2));
   m.Print("SessionManager: concurrent replay");
   benchutil::RecordMetric("online sessions | 6-session concurrent replay",
-                          manager_seconds);
+                          manager_seconds, benchutil::MetricUnit::kSeconds);
 }
 
 void BM_IncrementalResolve(benchmark::State& state) {

@@ -617,7 +617,7 @@ int RunDurabilityPhase(const LoadConfig& config) {
         .Add(counters[a].snapshots);
     benchutil::RecordMetric(
         std::string("serve durability | closed loop (") + arms[a].label + ")",
-        best_wall[a]);
+        best_wall[a], benchutil::MetricUnit::kSeconds);
   }
   t.Print("Durability closed loop: " + std::to_string(log.size()) +
           " commands, snapshot every 64, min of " + std::to_string(kReps) +
@@ -645,9 +645,9 @@ int RunDurabilityPhase(const LoadConfig& config) {
     return 1;
   }
   benchutil::RecordMetric("serve durability | recovery (warm)",
-                          warm->seconds);
+                          warm->seconds, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve durability | recovery (cold replay)",
-                          cold->seconds);
+                          cold->seconds, benchutil::MetricUnit::kSeconds);
   return 0;
 }
 
@@ -811,34 +811,43 @@ int RunLoad(LoadConfig config) {
             << " failed\n";
 
   benchutil::RecordMetric("serve load | resolve phase (coalesced)",
-                          coalesced_wall);
+                          coalesced_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | resolve phase (uncoalesced)",
-                          uncoalesced_wall);
+                          uncoalesced_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p50 resolve - coalesced",
-                          Percentile(coalesced.resolve_latencies, 50));
+                          Percentile(coalesced.resolve_latencies, 50),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p99 resolve - coalesced",
-                          Percentile(coalesced.resolve_latencies, 99));
+                          Percentile(coalesced.resolve_latencies, 99),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p50 resolve - uncoalesced",
-                          Percentile(uncoalesced.resolve_latencies, 50));
+                          Percentile(uncoalesced.resolve_latencies, 50),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p99 resolve - uncoalesced",
-                          Percentile(uncoalesced.resolve_latencies, 99));
+                          Percentile(uncoalesced.resolve_latencies, 99),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | closed loop (untraced)",
-                          trace_ab.off_wall);
+                          trace_ab.off_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | closed loop (traced)",
-                          trace_ab.on_wall);
+                          trace_ab.on_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p99 resolve - traced",
-                          Percentile(trace_ab.on.resolve_latencies, 99));
+                          Percentile(trace_ab.on.resolve_latencies, 99),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | closed loop (unverified)",
-                          verify_ab.off_wall);
+                          verify_ab.off_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | closed loop (verified)",
-                          verify_ab.on_wall);
+                          verify_ab.on_wall, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | p99 resolve - verified",
-                          Percentile(verify_ab.on.resolve_latencies, 99));
+                          Percentile(verify_ab.on.resolve_latencies, 99),
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("serve load | verify failures",
-                          verify_fail >= 0 ? verify_fail : 0.0);
+                          verify_fail >= 0 ? verify_fail : 0.0,
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("serve load | flash crowd shed responses",
-                          static_cast<double>(flash.overloaded));
-  benchutil::RecordMetric("serve load | coalesce ratio", coalesce_ratio);
+                          static_cast<double>(flash.overloaded),
+                          benchutil::MetricUnit::kCount);
+  benchutil::RecordMetric("serve load | coalesce ratio", coalesce_ratio,
+                          benchutil::MetricUnit::kRatio);
 
   // Durability arms run in-process only: against an external server the
   // journal (and its data_dir) lives in the server process, out of reach.

@@ -138,15 +138,16 @@ void PrintScaleSweep() {
     benchutil::RecordMetric(
         "shard scale | " + label +
             (point.gate_pair ? " (sharded)" : " sharded seconds"),
-        sharded.second);
+        sharded.second, benchutil::MetricUnit::kSeconds);
     if (point.run_monolithic) {
       benchutil::RecordMetric(
           "shard scale | " + label +
               (point.gate_pair ? " (monolithic)" : " monolithic seconds"),
-          mono.second);
+          mono.second, benchutil::MetricUnit::kSeconds);
       benchutil::RecordMetric(
           "shard scale | " + label + " objective ratio sharded/monolithic",
-          mono.first > 0 ? sharded.first / mono.first : -1.0);
+          mono.first > 0 ? sharded.first / mono.first : -1.0,
+          benchutil::MetricUnit::kRatio);
     }
   }
   t.Print("Batch scale: AVG-SHARD vs monolithic AVG (Yelp, lambda=0.5)");
@@ -183,9 +184,10 @@ void PrintDualSchedule() {
       .Add(stats.primal_objective, 1)
       .Add(FormatDouble(stats.lp_seconds, 3));
   benchutil::RecordMetric("shard scale | dual rounds to gap (polyak)",
-                          static_cast<double>(stats.dual_rounds));
+                          static_cast<double>(stats.dual_rounds),
+                          benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("shard scale | dual gap reached (polyak)",
-                          stats.gap);
+                          stats.gap, benchutil::MetricUnit::kRatio);
   t.Print("Dual coordination: Polyak steps (n=120, m=400, gap tol 7.5%)");
 }
 
@@ -273,16 +275,19 @@ void PrintOnlineSharded() {
             << FormatPercent(sharded.dirty_shard_fraction) << ")\n\n";
 
   benchutil::RecordMetric("shard scale | online replay (sharded)",
-                          sharded.wall_seconds);
+                          sharded.wall_seconds,
+                          benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric("shard scale | online replay (monolithic)",
-                          mono.wall_seconds);
+                          mono.wall_seconds, benchutil::MetricUnit::kSeconds);
   benchutil::RecordMetric(
       "shard scale | online pivot ratio sharded/monolithic",
       mono.pivots > 0
           ? static_cast<double>(sharded.pivots) / mono.pivots
-          : -1.0);
+          : -1.0,
+      benchutil::MetricUnit::kRatio);
   benchutil::RecordMetric("shard scale | online mean dirty-shard fraction",
-                          sharded.dirty_shard_fraction);
+                          sharded.dirty_shard_fraction,
+                          benchutil::MetricUnit::kRatio);
 }
 
 void PrintTables() {

@@ -75,10 +75,28 @@ inline void ApplyShardOverrides(ShardSolveOptions* options) {
   if (ShardGapOverride() >= 0.0) options->gap_tolerance = ShardGapOverride();
 }
 
-/// One perf-smoke metric: a stable name and its wall-clock seconds.
+/// What a perf-smoke metric measures. tools/perf_compare.py ratio-gates
+/// only seconds against the checked-in baseline and pairs only metrics of
+/// one unit.
+enum class MetricUnit { kSeconds, kCount, kRatio };
+
+inline const char* MetricUnitName(MetricUnit unit) {
+  switch (unit) {
+    case MetricUnit::kSeconds:
+      return "seconds";
+    case MetricUnit::kCount:
+      return "count";
+    case MetricUnit::kRatio:
+      break;
+  }
+  return "ratio";
+}
+
+/// One perf-smoke metric: a stable name, its value and its unit.
 struct JsonMetric {
   std::string name;
-  double seconds = 0.0;
+  double value = 0.0;
+  MetricUnit unit = MetricUnit::kSeconds;
 };
 
 inline std::vector<JsonMetric>& JsonMetrics() {
@@ -87,14 +105,15 @@ inline std::vector<JsonMetric>& JsonMetrics() {
 }
 
 /// Records a metric for the --json perf artifact (no-op without --json=).
-inline void RecordMetric(const std::string& name, double seconds) {
-  if (!JsonPath().empty()) JsonMetrics().push_back({name, seconds});
+inline void RecordMetric(const std::string& name, double value,
+                         MetricUnit unit) {
+  if (!JsonPath().empty()) JsonMetrics().push_back({name, value, unit});
 }
 
-/// Writes {"metrics": [{"name": ..., "seconds": ...}, ...]} to the --json=
-/// path. Called by SAVG_BENCH_MAIN after the reproduction tables printed;
-/// CI uploads the file and gates on regressions vs a checked-in baseline
-/// (tools/perf_compare.py).
+/// Writes {"metrics": [{"name": ..., "value": ..., "unit": ...}, ...]} to
+/// the --json= path. Called by SAVG_BENCH_MAIN after the reproduction
+/// tables printed; CI uploads the file and gates on regressions vs a
+/// checked-in baseline (tools/perf_compare.py).
 inline void WriteJsonMetrics() {
   if (JsonPath().empty()) return;
   std::ofstream out(JsonPath());
@@ -109,8 +128,10 @@ inline void WriteJsonMetrics() {
     for (char& ch : name) {
       if (ch == '"' || ch == '\\') ch = '\'';
     }
-    out << "    {\"name\": \"" << name << "\", \"seconds\": "
-        << metrics[i].seconds << (i + 1 < metrics.size() ? "},\n" : "}\n");
+    out << "    {\"name\": \"" << name << "\", \"value\": "
+        << metrics[i].value << ", \"unit\": \""
+        << MetricUnitName(metrics[i].unit) << "\""
+        << (i + 1 < metrics.size() ? "},\n" : "}\n");
   }
   out << "  ]\n}\n";
 }
@@ -225,7 +246,7 @@ inline std::vector<std::vector<AggregateRow>> PrintSweep(
     auto rows = RunComparison(point.params, samples, algos, config,
                               WorkerOverride(), &warm);
     RecordMetric(title + " | " + x_name + "=" + point.label,
-                 point_timer.ElapsedSeconds());
+                 point_timer.ElapsedSeconds(), MetricUnit::kSeconds);
     if (!rows.ok()) {
       std::cerr << "sweep point " << point.label
                 << " failed: " << rows.status() << "\n";
@@ -246,28 +267,37 @@ inline std::vector<std::vector<AggregateRow>> PrintSweep(
   // partial-pricing question is decided from (pricing-heavy profiles
   // justify candidate lists; ftran/btran-heavy ones do not).
   RecordMetric(title + " | lp_pricing_seconds",
-               warm.lp_stats.pricing_seconds);
+               warm.lp_stats.pricing_seconds, MetricUnit::kSeconds);
   RecordMetric(title + " | lp_ratio_test_seconds",
-               warm.lp_stats.ratio_test_seconds);
-  RecordMetric(title + " | lp_ftran_seconds", warm.lp_stats.ftran_seconds);
-  RecordMetric(title + " | lp_btran_seconds", warm.lp_stats.btran_seconds);
-  RecordMetric(title + " | lp_factor_seconds", warm.lp_stats.factor_seconds);
+               warm.lp_stats.ratio_test_seconds, MetricUnit::kSeconds);
+  RecordMetric(title + " | lp_ftran_seconds", warm.lp_stats.ftran_seconds,
+               MetricUnit::kSeconds);
+  RecordMetric(title + " | lp_btran_seconds", warm.lp_stats.btran_seconds,
+               MetricUnit::kSeconds);
+  RecordMetric(title + " | lp_factor_seconds", warm.lp_stats.factor_seconds,
+               MetricUnit::kSeconds);
   // Pivot-mix / candidate-list counters (PR 5): how much of the pricing
   // ran off the candidate list, and whether warm starts repaired dually.
   RecordMetric(title + " | lp_candidate_hits",
-               static_cast<double>(warm.lp_stats.candidate_hits));
+               static_cast<double>(warm.lp_stats.candidate_hits),
+               MetricUnit::kCount);
   RecordMetric(title + " | lp_full_pricing_scans",
-               static_cast<double>(warm.lp_stats.full_pricing_scans));
+               static_cast<double>(warm.lp_stats.full_pricing_scans),
+               MetricUnit::kCount);
   RecordMetric(title + " | lp_dual_pivots",
-               static_cast<double>(warm.lp_stats.dual_pivots));
+               static_cast<double>(warm.lp_stats.dual_pivots),
+               MetricUnit::kCount);
   // Engine-speed counters (PR 6): eta-file state and refactorization
   // cadence — the observables of the adaptive refactorization policy.
   RecordMetric(title + " | lp_eta_count",
-               static_cast<double>(warm.lp_stats.eta_count));
+               static_cast<double>(warm.lp_stats.eta_count),
+               MetricUnit::kCount);
   RecordMetric(title + " | lp_eta_nonzeros",
-               static_cast<double>(warm.lp_stats.eta_nonzeros));
+               static_cast<double>(warm.lp_stats.eta_nonzeros),
+               MetricUnit::kCount);
   RecordMetric(title + " | lp_refactorizations",
-               static_cast<double>(warm.lp_stats.refactorizations));
+               static_cast<double>(warm.lp_stats.refactorizations),
+               MetricUnit::kCount);
   return all_rows;
 }
 
@@ -295,7 +325,8 @@ inline std::string BinaryName(const char* argv0) {
     print_fn();                                            \
     ::savg::benchutil::RecordMetric(                       \
         ::savg::benchutil::BinaryName(argv[0]) + " | total_print_seconds", \
-        savg_bench_timer.ElapsedSeconds());                \
+        savg_bench_timer.ElapsedSeconds(),                 \
+        ::savg::benchutil::MetricUnit::kSeconds);          \
     ::savg::benchutil::WriteJsonMetrics();                 \
     ::benchmark::Initialize(&argc, argv);                  \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \

@@ -7,13 +7,18 @@ Usage:
     perf_compare.py --cold-reference CURRENT.json [CURRENT2.json ...]
                     [--max-ratio 0.75] [--min-seconds 0.05]
 
-Each file is the {"metrics": [{"name", "seconds"}, ...]} object written by
-bench binaries via --json= (bench/bench_util.h). The gate fails (exit 1)
-when any metric present in both the baseline and the current run is slower
-than max-ratio x its baseline AND both sides exceed min-seconds in
-absolute terms (the floor keeps sub-50ms timer noise from flapping CI). Metrics missing on
-either side are reported but never fail the gate, so adding or renaming
-benches does not require a lockstep baseline update.
+Each file is the {"metrics": [{"name", "value", "unit"}, ...]} object
+written by bench binaries via --json= (bench/bench_util.h); the unit is
+"seconds", "count" or "ratio". The gate fails (exit 1) when any timing
+(unit "seconds") present in both the baseline and the current run is
+slower than max-ratio x its baseline AND both sides exceed min-seconds in
+absolute terms (the floor keeps sub-50ms timer noise from flapping CI).
+Counts and ratios are printed with their units but not gated here (CI holds
+the counts that matter under fixed ceilings). A metric whose unit differs
+between the baseline and the current run fails the gate: the two numbers
+do not measure the same thing. Metrics missing on either side are reported
+but never fail the gate, so adding or renaming benches does not require a
+lockstep baseline update.
 
 --cold-reference gates without a checked-in baseline: every metric pair
 "X (incremental)" / "X (cold)" measured in the SAME run must satisfy
@@ -21,7 +26,9 @@ incremental <= max-ratio x cold (default 0.75 in this mode). Both sides
 scale with the machine, so hosted-runner speed differences cannot flap the
 gate the way an absolute checked-in baseline can — this is the gate for
 the warm-started online serving path (bench_online_sessions), which is
-only correct if it stays well under the same run's cold re-solves.
+only correct if it stays well under the same run's cold re-solves. The two
+metrics of a pair must have one unit; a pair of two units fails the gate.
+The min-seconds floor applies to timing pairs only.
 
 --suffixes NUM DEN renames the pair suffixes of the --cold-reference mode,
 e.g. --suffixes " (sharded)" " (monolithic)" gates the sharded solve
@@ -40,13 +47,19 @@ import json
 import sys
 
 
+SECONDS = "seconds"
+
+
 def load_metrics(path):
+    """Returns {name: (value, unit)}."""
     with open(path) as fh:
         data = json.load(fh)
-    metrics = {}
-    for entry in data.get("metrics", []):
-        metrics[entry["name"]] = float(entry["seconds"])
-    return metrics
+    return {entry["name"]: (float(entry["value"]), entry["unit"])
+            for entry in data.get("metrics", [])}
+
+
+def show(value, unit):
+    return f"{value:.3f}s" if unit == SECONDS else f"{value:g} {unit}"
 
 
 INCREMENTAL_SUFFIX = " (incremental)"
@@ -59,33 +72,38 @@ def compare_cold_reference(metrics, max_ratio, min_seconds,
     """Gates numerator metrics against their same-run reference partners."""
     pairs = 0
     failures = []
-    for name, seconds in sorted(metrics.items()):
+    for name, (value, unit) in sorted(metrics.items()):
         if not name.endswith(num_suffix):
             continue
         cold_name = name[: -len(num_suffix)] + den_suffix
-        cold = metrics.get(cold_name)
-        if cold is None:
+        if cold_name not in metrics:
             print(f"  unpaired incremental metric (no cold partner): {name}")
             continue
+        cold, cold_unit = metrics[cold_name]
         pairs += 1
-        ratio = seconds / cold if cold > 0 else float("inf")
+        if cold_unit != unit:
+            failures.append(name)
+            print(f"  {'UNIT':>10}: {name}: {show(value, unit)} cannot be "
+                  f"paired with {cold_name}: {show(cold, cold_unit)}")
+            continue
+        ratio = value / cold if cold > 0 else float("inf")
         marker = "ok"
         # The noise floor only exempts a fast NUMERATOR side: a tiny
         # reference with a slow numerator is exactly the regression this
         # gate exists to catch.
-        if ratio > max_ratio and seconds > min_seconds:
+        if ratio > max_ratio and (unit != SECONDS or value > min_seconds):
             marker = "REGRESSION"
             failures.append(name)
-        print(f"  {marker:>10}: {name}: {seconds:.3f}s "
-              f"(reference {cold:.3f}s, ratio {ratio:.2f})")
+        print(f"  {marker:>10}: {name}: {show(value, unit)} "
+              f"(reference {show(cold, unit)}, ratio {ratio:.2f})")
     if pairs == 0:
         # A rename silently disabling the gate must not look green.
         print(f"no {num_suffix!r}/{den_suffix!r} metric pairs found")
         return 1
     if failures:
         print(f"\n{len(failures)} metric(s) above {max_ratio}x their "
-              f"same-run {den_suffix.strip()} reference: "
-              f"{', '.join(failures)}")
+              f"same-run {den_suffix.strip()} reference or of another "
+              f"unit: {', '.join(failures)}")
         return 1
     print("\ncold-reference gate ok")
     return 0
@@ -130,8 +148,9 @@ def main():
         merged = {}
         for path in [args.baseline] + args.current:
             merged.update(load_metrics(path))
-        json.dump({"metrics": [{"name": name, "seconds": seconds}
-                               for name, seconds in sorted(merged.items())]},
+        json.dump({"metrics": [{"name": name, "value": value, "unit": unit}
+                               for name, (value, unit)
+                               in sorted(merged.items())]},
                   sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
@@ -142,27 +161,36 @@ def main():
         current.update(load_metrics(path))
 
     failures = []
-    for name, seconds in sorted(current.items()):
-        base = baseline.get(name)
-        if base is None:
-            print(f"  new metric (no baseline): {name} = {seconds:.3f}s")
+    for name, (value, unit) in sorted(current.items()):
+        if name not in baseline:
+            print(f"  new metric (no baseline): {name} = {show(value, unit)}")
             continue
-        ratio = seconds / base if base > 0 else float("inf")
+        base, base_unit = baseline[name]
+        if base_unit != unit:
+            failures.append(name)
+            print(f"  {'UNIT':>10}: {name}: {show(value, unit)} "
+                  f"(baseline {show(base, base_unit)})")
+            continue
+        ratio = value / base if base > 0 else float("inf")
+        if unit != SECONDS:
+            print(f"  {'not gated':>10}: {name}: {show(value, unit)} "
+                  f"(baseline {show(base, unit)}, ratio {ratio:.2f})")
+            continue
         marker = "ok"
         # Both sides must clear the noise floor: a sub-floor baseline is
         # pure timer jitter and must not be able to fail the gate.
-        if (ratio > args.max_ratio and seconds > args.min_seconds
+        if (ratio > args.max_ratio and value > args.min_seconds
                 and base > args.min_seconds):
             marker = "REGRESSION"
             failures.append(name)
-        print(f"  {marker:>10}: {name}: {seconds:.3f}s "
-              f"(baseline {base:.3f}s, ratio {ratio:.2f})")
+        print(f"  {marker:>10}: {name}: {show(value, unit)} "
+              f"(baseline {show(base, unit)}, ratio {ratio:.2f})")
     for name in sorted(set(baseline) - set(current)):
         print(f"  metric missing from current run: {name}")
 
     if failures:
         print(f"\n{len(failures)} metric(s) regressed more than "
-              f"{args.max_ratio}x: {', '.join(failures)}")
+              f"{args.max_ratio}x or changed unit: {', '.join(failures)}")
         return 1
     print("\nperf smoke ok")
     return 0
