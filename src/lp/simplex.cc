@@ -155,6 +155,13 @@ class RevisedSimplex {
   Result<LpSolution> Run(const SimplexOptions& options,
                          const LpBasis* warm_start) {
     if (!loaded_) return Status::FailedPrecondition("no LP loaded");
+    // The passes' scratch lives for one solve. Kept by idle engines it
+    // raised perfbench's serve-churn peak RSS by ~0.3-0.6 MB; freeing it
+    // costs the warm solve ~3%.
+    struct ScratchScope {
+      RevisedSimplex* simplex;
+      ~ScratchScope() { simplex->ReleaseScratch(); }
+    } scratch_scope{this};
     Timer setup;
     opt_ = options;
     warm_ = warm_start;
@@ -235,6 +242,12 @@ class RevisedSimplex {
 
  private:
   // ---- setup -------------------------------------------------------------
+
+  void ReleaseScratch() {
+    std::vector<double>().swap(y_);
+    std::vector<int>().swap(listed_);
+    std::vector<double>().swap(values_);
+  }
 
   /// Clears everything one solve leaves behind except the factorization,
   /// which Refactorize() reuses only for the basis it was made from.
@@ -1252,11 +1265,12 @@ class RevisedSimplex {
   std::vector<int> basis_;          ///< position -> basic column
   std::vector<int> pos_of_basic_;   ///< column -> position (or -1)
   std::vector<double> basic_value_;  ///< position -> value of its basic var
-  /// y = B^-T c_B of the latest full pricing scan: at the end of a solve,
-  /// the one that proved optimality.
+  /// y = B^-T c_B of the latest full pricing scan of this solve: at its
+  /// end, the one that proved optimality.
   std::vector<double> y_;
-  /// Scratch of the whole-column passes: the columns a pass lists (the
-  /// warm start's basic columns, the nonzero ones) and structural values.
+  /// Scratch of the whole-column passes, freed after each solve: the
+  /// columns a pass lists (the warm start's basic columns, the nonzero
+  /// ones) and structural values.
   std::vector<int> listed_;
   std::vector<double> values_;
   std::vector<double> devex_;        ///< Devex reference weights
