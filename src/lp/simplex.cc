@@ -332,9 +332,9 @@ class RevisedSimplex {
   /// phase-2 internal cost, mapped back through the internal
   /// sign-normalizations (objective sense s, >=-row negation s_i) so that
   /// c_j - sum_i y_i a_ij is structural j's reduced cost in the original
-  /// model. Called at the end of Run(): phase 2 has just proved optimality
-  /// by a full pricing scan, whose y_ is that very solve, made on the same
-  /// basis, factorization and phase-2 cost_.
+  /// model. Called at the end of Run(), right after phase 2 proved
+  /// optimality by a full pricing scan: y_ is that scan's solve, on the
+  /// same basis, factorization and phase-2 cost_.
   std::vector<double> ExportDuals() const {
     std::vector<double> y(num_rows_);
     const double sense = maximize_ ? 1.0 : -1.0;
