@@ -2,13 +2,13 @@
 // Session (src/online/) and reports re-solve latency percentiles plus the
 // incremental-vs-cold pivot ratio the warm-started serving path buys.
 //
-// Three replays of the identical command stream:
+// Two replays of the identical command stream:
 //  * incremental — Resolve() projects the cached basis across the mutation
 //    and re-rounds only the dirty users (the serving path),
-//  * incremental+drift-trigger — the same, with the kept-unit utility
-//    share threshold forcing a full re-round when drift appears,
-//  * cold        — Resolve(force_cold) re-solves and re-rounds everything
-//    (the reference a from-scratch server would pay per resolve).
+//  * cold        — every resolve runs on Session::FromState() of the
+//    session's own state with no cached basis and no served configuration,
+//    so it re-solves and re-rounds everything (the reference a
+//    from-scratch server would pay per resolve).
 //
 // The paired "(incremental)" / "(cold)" --json metrics feed the
 // machine-speed-independent CI gate (tools/perf_compare.py
@@ -17,6 +17,7 @@
 // gate. A SessionManager section measures multi-session throughput over
 // the shared worker pool.
 
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -50,66 +51,50 @@ EventStreamParams ServingStream(uint64_t seed) {
 
 struct ReplayStats {
   std::vector<double> resolve_seconds;
-  /// Served utility after each resolve, aligned across replays of the
-  /// same stream (the drift comparison pairs these up).
-  std::vector<double> resolve_totals;
   int64_t pivots = 0;
   int64_t phase1_pivots = 0;
   int incremental = 0;
   int cold = 0;
   int cold_fallback = 0;
-  int full_rerounds = 0;
-  /// Min kept-unit utility share observed (1.0 when the policy is off).
-  double min_kept_share = 1.0;
   double last_total = 0.0;
 };
 
-/// Mean relative utility shortfall vs a reference replay of the same
-/// stream (how much rounding drift the incremental path accumulates).
-double MeanDrift(const ReplayStats& stats, const ReplayStats& reference) {
-  const size_t n =
-      std::min(stats.resolve_totals.size(), reference.resolve_totals.size());
-  if (n == 0) return 0.0;
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (reference.resolve_totals[i] > 0.0) {
-      acc += (reference.resolve_totals[i] - stats.resolve_totals[i]) /
-             reference.resolve_totals[i];
-    }
-  }
-  return acc / static_cast<double>(n);
+/// Resolves `*session` from scratch: restarts it from its own state with
+/// no cached basis and no served configuration, so the resolve solves
+/// cold and re-rounds every unit.
+Result<ResolveReport> ResolveCold(std::unique_ptr<Session>* session,
+                                  const SessionOptions& options) {
+  SessionState state = (*session)->CaptureState();
+  state.valid_basis = false;
+  state.config = Configuration();
+  *session = Session::FromState(std::move(state), options);
+  return (*session)->Resolve();
 }
 
-/// Replays `log` through one session; `force_cold` turns every resolve
-/// into the from-scratch reference, and `reround_utility_threshold` turns
-/// on the drift-triggered full re-round.
+/// Replays `log` through one session; `cold` turns every resolve into the
+/// from-scratch reference.
 ReplayStats Replay(const SvgicInstance& base, const CommandLog& log,
-                   bool force_cold, double reround_utility_threshold = 0.0) {
+                   bool cold) {
   SessionOptions options;
   options.seed = 7;
-  options.reround_utility_threshold = reround_utility_threshold;
-  Session session(base, options);
+  auto session = std::make_unique<Session>(base, options);
   ReplayStats stats;
   for (const SessionCommand& event : log) {
     if (event.type != CommandType::kResolve) {
-      auto applied = session.Apply(event);
+      auto applied = session->Apply(event);
       if (!applied.ok()) {
         std::cerr << "event failed: " << applied.status() << "\n";
       }
       continue;
     }
-    auto report = session.Resolve(force_cold);
+    auto report = cold ? ResolveCold(&session, options) : session->Resolve();
     if (!report.ok()) {
       std::cerr << "resolve failed: " << report.status() << "\n";
       continue;
     }
     stats.resolve_seconds.push_back(report->total_seconds);
-    stats.resolve_totals.push_back(report->scaled_total);
     stats.pivots += report->pivots;
     stats.phase1_pivots += report->phase1_pivots;
-    if (report->full_reround) ++stats.full_rerounds;
-    stats.min_kept_share =
-        std::min(stats.min_kept_share, report->kept_utility_share);
     switch (report->path) {
       case ResolvePath::kIncremental:
         ++stats.incremental;
@@ -148,23 +133,15 @@ void PrintTables() {
   const CommandLog log = GenerateEventStream(*inst, ServingStream(5));
 
   Timer incr_timer;
-  const ReplayStats incr = Replay(*inst, log, /*force_cold=*/false);
+  const ReplayStats incr = Replay(*inst, log, /*cold=*/false);
   const double incr_seconds = incr_timer.ElapsedSeconds();
   Timer cold_timer;
-  const ReplayStats cold = Replay(*inst, log, /*force_cold=*/true);
+  const ReplayStats cold = Replay(*inst, log, /*cold=*/true);
   const double cold_seconds = cold_timer.ElapsedSeconds();
-  // Drift-triggered full re-round: fires exactly when the fresh LP stops
-  // backing the kept units, bounding the rounding drift the incremental
-  // path accumulates while keeping the warm LP.
-  constexpr double kShareThreshold = 0.97;
-  const ReplayStats drift_trig =
-      Replay(*inst, log, /*force_cold=*/false,
-             /*reround_utility_threshold=*/kShareThreshold);
 
   Table t({"path", "resolves", "pivots", "p50 (ms)", "p99 (ms)",
            "incremental", "cold", "final utility"});
   PrintReplayRow(&t, "incremental", incr);
-  PrintReplayRow(&t, "incremental+drift-trigger", drift_trig);
   PrintReplayRow(&t, "cold", cold);
   t.Print("Online sessions: " + std::to_string(log.size()) +
           "-command stream (n=20, m=40, k=3)");
@@ -172,15 +149,7 @@ void PrintTables() {
             << benchutil::Ratio(static_cast<double>(incr.pivots),
                                 static_cast<double>(cold.pivots))
             << " (phase-1 " << incr.phase1_pivots << " vs "
-            << cold.phase1_pivots << ")\n";
-  const double drift_plain = MeanDrift(incr, cold);
-  const double drift_threshold = MeanDrift(drift_trig, cold);
-  std::cout << "rounding drift vs cold replay: "
-            << FormatPercent(drift_plain) << " without full re-round, "
-            << FormatPercent(drift_threshold) << " with share threshold "
-            << kShareThreshold << " (" << drift_trig.full_rerounds
-            << " drift-triggered re-rounds, min share "
-            << FormatDouble(drift_trig.min_kept_share, 2) << ")\n\n";
+            << cold.phase1_pivots << ")\n\n";
 
   benchutil::RecordMetric("online sessions | stream replay (incremental)",
                           incr_seconds, benchutil::MetricUnit::kSeconds);
@@ -201,10 +170,9 @@ void PrintTables() {
   benchutil::RecordMetric("online sessions | p99 resolve - cold",
                           Percentile(cold.resolve_seconds, 99),
                           benchutil::MetricUnit::kSeconds);
-  // Which resolve path ran, and the drift numbers, land in the artifact so
-  // regressions in the fallback heuristic (cold_fraction_threshold) or in
-  // rounding drift are visible from CI runs alone. Counts/fractions, not
-  // seconds — never part of a timing gate.
+  // Which resolve path ran lands in the artifact so regressions in the
+  // fallback heuristic (cold_fraction_threshold) are visible from CI runs
+  // alone. Counts, not seconds — never part of a timing gate.
   benchutil::RecordMetric("online sessions | path count - incremental",
                           static_cast<double>(incr.incremental),
                           benchutil::MetricUnit::kCount);
@@ -213,13 +181,6 @@ void PrintTables() {
                           benchutil::MetricUnit::kCount);
   benchutil::RecordMetric("online sessions | path count - cold",
                           static_cast<double>(incr.cold),
-                          benchutil::MetricUnit::kCount);
-  benchutil::RecordMetric("online sessions | drift without reround",
-                          drift_plain, benchutil::MetricUnit::kRatio);
-  benchutil::RecordMetric("online sessions | drift with share threshold",
-                          drift_threshold, benchutil::MetricUnit::kRatio);
-  benchutil::RecordMetric("online sessions | drift-triggered rerounds",
-                          static_cast<double>(drift_trig.full_rerounds),
                           benchutil::MetricUnit::kCount);
 
   // Multi-session throughput: distinct sessions replay concurrently over
@@ -291,13 +252,13 @@ BENCHMARK(BM_IncrementalResolve)->Unit(benchmark::kMillisecond);
 
 void BM_ColdResolve(benchmark::State& state) {
   auto inst = GenerateDataset(ServingParams(17));
-  Session session(std::move(inst).value());
-  if (!session.Resolve().ok()) state.SkipWithError("initial resolve failed");
+  auto session = std::make_unique<Session>(std::move(inst).value());
+  if (!session->Resolve().ok()) state.SkipWithError("initial resolve failed");
   double value = 0.1;
   for (auto _ : state) {
     value = value < 0.9 ? value + 0.05 : 0.1;
-    if (!session.Apply(MakePref(3, 5, value)).ok()) break;
-    auto report = session.Resolve(/*force_cold=*/true);
+    if (!session->Apply(MakePref(3, 5, value)).ok()) break;
+    auto report = ResolveCold(&session, SessionOptions{});
     if (!report.ok()) break;
     benchmark::DoNotOptimize(report->pivots);
   }

@@ -18,9 +18,6 @@ constexpr double kSlowRateThreshold = 1.0;
 /// Eta-file chain length (lp.eta_chain gauge) above which the adaptive
 /// refactorization rule is considered to have lost control.
 constexpr int64_t kEtaChainLimit = 1024;
-/// Full re-rounds per second (all drift-triggered); sustained firing
-/// means incremental serving is thrashing above its drift budget.
-constexpr double kDriftReroundRateThreshold = 0.5;
 /// Resolve-latency regression: window mean vs a cross-window EWMA
 /// baseline. Windows with fewer than kLatencyMinCount resolves are
 /// ignored; the EWMA only absorbs non-regressed windows so a sustained
@@ -82,10 +79,6 @@ HealthVerdict HealthMonitor::Evaluate(const WindowedSnapshot& window) {
   }
   if (window.GaugeLast("lp.eta_chain") > kEtaChainLimit) {
     active.push_back("eta_chain_growth");
-  }
-  if (window.CounterRate("session.full_rerounds") >
-      kDriftReroundRateThreshold) {
-    active.push_back("drift_budget");
   }
   if (window.GaugeMax("durability.changelog_lag") > kChangelogLagLimit) {
     active.push_back("changelog_lag");

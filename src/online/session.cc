@@ -284,9 +284,9 @@ Result<CommandOutcome> Session::ApplyImpl(const SessionCommand& command) {
   return Status::InvalidArgument("unknown command type");
 }
 
-Result<ResolveReport> Session::Resolve(bool force_cold) {
+Result<ResolveReport> Session::Resolve() {
   EnqueueHeldVerify();
-  if (served_answer_ && !force_cold) {
+  if (served_answer_) {
     return ReuseServedAnswer();
   }
   served_answer_.reset();
@@ -302,8 +302,8 @@ Result<ResolveReport> Session::Resolve(bool force_cold) {
   const int entry_finalized = instance_.finalized_edge_count();
   auto report = options_.use_sharding && instance_.lambda() > 0.0 &&
                         instance_.lambda() < 1.0
-                    ? ResolveSharded(force_cold)
-                    : ResolveMonolithic(force_cold);
+                    ? ResolveSharded()
+                    : ResolveMonolithic();
   if (!report.ok()) {
     rng_.RestoreState(entry_rng);
     instance_.RestoreFinalizedPairs(std::move(entry_pairs), entry_finalized);
@@ -311,27 +311,7 @@ Result<ResolveReport> Session::Resolve(bool force_cold) {
   return report;
 }
 
-double Session::KeptUtilityShare(const FractionalSolution& frac,
-                                 const std::vector<char>& keep) const {
-  if (!HasConfig()) return 1.0;
-  const int n = std::min(frac.num_users, config_.num_users());
-  const int m = frac.num_items;
-  const int k = std::min(frac.num_slots, config_.num_slots());
-  double mass = 0.0;
-  int units = 0;
-  for (UserId u = 0; u < n; ++u) {
-    if (u < static_cast<int>(keep.size()) && !keep[u]) continue;
-    for (SlotId s = 0; s < k; ++s) {
-      const ItemId c = config_.At(u, s);
-      if (c == kNoItem || c >= m) continue;
-      mass += frac.x[static_cast<size_t>(u) * m + c];
-      ++units;
-    }
-  }
-  return units > 0 ? mass / units : 1.0;
-}
-
-Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
+Result<ResolveReport> Session::ResolveMonolithic() {
   Timer total_timer;
   TraceContext* trace = CurrentTrace();
   const std::vector<UserId> dirty = CollectDirtyUsers();
@@ -362,7 +342,7 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
       keys_.cols == lp_.keys().cols && keys_.rows == lp_.keys().rows;
   const LpBasis* warm = nullptr;
   LpBasis projected;
-  if (valid_basis_ && !force_cold) {
+  if (valid_basis_) {
     BasisProjectionDelta delta;
     if (same_keys) {
       delta.surviving_cols = static_cast<int>(keys_.cols.size());
@@ -380,7 +360,6 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     report.path = ResolvePath::kCold;
   }
 
-  Timer lp_timer;
   SimplexEngine& simplex = lp_.simplex();
   auto sol = report.path == ResolvePath::kIncremental
                  ? simplex.Solve(options_.simplex, warm)
@@ -391,7 +370,6 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     sol = simplex.Solve(options_.simplex);
   }
   if (!sol.ok()) return sol.status();
-  report.lp_seconds = lp_timer.ElapsedSeconds();
   report.warm_started = sol->warm_started;
   report.pivots = sol->iterations;
   report.phase1_pivots = sol->phase1_iterations;
@@ -420,24 +398,12 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   // Re-round: keep the previous configuration's units for clean users (on
   // the incremental paths), leaving only dirty users' units eligible for
   // the CSF sampling loop.
-  Timer rounding_timer;
   {
     TraceScope round_span("csf.round");
     std::vector<char> is_dirty(n, 0);
     for (UserId u : dirty) is_dirty[u] = 1;
-    bool keep_clean_units =
-        !force_cold && HasConfig() && report.path != ResolvePath::kCold;
-    // Drift trigger: when the fresh LP no longer backs the clean users'
-    // stale units, every unit re-rounds (the LP above still warm-started).
-    if (keep_clean_units && options_.reround_utility_threshold > 0.0) {
-      std::vector<char> keep(n, 1);
-      for (UserId u : dirty) keep[u] = 0;
-      report.kept_utility_share = KeptUtilityShare(frac, keep);
-      if (report.kept_utility_share < options_.reround_utility_threshold) {
-        report.full_reround = true;
-        keep_clean_units = false;
-      }
-    }
+    const bool keep_clean_units =
+        HasConfig() && report.path != ResolvePath::kCold;
     CsfState state(instance_, frac, options_.rounding.size_cap);
     int kept_units = 0;
     if (keep_clean_units) {
@@ -458,9 +424,7 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
     if (!rounded.ok()) return rounded.status();
     config_ = std::move(rounded->config);
     round_span.Counter("rerounded_units", report.rerounded_units);
-    round_span.Counter("full_reround", report.full_reround ? 1 : 0);
   }
-  report.rounding_seconds = rounding_timer.ElapsedSeconds();
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
 
   // The solution vectors are dead after this function, so the audit
@@ -478,12 +442,11 @@ Result<ResolveReport> Session::ResolveMonolithic(bool force_cold) {
   }
   // A warm 0-pivot solve ended on the basis it started from, so the next
   // resolve, if nothing changes meanwhile, re-factors that basis of the
-  // same LP and keeps every unit: record the answer it would produce. With
-  // the drift trigger on, the kept-unit share could still free every unit,
-  // and a subgroup size cap could refuse a kept unit the greedy completion
-  // placed past it.
+  // same LP and keeps every unit: record the answer it would produce. A
+  // subgroup size cap could refuse a kept unit the greedy completion placed
+  // past it.
   if (report.path == ResolvePath::kIncremental && report.pivots == 0 &&
-      report.warm_started && options_.reround_utility_threshold <= 0.0 &&
+      report.warm_started &&
       options_.rounding.size_cap == CsfState::kNoSizeCap) {
     ServedAnswer& answer = served_answer_.emplace();
     answer.report.path = ResolvePath::kIncremental;
@@ -567,7 +530,7 @@ void Session::SubmitVerify(VerifyJob job, bool reserved) {
   options_.verifier->Enqueue(std::move(job), reserved);
 }
 
-Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
+Result<ResolveReport> Session::ResolveSharded() {
   Timer total_timer;
   const std::vector<UserId> dirty = CollectDirtyUsers();
   instance_.RefinalizePairs(dirty);
@@ -587,23 +550,17 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
   } else {
     SAVG_RETURN_NOT_OK(coordinator_->Refresh(dirty));
   }
-  if (force_cold || all_dirty_) coordinator_->MarkAllDirty();
-  report.path = first_solve || force_cold
-                    ? ResolvePath::kCold
-                    : ResolvePath::kIncremental;
+  if (all_dirty_) coordinator_->MarkAllDirty();
+  report.path = first_solve ? ResolvePath::kCold : ResolvePath::kIncremental;
 
   ShardSolveStats stats;
   SAVG_RETURN_NOT_OK(coordinator_->SolveFractional(shard_pool_.get(), &stats));
-  // Re-round the shards whose x rows actually changed: the dirty set plus
-  // anything adaptive widening pulled in.
-  const std::vector<int>& reround_shards = coordinator_->LastResolvedShards();
   report.num_shards = stats.num_shards;
   report.num_dirty_shards = stats.dirty_shards;
   report.dual_rounds = stats.dual_rounds;
   report.shard_gap = stats.gap;
   report.pivots = static_cast<int>(stats.lp_pivots);
   report.lp_objective = stats.primal_objective;
-  report.lp_seconds = stats.lp_seconds;
   if (TraceContext* trace = CurrentTrace()) {
     const int span = trace->CurrentSpan();
     trace->AddCounter(span, "pivots", report.pivots);
@@ -614,35 +571,10 @@ Result<ResolveReport> Session::ResolveSharded(bool force_cold) {
     trace->AddLabel(span, "path", ResolvePathName(report.path));
   }
 
-  // Drift trigger (same policy as the monolithic path): clean shards'
-  // users keep their units only while the fresh stitched relaxation still
-  // backs them.
-  if (!force_cold && HasConfig() && !first_solve &&
-      options_.reround_utility_threshold > 0.0) {
-    std::vector<char> keep(instance_.num_users(), 1);
-    const std::vector<int>& shard_of = coordinator_->plan().shard_of;
-    std::vector<char> rerounds(coordinator_->num_shards(), 0);
-    for (int shard : reround_shards) rerounds[shard] = 1;
-    for (UserId u = 0; u < instance_.num_users(); ++u) {
-      if (u < static_cast<int>(shard_of.size()) && rerounds[shard_of[u]]) {
-        keep[u] = 0;
-      }
-    }
-    report.kept_utility_share = KeptUtilityShare(coordinator_->frac(), keep);
-    if (report.kept_utility_share < options_.reround_utility_threshold) {
-      report.full_reround = true;
-    }
-  }
-  const Configuration* previous =
-      !force_cold && !report.full_reround && HasConfig() && !first_solve
-          ? &config_
-          : nullptr;
-  int rerounded = 0;
-  SAVG_ASSIGN_OR_RETURN(
-      config_, coordinator_->Round(previous, reround_shards, rng_.Next(),
-                                   shard_pool_.get(), &stats, &rerounded));
-  report.rerounded_units = rerounded;
-  report.rounding_seconds = stats.rounding_seconds;
+  // Every unit re-rounds: one global CSF pass over the stitched relaxation
+  // (the clean shards' x rows are their cached solutions).
+  SAVG_ASSIGN_OR_RETURN(config_, coordinator_->Round(rng_.Next(), &stats));
+  report.rerounded_units = instance_.num_users() * instance_.num_slots();
   report.scaled_total = Evaluate(instance_, config_).ScaledTotal();
 
   if (options_.verifier != nullptr &&

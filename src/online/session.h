@@ -26,6 +26,10 @@
 // or the warm solve fails. Each Resolve() reports which path ran plus the
 // pivot counts, so serving telemetry can track warm-start effectiveness.
 //
+// A sharded session (SessionOptions::use_sharding) re-solves only the dirty
+// shards' LPs but re-rounds every unit: one global CSF pass over the
+// stitched relaxation, the rounding offline AVG-SHARD takes.
+//
 // A resolve that provably reproduces the previous answer skips all of the
 // above and answers from the served state (see Resolve()).
 //
@@ -66,24 +70,15 @@ struct SessionOptions {
   /// fraction of the compact LP's columns changed identity since the
   /// cached basis (projection would mostly seed a cold basis anyway).
   double cold_fraction_threshold = 0.3;
-  /// Drift-triggered full re-round: before re-rounding an incremental
-  /// resolve, the kept (clean) units' utility share of the fresh LP is
-  /// measured as mean_{kept (u,s,c)} x_u^c over the just-solved
-  /// relaxation — how much fractional mass the new optimum still puts on
-  /// the items those stale units display. Stale units chasing old tau /
-  /// preference values pull the share toward 0; when it drops below this
-  /// threshold every unit is re-rounded on THIS resolve (the LP still
-  /// warm-starts), bounding the rounding drift long mutation streams
-  /// accumulate when clean users keep stale units. <= 0 disables.
-  double reround_utility_threshold = 0.0;
   /// Sharded serving (shard/shard_solve.h): the instance is partitioned by
   /// community, dirty users map to dirty shards, and Resolve() re-solves
-  /// only the touched shards' LPs — the scaling path for sessions past the
-  /// single-LP practical limit. Requires lambda in (0, 1); the session
-  /// falls back to the monolithic path at the endpoints. Only `svgic_cli`
-  /// sets it: the sharded path has no single LP, so its self-verification
-  /// checks the configuration and the objective but can run no KKT audit,
-  /// and svgic_serverd audits the LP of every answer it verifies.
+  /// only the touched shards' LPs, then re-rounds every unit in one global
+  /// CSF pass — the scaling path for sessions past the single-LP practical
+  /// limit. Requires lambda in (0, 1); the session falls back to the
+  /// monolithic path at the endpoints. Only `svgic_cli` sets it: the
+  /// sharded path has no single LP, so its self-verification checks the
+  /// configuration and the objective but can run no KKT audit, and
+  /// svgic_serverd audits the LP of every answer it verifies.
   bool use_sharding = false;
   ShardSolveOptions sharding;
   /// Sampled post-solve self-verification (obs/verify.h): when set,
@@ -97,7 +92,7 @@ struct SessionOptions {
 };
 
 enum class ResolvePath {
-  kCold,          ///< no usable cached basis (first solve / forced)
+  kCold,          ///< no usable cached basis (first solve)
   kIncremental,   ///< warm-started from the projected cached basis
   kColdFallback,  ///< perturbation too large or warm solve failed
 };
@@ -124,19 +119,15 @@ struct ResolveReport {
   /// True when the cached basis was projected across changed keys.
   bool basis_projected = false;
   int num_dirty_users = 0;
-  /// (user, slot) units freed for re-rounding (k per dirty user).
+  /// (user, slot) units re-rounded: k per dirty user on the monolithic
+  /// incremental path, every unit on a cold solve and on the sharded path.
   int rerounded_units = 0;
-  /// True when this resolve re-rounded every unit because the kept-unit
-  /// utility share dropped below SessionOptions::reround_utility_threshold.
+  /// Never set. perfbench's replay still reads it; a benchmark change
+  /// drops it.
   bool full_reround = false;
-  /// Mean fresh-LP fractional mass on the kept units' items (1.0 when
-  /// nothing was kept / the threshold policy is off — see the option).
-  double kept_utility_share = 1.0;
   double lp_objective = 0.0;
   /// Scaled total of the served configuration after rounding.
   double scaled_total = 0.0;
-  double lp_seconds = 0.0;
-  double rounding_seconds = 0.0;
   double total_seconds = 0.0;
   /// Product-form etas left pending when this resolve's LP finished —
   /// the eta-chain length the next warm resolve would inherit if the
@@ -271,15 +262,13 @@ class Session {
   Result<CommandOutcome> Apply(const SessionCommand& command);
 
   /// Re-optimizes: incremental warm-started LP + dirty-user re-rounding,
-  /// or a cold solve (see class comment). With `force_cold` the cached
-  /// basis and configuration are ignored (benchmark reference path).
+  /// or a cold solve (see class comment).
   ///
   /// No-op resolves: when no command other than a resolve has succeeded
   /// since the last successful resolve, that resolve ran the full
-  /// monolithic path as a warm kIncremental solve with 0 pivots, this one
-  /// is not `force_cold`, and neither the drift trigger nor a subgroup
-  /// size cap is set, the full path would factor the same basis of the
-  /// same LP and keep every unit of the served configuration — so its
+  /// monolithic path as a warm kIncremental solve with 0 pivots, and no
+  /// subgroup size cap is set, the full path would factor the same basis of
+  /// the same LP and keep every unit of the served configuration — so its
   /// answer is reused without building, solving or rounding anything. The
   /// reuse still draws the rounding seed from the RNG and counts the
   /// resolve, so CaptureState() and every replay stay bit-identical; it
@@ -287,7 +276,7 @@ class Session {
   /// total, and zeroed LP statistics (no refactorization ran). The reusable
   /// answer is not part of SessionState: the first resolve after
   /// FromState() runs the full path.
-  Result<ResolveReport> Resolve(bool force_cold = false);
+  Result<ResolveReport> Resolve();
 
   /// Under a ScopedHoldVerify, a sampled resolve reserves its verify job
   /// and holds it; this snapshots the instance and configuration, both
@@ -321,12 +310,7 @@ class Session {
   /// re-solve must not lose which users' units are stale.
   std::vector<UserId> CollectDirtyUsers() const;
   void ClearDirty();
-  /// Mean fractional mass `frac` puts on the previously served units of
-  /// users with keep[u] != 0 (the kept-unit utility share; 1.0 when no
-  /// unit qualifies). See SessionOptions::reround_utility_threshold.
-  double KeptUtilityShare(const FractionalSolution& frac,
-                          const std::vector<char>& keep) const;
-  Result<ResolveReport> ResolveMonolithic(bool force_cold);
+  Result<ResolveReport> ResolveMonolithic();
   /// Answers a no-op resolve from served_answer_ (see Resolve()).
   ResolveReport ReuseServedAnswer();
   /// Stamps the session id on `job` and holds it (under a
@@ -336,8 +320,8 @@ class Session {
   /// queues it on the verifier.
   void SubmitVerify(VerifyJob job, bool reserved);
   /// Sharded path: dirty users map to dirty shards; only those shards
-  /// re-solve and re-round (see SessionOptions::use_sharding).
-  Result<ResolveReport> ResolveSharded(bool force_cold);
+  /// re-solve, and every unit re-rounds (see SessionOptions::use_sharding).
+  Result<ResolveReport> ResolveSharded();
 
   SvgicInstance instance_;
   SessionOptions options_;

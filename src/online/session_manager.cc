@@ -25,10 +25,8 @@ SessionManager::SessionManager(SessionManagerOptions options)
     solver_metrics_.resolve_cold_fallback =
         m->GetCounter("resolve.cold_fallback");
     solver_metrics_.resolve_failures = m->GetCounter("resolve.failures");
-    solver_metrics_.full_rerounds = m->GetCounter("session.full_rerounds");
     solver_metrics_.shard_dual_rounds = m->GetCounter("shard.dual_rounds");
     solver_metrics_.eta_chain = m->GetGauge("lp.eta_chain");
-    solver_metrics_.kept_share_ppm = m->GetGauge("session.kept_share_ppm");
     solver_metrics_.shard_gap_ppm = m->GetGauge("shard.gap_ppm");
   }
 }
@@ -263,7 +261,6 @@ void SessionManager::RecordResolveMetrics(const Status& status,
       m.resolve_cold_fallback->Increment();
       break;
   }
-  if (report.full_reround) m.full_rerounds->Increment();
   if (report.num_shards > 0) {
     m.shard_dual_rounds->Increment(report.dual_rounds);
     m.shard_gap_ppm->Set(static_cast<int64_t>(report.shard_gap * 1e6));
@@ -272,8 +269,6 @@ void SessionManager::RecordResolveMetrics(const Status& status,
     // refactorize independently).
     m.eta_chain->Set(report.eta_chain_length);
   }
-  m.kept_share_ppm->Set(
-      static_cast<int64_t>(report.kept_utility_share * 1e6));
 }
 
 void SessionManager::DrainEntry(Entry* entry) {

@@ -55,8 +55,8 @@ struct SessionManagerOptions {
   bool coalesce_resolves = false;
   /// Solver-health telemetry sink: when set, every resolve's report feeds
   /// the lp.* / resolve.* / session.* / shard.* metrics (eta-chain length,
-  /// Bland/stall activations, cold fallbacks, drift re-rounds, dual-gap
-  /// rounds — see the metric catalog in README). nullptr disables.
+  /// Bland/stall activations, cold fallbacks, dual-gap rounds — see the
+  /// metric catalog in README). nullptr disables.
   MetricsRegistry* metrics = nullptr;
   /// Durability (src/durability/): when set, every created/adopted session
   /// gets a journal attached (its Apply() stream lands in a changelog) and
@@ -186,10 +186,8 @@ class SessionManager {
     Counter* resolve_incremental = nullptr;
     Counter* resolve_cold_fallback = nullptr;
     Counter* resolve_failures = nullptr;
-    Counter* full_rerounds = nullptr;
     Counter* shard_dual_rounds = nullptr;
     Gauge* eta_chain = nullptr;
-    Gauge* kept_share_ppm = nullptr;
     Gauge* shard_gap_ppm = nullptr;
   };
 

@@ -480,121 +480,24 @@ Status ShardCoordinator::SolveFractional(ThreadPool* pool,
   return Status::OK();
 }
 
-Result<Configuration> ShardCoordinator::Round(
-    const Configuration* previous, const std::vector<int>& reround,
-    uint64_t rounding_seed, ThreadPool* pool, ShardSolveStats* stats,
-    int* rerounded_units) {
+Result<Configuration> ShardCoordinator::Round(uint64_t rounding_seed,
+                                              ShardSolveStats* stats) {
   if (!built_) {
     return Status::InvalidArgument("ShardCoordinator::Build not called");
   }
   TraceScope round_span("csf.round");
-  Timer timer;
-  const int n = instance_->num_users();
-  const int m = instance_->num_items();
-  const int k = instance_->num_slots();
-  std::vector<char> reround_shard(plan_.num_shards(),
-                                  previous == nullptr ? 1 : 0);
-  if (previous != nullptr) {
-    for (int i : reround) reround_shard[i] = 1;
-  }
-  const bool all_reround =
-      std::all_of(reround_shard.begin(), reround_shard.end(),
-                  [](char flag) { return flag != 0; });
-  if (all_reround) {
-    // Everything re-rounds: one global CSF pass over the stitched
-    // relaxation aligns co-display slots across shards exactly like
-    // monolithic AVG — phased rounding's independently chosen shard slots
-    // would only cost cut-pair utility here, and decision dilution keeps
-    // the single pass cheap.
-    CsfState state(*instance_, frac_, options_.rounding.size_cap);
-    AvgOptions opt = options_.rounding;
-    opt.seed = MixSeed(rounding_seed, 0x6106a1ULL);
-    auto rounded = RunCsfSampling(&state, opt);
-    if (!rounded.ok()) return rounded.status();
-    stats->csf_iterations += rounded->csf_iterations;
-    stats->rounding_seconds += timer.ElapsedSeconds();
-    if (rerounded_units != nullptr) *rerounded_units = n * k;
-    round_span.Label("mode", "global");
-    round_span.Counter("rerounded_units", n * k);
-    return std::move(rounded->config);
-  }
-
-  // Phase A: per-shard CSF rounding of the re-rounded shards, fanned out
-  // with index-derived seeds (bit-identical for any worker count).
-  std::vector<Result<AvgResult>> slots(
-      plan_.num_shards(), Result<AvgResult>(Status::Unknown("not rounded")));
-  for (int i = 0; i < plan_.num_shards(); ++i) {
-    if (!reround_shard[i]) continue;
-    pool->Submit([this, i, rounding_seed, &slots] {
-      const Shard& s = *shards_[i];
-      CsfState state(s.sub, s.frac, options_.rounding.size_cap);
-      AvgOptions opt = options_.rounding;
-      opt.seed = MixSeed(rounding_seed, static_cast<uint64_t>(i));
-      slots[i] = RunCsfSampling(&state, opt);
-    });
-  }
-  pool->Wait();
-
-  // The global re-round set: boundary users of the re-rounded shards,
-  // extended to their direct weighted partners (the boundary halo) so the
-  // global pass can align cross- and intra-shard groups on common slots.
-  std::vector<char> free_user(n, 0);
-  for (UserId u = 0; u < n; ++u) {
-    if (plan_.boundary[u] && reround_shard[plan_.shard_of[u]]) {
-      free_user[u] = 1;
-    }
-  }
-  for (const FriendPair& pair : instance_->pairs()) {
-    if (pair.weights.empty()) continue;
-    if (!plan_.boundary[pair.u] && !plan_.boundary[pair.v]) continue;
-    if (reround_shard[plan_.shard_of[pair.u]]) free_user[pair.u] = 1;
-    if (reround_shard[plan_.shard_of[pair.v]]) free_user[pair.v] = 1;
-  }
-
-  // Assemble the global rounding state: phase-A units for re-rounded
-  // shards' interior users, previous units for clean shards' users. The
-  // free users stay unassigned for phase B, where the global supporter
-  // lists let them rejoin cross-shard groups.
-  CsfState global_state(*instance_, frac_, options_.rounding.size_cap);
-  int kept_units = 0;
-  for (int i = 0; i < plan_.num_shards(); ++i) {
-    const Shard& s = *shards_[i];
-    if (reround_shard[i]) {
-      if (!slots[i].ok()) return slots[i].status();
-      stats->csf_iterations += slots[i]->csf_iterations;
-      const Configuration& local = slots[i]->config;
-      for (size_t lu = 0; lu < s.globals.size(); ++lu) {
-        const UserId gu = s.globals[lu];
-        if (free_user[gu]) continue;
-        for (SlotId slot = 0; slot < k; ++slot) {
-          const ItemId c = local.At(static_cast<UserId>(lu), slot);
-          if (c == kNoItem || c >= m) continue;
-          if (global_state.AssignUnit(gu, slot, c).ok()) ++kept_units;
-        }
-      }
-    } else {
-      for (UserId gu : s.globals) {
-        if (gu >= previous->num_users()) continue;
-        for (SlotId slot = 0; slot < k; ++slot) {
-          const ItemId c = previous->At(gu, slot);
-          if (c == kNoItem || c >= m) continue;
-          if (global_state.AssignUnit(gu, slot, c).ok()) ++kept_units;
-        }
-      }
-    }
-  }
-  if (rerounded_units != nullptr) *rerounded_units = n * k - kept_units;
-
-  // Phase B: one global CSF pass fills the boundary (and any unit the
-  // assembly could not keep), then greedy-completes.
-  AvgOptions boundary_opt = options_.rounding;
-  boundary_opt.seed = MixSeed(rounding_seed, 0x5eedULL + plan_.num_shards());
-  auto rounded = RunCsfSampling(&global_state, boundary_opt);
+  // One global CSF pass over the stitched relaxation aligns co-display
+  // slots across shards exactly like monolithic AVG, and decision dilution
+  // keeps the single pass cheap.
+  CsfState state(*instance_, frac_, options_.rounding.size_cap);
+  AvgOptions opt = options_.rounding;
+  opt.seed = MixSeed(rounding_seed, 0x6106a1ULL);
+  auto rounded = RunCsfSampling(&state, opt);
   if (!rounded.ok()) return rounded.status();
   stats->csf_iterations += rounded->csf_iterations;
-  stats->rounding_seconds += timer.ElapsedSeconds();
-  round_span.Label("mode", "phased");
-  round_span.Counter("rerounded_units", n * k - kept_units);
+  round_span.Counter("rerounded_units",
+                     static_cast<int64_t>(instance_->num_users()) *
+                         instance_->num_slots());
   return std::move(rounded->config);
 }
 
@@ -605,19 +508,14 @@ Result<ShardSolveResult> SolveSharded(const SvgicInstance& instance,
   ShardSolveResult result;
   ThreadPool pool(options.num_workers);
   SAVG_RETURN_NOT_OK(coordinator.SolveFractional(&pool, &result.stats));
-  std::vector<int> all_shards(coordinator.num_shards());
-  for (size_t i = 0; i < all_shards.size(); ++i) {
-    all_shards[i] = static_cast<int>(i);
-  }
   // Best-of-k rounding (Corollary 4.1), scored by the true scaled total.
   double best = 0.0;
   for (int repeat = 0; repeat < std::max(1, options.rounding_repeats);
        ++repeat) {
     SAVG_ASSIGN_OR_RETURN(
         Configuration config,
-        coordinator.Round(nullptr, all_shards,
-                          MixSeed(options.seed, 0x10adULL + repeat), &pool,
-                          &result.stats, nullptr));
+        coordinator.Round(MixSeed(options.seed, 0x10adULL + repeat),
+                          &result.stats));
     const double total = Evaluate(instance, config).ScaledTotal();
     if (repeat == 0 || total > best) {
       best = total;

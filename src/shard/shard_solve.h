@@ -24,20 +24,11 @@
 //      the tolerance;
 //   3. shard solutions are stitched into one fractional solution (each
 //      user's row is owned by exactly one shard, so the stitch is
-//      feasible) and rounded. When only some shards re-round (the online
-//      serving case) the rounding is phased: per-shard CSF in parallel,
-//      then one global CSF re-round of the boundary halo so cross-shard
-//      co-display is recovered where the duals made x agree. The halo is
-//      the boundary users plus their direct weighted intra-shard
-//      partners: per-shard roundings pick group slots independently, so a
-//      boundary user's interior partners must be re-roundable for the
-//      global pass to align cross- and intra-shard groups on common slots,
-//      and the halo stays small exactly when the partition is good (its
-//      size tracks the cut). When every shard re-rounds anyway (batch
-//      solves, periodic full re-rounds), one global CSF pass over the
-//      stitched relaxation is used instead: it aligns group slots across
-//      shards like monolithic AVG, and decision dilution keeps it cheap at
-//      any n x m reached so far.
+//      feasible) and rounded by one global CSF pass over the stitched
+//      relaxation: it aligns group slots across shards like monolithic
+//      AVG, and decision dilution keeps it cheap at any n x m reached so
+//      far. Batch solves and online serving round the same way; only the
+//      LP work is incremental.
 //
 // The coordinator keeps all per-shard state (sub-instances, bases, warm
 // points, duals) across calls, which is what the online serving layer
@@ -78,7 +69,7 @@ struct ShardSolveOptions {
   /// Per-shard relaxation knobs; kAuto picks simplex vs subgradient per
   /// shard by the shard LP's row count, exactly like the monolithic path.
   RelaxationOptions relaxation;
-  /// CSF rounding knobs (per-shard and boundary re-round).
+  /// CSF rounding knobs of the global rounding pass.
   AvgOptions rounding;
   /// Best-of-k rounding repeats for the batch entry point (Corollary 4.1,
   /// matching AVG's avg_repeats). Online serving keeps 1 for latency.
@@ -125,12 +116,11 @@ struct ShardSolveStats {
     int64_t pivots = 0;
   };
   std::vector<ShardDetail> shard_details;
-  /// Accepted CSF applications across per-shard and boundary rounding.
+  /// Accepted CSF applications across the Round() calls.
   int64_t csf_iterations = 0;
   int cut_pairs = 0;
   double cut_weight_fraction = 0.0;
   double lp_seconds = 0.0;
-  double rounding_seconds = 0.0;
 };
 
 /// Persistent coordination state over one (mutable) parent instance. The
@@ -168,20 +158,16 @@ class ShardCoordinator {
   /// Accumulates telemetry into `*stats`.
   Status SolveFractional(ThreadPool* pool, ShardSolveStats* stats);
 
-  /// Rounds the stitched fractional solution into a complete
-  /// configuration: parallel per-shard CSF for the shards in `reround`
-  /// (clean shards keep their users' units from `previous`), then one
-  /// global CSF re-round of the re-rounded shards' boundary users. With
-  /// `previous == nullptr` every shard re-rounds. `rounding_seed` must be
-  /// caller-derived (sessions use their own rng) so replays reproduce.
-  Result<Configuration> Round(const Configuration* previous,
-                              const std::vector<int>& reround,
-                              uint64_t rounding_seed, ThreadPool* pool,
-                              ShardSolveStats* stats, int* rerounded_units);
+  /// Rounds the stitched fractional solution frac() into a complete
+  /// configuration: one RunCsfSampling pass over every unit, seeded with
+  /// MixSeed(rounding_seed, 0x6106a1) (a splitmix64 step of
+  /// rounding_seed + 0x9E3779B97F4A7C15 * 0x6106a1, low bit set).
+  /// `rounding_seed` must be caller-derived (sessions use their own rng) so
+  /// replays reproduce. Adds the pass's CSF applications to `*stats`.
+  Result<Configuration> Round(uint64_t rounding_seed, ShardSolveStats* stats);
 
   /// Shards re-solved by the last SolveFractional() (the dirty set plus
-  /// any adaptively widened shards) — the set whose x rows changed, which
-  /// is what the caller should re-round.
+  /// any adaptively widened shards) — the set whose x rows changed.
   const std::vector<int>& LastResolvedShards() const {
     return last_resolved_shards_;
   }

@@ -14,9 +14,11 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,7 +27,9 @@
 #include "durability/recovery.h"
 #include "durability/session_store.h"
 #include "durability/snapshot.h"
+#include "metrics/registry.h"
 #include "online/session.h"
+#include "online/session_manager.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session_command.h"
@@ -295,6 +299,81 @@ TEST(ChangelogTest, CorruptMidFileRecordDiscardsFromThere) {
 // The interval policy fsyncs on the first append once its interval has
 // passed since the last fsync (here, since the file was created), and not
 // before.
+TEST(ChangelogTest, FuzzedChangelogsAreRefusedOrReadAsAPrefix) {
+  // Flips 1-4 bits of a captured multi-record changelog, and truncates
+  // every fifth input too. The reader must refuse each with
+  // InvalidArgument or read a prefix of the written records. Records are
+  // CRC-checked and the magic and version are compared, but the header's
+  // session_id, epoch and first_seq carry no checksum: a flip there reads
+  // as another header over the same records. Recovery checks first_seq
+  // against the snapshot's applied_seq; epoch and session_id are never
+  // checked against the file's name or directory.
+  const std::string dir = FreshDir("changelog_fuzz");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  const std::string path = dir + "/" + ChangelogFileName(2);
+  const CommandLog written = BuildStream(8, 10, 40, 29);
+  FsyncPolicy policy;
+  policy.mode = FsyncPolicy::Mode::kNever;
+  auto writer = ChangelogWriter::Create(path, /*session_id=*/3, /*epoch=*/2,
+                                        /*first_seq=*/17, policy);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const SessionCommand& cmd : written) {
+    ASSERT_TRUE(
+        (*writer)->Append(cmd, cmd.type == CommandType::kResolve).ok());
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+  const std::string good = ReadFileBytes(path);
+
+  // The unchecked fields, named: one flipped bit in each is read back.
+  for (size_t offset : {8u, 12u, 16u}) {
+    std::string bytes = good;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ 1);
+    WriteFileBytes(path, bytes);
+    auto read = ReadChangelogFile(path);
+    ASSERT_TRUE(read.ok()) << "offset " << offset << ": " << read.status();
+    EXPECT_EQ(read->commands.size(), written.size()) << "offset " << offset;
+    EXPECT_NE(std::make_tuple(read->session_id, read->epoch, read->first_seq),
+              std::make_tuple(3u, 2u, uint64_t{17}))
+        << "offset " << offset;
+  }
+
+  Rng rng(20261020);
+  int refused = 0, complete = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = good;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(4));
+    for (int f = 0; f < flips; ++f) {
+      const uint64_t bit = rng.UniformInt(8 * bytes.size());
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    }
+    const bool truncated = trial % 5 == 4;
+    if (truncated) bytes.resize(rng.UniformInt(bytes.size()));
+    WriteFileBytes(path, bytes);
+    auto read = ReadChangelogFile(path);
+    if (!read.ok()) {
+      EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << read.status();
+      ++refused;
+      continue;
+    }
+    ASSERT_LE(read->commands.size(), written.size()) << "trial " << trial;
+    for (size_t i = 0; i < read->commands.size(); ++i) {
+      ASSERT_EQ(read->commands[i], written[i])
+          << "trial " << trial << " record " << i;
+    }
+    EXPECT_LE(read->valid_bytes, bytes.size()) << "trial " << trial;
+    if (read->commands.size() == written.size()) {
+      ++complete;
+    } else if (!truncated) {
+      EXPECT_TRUE(read->torn_tail) << "trial " << trial;
+    }
+  }
+  // 39 inputs are refused (a flipped magic or version); 12 read every
+  // record (the flips hit only the unchecked header fields).
+  EXPECT_EQ(refused, 39);
+  EXPECT_EQ(complete, 12);
+}
+
 TEST(ChangelogTest, IntervalPolicySyncsOnceTheIntervalPassed) {
   const std::string dir = FreshDir("changelog_interval");
   ASSERT_TRUE(EnsureDirectory(dir).ok());
@@ -1082,6 +1161,82 @@ TEST(SessionStoreTest, ChangelogLagGaugeIsTheMaximumAcrossSessions) {
   EXPECT_EQ(lag->value(), 1);
   ASSERT_TRUE((*busy_journal)->TakeSnapshot(busy).ok());
   EXPECT_EQ(lag->value(), 0);
+}
+
+/// Total size of the regular files in `dir` (every epoch file, when the
+/// retention keeps them all: the bytes the store wrote).
+int64_t DirectoryBytes(const std::string& dir) {
+  int64_t bytes = 0;
+  DIR* handle = ::opendir(dir.c_str());
+  EXPECT_NE(handle, nullptr) << dir;
+  if (handle == nullptr) return -1;
+  while (dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    bytes += static_cast<int64_t>(ReadFileBytes(dir + "/" + name).size());
+  }
+  ::closedir(handle);
+  return bytes;
+}
+
+TEST(SessionStoreTest, DurabilityWorkIsPinnedPerFsyncPolicy) {
+  // One fixed stream through SessionManager + SessionStore, snapshots by
+  // count only, every epoch retained, then the shutdown flush. Under each
+  // policy the changelog fsyncs (durability.fsyncs counts changelog data
+  // fsyncs only: header, snapshot and directory fsyncs are not counted),
+  // the snapshots and the bytes on disk are exact. A rotation closes the
+  // old changelog, and Close() fsyncs what is unsynced, so even `never`
+  // fsyncs once per rotation that had records to sync.
+  const SvgicInstance base = RandomInstance(12, 16, 3, 0.5, 21);
+  const CommandLog log = BuildStream(12, 16, 40, 77);
+  struct Pin {
+    const char* policy;
+    int64_t fsyncs;
+    int64_t snapshots;
+    int64_t bytes;
+  };
+  const Pin pins[] = {
+      {"never", 5, 5, 109637},
+      {"resolve", 14, 5, 109637},
+      {"command", 50, 5, 109637},
+      {"every:3", 20, 5, 109637},
+  };
+  for (size_t i = 0; i < std::size(pins); ++i) {
+    const Pin& pin = pins[i];
+    const std::string dir = FreshDir("work_pin_" + std::to_string(i));
+    MetricsRegistry registry;
+    DurabilityOptions options;
+    options.data_dir = dir;
+    auto policy = ParseFsyncPolicy(pin.policy);
+    ASSERT_TRUE(policy.ok()) << pin.policy;
+    options.fsync = *policy;
+    options.snapshot_interval_seconds = 0;  // count trigger only
+    options.snapshot_every_commands = 10;
+    options.keep_epochs = 1000;  // nothing pruned: the disk holds every byte
+    SessionStore store(options, &registry);
+    SessionManagerOptions manager_options;
+    manager_options.num_workers = 1;
+    manager_options.store = &store;
+    SessionManager manager(manager_options);
+    const int id = manager.CreateSession(base);
+    for (const SessionCommand& command : log) {
+      ASSERT_TRUE(manager.Submit(id, command).ok());
+    }
+    manager.Drain();
+    ASSERT_TRUE(manager.FirstError().ok()) << manager.FirstError();
+    ASSERT_TRUE(manager.FlushDurability().ok());
+    EXPECT_EQ(registry.GetCounter("durability.appends")->value(),
+              static_cast<int64_t>(log.size()))
+        << pin.policy;
+    EXPECT_EQ(registry.GetCounter("durability.fsyncs")->value(), pin.fsyncs)
+        << pin.policy;
+    EXPECT_EQ(registry.GetCounter("durability.snapshots")->value(),
+              pin.snapshots)
+        << pin.policy;
+    EXPECT_EQ(DirectoryBytes(store.SessionDir(static_cast<uint32_t>(id))),
+              pin.bytes)
+        << pin.policy;
+  }
 }
 
 TEST(ServeDurabilityTest, FailStoppedJournalIsUnhealthyUntilReanchored) {

@@ -120,15 +120,6 @@ TEST(HealthMonitorTest, EtaChainGrowthRuleFires) {
   EXPECT_TRUE(HasReason(verdict, "eta_chain_growth"));
 }
 
-TEST(HealthMonitorTest, DriftBudgetRuleFires) {
-  HealthMonitor monitor;
-  WindowedSnapshot window = CleanWindow();
-  AddCounter(&window, "session.full_rerounds", 5);  // 5/s > 0.5/s
-  const HealthVerdict verdict = EvaluateTwice(&monitor, window);
-  EXPECT_EQ(verdict.level, HealthLevel::kDegraded);
-  EXPECT_TRUE(HasReason(verdict, "drift_budget"));
-}
-
 TEST(HealthMonitorTest, ChangelogLagRuleFires) {
   // The limit is 4096 un-snapshotted commands: at the limit the window
   // reads healthy, one command past it the rule fires.

@@ -93,7 +93,7 @@ TEST(OnlineSessionTest, SingleUserMutationPivotsAtLeast40PercentBelowCold) {
 
   // Cold reference: a fresh session over the mutated instance.
   Session cold_session(session.instance(), SessionOptions{});
-  auto cold = cold_session.Resolve(/*force_cold=*/true);
+  auto cold = cold_session.Resolve();
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(cold->path, ResolvePath::kCold);
 
@@ -186,43 +186,6 @@ TEST(OnlineSessionTest, LambdaChangeKeepsShapeAndWarmStarts) {
               1e-6 * std::max(1.0, std::abs(cold_obj)));
 }
 
-TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
-  // A threshold above 1 makes every incremental resolve's kept-unit share
-  // fall "below" it: the drift trigger must then free every unit, while a
-  // near-zero threshold must never fire.
-  SessionOptions eager;
-  eager.reround_utility_threshold = 2.0;
-  Session session(RandomInstance(14, 20, 3, 0.5, 11), eager);
-  const int all_units =
-      session.instance().num_users() * session.instance().num_slots();
-  auto first = session.Resolve();
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->full_reround);  // cold resolves keep nothing anyway
-  double value = 0.2;
-  for (int resolve = 0; resolve < 4; ++resolve) {
-    ASSERT_TRUE(session.Apply(MakePref(resolve % 14, 2, value)).ok());
-    value += 0.05;
-    auto report = session.Resolve();
-    ASSERT_TRUE(report.ok()) << report.status();
-    ASSERT_EQ(report->path, ResolvePath::kIncremental);
-    EXPECT_TRUE(report->full_reround);
-    EXPECT_EQ(report->rerounded_units, all_units);
-    EXPECT_GT(report->kept_utility_share, 0.0);
-    EXPECT_LE(report->kept_utility_share, 1.0);
-    EXPECT_TRUE(session.config().IsComplete());
-  }
-
-  SessionOptions off;
-  off.reround_utility_threshold = 1e-9;
-  Session calm(RandomInstance(14, 20, 3, 0.5, 11), off);
-  ASSERT_TRUE(calm.Resolve().ok());
-  ASSERT_TRUE(calm.Apply(MakePref(3, 2, 0.9)).ok());
-  auto report = calm.Resolve();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_FALSE(report->full_reround);
-  EXPECT_LT(report->rerounded_units, all_units);
-}
-
 /// A resolve answered from the served state. Its zero refactorizations
 /// do not identify it: a full resolve that reuses the engine's LU reports
 /// zero as well.
@@ -244,50 +207,45 @@ Result<ResolveReport> ResolveOnce(Session* session) {
 TEST(OnlineSessionTest, NoopResolveReuseMatchesAFullResolveBitExactly) {
   // At every resolve of seeded streams with extra back-to-back resolves,
   // the live session must agree with a FromState copy, whose first resolve
-  // always runs the full path, on the report and the resulting state. The
-  // drift-threshold arm keeps the re-round policy's answers covered too.
+  // always runs the full path, on the report and the resulting state.
   int reused = 0;
-  for (double threshold : {0.0, 0.97}) {
-    for (uint64_t seed : {3u, 5u}) {
-      const SvgicInstance base = RandomInstance(10, 16, 2, 0.5, 90 + seed);
-      EventStreamParams params;
-      params.num_mutations = 24;
-      params.resolve_every = 3;
-      params.seed = seed;
-      CommandLog stream{MakeResolve()};
-      for (const SessionCommand& command : GenerateEventStream(base, params)) {
-        stream.push_back(command);
-        if (command.type != CommandType::kResolve) continue;
-        for (int extra = 0; extra < 1 + static_cast<int>(seed % 3); ++extra) {
-          stream.push_back(MakeResolve());
-        }
+  for (uint64_t seed : {3u, 5u}) {
+    const SvgicInstance base = RandomInstance(10, 16, 2, 0.5, 90 + seed);
+    EventStreamParams params;
+    params.num_mutations = 24;
+    params.resolve_every = 3;
+    params.seed = seed;
+    CommandLog stream{MakeResolve()};
+    for (const SessionCommand& command : GenerateEventStream(base, params)) {
+      stream.push_back(command);
+      if (command.type != CommandType::kResolve) continue;
+      for (int extra = 0; extra < 1 + static_cast<int>(seed % 3); ++extra) {
+        stream.push_back(MakeResolve());
       }
-      SessionOptions options;
-      options.seed = seed;
-      options.reround_utility_threshold = threshold;
-      Session live(base, options);
-      for (const SessionCommand& command : stream) {
-        if (command.type != CommandType::kResolve) {
-          ASSERT_TRUE(live.Apply(command).ok());
-          continue;
-        }
-        auto copy = Session::FromState(live.CaptureState(), options);
-        auto got = ResolveOnce(&live);
-        auto want = ResolveOnce(copy.get());
-        ASSERT_TRUE(got.ok()) << got.status();
-        ASSERT_TRUE(want.ok()) << want.status();
-        EXPECT_FALSE(Reused(*want));
-        if (Reused(*got)) ++reused;
-        EXPECT_EQ(got->path, want->path);
-        EXPECT_EQ(got->pivots, want->pivots);
-        EXPECT_EQ(got->lp_objective, want->lp_objective);
-        EXPECT_EQ(got->scaled_total, want->scaled_total);
-        EXPECT_EQ(got->rerounded_units, want->rerounded_units);
-        EXPECT_EQ(SessionStateDigest(live.CaptureState()),
-                  SessionStateDigest(copy->CaptureState()))
-            << "seed " << seed << " threshold " << threshold << " resolve "
-            << live.num_resolves();
+    }
+    SessionOptions options;
+    options.seed = seed;
+    Session live(base, options);
+    for (const SessionCommand& command : stream) {
+      if (command.type != CommandType::kResolve) {
+        ASSERT_TRUE(live.Apply(command).ok());
+        continue;
       }
+      auto copy = Session::FromState(live.CaptureState(), options);
+      auto got = ResolveOnce(&live);
+      auto want = ResolveOnce(copy.get());
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_TRUE(want.ok()) << want.status();
+      EXPECT_FALSE(Reused(*want));
+      if (Reused(*got)) ++reused;
+      EXPECT_EQ(got->path, want->path);
+      EXPECT_EQ(got->pivots, want->pivots);
+      EXPECT_EQ(got->lp_objective, want->lp_objective);
+      EXPECT_EQ(got->scaled_total, want->scaled_total);
+      EXPECT_EQ(got->rerounded_units, want->rerounded_units);
+      EXPECT_EQ(SessionStateDigest(live.CaptureState()),
+                SessionStateDigest(copy->CaptureState()))
+          << "seed " << seed << " resolve " << live.num_resolves();
     }
   }
   EXPECT_GT(reused, 0);
@@ -323,11 +281,6 @@ TEST(OnlineSessionTest, NoopResolveReuseStopsWhenTheAnswerMayChange) {
   EXPECT_FALSE(Reused(*ResolveOnce(&session)));
   ASSERT_TRUE(session.Apply(MakeLambda(0.6)).ok());
   EXPECT_FALSE(Reused(*ResolveOnce(&session)));
-  // force_cold always solves.
-  settle(&session);
-  auto cold = session.Resolve(/*force_cold=*/true);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->path, ResolvePath::kCold);
 
   // A resolve that pivoted is followed by a full resolve.
   bool pivoted = false;
@@ -339,14 +292,6 @@ TEST(OnlineSessionTest, NoopResolveReuseStopsWhenTheAnswerMayChange) {
   }
   ASSERT_TRUE(pivoted);
   EXPECT_FALSE(Reused(*ResolveOnce(&session)));
-
-  // With the drift threshold on, every resolve measures the kept share.
-  SessionOptions drift;
-  drift.reround_utility_threshold = 1e-9;
-  Session drifting(base, drift);
-  ASSERT_TRUE(ResolveOnce(&drifting).ok());
-  settle(&drifting);
-  EXPECT_FALSE(Reused(*ResolveOnce(&drifting)));
 
   // The reusable answer is not persisted: a restored session solves.
   auto restored = Session::FromState(session.CaptureState(), {});

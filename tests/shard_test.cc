@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/avg.h"
+#include "core/csf.h"
 #include "core/lp_formulation.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
@@ -18,6 +20,8 @@
 #include "shard/shard_solve.h"
 #include "solvers/solver_options.h"
 #include "solvers/solver_registry.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace savg {
 namespace {
@@ -275,16 +279,69 @@ TEST(ShardedSessionTest, OnlyDirtyShardsResolve) {
   EXPECT_TRUE(session.config().IsComplete());
   EXPECT_TRUE(session.config().CheckValid().ok());
 
-  // One user's preference change must touch exactly one shard.
+  // One user's preference change must touch exactly one shard; the
+  // rounding still covers every unit.
   ASSERT_TRUE(session.Apply(MakePref(3, 5, 0.9)).ok());
   auto second = session.Resolve();
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second->path, ResolvePath::kIncremental);
   EXPECT_EQ(second->num_dirty_shards, 1);
-  EXPECT_LT(second->rerounded_units,
+  EXPECT_EQ(second->rerounded_units,
             session.instance().num_users() * session.instance().num_slots());
   EXPECT_TRUE(session.config().IsComplete());
   EXPECT_GT(second->scaled_total, 0.0);
+}
+
+TEST(ShardedSessionTest, ServedConfigurationIsOneGlobalCsfPass) {
+  // A coordinator over a mirror of the session's instance takes the same
+  // refreshes and solves. After every resolve the session serves exactly
+  // RunCsfSampling over that coordinator's stitched relaxation, seeded as
+  // Round() derives it from the session's rounding-seed draw: clean shards
+  // keep their LP solutions, but no unit keeps its previous item.
+  const SvgicInstance base = RandomInstance(DatasetKind::kYelp, 40, 20, 3, 6);
+  SessionOptions options;
+  options.use_sharding = true;
+  options.sharding.plan.num_shards = 4;
+  options.seed = 13;
+  Session session(base, options);
+
+  SvgicInstance mirror = base;
+  mirror.FinalizePairs();
+  ShardSolveOptions sharding = options.sharding;
+  sharding.rounding = options.rounding;
+  ShardCoordinator coordinator(&mirror, sharding);
+  ThreadPool pool(2);
+  Rng draws(options.seed);
+  const std::vector<SessionCommand> edits = {
+      MakePref(3, 5, 0.9), MakePref(17, 2, 0.4), MakePref(30, 11, 0.7)};
+  for (size_t step = 0; step <= edits.size(); ++step) {
+    std::vector<UserId> dirty;
+    if (step > 0) {
+      const SessionCommand& edit = edits[step - 1];
+      ASSERT_TRUE(session.Apply(edit).ok());
+      mirror.set_p(edit.u, edit.c, edit.value);
+      dirty.push_back(edit.u);
+    }
+    auto report = session.Resolve();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->rerounded_units,
+              mirror.num_users() * mirror.num_slots());
+
+    mirror.RefinalizePairs(dirty);
+    ASSERT_TRUE(step == 0 ? coordinator.Build().ok()
+                          : coordinator.Refresh(dirty).ok());
+    ShardSolveStats stats;
+    ASSERT_TRUE(coordinator.SolveFractional(&pool, &stats).ok());
+    EXPECT_EQ(report->lp_objective, stats.primal_objective);
+    AvgOptions rounding = options.rounding;
+    uint64_t mix = draws.Next() + 0x9E3779B97F4A7C15ULL * 0x6106a1ULL;
+    rounding.seed = SplitMix64(&mix) | 1;
+    CsfState state(mirror, coordinator.frac(), rounding.size_cap);
+    auto rounded = RunCsfSampling(&state, rounding);
+    ASSERT_TRUE(rounded.ok()) << rounded.status();
+    EXPECT_TRUE(SameConfig(session.config(), rounded->config))
+        << "resolve " << step;
+  }
 }
 
 TEST(ShardedSessionTest, ReplayIsIdenticalAcrossWorkerCounts) {
@@ -397,9 +454,9 @@ TEST(ShardedSessionTest, ResolveBitsArePinned) {
   }
   EXPECT_EQ(resolves, 29);
   EXPECT_EQ(sharded, 29);
-  EXPECT_EQ(hash, 0xfa07d295a8672ba9ull);
+  EXPECT_EQ(hash, 0xb8bb5890efbde7c7ull);
   // The digest covers the encoded state, version field included.
-  EXPECT_EQ(SessionStateDigest(session.CaptureState()), 0xf5f09e21fcec7551ull);
+  EXPECT_EQ(SessionStateDigest(session.CaptureState()), 0x8560de3eb388d80eull);
 }
 
 }  // namespace
